@@ -7,16 +7,15 @@ neighborhood and POI-word embeddings on word triplets. Downstream analytics
 cover repeated-split regression, clustering, and similarity search.
 """
 
-from .encoder import EncoderParams, encode, encode_backward, init_encoder
+from .encoder import EncoderParams, init_encoder
 from .errors import (FormatError, IntegrityError, NotFoundError, PipelineError,
                      StageOrderError, UsageError, ValidationError)
-from .geo import GeoPoint, SpatialIndex, assign_neighborhood, build_index, haversine_distance, k_nearest
+from .geo import GeoPoint, SpatialIndex, assign_neighborhood, build_index, haversine_distance
 from .corpus import (NegativeWordSampler, PoiRecord, Vocabulary, WordBag,
                      build_neighborhood_bag, build_vocabulary, load_pretrained_vectors,
-                     negative_sample_word, read_poi_jsonl, textualize_poi)
-from .training import (EmbeddingStore, TrainingConfig, Triplet, aggregate_neighborhoods,
-                       init_word_vectors, mean_triplet_loss, sample_sv_triplets,
-                       train_poi_stage, train_street_view, triplet_grads, triplet_loss)
+                     read_poi_jsonl, textualize_poi)
+from .training import (TrainingConfig, aggregate_neighborhoods, init_word_vectors,
+                       train_poi_stage, train_street_view, triplet_grads)
 from .analytics import (PcaModel, RegressionReport, SplitProtocol, adjusted_rand_index,
                         cosine_rank, evaluate_regression, kmeans, linreg_fit,
                         linreg_predict, pca_fit, poistats_tfidf, r_squared)

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import sys
+import typing
 from collections import defaultdict
 from pathlib import Path
 
@@ -27,7 +29,7 @@ from .encoder import init_encoder
 from .errors import (IntegrityError, NotFoundError, PipelineError, StageOrderError,
                      UsageError, ValidationError)
 from .geo import assign_neighborhood, build_index
-from .training import TrainingConfig
+from .training import EMPTY_POLICIES, TrainingConfig
 
 log = logging.getLogger(__name__)
 
@@ -65,8 +67,11 @@ def load_manifest(workspace: Path) -> dict:
     path = _manifest_path(workspace)
     if not path.exists():
         raise StageOrderError(f"no manifest at {path}; run 'ingest' first")
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:  # JSON syntax or text encoding
+        raise IntegrityError(f"{path} is not a readable manifest: {exc}") from None
 
 
 def save_manifest(workspace: Path, manifest: dict) -> None:
@@ -116,21 +121,26 @@ def _parse_kv_file(path) -> dict[str, str]:
     return out
 
 
+@functools.cache
+def _field_types(cls) -> dict[str, type]:
+    """Dataclass field name -> its annotated type, resolved from the string
+    annotations that ``from __future__ import annotations`` leaves. Cached
+    because every CLI call builds the parser, which asks three times."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
 def _coerce_into(instance, values: dict[str, str], source: str):
-    by_name = {f.name: f for f in dataclasses.fields(instance)}
+    types = _field_types(type(instance))
     for key, raw in values.items():
-        f = by_name.get(key)
-        if f is None:
+        kind = types.get(key)
+        if kind is None:
             raise ValidationError(f"{source}: unknown config field {key!r}")
         try:
-            if f.type in ("int", int):
-                val = int(raw)
-            elif f.type in ("float", float):
-                val = float(raw)
-            elif f.type in ("bool", bool):
+            if kind is bool:
                 val = raw.lower() in ("1", "true", "yes", "on")
             else:
-                val = raw
+                val = kind(raw)
         except ValueError:
             raise ValidationError(f"{source}: field {key!r} got unparsable value {raw!r}") from None
         setattr(instance, key, val)
@@ -151,27 +161,18 @@ def resolve_training_config(manifest: dict | None, config_path, flag_values: dic
 
 
 def _config_flags(parser: argparse.ArgumentParser) -> None:
+    """--config plus one --kebab-case flag per TrainingConfig field."""
     parser.add_argument("--config", default=None, help="key=value config file")
-    parser.add_argument("--d", type=int, default=None)
-    parser.add_argument("--k-context", type=int, default=None)
-    parser.add_argument("--margin-sv", type=float, default=None)
-    parser.add_argument("--margin-poi", type=float, default=None)
-    parser.add_argument("--neg-exponent", type=float, default=None)
-    parser.add_argument("--lr-sv", type=float, default=None)
-    parser.add_argument("--lr-poi", type=float, default=None)
-    parser.add_argument("--epochs-sv", type=int, default=None)
-    parser.add_argument("--epochs-poi", type=int, default=None)
-    parser.add_argument("--triplets-per-anchor", type=int, default=None)
-    parser.add_argument("--batch-size", type=int, default=None)
-    parser.add_argument("--hidden", type=int, default=None)
-    parser.add_argument("--anchor-weight", type=float, default=None)
-    parser.add_argument("--empty-policy", choices=["error", "zero"], default=None)
-    parser.add_argument("--seed", type=int, default=None)
+    for name, kind in _field_types(TrainingConfig).items():
+        flag = "--" + name.replace("_", "-")
+        if name == "empty_policy":
+            parser.add_argument(flag, choices=EMPTY_POLICIES, default=None)
+        else:
+            parser.add_argument(flag, type=kind, default=None)
 
 
 def _flag_config_values(args) -> dict:
-    return {name: getattr(args, name) for name in TrainingConfig.field_names()
-            if hasattr(args, name)}
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(TrainingConfig)}
 
 
 def _workspace(args) -> Path:
@@ -213,7 +214,8 @@ def _load_features(features_path, metadata: list[fileio.StreetViewRecord]):
     if len(row_of) != len(ids):
         raise ValidationError("duplicate ids in feature CSV")
     missing = [rid for rid in meta_ids if rid not in row_of]
-    extra = [rid for rid in ids if rid not in set(meta_ids)]
+    meta_set = set(meta_ids)
+    extra = [rid for rid in ids if rid not in meta_set]
     if missing or extra:
         raise ValidationError(f"feature/metadata id mismatch: missing {missing[:5]}, extra {extra[:5]}")
     return matrix[[row_of[rid] for rid in meta_ids]]

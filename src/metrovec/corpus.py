@@ -161,11 +161,6 @@ class NegativeWordSampler:
         return rng.choice(self._n, size=size, p=self._p)
 
 
-def negative_sample_word(vocab: Vocabulary, context_ids, rng: np.random.Generator,
-                         exponent: float = 0.5) -> int:
-    return int(NegativeWordSampler(vocab, context_ids, exponent).draw(rng))
-
-
 def load_pretrained_vectors(path, vocab: Vocabulary, dim: int) -> dict[int, np.ndarray]:
     """Map token id -> vector for vocabulary tokens found in a whitespace
     "token v1 ... vd" file. cat_/rate_/price_ tokens are never initialized
@@ -185,8 +180,17 @@ def load_pretrained_vectors(path, vocab: Vocabulary, dim: int) -> dict[int, np.n
                 vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from None
+            if not np.isfinite(vec).all():
+                raise FormatError(f"{path}:{lineno}: non-finite value in the vector for {token!r}")
             out.setdefault(vocab.id_of(token), vec)
     return out
+
+
+def _string_list(obj: dict, key: str) -> list[str]:
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise TypeError(f"field {key!r} must be a list, got {type(value).__name__}")
+    return [str(v) for v in value]
 
 
 def read_poi_jsonl(path) -> list[PoiRecord]:
@@ -208,10 +212,10 @@ def read_poi_jsonl(path) -> list[PoiRecord]:
                     geo=GeoPoint(float(obj["lat"]), float(obj["lon"])),
                     neighborhood_id=(None if obj.get("neighborhood_id") in (None, "")
                                      else str(obj["neighborhood_id"])),
-                    categories=[str(c) for c in obj.get("categories", [])],
+                    categories=_string_list(obj, "categories"),
                     rating=None if obj.get("rating") is None else float(obj["rating"]),
                     price=None if obj.get("price") is None else int(obj["price"]),
-                    reviews=[str(r) for r in obj.get("reviews", [])],
+                    reviews=_string_list(obj, "reviews"),
                 ))
             except KeyError as exc:
                 raise FormatError(f"{path}:{lineno} (POI {rec_id!r}): missing field {exc}") from None

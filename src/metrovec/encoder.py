@@ -36,13 +36,6 @@ class EncoderParams:
         return EncoderParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
 
-@dataclass
-class EncoderGradients:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    input: np.ndarray
-
-
 def init_encoder(d_in: int, hidden: int, d: int, seed: int) -> EncoderParams:
     """Glorot-uniform weights, zero biases, deterministic per seed."""
     if d_in < 1 or d < 1 or hidden < 0:
@@ -89,24 +82,3 @@ def _backward_batch(params: EncoderParams, cache, grad_out: np.ndarray):
     gb1 = gpre.sum(axis=0)
     gin = gpre @ params.weights[0].T
     return [gw1, gw2], [gb1, gb2], gin
-
-
-def encode(params: EncoderParams, feature: np.ndarray) -> np.ndarray:
-    feature = np.asarray(feature, dtype=np.float64)
-    if feature.ndim != 1 or feature.shape[0] != params.d_in:
-        raise ValidationError(f"feature length {feature.shape} does not match d_in={params.d_in}")
-    out, _ = _forward_batch(params, feature[None, :])
-    return out[0]
-
-
-def encode_backward(params: EncoderParams, feature: np.ndarray,
-                    grad_output: np.ndarray) -> EncoderGradients:
-    feature = np.asarray(feature, dtype=np.float64)
-    grad_output = np.asarray(grad_output, dtype=np.float64)
-    if feature.ndim != 1 or feature.shape[0] != params.d_in:
-        raise ValidationError(f"feature length {feature.shape} does not match d_in={params.d_in}")
-    if grad_output.ndim != 1 or grad_output.shape[0] != params.d_out:
-        raise ValidationError(f"grad_output length {grad_output.shape} does not match d={params.d_out}")
-    _, cache = _forward_batch(params, feature[None, :])
-    gws, gbs, gin = _backward_batch(params, cache, grad_output[None, :])
-    return EncoderGradients(weights=gws, biases=gbs, input=gin[0])

@@ -57,7 +57,10 @@ def _read_matrix(path, magic: bytes) -> np.ndarray:
         head = fh.read(len(magic))
         if head != magic:
             raise FormatError(f"{path}: bad magic {head!r}, expected {magic!r}")
-        rows, dim = struct.unpack("<II", fh.read(8))
+        header = fh.read(8)
+        if len(header) < 8:
+            raise FormatError(f"{path}: truncated header, {len(header)} of 8 bytes")
+        rows, dim = struct.unpack("<II", header)
         payload = fh.read()
     expected = rows * dim * 4
     if len(payload) != expected:
@@ -110,9 +113,15 @@ def read_features_csv(path) -> tuple[list[str], np.ndarray]:
 
 
 def write_embeddings(path, ids: list, matrix: np.ndarray) -> None:
+    """Checkpoint plus id sidecar; refuses, before writing anything, a matrix
+    holding a value that is non-finite or does not fit in float32."""
     if matrix.shape[0] != len(ids):
         raise ValidationError(f"{matrix.shape[0]} embedding rows but {len(ids)} ids")
-    _write_matrix(path, EMBEDDING_MAGIC, matrix)
+    with np.errstate(over="ignore"):
+        stored = np.asarray(matrix, dtype="<f4")
+    if not np.isfinite(stored).all():
+        raise ValidationError(f"{path}: embedding values are non-finite or outside the float32 range")
+    _write_matrix(path, EMBEDDING_MAGIC, stored)
     with open(ids_sidecar_path(path), "w", encoding="utf-8") as fh:
         for rid in ids:
             fh.write(f"{rid}\n")

@@ -179,10 +179,6 @@ def build_index(points: list[tuple[object, GeoPoint]]) -> SpatialIndex:
     return SpatialIndex(points)
 
 
-def k_nearest(index: SpatialIndex, query_id, k: int) -> list:
-    return index.k_nearest(query_id, k)
-
-
 def assign_neighborhood(point: GeoPoint, centroids: list[tuple[object, GeoPoint]]):
     """Id of the haversine-nearest centroid; ties broken by ascending id."""
     if not centroids:

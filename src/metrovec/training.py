@@ -13,8 +13,7 @@ frequency**exponent-weighted from outside the bag.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, fields
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from .geo import SpatialIndex
 log = logging.getLogger(__name__)
 
 DISTANCE_FLOOR = 1e-8  # floor for distances in gradient denominators
+EMPTY_POLICIES = ("error", "zero")  # what stage 2 gives a neighborhood without street views
 
 
 @dataclass
@@ -67,89 +67,20 @@ class TrainingConfig:
             raise ValidationError("neg_exponent must be >= 0")
         if self.anchor_weight < 0:
             raise ValidationError("anchor_weight must be >= 0")
-        if self.empty_policy not in ("error", "zero"):
-            raise ValidationError(f"empty_policy must be 'error' or 'zero', got {self.empty_policy!r}")
-        return self
-
-    @classmethod
-    def field_names(cls) -> list[str]:
-        return [f.name for f in fields(cls)]
-
-
-class Triplet(NamedTuple):
-    anchor: object
-    context: object
-    negative: object
-
-
-@dataclass
-class EmbeddingStore:
-    """Bundle of the three learned matrices, all sharing one dimension d."""
-
-    sv_ids: list = field(default_factory=list)
-    X: np.ndarray | None = None  # street views
-    tokens: list = field(default_factory=list)
-    Y: np.ndarray | None = None  # POI words
-    neighborhood_ids: list = field(default_factory=list)
-    Z: np.ndarray | None = None  # neighborhoods
-
-    def validate(self) -> "EmbeddingStore":
-        dims = set()
-        for ids, mat, name in ((self.sv_ids, self.X, "X"), (self.tokens, self.Y, "Y"),
-                               (self.neighborhood_ids, self.Z, "Z")):
-            if mat is None:
-                continue
-            if mat.shape[0] != len(ids):
-                raise ValidationError(f"{name}: {mat.shape[0]} rows but {len(ids)} ids")
-            if not np.isfinite(mat).all():
-                raise ValidationError(f"{name}: non-finite entries")
-            dims.add(mat.shape[1])
-        if len(dims) > 1:
-            raise ValidationError(f"embedding dimensions differ: {sorted(dims)}")
+        if self.empty_policy not in EMPTY_POLICIES:
+            raise ValidationError(f"empty_policy must be one of {EMPTY_POLICIES}, got {self.empty_policy!r}")
         return self
 
 
-def _check_triplet_inputs(xa, xc, xn, margin):
-    xa = np.asarray(xa, dtype=np.float64)
-    xc = np.asarray(xc, dtype=np.float64)
-    xn = np.asarray(xn, dtype=np.float64)
-    if not (xa.shape == xc.shape == xn.shape) or xa.ndim != 1:
-        raise ValidationError(f"triplet vectors must share one shape, got {xa.shape}, {xc.shape}, {xn.shape}")
-    if margin < 0:
-        raise ValidationError(f"margin must be >= 0, got {margin}")
-    if not (np.isfinite(xa).all() and np.isfinite(xc).all() and np.isfinite(xn).all()):
-        raise ValidationError("non-finite triplet input")
-    return xa, xc, xn
+def triplet_grads(A: np.ndarray, C: np.ndarray, N: np.ndarray, margin: float):
+    """Exact gradients (ga, gc, gn) and per-row losses of the hinge triplet
+    loss max(0, margin + ||a-c|| - ||a-n||) for row-aligned (anchor, context,
+    negative) matrices; a one-row A broadcasts against C and N.
 
-
-def triplet_loss(xa, xc, xn, margin: float) -> float:
-    """Hinge loss max(0, margin + ||xa-xc|| - ||xa-xn||), plain Euclidean."""
-    xa, xc, xn = _check_triplet_inputs(xa, xc, xn, margin)
-    return max(0.0, margin + float(np.linalg.norm(xa - xc)) - float(np.linalg.norm(xa - xn)))
-
-
-def triplet_grads(xa, xc, xn, margin: float):
-    """Exact gradients of the hinge triplet loss w.r.t. (xa, xc, xn).
-
-    Inactive triplets (loss 0) return zero vectors; distances are floored at
+    Inactive rows (loss 0) get zero gradients; distances are floored at
     DISTANCE_FLOOR in denominators to remove the singularity at coincident
     embeddings.
     """
-    xa, xc, xn = _check_triplet_inputs(xa, xc, xn, margin)
-    diff_ac = xa - xc
-    diff_an = xa - xn
-    d_ac = float(np.linalg.norm(diff_ac))
-    d_an = float(np.linalg.norm(diff_an))
-    if margin + d_ac - d_an <= 0.0:
-        zero = np.zeros_like(xa)
-        return zero, zero.copy(), zero.copy()
-    u_ac = diff_ac / max(d_ac, DISTANCE_FLOOR)
-    u_an = diff_an / max(d_an, DISTANCE_FLOOR)
-    return u_ac - u_an, -u_ac, u_an
-
-
-def _triplet_grads_batch(A: np.ndarray, C: np.ndarray, N: np.ndarray, margin: float):
-    """Vectorized gradients/losses for row-aligned triplet matrices."""
     diff_ac = A - C
     diff_an = A - N
     d_ac = np.linalg.norm(diff_ac, axis=1)
@@ -162,13 +93,6 @@ def _triplet_grads_batch(A: np.ndarray, C: np.ndarray, N: np.ndarray, margin: fl
     gc = -u_ac * active
     gn = u_an * active
     return ga, gc, gn, losses
-
-
-def mean_triplet_loss(A: np.ndarray, C: np.ndarray, N: np.ndarray, margin: float) -> float:
-    """Mean hinge loss over row-aligned (anchor, context, negative) matrices."""
-    d_ac = np.linalg.norm(A - C, axis=1)
-    d_an = np.linalg.norm(A - N, axis=1)
-    return float(np.mean(np.maximum(0.0, margin + d_ac - d_an)))
 
 
 def _sample_negative_rows(rng: np.random.Generator, n: int, count: int,
@@ -215,21 +139,11 @@ def context_rows_from_index(index: SpatialIndex, ids: list, k: int) -> np.ndarra
     return out
 
 
-def sample_sv_triplets(index: SpatialIndex, all_ids: list, k: int, per_anchor: int,
-                       rng: np.random.Generator) -> list[Triplet]:
-    """Per anchor: ``per_anchor`` triplets with the context drawn uniformly
-    from the K nearest images and the negative uniformly from everything
-    outside anchor + context."""
-    ctx = context_rows_from_index(index, all_ids, k)
-    rows = _sample_triplet_rows(ctx, per_anchor, rng)
-    return [Triplet(all_ids[a], all_ids[c], all_ids[n]) for a, c, n in rows]
-
-
 def train_street_view(params: EncoderParams, sv_ids: list, features: np.ndarray,
                       index: SpatialIndex, config: TrainingConfig):
     """Stage 1: mini-batch SGD on the street-view triplet loss through the
-    encoder. Returns (trained params, X) with X[j] = encode(params, features[j]);
-    deterministic per config.seed."""
+    encoder. Returns (trained params, X) with X the trained encoder's forward
+    pass over every feature row; deterministic per config.seed."""
     config.validate()
     features = np.asarray(features, dtype=np.float64)
     if features.shape[0] != len(sv_ids):
@@ -252,7 +166,7 @@ def train_street_view(params: EncoderParams, sv_ids: list, features: np.ndarray,
                 out, cache = _forward_batch(params, features[batch[:, col]])
                 outs.append(out)
                 caches.append(cache)
-            ga, gc, gn, _ = _triplet_grads_batch(outs[0], outs[1], outs[2], config.margin_sv)
+            ga, gc, gn, _ = triplet_grads(outs[0], outs[1], outs[2], config.margin_sv)
             for cache, grad in zip(caches, (ga, gc, gn)):
                 gws, gbs, _ = _backward_batch(params, cache, grad)
                 for acc, g in zip(grads_w, gws):
@@ -274,7 +188,7 @@ def aggregate_neighborhoods(X: np.ndarray, sv_neighborhoods: list,
     """Stage 2: each neighborhood embedding is the mean of its street-view
     embeddings. ``policy`` decides what a neighborhood with no street views
     gets: 'error' raises, 'zero' yields a zero row with a warning."""
-    if policy not in ("error", "zero"):
+    if policy not in EMPTY_POLICIES:
         raise ValidationError(f"unknown empty policy {policy!r}")
     if X.shape[0] != len(sv_neighborhoods):
         raise ValidationError(f"{X.shape[0]} embedding rows but {len(sv_neighborhoods)} assignments")
@@ -329,39 +243,38 @@ def train_poi_stage(z_init: np.ndarray, neighborhood_ids: list, vocab: Vocabular
     Z0 = z_init if config.anchor_weight > 0.0 else None
     rng = np.random.default_rng(config.seed + 1)
 
-    token_rows, token_probs, samplers = [], [], []
+    draws = []  # per neighborhood: (bag token ids, their probabilities, negative sampler) or None
     for nid in neighborhood_ids:
         bag: WordBag = bags.get(nid) or WordBag()
         if not bag:
             log.info("neighborhood %s has an empty bag; contributes no triplets", nid)
-            token_rows.append(None)
-            token_probs.append(None)
-            samplers.append(None)
+            draws.append(None)
             continue
         ids, counts = vocab.bag_to_ids(bag)
         if ids.size == vocab.size:
             # No negatives exist outside this bag; skip like an empty bag.
             log.warning("neighborhood %s bag covers the whole vocabulary; skipped", nid)
-            token_rows.append(None)
-            token_probs.append(None)
-            samplers.append(None)
+            draws.append(None)
             continue
-        token_rows.append(ids)
-        token_probs.append(counts / counts.sum())
-        samplers.append(NegativeWordSampler(vocab, set(ids.tolist()), config.neg_exponent))
+        sampler = NegativeWordSampler(vocab, set(ids.tolist()), config.neg_exponent)
+        draws.append((ids, counts / counts.sum(), sampler))
 
+    # One block update per (epoch, neighborhood): the anchor takes the summed
+    # gradient of its triplets, and np.add.at accumulates repeated word rows.
+    # Context and negative rows never overlap (negatives lie outside the bag).
     per = config.triplets_per_anchor
     for _ in range(config.epochs_poi):
         for i in rng.permutation(len(neighborhood_ids)):
-            if samplers[i] is None:
+            if draws[i] is None:
                 continue
-            ctx_ids = rng.choice(token_rows[i], size=per, p=token_probs[i])
-            neg_ids = samplers[i].draw(rng, size=per)
-            for c, n in zip(ctx_ids, neg_ids):
-                ga, gc, gn = triplet_grads(Z[i], Y[c], Y[n], config.margin_poi)
-                if Z0 is not None:
-                    ga = ga + config.anchor_weight * (Z[i] - Z0[i])
-                Z[i] -= config.lr_poi * ga
-                Y[c] -= config.lr_poi * gc
-                Y[n] -= config.lr_poi * gn
+            token_ids, token_probs, sampler = draws[i]
+            ctx_ids = rng.choice(token_ids, size=per, p=token_probs)
+            neg_ids = sampler.draw(rng, size=per)
+            ga, gc, gn, _ = triplet_grads(Z[i][None], Y[ctx_ids], Y[neg_ids], config.margin_poi)
+            step = ga.sum(axis=0)
+            if Z0 is not None:
+                step += per * config.anchor_weight * (Z[i] - Z0[i])
+            Z[i] -= config.lr_poi * step
+            np.add.at(Y, ctx_ids, -config.lr_poi * gc)
+            np.add.at(Y, neg_ids, -config.lr_poi * gn)
     return Z, Y

@@ -17,12 +17,12 @@ from metrovec.analytics import (SplitProtocol, adjusted_rand_index, cosine_rank,
                                 evaluate_regression, kmeans)
 from metrovec.cli import main
 from metrovec.corpus import NegativeWordSampler, build_neighborhood_bag, build_vocabulary
-from metrovec.encoder import _forward_batch, encode, encode_backward, init_encoder
+from metrovec.encoder import _backward_batch, _forward_batch, init_encoder
 from metrovec.geo import GeoPoint, build_index
 from metrovec.synthcity import SynthConfig, generate_city
-from metrovec.training import (TrainingConfig, aggregate_neighborhoods, init_word_vectors,
-                               mean_triplet_loss, sample_sv_triplets, train_poi_stage,
-                               train_street_view, triplet_grads, triplet_loss)
+from metrovec.training import (TrainingConfig, _sample_triplet_rows, aggregate_neighborhoods,
+                               context_rows_from_index, init_word_vectors,
+                               train_poi_stage, train_street_view, triplet_grads)
 
 
 def report(num: int, desc: str, ok: bool, detail: str = ""):
@@ -32,6 +32,11 @@ def report(num: int, desc: str, ok: bool, detail: str = ""):
         line += f" ({detail})"
     print(line)
     assert ok, line
+
+
+def mean_hinge(A, C, N, margin):
+    """Mean of the per-row hinge losses that the batched triplet_grads returns."""
+    return float(triplet_grads(A, C, N, margin)[3].mean())
 
 
 def rel_err(a, b):
@@ -62,16 +67,14 @@ def main_city():
     params0 = init_encoder(feats.shape[1], cfg.hidden, cfg.d, cfg.seed)
 
     eval_rng = np.random.default_rng(90210)
-    held = sample_sv_triplets(index, ids, cfg.k_context, 5, eval_rng)
-    row = {sid: j for j, sid in enumerate(ids)}
-    sv_rows = np.array([(row[t.anchor], row[t.context], row[t.negative]) for t in held])
+    sv_rows = _sample_triplet_rows(context_rows_from_index(index, ids, cfg.k_context), 5, eval_rng)
 
     params, X = train_street_view(params0, ids, feats, index, cfg)
     X0, _ = _forward_batch(params0, feats)
-    sv_loss_before = mean_triplet_loss(X0[sv_rows[:, 0]], X0[sv_rows[:, 1]],
-                                       X0[sv_rows[:, 2]], cfg.margin_sv)
-    sv_loss_after = mean_triplet_loss(X[sv_rows[:, 0]], X[sv_rows[:, 1]],
-                                      X[sv_rows[:, 2]], cfg.margin_sv)
+    sv_loss_before = mean_hinge(X0[sv_rows[:, 0]], X0[sv_rows[:, 1]],
+                                X0[sv_rows[:, 2]], cfg.margin_sv)
+    sv_loss_after = mean_hinge(X[sv_rows[:, 0]], X[sv_rows[:, 1]],
+                               X[sv_rows[:, 2]], cfg.margin_sv)
 
     Z_sve = aggregate_neighborhoods(X, [by_id[i].neighborhood_id for i in ids],
                                     city.neighborhood_ids)
@@ -92,11 +95,11 @@ def main_city():
     poi_rows = np.array(poi_rows)
 
     Y0 = init_word_vectors(vocab, cfg.d, cfg.seed)
-    poi_loss_before = mean_triplet_loss(Z_sve[poi_rows[:, 0]], Y0[poi_rows[:, 1]],
-                                        Y0[poi_rows[:, 2]], cfg.margin_poi)
+    poi_loss_before = mean_hinge(Z_sve[poi_rows[:, 0]], Y0[poi_rows[:, 1]],
+                                 Y0[poi_rows[:, 2]], cfg.margin_poi)
     Z_u2v, Y = train_poi_stage(Z_sve, city.neighborhood_ids, vocab, bags, cfg)
-    poi_loss_after = mean_triplet_loss(Z_u2v[poi_rows[:, 0]], Y[poi_rows[:, 1]],
-                                       Y[poi_rows[:, 2]], cfg.margin_poi)
+    poi_loss_after = mean_hinge(Z_u2v[poi_rows[:, 0]], Y[poi_rows[:, 1]],
+                                Y[poi_rows[:, 2]], cfg.margin_poi)
 
     rng = np.random.default_rng(cfg.seed + 2)
     z_rand_init = rng.uniform(-0.5 / cfg.d, 0.5 / cfg.d,
@@ -126,13 +129,16 @@ def test_criterion_1_gradient_correctness():
     rng = np.random.default_rng(31)
     worst = 0.0
 
-    # triplet gradients vs central differences
+    # batched triplet gradients on one-row batches vs central differences
+    def loss(*vecs):
+        return mean_hinge(*(v[None, :] for v in vecs), 0.5)
+
     checked = 0
     while checked < 20:
         xa, xc, xn = rng.normal(size=(3, 6))
-        if triplet_loss(xa, xc, xn, 0.5) <= 1e-3:
+        if loss(xa, xc, xn) <= 1e-3:
             continue
-        analytic = triplet_grads(xa, xc, xn, 0.5)
+        analytic = [g[0] for g in triplet_grads(xa[None, :], xc[None, :], xn[None, :], 0.5)[:3]]
         step = 1e-4
         vecs = [xa.copy(), xc.copy(), xn.copy()]
         for vi in range(3):
@@ -142,11 +148,14 @@ def test_criterion_1_gradient_correctness():
                 lo = [v.copy() for v in vecs]
                 hi[vi][j] += step
                 lo[vi][j] -= step
-                numeric[j] = (triplet_loss(*hi, 0.5) - triplet_loss(*lo, 0.5)) / (2 * step)
+                numeric[j] = (loss(*hi) - loss(*lo)) / (2 * step)
             worst = max(worst, rel_err(analytic[vi], numeric))
         checked += 1
 
-    # encoder backward vs central differences
+    # batched encoder backward on one-row batches vs central differences
+    def objective(p, x, gout):
+        return float(_forward_batch(p, x[None, :])[0][0] @ gout)
+
     for trial in range(20):
         d_in = int(rng.integers(2, 17))
         d = int(rng.integers(1, 9))
@@ -154,27 +163,28 @@ def test_criterion_1_gradient_correctness():
         params = init_encoder(d_in, hidden, d, seed=500 + trial)
         x = rng.normal(size=d_in)
         gout = rng.normal(size=d)
-        analytic = encode_backward(params, x, gout)
+        _, cache = _forward_batch(params, x[None, :])
+        grads_w, grads_b, _ = _backward_batch(params, cache, gout[None, :])
         step = 1e-4
         for li in range(len(params.weights)):
             numeric = np.zeros_like(params.weights[li])
             for idx in np.ndindex(*numeric.shape):
                 p = params.copy()
                 p.weights[li][idx] += step
-                hi = float(encode(p, x) @ gout)
+                hi = objective(p, x, gout)
                 p.weights[li][idx] -= 2 * step
-                lo = float(encode(p, x) @ gout)
+                lo = objective(p, x, gout)
                 numeric[idx] = (hi - lo) / (2 * step)
-            worst = max(worst, rel_err(analytic.weights[li], numeric))
+            worst = max(worst, rel_err(grads_w[li], numeric))
             numeric_b = np.zeros_like(params.biases[li])
             for idx in np.ndindex(*numeric_b.shape):
                 p = params.copy()
                 p.biases[li][idx] += step
-                hi = float(encode(p, x) @ gout)
+                hi = objective(p, x, gout)
                 p.biases[li][idx] -= 2 * step
-                lo = float(encode(p, x) @ gout)
+                lo = objective(p, x, gout)
                 numeric_b[idx] = (hi - lo) / (2 * step)
-            worst = max(worst, rel_err(analytic.biases[li], numeric_b))
+            worst = max(worst, rel_err(grads_b[li], numeric_b))
 
     elapsed = time.monotonic() - t0
     report(1, "triplet and encoder gradients match finite differences",

@@ -1,15 +1,18 @@
 """End-to-end CLI tests: stage order, integrity, reports, exit codes."""
 
 import csv
+import dataclasses
 import hashlib
 import json
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from metrovec.cli import main
+from metrovec.cli import build_parser, main
 from metrovec.fileio import read_embeddings, write_targets_csv
+from metrovec.training import TrainingConfig
 
 SYNTH_CFG = """
 n_neighborhoods = 16
@@ -152,6 +155,23 @@ class TestStageOrder:
         assert main(["train-sv", "--workspace", str(ws)] + TRAIN_FLAGS) == 0
         assert sha(ws / "checkpoints" / "sv.emb") == first
 
+    def test_corrupt_manifest_is_integrity_error(self, tmp_path, city_dir):
+        ws = tmp_path / "ws"
+        assert main(ingest_args(city_dir, ws)) == 0
+        (ws / "manifest.json").write_text('{"version": 1, "stages": ')
+        assert main(["train-sv", "--workspace", str(ws)] + TRAIN_FLAGS) == 4
+
+    def test_diverged_stage_writes_no_checkpoint(self, tmp_path, city_dir, capsys):
+        ws = tmp_path / "ws"
+        assert main(ingest_args(city_dir, ws)) == 0
+        assert main(["train-sv", "--workspace", str(ws)] + TRAIN_FLAGS) == 0
+        assert main(["aggregate", "--workspace", str(ws)]) == 0
+        assert main(["train-poi", "--workspace", str(ws), "--lr-poi", "1e40"]) == 3
+        assert "float32" in capsys.readouterr().err
+        manifest = json.loads((ws / "manifest.json").read_text())
+        assert manifest["stages"]["train_poi"] is False
+        assert not (ws / "checkpoints" / "u2v.emb").exists()
+
     def test_rerun_invalidates_downstream(self, tmp_path, city_dir):
         ws = tmp_path / "ws"
         assert main(ingest_args(city_dir, ws)) == 0
@@ -181,6 +201,18 @@ class TestConfig:
         manifest = json.loads((ws / "manifest.json").read_text())
         assert manifest["config"]["d"] == 4
         assert manifest["root_seed"] == manifest["config"]["seed"]
+
+    @pytest.mark.parametrize("command", ["train-sv", "aggregate", "train-poi"])
+    def test_every_config_field_has_a_typed_flag(self, command):
+        samples = {int: "3", float: "0.25", str: "zero"}
+        types = typing.get_type_hints(TrainingConfig)
+        parser = build_parser()
+        for f in dataclasses.fields(TrainingConfig):
+            kind = types[f.name]
+            args = parser.parse_args([command, "--workspace", "ws",
+                                      "--" + f.name.replace("_", "-"), samples[kind]])
+            value = getattr(args, f.name)
+            assert type(value) is kind and value == kind(samples[kind]), f.name
 
     def test_unknown_config_key_rejected(self, tmp_path, city_dir, capsys):
         ws = tmp_path / "ws"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from metrovec.corpus import (NegativeWordSampler, PoiRecord, build_neighborhood_bag,
-                             build_vocabulary, load_pretrained_vectors, negative_sample_word,
+                             build_vocabulary, load_pretrained_vectors,
                              read_poi_jsonl, textualize_poi, write_poi_jsonl)
 from metrovec.errors import FormatError, ValidationError
 from metrovec.geo import GeoPoint
@@ -137,7 +137,7 @@ class TestNegativeSampling:
         vocab = build_vocabulary([Counter({"a": 1, "b": 5})])
         rng = np.random.default_rng(0)
         ctx = {vocab.id_of("a")}
-        assert negative_sample_word(vocab, ctx, rng) == vocab.id_of("b")
+        assert NegativeWordSampler(vocab, ctx).draw(rng) == vocab.id_of("b")
 
     def test_sqrt_weighting_two_tokens(self):
         # frequencies 1 and 4 -> probabilities 1/3 and 2/3
@@ -197,6 +197,14 @@ class TestPretrainedVectors:
         with pytest.raises(FormatError):
             load_pretrained_vectors(path, vocab, 2)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_rejected_with_line(self, tmp_path, bad):
+        path = tmp_path / "vecs.txt"
+        path.write_text(f"tea 0.1 0.2\ncoffee 0.1 {bad}\n")
+        vocab = build_vocabulary([Counter({"coffee": 1, "tea": 1})])
+        with pytest.raises(FormatError, match=r"vecs\.txt:2"):
+            load_pretrained_vectors(path, vocab, 2)
+
     def test_prefixed_tokens_never_initialized(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("cat_coffee 0.1 0.2\nrate_4_5 0.3 0.4\nprice_2 0.5 0.6\ncoffee 0.7 0.8\n")
@@ -225,6 +233,14 @@ class TestPoiJsonl:
         path = tmp_path / "poi.jsonl"
         path.write_text('{"id": "a", "lat": 0, "lon": 0}\nnot json\n')
         with pytest.raises(FormatError, match=":2"):
+            read_poi_jsonl(path)
+
+    @pytest.mark.parametrize("field", ["categories", "reviews"])
+    def test_non_list_text_field_rejected_with_line(self, tmp_path, field):
+        path = tmp_path / "poi.jsonl"
+        path.write_text('{"id": "a", "lat": 0, "lon": 0}\n'
+                        f'{{"id": "b", "lat": 0, "lon": 0, "{field}": "Coffee"}}\n')
+        with pytest.raises(FormatError, match=f":2 .*{field}"):
             read_poi_jsonl(path)
 
     def test_range_error_names_record(self, tmp_path):

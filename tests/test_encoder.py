@@ -1,10 +1,25 @@
-"""Encoder forward/backward tests, including central finite differences."""
+"""Batched encoder forward/backward tests, including central finite differences
+on one-row batches."""
 
 import numpy as np
 import pytest
 
-from metrovec.encoder import encode, encode_backward, init_encoder
+from metrovec.encoder import _backward_batch, _forward_batch, init_encoder
 from metrovec.errors import ValidationError
+
+
+def encode(params, feature):
+    """Encoder output for one feature vector: the batched forward pass on a one-row batch."""
+    out, _ = _forward_batch(params, np.asarray(feature, dtype=float)[None, :])
+    return out[0]
+
+
+def encode_one_backward(params, feature, grad_output):
+    """(weight grads, bias grads, input grad) of dot(output, grad_output) for
+    one feature vector, through the batched backward pass on a one-row batch."""
+    _, cache = _forward_batch(params, np.asarray(feature, dtype=float)[None, :])
+    gws, gbs, gin = _backward_batch(params, cache, np.asarray(grad_output, dtype=float)[None, :])
+    return gws, gbs, gin[0]
 
 
 def fd_param_grads(params, feature, grad_output, step=1e-4):
@@ -97,24 +112,24 @@ class TestForward:
     def test_length_mismatch(self):
         p = init_encoder(5, 0, 3, seed=0)
         with pytest.raises(ValidationError):
-            encode(p, np.ones(4))
+            _forward_batch(p, np.ones((1, 4)))
 
 
 class TestBackward:
     def test_zero_grad_output(self):
         p = init_encoder(5, 4, 3, seed=1)
-        g = encode_backward(p, np.ones(5), np.zeros(3))
-        assert not any(gw.any() for gw in g.weights)
-        assert not g.input.any()
+        gws, _, gin = encode_one_backward(p, np.ones(5), np.zeros(3))
+        assert not any(gw.any() for gw in gws)
+        assert not gin.any()
 
     def test_linear_weight_grad_is_outer_product(self):
         p = init_encoder(4, 0, 3, seed=2)
         x = np.array([1.0, -2.0, 0.5, 3.0])
         gout = np.array([0.2, -0.1, 0.7])
-        g = encode_backward(p, x, gout)
-        assert np.allclose(g.weights[0], np.outer(x, gout))
-        assert np.allclose(g.biases[0], gout)
-        assert np.allclose(g.input, p.weights[0] @ gout)
+        gws, gbs, gin = encode_one_backward(p, x, gout)
+        assert np.allclose(gws[0], np.outer(x, gout))
+        assert np.allclose(gbs[0], gout)
+        assert np.allclose(gin, p.weights[0] @ gout)
 
     def test_finite_difference_agreement(self):
         rng = np.random.default_rng(11)
@@ -125,19 +140,33 @@ class TestBackward:
             p = init_encoder(d_in, hidden, d, seed=100 + trial)
             x = rng.normal(size=d_in)
             gout = rng.normal(size=d)
-            analytic = encode_backward(p, x, gout)
+            gws, gbs, _ = encode_one_backward(p, x, gout)
             fd_w, fd_b = fd_param_grads(p, x, gout)
-            for a, f in zip(analytic.weights, fd_w):
+            for a, f in zip(gws, fd_w):
                 assert rel_err(a, f) < 1e-4
-            for a, f in zip(analytic.biases, fd_b):
+            for a, f in zip(gbs, fd_b):
                 assert rel_err(a, f) < 1e-4
+
+    def test_batch_matches_one_row_passes(self):
+        rng = np.random.default_rng(12)
+        p = init_encoder(6, 4, 3, seed=12)
+        X, G = rng.normal(size=(9, 6)), rng.normal(size=(9, 3))
+        out, cache = _forward_batch(p, X)
+        gws, gbs, gin = _backward_batch(p, cache, G)
+        rows = [encode_one_backward(p, X[r], G[r]) for r in range(9)]
+        for r in range(9):
+            assert np.allclose(out[r], encode(p, X[r]))
+            assert np.allclose(gin[r], rows[r][2])
+        for li in range(2):
+            assert np.allclose(gws[li], sum(row[0][li] for row in rows))
+            assert np.allclose(gbs[li], sum(row[1][li] for row in rows))
 
     def test_shape_mismatch(self):
         p = init_encoder(5, 4, 3, seed=1)
         with pytest.raises(ValidationError):
-            encode_backward(p, np.ones(5), np.zeros(4))
+            encode_one_backward(p, np.ones(5), np.zeros(4))
         with pytest.raises(ValidationError):
-            encode_backward(p, np.ones(6), np.zeros(3))
+            encode_one_backward(p, np.ones(6), np.zeros(3))
 
 
 def test_copy_is_independent():

@@ -29,6 +29,12 @@ class TestFeatureBin:
         with pytest.raises(FormatError, match="magic"):
             read_feature_bin(path)
 
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "f.bin"
+        path.write_bytes(b"GVFEAT01" + b"\x02\x00\x00")
+        with pytest.raises(FormatError, match="header"):
+            read_feature_bin(path)
+
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "f.bin"
         write_feature_bin(path, ["a", "b"], np.ones((2, 3), dtype=np.float32))
@@ -78,6 +84,20 @@ class TestEmbeddings:
         write_embeddings(path, ["a", "b"], np.ones((2, 2)))
         ids_sidecar_path(path).write_text("a\n")
         with pytest.raises(FormatError):
+            read_embeddings(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39])
+    def test_unstorable_values_refused_before_writing(self, tmp_path, bad):
+        path = tmp_path / "z.emb"
+        with pytest.raises(ValidationError, match="float32"):
+            write_embeddings(path, ["a", "b"], np.array([[1.0, 2.0], [bad, 0.0]]))
+        assert not path.exists() and not ids_sidecar_path(path).exists()
+
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "z.emb"
+        write_embeddings(path, ["a"], np.ones((1, 2)))
+        path.write_bytes(path.read_bytes()[:12])
+        with pytest.raises(FormatError, match="header"):
             read_embeddings(path)
 
     def test_tsv_export(self, tmp_path):

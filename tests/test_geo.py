@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from metrovec.errors import NotFoundError, ValidationError
-from metrovec.geo import GeoPoint, assign_neighborhood, build_index, haversine_distance, k_nearest
+from metrovec.geo import GeoPoint, assign_neighborhood, build_index, haversine_distance
 
 # Frozen before implementation from a 50-digit haversine evaluation
 # (R = 6,371,000 m) of the (37.7749,-122.4194)-(37.7849,-122.4094) pair.
@@ -166,11 +166,6 @@ class TestIndex:
         first = [idx.k_nearest(qid, 6) for qid, _ in pts]
         second = [idx.k_nearest(qid, 6) for qid, _ in pts]
         assert first == second
-
-    def test_module_level_wrapper(self):
-        pts = [("a", GeoPoint(0, 0)), ("b", GeoPoint(0, 0.001)), ("c", GeoPoint(0, 0.01))]
-        idx = build_index(pts)
-        assert k_nearest(idx, "a", 1) == ["b"]
 
 
 class TestAssignNeighborhood:

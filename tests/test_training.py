@@ -1,19 +1,40 @@
-"""Triplet loss/gradient, sampling, and staged-training tests."""
+"""Batched triplet loss/gradient, sampling, and staged-training tests."""
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from metrovec.corpus import build_vocabulary
-from metrovec.encoder import encode, init_encoder
+from metrovec.corpus import NegativeWordSampler, build_vocabulary
+from metrovec.encoder import _forward_batch, init_encoder
 from metrovec.errors import ValidationError
+from metrovec.fileio import write_embeddings
 from metrovec.geo import GeoPoint, build_index
 from metrovec.synthcity import SynthConfig, generate_city
-from metrovec.training import (EmbeddingStore, TrainingConfig, aggregate_neighborhoods,
-                               context_rows_from_index, init_word_vectors, mean_triplet_loss,
-                               sample_sv_triplets, train_poi_stage, train_street_view,
-                               triplet_grads, triplet_loss)
+from metrovec.training import (TrainingConfig, _sample_triplet_rows, aggregate_neighborhoods,
+                               context_rows_from_index, init_word_vectors,
+                               train_poi_stage, train_street_view, triplet_grads)
+
+
+def mean_hinge(A, C, N, margin):
+    """Mean of the per-row hinge losses that the batched triplet_grads returns."""
+    return float(triplet_grads(A, C, N, margin)[3].mean())
+
+
+def one_row(*vectors):
+    return [np.asarray(v, dtype=float)[None, :] for v in vectors]
+
+
+def loss_of(xa, xc, xn, margin):
+    """Hinge loss of one triplet, as a one-row batch."""
+    return mean_hinge(*one_row(xa, xc, xn), margin)
+
+
+def grads_of(xa, xc, xn, margin):
+    """(ga, gc, gn) of one triplet from the batched triplet_grads on a one-row batch."""
+    ga, gc, gn, _ = triplet_grads(*one_row(xa, xc, xn), margin)
+    return ga[0], gc[0], gn[0]
 
 
 def fd_triplet_grads(xa, xc, xn, margin, step=1e-5):
@@ -26,7 +47,7 @@ def fd_triplet_grads(xa, xc, xn, margin, step=1e-5):
             lo = [v.copy() for v in vecs]
             hi[vi][j] += step
             lo[vi][j] -= step
-            g[j] = (triplet_loss(*hi, margin) - triplet_loss(*lo, margin)) / (2 * step)
+            g[j] = (loss_of(*hi, margin) - loss_of(*lo, margin)) / (2 * step)
         grads.append(g)
     return grads
 
@@ -39,30 +60,36 @@ def rel_err(a, b):
 class TestTripletLoss:
     def test_coincident_points_return_margin(self):
         v = np.array([1.0, 2.0])
-        assert triplet_loss(v, v, v, margin=0.2) == pytest.approx(0.2)
+        assert loss_of(v, v, v, margin=0.2) == pytest.approx(0.2)
 
     def test_inactive(self):
-        assert triplet_loss([0, 0], [0, 1], [3, 0], margin=1.0) == 0.0
+        assert loss_of([0, 0], [0, 1], [3, 0], margin=1.0) == 0.0
 
     def test_active_arithmetic(self):
-        assert triplet_loss([0, 0], [0, 2], [1, 0], margin=0.5) == pytest.approx(1.5)
+        assert loss_of([0, 0], [0, 2], [1, 0], margin=0.5) == pytest.approx(1.5)
 
-    def test_non_finite_rejected(self):
+    def test_non_finite_rejected(self, tmp_path):
+        # A non-finite input yields a non-finite loss, which no checkpoint accepts.
+        xa = np.array([np.nan, 0.0])
+        assert np.isnan(loss_of(xa, [0, 1], [1, 0], margin=0.2))
         with pytest.raises(ValidationError):
-            triplet_loss([np.nan, 0], [0, 1], [1, 0], margin=0.2)
+            write_embeddings(tmp_path / "z.emb", ["a"], xa[None, :])
+        assert not (tmp_path / "z.emb").exists()
 
     def test_negative_margin_rejected(self):
         with pytest.raises(ValidationError):
-            triplet_loss([0, 0], [0, 1], [1, 0], margin=-0.1)
+            TrainingConfig(margin_poi=-0.1).validate()
+        with pytest.raises(ValidationError):
+            TrainingConfig(margin_sv=-0.1).validate()
 
 
 class TestTripletGrads:
     def test_inactive_all_zero(self):
-        ga, gc, gn = triplet_grads([0, 0], [0, 1], [9, 0], margin=0.5)
+        ga, gc, gn = grads_of([0, 0], [0, 1], [9, 0], margin=0.5)
         assert not ga.any() and not gc.any() and not gn.any()
 
     def test_worked_example(self):
-        ga, gc, gn = triplet_grads([0, 0], [0, 2], [1, 0], margin=0.5)
+        ga, gc, gn = grads_of([0, 0], [0, 2], [1, 0], margin=0.5)
         assert np.allclose(ga, [1.0, -1.0])
         assert np.allclose(gc, [0.0, 1.0])
         assert np.allclose(gn, [-1.0, 0.0])
@@ -75,9 +102,9 @@ class TestTripletGrads:
         checked = 0
         while checked < 20:
             xa, xc, xn = rng.normal(size=(3, 8))
-            if triplet_loss(xa, xc, xn, margin=0.5) <= 1e-3:
+            if loss_of(xa, xc, xn, margin=0.5) <= 1e-3:
                 continue  # keep clearly active triplets away from the hinge
-            analytic = triplet_grads(xa, xc, xn, margin=0.5)
+            analytic = grads_of(xa, xc, xn, margin=0.5)
             numeric = fd_triplet_grads(xa, xc, xn, margin=0.5)
             for a, n in zip(analytic, numeric):
                 assert rel_err(a, n) < 1e-4
@@ -86,9 +113,23 @@ class TestTripletGrads:
     def test_margin_zero_coincident_anchor_context(self):
         v = np.array([0.3, -0.7, 1.1])
         xn = np.array([5.0, 5.0, 5.0])
-        assert triplet_loss(v, v, xn, margin=0.0) == 0.0
-        ga, gc, gn = triplet_grads(v, v, xn, margin=0.0)
+        assert loss_of(v, v, xn, margin=0.0) == 0.0
+        ga, gc, gn = grads_of(v, v, xn, margin=0.0)
         assert not ga.any() and not gc.any() and not gn.any()
+
+    def test_rows_match_one_row_batches_and_anchor_broadcasts(self):
+        rng = np.random.default_rng(19)
+        A, C, N = rng.normal(size=(3, 12, 5))
+        batch = triplet_grads(A, C, N, margin=0.5)
+        for r in range(12):
+            single = triplet_grads(A[r:r + 1], C[r:r + 1], N[r:r + 1], margin=0.5)
+            for b, s in zip(batch, single):
+                assert np.array_equal(b[r], s[0])
+        # Stage 3 passes one anchor row against a block of contexts and negatives.
+        shared = triplet_grads(A[:1], C, N, margin=0.5)
+        repeated = triplet_grads(np.repeat(A[:1], 12, axis=0), C, N, margin=0.5)
+        for s, r in zip(shared, repeated):
+            assert np.array_equal(s, r)
 
     def test_negative_gradient_step_decreases_loss(self):
         rng = np.random.default_rng(17)
@@ -96,11 +137,11 @@ class TestTripletGrads:
         tested = 0
         while tested < 100:
             xa, xc, xn = rng.normal(size=(3, 6))
-            loss = triplet_loss(xa, xc, xn, margin=0.2)
+            loss = loss_of(xa, xc, xn, margin=0.2)
             if loss <= 0.0:
                 continue
-            ga, gc, gn = triplet_grads(xa, xc, xn, margin=0.2)
-            new_loss = triplet_loss(xa - step * ga, xc - step * gc, xn - step * gn, margin=0.2)
+            ga, gc, gn = grads_of(xa, xc, xn, margin=0.2)
+            new_loss = loss_of(xa - step * ga, xc - step * gc, xn - step * gn, margin=0.2)
             assert new_loss < loss
             tested += 1
 
@@ -113,16 +154,22 @@ def grid_points(n_side, spacing=0.001):
     return pts
 
 
+def sv_triplets(index, ids, k, per_anchor, rng):
+    """(anchor, context, negative) id triplets, drawn as stage 1 draws them."""
+    rows = _sample_triplet_rows(context_rows_from_index(index, ids, k), per_anchor, rng)
+    return [tuple(ids[r] for r in row) for row in rows]
+
+
 class TestSvSampling:
     def test_forced_negative_choice(self):
         pts = [("a", GeoPoint(0, 0)), ("b", GeoPoint(0, 0.001)), ("c", GeoPoint(0, 0.01))]
         idx = build_index(pts)
         rng = np.random.default_rng(0)
-        trips = sample_sv_triplets(idx, ["a", "b", "c"], k=1, per_anchor=1, rng=rng)
-        for t in trips:
-            others = {"a", "b", "c"} - {t.anchor, t.context}
-            assert t.negative in others
-            assert t.negative != t.context
+        trips = sv_triplets(idx, ["a", "b", "c"], k=1, per_anchor=1, rng=rng)
+        for anchor, context, negative in trips:
+            others = {"a", "b", "c"} - {anchor, context}
+            assert negative in others
+            assert negative != context
 
     def test_negatives_outside_context(self):
         pts = grid_points(5)
@@ -130,23 +177,23 @@ class TestSvSampling:
         ids = [pid for pid, _ in pts]
         ctx = {pid: set(idx.k_nearest(pid, 4)) for pid in ids}
         rng = np.random.default_rng(1)
-        trips = sample_sv_triplets(idx, ids, k=4, per_anchor=16, rng=rng)
+        trips = sv_triplets(idx, ids, k=4, per_anchor=16, rng=rng)
         assert len(trips) == len(ids) * 16  # 25 anchors x 16 = 400 per call
         for _ in range(24):
-            trips.extend(sample_sv_triplets(idx, ids, k=4, per_anchor=16, rng=rng))
+            trips.extend(sv_triplets(idx, ids, k=4, per_anchor=16, rng=rng))
         assert len(trips) >= 10_000
-        for t in trips:
-            assert t.negative != t.anchor
-            assert t.negative not in ctx[t.anchor]
-            assert t.context in ctx[t.anchor]
+        for anchor, context, negative in trips:
+            assert negative != anchor
+            assert negative not in ctx[anchor]
+            assert context in ctx[anchor]
 
     def test_context_uniformity(self):
         pts = [(f"q{i}", GeoPoint(37.0, -122.0 + 0.001 * i)) for i in range(7)]
         idx = build_index(pts)
         ids = [pid for pid, _ in pts]
         rng = np.random.default_rng(2)
-        trips = sample_sv_triplets(idx, ids, k=5, per_anchor=15_000, rng=rng)
-        counts = Counter((t.anchor, t.context) for t in trips)
+        trips = sv_triplets(idx, ids, k=5, per_anchor=15_000, rng=rng)
+        counts = Counter((anchor, context) for anchor, context, _ in trips)
         for pid in ids:
             nbrs = idx.k_nearest(pid, 5)
             for nbr in nbrs:
@@ -157,7 +204,7 @@ class TestSvSampling:
         pts = [("a", GeoPoint(0, 0)), ("b", GeoPoint(0, 0.001))]
         idx = build_index(pts)
         with pytest.raises(ValidationError):
-            sample_sv_triplets(idx, ["a", "b"], k=1, per_anchor=1, rng=np.random.default_rng(0))
+            sv_triplets(idx, ["a", "b"], k=1, per_anchor=1, rng=np.random.default_rng(0))
 
 
 def small_city(**overrides):
@@ -184,7 +231,7 @@ class TestTrainStreetView:
         trained, X = train_street_view(params, ids, feats, index, cfg)
         assert np.array_equal(trained.weights[0], params.weights[0])
         for j, sid in enumerate(ids):
-            assert np.allclose(X[j], encode(params, feats[j]))
+            assert np.allclose(X[j], _forward_batch(params, feats[j][None, :])[0][0])
 
     def test_seed_determinism(self):
         city = small_city()
@@ -203,12 +250,10 @@ class TestTrainStreetView:
         params = init_encoder(feats.shape[1], 0, 4, seed=33)
         ctx = context_rows_from_index(index, ids, cfg.k_context)
         eval_rng = np.random.default_rng(999)
-        triplets = sample_sv_triplets(index, ids, cfg.k_context, 10, eval_rng)
-        row = {sid: j for j, sid in enumerate(ids)}
-        rows = np.array([(row[t.anchor], row[t.context], row[t.negative]) for t in triplets])
+        rows = _sample_triplet_rows(context_rows_from_index(index, ids, cfg.k_context), 10, eval_rng)
 
         def heldout_loss(X):
-            return mean_triplet_loss(X[rows[:, 0]], X[rows[:, 1]], X[rows[:, 2]], cfg.margin_sv)
+            return mean_hinge(X[rows[:, 0]], X[rows[:, 1]], X[rows[:, 2]], cfg.margin_sv)
 
         _, X0 = train_street_view(params, ids, feats, index,
                                   TrainingConfig(**{**cfg.__dict__, "epochs_sv": 0}))
@@ -300,7 +345,7 @@ class TestTrainPoiStage:
         trips = np.array(trips)
 
         def loss(Z, Y):
-            return mean_triplet_loss(Z[trips[:, 0]], Y[trips[:, 1]], Y[trips[:, 2]], cfg.margin_poi)
+            return mean_hinge(Z[trips[:, 0]], Y[trips[:, 1]], Y[trips[:, 2]], cfg.margin_poi)
 
         Y0 = init_word_vectors(vocab, 6, seed=cfg.seed)
         Z, Y = train_poi_stage(z0, nbhd_ids, vocab, bags, cfg)
@@ -337,16 +382,41 @@ class TestTrainPoiStage:
         _, Y = train_poi_stage(np.zeros((4, 6)), nbhd_ids, vocab, bags, cfg, pretrained=pre)
         assert np.array_equal(Y[vocab.id_of("shared")], vec)
 
+    def test_block_update_matches_per_triplet_reference(self):
+        # Reference: each neighborhood's triplets in turn, every gradient taken
+        # at the values the block started from, so repeated word rows add up.
+        bags, vocab, _ = toy_corpus()
+        nbhd_ids = sorted(bags)
+        z0 = np.random.default_rng(8).normal(size=(4, 6)) * 0.1
+        cfg = TrainingConfig(d=6, epochs_poi=2, triplets_per_anchor=8, lr_poi=0.05,
+                             anchor_weight=0.3, seed=4)
+        Z, Y = train_poi_stage(z0, nbhd_ids, vocab, bags, cfg)
 
-def test_embedding_store_validation():
-    store = EmbeddingStore(sv_ids=["a"], X=np.ones((1, 3)),
-                           neighborhood_ids=["n"], Z=np.zeros((1, 3)))
-    store.validate()
-    with pytest.raises(ValidationError):
-        EmbeddingStore(sv_ids=["a", "b"], X=np.ones((1, 3))).validate()
-    with pytest.raises(ValidationError):
-        EmbeddingStore(sv_ids=["a"], X=np.ones((1, 3)),
-                       neighborhood_ids=["n"], Z=np.zeros((1, 4))).validate()
+        Zr, Yr = z0.copy(), init_word_vectors(vocab, 6, cfg.seed)
+        rng = np.random.default_rng(cfg.seed + 1)
+        for _ in range(cfg.epochs_poi):
+            for i in rng.permutation(len(nbhd_ids)):
+                ids, counts = vocab.bag_to_ids(bags[nbhd_ids[i]])
+                ctx = rng.choice(ids, size=8, p=counts / counts.sum())
+                neg = NegativeWordSampler(vocab, set(ids.tolist())).draw(rng, size=8)
+                z_start, y_start = Zr[i].copy(), Yr.copy()
+                for c, n in zip(ctx, neg):
+                    ga, gc, gn = grads_of(z_start, y_start[c], y_start[n], cfg.margin_poi)
+                    Zr[i] -= cfg.lr_poi * (ga + cfg.anchor_weight * (z_start - z0[i]))
+                    Yr[c] -= cfg.lr_poi * gc
+                    Yr[n] -= cfg.lr_poi * gn
+        assert np.allclose(Z, Zr, rtol=0, atol=1e-12)
+        assert np.allclose(Y, Yr, rtol=0, atol=1e-12)
+
+    def test_anchor_weight_keeps_z_near_init(self):
+        bags, vocab, _ = toy_corpus()
+        nbhd_ids = sorted(bags)
+        z0 = np.random.default_rng(6).normal(size=(4, 6)) * 0.1
+        cfg = TrainingConfig(d=6, epochs_poi=30, triplets_per_anchor=8, lr_poi=0.05, seed=3)
+        free, _ = train_poi_stage(z0, nbhd_ids, vocab, bags, cfg)
+        held, _ = train_poi_stage(z0, nbhd_ids, vocab, bags,
+                                  dataclasses.replace(cfg, anchor_weight=0.5))
+        assert np.linalg.norm(held - z0) < 0.5 * np.linalg.norm(free - z0)
 
 
 def test_full_pipeline_seed_determinism():
