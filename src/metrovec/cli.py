@@ -69,13 +69,19 @@ def load_manifest(workspace: Path) -> dict:
         raise StageOrderError(f"no manifest at {path}; run 'ingest' first")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            manifest = json.load(fh)
     except ValueError as exc:  # JSON syntax or text encoding
         raise IntegrityError(f"{path} is not a readable manifest: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise IntegrityError(f"{path} is not a manifest: a JSON object is expected")
+    for key in ("stages", "files"):
+        if not isinstance(manifest.get(key), dict):
+            raise IntegrityError(f"{path} is not a manifest: no {key!r} object")
+    return manifest
 
 
 def save_manifest(workspace: Path, manifest: dict) -> None:
-    with open(_manifest_path(workspace), "w", encoding="utf-8") as fh:
+    with fileio.atomic_open(_manifest_path(workspace), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

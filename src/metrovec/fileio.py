@@ -8,8 +8,10 @@ little-endian float32, with a "<path>.ids" text sidecar of one id per line.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,9 +46,26 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "wb", **kwargs):
+    """Open a temporary file beside ``path`` for writing and move it over
+    ``path`` when the block ends without error; on error the temporary file
+    is removed and any previous ``path`` stays as it was. This guards against
+    a process dying mid-write, not against power loss (there is no fsync)."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_matrix(path, magic: bytes, matrix: np.ndarray) -> None:
     rows, dim = matrix.shape
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(magic)
         fh.write(struct.pack("<II", rows, dim))
         fh.write(np.ascontiguousarray(matrix, dtype="<f4").tobytes())
@@ -122,7 +141,7 @@ def write_embeddings(path, ids: list, matrix: np.ndarray) -> None:
     if not np.isfinite(stored).all():
         raise ValidationError(f"{path}: embedding values are non-finite or outside the float32 range")
     _write_matrix(path, EMBEDDING_MAGIC, stored)
-    with open(ids_sidecar_path(path), "w", encoding="utf-8") as fh:
+    with atomic_open(ids_sidecar_path(path), "w", encoding="utf-8") as fh:
         for rid in ids:
             fh.write(f"{rid}\n")
 
@@ -202,6 +221,8 @@ def read_centroids_csv(path) -> list[tuple[str, GeoPoint, str | None]]:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) < 3:
+                raise FormatError(f"{path}:{lineno}: expected at least 3 columns, got {len(row)}")
             try:
                 point = GeoPoint(float(row[1]), float(row[2]))
             except ValueError as exc:

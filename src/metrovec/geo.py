@@ -22,6 +22,10 @@ EARTH_RADIUS_M = 6_371_000.0
 # band pruning can never drop a point that brute force would keep.
 _PRUNE_SLACK_M = 1e-6
 
+# Most floats in one (queries x window) distance block; a band whose block
+# would be larger (e.g. every point on one latitude) is split into chunks.
+_BLOCK_FLOATS = 1 << 20
+
 
 @dataclass(frozen=True)
 class GeoPoint:
@@ -73,10 +77,8 @@ class SpatialIndex:
         self._cos_lat = np.cos(np.radians(self._lat))
 
         # Tie rank: position of each row's id in ascending id order.
-        order = sorted(range(len(ids)), key=lambda i: ids[i])
         self._id_rank = np.empty(len(ids), dtype=np.int64)
-        for rank, row in enumerate(order):
-            self._id_rank[row] = rank
+        self._id_rank[sorted(range(len(ids)), key=lambda i: ids[i])] = np.arange(len(ids))
 
         # Latitude bands. Band extents are taken from the member points
         # themselves (prefix max / suffix min), so the pruning bound depends
@@ -91,12 +93,18 @@ class SpatialIndex:
         else:
             h = span / self._n_bands
             band = np.clip(((self._lat - lat_min) / h).astype(np.int64), 0, self._n_bands - 1)
-        self._band_rows = [np.flatnonzero(band == b) for b in range(self._n_bands)]
         self._band_of_row = band
+        # Rows sorted by band, so bands lo..hi are the slice
+        # _band_order[_band_start[lo]:_band_start[hi + 1]].
+        self._band_order = np.argsort(band, kind="stable")
+        self._band_start = np.searchsorted(band[self._band_order], np.arange(self._n_bands + 1))
+        self._order_pos = np.empty(n, dtype=np.int64)
+        self._order_pos[self._band_order] = np.arange(n)
 
         band_max = np.full(self._n_bands, -np.inf)
         band_min = np.full(self._n_bands, np.inf)
-        for b, rows in enumerate(self._band_rows):
+        for b in range(self._n_bands):
+            rows = self._band_rows(b, b)
             if rows.size:
                 band_max[b] = self._lat[rows].max()
                 band_min[b] = self._lat[rows].min()
@@ -116,14 +124,80 @@ class SpatialIndex:
             raise NotFoundError(f"unknown point id {pid!r}")
         return GeoPoint(float(self._lat[row]), float(self._lon[row]))
 
-    def _distances_to(self, qrow: int, rows: np.ndarray) -> np.ndarray:
-        # Mirrors haversine_distance exactly (degrees subtracted before the
-        # radian conversion) so tie order matches a scalar brute-force scan.
-        dphi = np.radians(self._lat[rows] - self._lat[qrow])
-        dlam = np.radians(self._lon[rows] - self._lon[qrow])
-        s = np.sin(dphi / 2.0) ** 2 + self._cos_lat[qrow] * self._cos_lat[rows] * np.sin(dlam / 2.0) ** 2
+    def _band_rows(self, lo: int, hi: int) -> np.ndarray:
+        return self._band_order[self._band_start[lo]:self._band_start[hi + 1]]
+
+    def _distance_block(self, qrows: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        # (queries x rows). Mirrors haversine_distance exactly (degrees
+        # subtracted before the radian conversion) so tie order matches a
+        # scalar brute-force scan.
+        dphi = np.radians(self._lat[rows] - self._lat[qrows, None])
+        dlam = np.radians(self._lon[rows] - self._lon[qrows, None])
+        s = np.sin(dphi / 2.0) ** 2 + self._cos_lat[qrows, None] * self._cos_lat[rows] * np.sin(dlam / 2.0) ** 2
         np.clip(s, 0.0, 1.0, out=s)
         return 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(s))
+
+    def _nearest(self, qrows: np.ndarray, lo: int, hi: int, k: int) -> np.ndarray:
+        """(len(qrows), k) rows of each query's k nearest other points,
+        ascending by (distance, id); 1 <= k < len(self).
+
+        All queries share one window of bands, starting at lo..hi (which must
+        hold every query) and widened by one band on each side until, for
+        every query, the k-th distance is below the latitude bound of the
+        unscanned bands. A window wider than one query needs only adds points
+        farther than its k-th neighbor, so each row equals a brute-force scan.
+        """
+        last = self._n_bands - 1
+        dist = np.empty((qrows.size, 0))
+        done_lo, done_hi = lo, lo - 1  # bands already in ``dist``
+        while True:
+            width = int(self._band_start[hi + 1] - self._band_start[lo])
+            if qrows.size > 1 and qrows.size * width > _BLOCK_FLOATS:
+                parts = np.array_split(qrows, -(-qrows.size * width // _BLOCK_FLOATS))
+                return np.concatenate([self._nearest(part, lo, hi, k) for part in parts])
+            left = self._band_rows(lo, done_lo - 1)
+            right = self._band_rows(done_hi + 1, hi)
+            dist = np.concatenate([self._distance_block(qrows, left), dist,
+                                   self._distance_block(qrows, right)], axis=1)
+            done_lo, done_hi = lo, hi
+            dist[np.arange(qrows.size), self._order_pos[qrows] - self._band_start[lo]] = np.inf
+            if lo == 0 and hi == last:
+                break
+            if width > k:
+                qlat = self._lat[qrows]
+                gap_lo = qlat - self._prefix_max_lat[lo - 1] if lo > 0 else np.inf
+                gap_hi = self._suffix_min_lat[hi + 1] - qlat if hi < last else np.inf
+                bound_m = EARTH_RADIUS_M * np.radians(np.minimum(gap_lo, gap_hi))
+                kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
+                if (kth < bound_m - _PRUNE_SLACK_M).all():
+                    break
+            lo, hi = max(lo - 1, 0), min(hi + 1, last)
+
+        # Sort only the c smallest entries of each row, with c the most
+        # entries any row has at or below its k-th distance: they hold every
+        # row's result, ties at the k-th distance included.
+        kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
+        c = int((dist <= kth).sum(axis=1).max())
+        cand = np.argpartition(dist, c - 1, axis=1)[:, :c]
+        cand_rows = self._band_rows(lo, hi)[cand]
+        order = np.lexsort((self._id_rank[cand_rows], np.take_along_axis(dist, cand, axis=1)), axis=1)
+        return np.take_along_axis(cand_rows, order[:, :k], axis=1)
+
+    def k_nearest_rows(self, k: int) -> np.ndarray:
+        """(n, min(k, n - 1)) int64 matrix: row i holds the index rows of
+        point i's nearest other points, ascending by (distance, id), exactly
+        as k_nearest orders them. Queries run one latitude band at a time."""
+        if k < 1:
+            raise ValidationError(f"k must be >= 1, got {k}")
+        n = len(self._ids)
+        k = min(k, n - 1)
+        out = np.empty((n, k), dtype=np.int64)
+        if k:
+            for b in range(self._n_bands):
+                qrows = self._band_rows(b, b)
+                if qrows.size:
+                    out[qrows] = self._nearest(qrows, b, b, k)
+        return out
 
     def k_nearest(self, query_id, k: int) -> list:
         """The k ids nearest to ``query_id`` (excluding it), ascending by
@@ -133,46 +207,11 @@ class SpatialIndex:
         qrow = self._row_of.get(query_id)
         if qrow is None:
             raise NotFoundError(f"unknown query id {query_id!r}")
-
-        qlat = self._lat[qrow]
-        lo = hi = int(self._band_of_row[qrow])
-        cand_rows: list[np.ndarray] = []
-        cand_dist: list[np.ndarray] = []
-
-        def scan(b: int):
-            rows = self._band_rows[b]
-            if rows.size:
-                cand_rows.append(rows)
-                cand_dist.append(self._distances_to(qrow, rows))
-
-        scan(lo)
-        while True:
-            rows = np.concatenate(cand_rows) if cand_rows else np.empty(0, dtype=np.int64)
-            dist = np.concatenate(cand_dist) if cand_dist else np.empty(0)
-            mask = rows != qrow
-            rows, dist = rows[mask], dist[mask]
-            exhausted = lo == 0 and hi == self._n_bands - 1
-            if rows.size >= k or exhausted:
-                gap_lo = qlat - self._prefix_max_lat[lo - 1] if lo > 0 else np.inf
-                gap_hi = self._suffix_min_lat[hi + 1] - qlat if hi < self._n_bands - 1 else np.inf
-                bound_m = EARTH_RADIUS_M * math.radians(min(gap_lo, gap_hi))
-                if exhausted or (rows.size >= k and _kth_best(dist, k) < bound_m - _PRUNE_SLACK_M):
-                    break
-            if lo > 0:
-                lo -= 1
-                scan(lo)
-            if hi < self._n_bands - 1:
-                hi += 1
-                scan(hi)
-
-        order = np.lexsort((self._id_rank[rows], dist))
-        return [self._ids[rows[i]] for i in order[:k]]
-
-
-def _kth_best(dist: np.ndarray, k: int) -> float:
-    if dist.size <= k:
-        return float(dist.max())
-    return float(np.partition(dist, k - 1)[k - 1])
+        k = min(k, len(self._ids) - 1)
+        if not k:
+            return []
+        b = int(self._band_of_row[qrow])
+        return [self._ids[r] for r in self._nearest(np.array([qrow]), b, b, k)[0]]
 
 
 def build_index(points: list[tuple[object, GeoPoint]]) -> SpatialIndex:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .corpus import NegativeWordSampler, Vocabulary, WordBag
 from .encoder import EncoderParams, _backward_batch, _forward_batch
-from .errors import ValidationError
+from .errors import NotFoundError, ValidationError
 from .geo import SpatialIndex
 
 log = logging.getLogger(__name__)
@@ -95,47 +95,47 @@ def triplet_grads(A: np.ndarray, C: np.ndarray, N: np.ndarray, margin: float):
     return ga, gc, gn, losses
 
 
-def _sample_negative_rows(rng: np.random.Generator, n: int, count: int,
-                          forbidden: set[int]) -> np.ndarray:
-    """Uniform draws from range(n) excluding ``forbidden``; n must exceed
-    len(forbidden). Rejection sampling keeps the draw exact and cheap."""
-    out = rng.integers(0, n, size=count)
-    bad = np.array([row in forbidden for row in out])
-    while bad.any():
-        out[bad] = rng.integers(0, n, size=int(bad.sum()))
-        bad = np.array([row in forbidden for row in out])
-    return out
-
-
 def _sample_triplet_rows(context_rows: np.ndarray, per_anchor: int,
                          rng: np.random.Generator) -> np.ndarray:
     """(n*per_anchor, 3) row-index triplets, anchor-major. context_rows is
-    (n, K): the K nearest rows of each anchor."""
+    (n, K): the K nearest rows of each anchor, none of them the anchor.
+
+    The context is uniform over the anchor's K rows and the negative uniform
+    over the other n - K - 1 rows: all draws are made at once, and the rows
+    whose negative hits the anchor or its context are redrawn until none do.
+    """
     n, k = context_rows.shape
-    out = np.empty((n * per_anchor, 3), dtype=np.int64)
-    for a in range(n):
-        picks = context_rows[a, rng.integers(0, k, size=per_anchor)]
-        forbidden = {a, *context_rows[a].tolist()}
-        negs = _sample_negative_rows(rng, n, per_anchor, forbidden)
-        base = a * per_anchor
-        out[base:base + per_anchor, 0] = a
-        out[base:base + per_anchor, 1] = picks
-        out[base:base + per_anchor, 2] = negs
-    return out
+    if n < k + 2:
+        raise ValidationError(f"need at least K+2={k + 2} rows to draw negatives, got {n}")
+    anchors = np.repeat(np.arange(n), per_anchor)
+    picks = context_rows[anchors, rng.integers(0, k, size=anchors.size)]
+    negs = rng.integers(0, n, size=anchors.size)
+    redo = np.arange(anchors.size)
+    while redo.size:
+        a, neg = anchors[redo], negs[redo]
+        redo = redo[(neg == a) | (context_rows[a] == neg[:, None]).any(axis=1)]
+        negs[redo] = rng.integers(0, n, size=redo.size)
+    return np.stack([anchors, picks, negs], axis=1)
 
 
 def context_rows_from_index(index: SpatialIndex, ids: list, k: int) -> np.ndarray:
-    """(n, K) matrix of row indices of each id's K nearest ids."""
+    """(n, K) matrix of row indices (positions in ``ids``) of each id's K
+    nearest ids, from one all-points query of the index."""
     if len(ids) < k + 2:
         raise ValidationError(f"need at least K+2={k + 2} street views, got {len(ids)}")
-    row_of = {pid: i for i, pid in enumerate(ids)}
-    out = np.empty((len(ids), k), dtype=np.int64)
-    for i, pid in enumerate(ids):
-        nbrs = index.k_nearest(pid, k)
-        try:
-            out[i] = [row_of[b] for b in nbrs]
-        except KeyError as exc:
-            raise ValidationError(f"index returned id {exc} that is not among the given ids") from None
+    index_ids = index.ids
+    row_of = {pid: row for row, pid in enumerate(index_ids)}
+    try:
+        qrows = np.array([row_of[pid] for pid in ids], dtype=np.int64)
+    except KeyError as exc:
+        raise NotFoundError(f"unknown query id {exc}") from None
+    pos = np.full(len(index_ids), -1, dtype=np.int64)
+    pos[qrows] = np.arange(len(ids))
+    nbrs = index.k_nearest_rows(k)[qrows]
+    out = pos[nbrs]
+    if (out < 0).any():
+        missing = index_ids[nbrs[out < 0][0]]
+        raise ValidationError(f"index returned id {missing!r} that is not among the given ids")
     return out
 
 
@@ -159,25 +159,16 @@ def train_street_view(params: EncoderParams, sv_ids: list, features: np.ndarray,
         rows = rows[rng.permutation(rows.shape[0])]
         for start in range(0, rows.shape[0], config.batch_size):
             batch = rows[start:start + config.batch_size]
-            grads_w = [np.zeros_like(w) for w in params.weights]
-            grads_b = [np.zeros_like(b) for b in params.biases]
-            outs, caches = [], []
-            for col in range(3):
-                out, cache = _forward_batch(params, features[batch[:, col]])
-                outs.append(out)
-                caches.append(cache)
-            ga, gc, gn, _ = triplet_grads(outs[0], outs[1], outs[2], config.margin_sv)
-            for cache, grad in zip(caches, (ga, gc, gn)):
-                gws, gbs, _ = _backward_batch(params, cache, grad)
-                for acc, g in zip(grads_w, gws):
-                    acc += g
-                for acc, g in zip(grads_b, gbs):
-                    acc += g
-            scale = config.lr_sv / batch.shape[0]
+            b = batch.shape[0]
+            # One pass over the stacked (anchor, context, negative) rows.
+            out, cache = _forward_batch(params, features[batch.T.ravel()])
+            ga, gc, gn, _ = triplet_grads(out[:b], out[b:2 * b], out[2 * b:], config.margin_sv)
+            grads_w, grads_b, _ = _backward_batch(params, cache, np.concatenate([ga, gc, gn]))
+            scale = config.lr_sv / b
             for w, g in zip(params.weights, grads_w):
                 w -= scale * g
-            for b, g in zip(params.biases, grads_b):
-                b -= scale * g
+            for bias, g in zip(params.biases, grads_b):
+                bias -= scale * g
 
     X, _ = _forward_batch(params, features)
     return params, X

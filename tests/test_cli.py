@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metrovec.cli import build_parser, main
+from metrovec.cli import build_parser, main, save_manifest
 from metrovec.fileio import read_embeddings, write_targets_csv
 from metrovec.training import TrainingConfig
 
@@ -127,6 +127,14 @@ class TestIngest:
         agree = sum(p.neighborhood_id == original[p.id] for p in restored)
         assert agree >= 0.9 * len(restored)
 
+    def test_short_centroid_row_is_format_error(self, tmp_path, city_dir, capsys):
+        bad = tmp_path / "centroids.csv"
+        bad.write_text((city_dir / "centroids.csv").read_text() + "n_short\n")
+        args = ingest_args(city_dir, tmp_path / "ws")
+        args[args.index("--centroids") + 1] = str(bad)
+        assert main(args) == 3
+        assert f"{bad}:" in capsys.readouterr().err
+
 
 class TestStageOrder:
     def test_train_poi_before_aggregate(self, tmp_path, city_dir):
@@ -160,6 +168,33 @@ class TestStageOrder:
         assert main(ingest_args(city_dir, ws)) == 0
         (ws / "manifest.json").write_text('{"version": 1, "stages": ')
         assert main(["train-sv", "--workspace", str(ws)] + TRAIN_FLAGS) == 4
+
+    def test_non_object_manifest_is_integrity_error(self, tmp_path, city_dir, capsys):
+        ws = tmp_path / "ws"
+        assert main(ingest_args(city_dir, ws)) == 0
+        (ws / "manifest.json").write_text("[]\n")
+        assert main(["train-sv", "--workspace", str(ws)] + TRAIN_FLAGS) == 4
+        assert "JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,missing", [("{}", "stages"), ('{"stages": {"ingest": true}}', "files")])
+    def test_manifest_without_stages_or_files_is_integrity_error(self, tmp_path, city_dir, capsys,
+                                                                 text, missing):
+        ws = tmp_path / "ws"
+        assert main(ingest_args(city_dir, ws)) == 0
+        (ws / "manifest.json").write_text(text + "\n")
+        assert main(["cluster", "--workspace", str(ws)]) == 4
+        assert f"no '{missing}' object" in capsys.readouterr().err
+
+    def test_failed_manifest_write_keeps_previous_manifest(self, tmp_path, city_dir):
+        ws = tmp_path / "ws"
+        assert main(ingest_args(city_dir, ws)) == 0
+        before = (ws / "manifest.json").read_bytes()
+        # json.dump writes the opening of the object before it meets the
+        # unserialisable value, so a direct write would leave a stub.
+        with pytest.raises(TypeError):
+            save_manifest(ws, {"stages": {}, "zz": object()})
+        assert (ws / "manifest.json").read_bytes() == before
+        assert sorted(p.name for p in ws.iterdir()) == ["ingested", "manifest.json"]
 
     def test_diverged_stage_writes_no_checkpoint(self, tmp_path, city_dir, capsys):
         ws = tmp_path / "ws"

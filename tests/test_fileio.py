@@ -1,5 +1,7 @@
 """Binary table, checkpoint, and CSV schema tests."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,35 @@ class TestEmbeddings:
         with pytest.raises(FormatError, match="header"):
             read_embeddings(path)
 
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "z.emb"
+        write_embeddings(path, ["a", "b"], np.ones((2, 3)))
+        before = path.read_bytes(), ids_sidecar_path(path).read_bytes()
+
+        def fail(*args):
+            raise OSError("disk full")
+
+        # The magic is written before the header, so the write fails partway.
+        monkeypatch.setattr(struct, "pack", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_embeddings(path, ["a", "b"], np.zeros((2, 3)))
+        monkeypatch.undo()
+        assert (path.read_bytes(), ids_sidecar_path(path).read_bytes()) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["z.emb", "z.emb.ids"]
+
+    def test_failed_sidecar_write_keeps_previous_sidecar(self, tmp_path):
+        class Unprintable:
+            def __format__(self, spec):
+                raise ValueError("no text form")
+
+        path = tmp_path / "z.emb"
+        write_embeddings(path, ["a", "b"], np.ones((2, 3)))
+        before = ids_sidecar_path(path).read_bytes()
+        with pytest.raises(ValueError, match="no text form"):
+            write_embeddings(path, ["a", Unprintable()], np.ones((2, 3)))
+        assert ids_sidecar_path(path).read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["z.emb", "z.emb.ids"]
+
     def test_tsv_export(self, tmp_path):
         path = tmp_path / "z.tsv"
         write_embeddings_tsv(path, ["n1"], np.array([[0.5, -1.25]]))
@@ -118,6 +149,12 @@ class TestCentroidsCsv:
         cents = [("n1", GeoPoint(37.1, -122.2), None)]
         write_centroids_csv(path, cents)
         assert read_centroids_csv(path) == cents
+
+    def test_short_row_names_line(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("id,lat,lon\nn1\n")
+        with pytest.raises(FormatError, match=r"c\.csv:2: expected at least 3 columns, got 1"):
+            read_centroids_csv(path)
 
     def test_range_error_names_centroid(self, tmp_path):
         path = tmp_path / "c.csv"

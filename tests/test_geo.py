@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from metrovec import geo
 from metrovec.errors import NotFoundError, ValidationError
 from metrovec.geo import GeoPoint, assign_neighborhood, build_index, haversine_distance
 
@@ -166,6 +167,78 @@ class TestIndex:
         first = [idx.k_nearest(qid, 6) for qid, _ in pts]
         second = [idx.k_nearest(qid, 6) for qid, _ in pts]
         assert first == second
+
+
+def tie_grid(n_side):
+    # Binary-fraction coordinates: east/west (and diagonal) neighbors are at
+    # exactly equal distances, so the id tie-break decides their order.
+    return [(f"t{r:02d}{c:02d}", GeoPoint(10.0 + r / 1024, 20.0 + c / 1024))
+            for r in range(n_side) for c in range(n_side)]
+
+
+def duplicate_points(rng, n, n_sites):
+    sites = [GeoPoint(float(rng.uniform(36.9, 37.1)), float(rng.uniform(-122.1, -121.9)))
+             for _ in range(n_sites)]
+    return [(f"d{i:03d}", sites[int(rng.integers(n_sites))]) for i in range(n)]
+
+
+def rows_as_ids(index, k):
+    ids = index.ids
+    return [[ids[r] for r in row] for row in index.k_nearest_rows(k)]
+
+
+class TestAllPointsKNN:
+    @pytest.mark.parametrize("points,k", [
+        (tie_grid(9), 4),
+        (tie_grid(9), 8),
+        (duplicate_points(np.random.default_rng(21), 60, 7), 5),
+        (duplicate_points(np.random.default_rng(22), 40, 3), 15),
+        ([(i, GeoPoint(12.5, -50.0 + 0.01 * i)) for i in range(40)], 4),
+        (random_points(np.random.default_rng(23), 7), 5),
+        (random_points(np.random.default_rng(24), 400), 10),
+    ], ids=["tie_grid_k4", "tie_grid_k8", "duplicates_k5", "duplicates_k15",
+            "single_band", "n_is_k_plus_2", "random_k10"])
+    def test_matches_per_query_and_brute_force(self, points, k):
+        index = build_index(points)
+        for (qid, _), row in zip(points, rows_as_ids(index, k)):
+            assert row == index.k_nearest(qid, k) == brute_k_nearest(points, qid, k)
+
+    def test_chunked_band_matches_per_query_and_oracle(self, monkeypatch):
+        # 1100 points on one latitude form one band whose full block would
+        # hold 1100**2 > 2**20 distances, so its queries run in chunks.
+        rng = np.random.default_rng(25)
+        points = [(f"c{i:04d}", GeoPoint(40.0, float(rng.uniform(-74.3, -73.7)))) for i in range(1100)]
+        index = build_index(points)
+        blocks = []
+        block = geo.SpatialIndex._distance_block
+
+        def spy(self, qrows, rows):
+            blocks.append((qrows.size, rows.size))
+            return block(self, qrows, rows)
+
+        monkeypatch.setattr(geo.SpatialIndex, "_distance_block", spy)
+        got = rows_as_ids(index, 6)
+        assert max(q for q, _ in blocks) < len(points)
+        assert max(q * r for q, r in blocks) <= geo._BLOCK_FLOATS + len(points)
+        monkeypatch.undo()
+
+        lon = np.radians(np.array([p.lon for _, p in points]))
+        ids = [pid for pid, _ in points]
+        rank = np.argsort(np.argsort(ids))
+        for q, (qid, _) in enumerate(points):
+            h = np.cos(np.radians(40.0)) ** 2 * np.sin((lon - lon[q]) / 2) ** 2
+            d = 6_371_000.0 * 2 * np.arctan2(np.sqrt(h), np.sqrt(1 - h))
+            oracle = [ids[i] for i in np.lexsort((rank, d)) if i != q][:6]
+            assert got[q] == index.k_nearest(qid, 6) == oracle
+
+    def test_shape_saturation_and_bad_k(self):
+        pts = [(i, GeoPoint(0, 0.001 * i)) for i in range(4)]
+        index = build_index(pts)
+        assert index.k_nearest_rows(99).tolist() == [[1, 2, 3], [0, 2, 3], [1, 3, 0], [2, 1, 0]]
+        assert index.k_nearest_rows(2).dtype == np.int64
+        assert build_index([("only", GeoPoint(1.0, 2.0))]).k_nearest_rows(3).shape == (1, 0)
+        with pytest.raises(ValidationError):
+            index.k_nearest_rows(0)
 
 
 class TestAssignNeighborhood:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from metrovec.corpus import NegativeWordSampler, build_vocabulary
-from metrovec.encoder import _forward_batch, init_encoder
+from metrovec.encoder import _backward_batch, _forward_batch, init_encoder
 from metrovec.errors import ValidationError
 from metrovec.fileio import write_embeddings
 from metrovec.geo import GeoPoint, build_index
@@ -206,6 +206,32 @@ class TestSvSampling:
         with pytest.raises(ValidationError):
             sv_triplets(idx, ["a", "b"], k=1, per_anchor=1, rng=np.random.default_rng(0))
 
+    def test_single_allowed_negative_always_drawn(self):
+        # Shape (K+2, K): each anchor's context is the next K rows (cyclic),
+        # which leaves exactly one allowed negative, the previous row.
+        k, n = 4, 6
+        ctx = (np.arange(n)[:, None] + np.arange(1, k + 1)) % n
+        rows = _sample_triplet_rows(ctx, 2_000, np.random.default_rng(3))
+        assert rows.shape == (n * 2_000, 3)
+        assert np.array_equal(rows[:, 0], np.repeat(np.arange(n), 2_000))
+        assert (ctx[rows[:, 0]] == rows[:, 1:2]).any(axis=1).all()
+        assert np.array_equal(rows[:, 2], (rows[:, 0] - 1) % n)
+
+    def test_negatives_uniform_outside_context(self):
+        k, n, per = 3, 10, 12_000
+        ctx = (np.arange(n)[:, None] + np.arange(1, k + 1)) % n
+        rows = _sample_triplet_rows(ctx, per, np.random.default_rng(4))
+        for a in range(n):
+            negs = rows[rows[:, 0] == a, 2]
+            allowed = sorted(set(range(n)) - {a, *ctx[a].tolist()})
+            assert sorted(set(negs.tolist())) == allowed
+            freq = np.bincount(negs, minlength=n)[allowed] / per
+            assert np.abs(freq - 1 / len(allowed)).max() < 0.02
+
+    def test_context_matrix_too_narrow_for_negatives(self):
+        with pytest.raises(ValidationError):
+            _sample_triplet_rows(np.array([[1], [0]]), 1, np.random.default_rng(0))
+
 
 def small_city(**overrides):
     cfg = SynthConfig(n_neighborhoods=16, views_per_neighborhood=6, pois_per_neighborhood=6,
@@ -260,6 +286,41 @@ class TestTrainStreetView:
         _, X1 = train_street_view(params, ids, feats, index, cfg)
         assert heldout_loss(X1) <= heldout_loss(X0)
         assert ctx.shape == (len(ids), cfg.k_context)
+
+
+    @pytest.mark.parametrize("hidden", [0, 5])
+    def test_one_pass_step_matches_three_pass_reference(self, hidden):
+        # Reference: the anchor, context and negative rows go through their
+        # own forward and backward passes, and the gradients are summed.
+        city = small_city()
+        ids, feats, index = city_training_inputs(city)
+        cfg = TrainingConfig(d=4, k_context=3, epochs_sv=2, triplets_per_anchor=2,
+                             batch_size=16, hidden=hidden, lr_sv=0.05, seed=41)
+        params = init_encoder(feats.shape[1], hidden, 4, seed=41)
+        trained, X = train_street_view(params, ids, feats, index, cfg)
+
+        ref = params.copy()
+        rng = np.random.default_rng(cfg.seed)
+        ctx = context_rows_from_index(index, ids, cfg.k_context)
+        for _ in range(cfg.epochs_sv):
+            rows = _sample_triplet_rows(ctx, cfg.triplets_per_anchor, rng)
+            rows = rows[rng.permutation(rows.shape[0])]
+            for start in range(0, rows.shape[0], cfg.batch_size):
+                batch = rows[start:start + cfg.batch_size]
+                passes = [_forward_batch(ref, feats[batch[:, col]]) for col in range(3)]
+                grads = triplet_grads(*(out for out, _ in passes), cfg.margin_sv)[:3]
+                sums_w = [np.zeros_like(w) for w in ref.weights]
+                sums_b = [np.zeros_like(b) for b in ref.biases]
+                for (_, cache), grad in zip(passes, grads):
+                    gws, gbs, _ = _backward_batch(ref, cache, grad)
+                    for acc, g in zip(sums_w + sums_b, gws + gbs):
+                        acc += g
+                for param, g in zip(ref.weights + ref.biases, sums_w + sums_b):
+                    param -= cfg.lr_sv / batch.shape[0] * g
+        for got, want in zip(trained.weights + trained.biases, ref.weights + ref.biases):
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+        assert np.allclose(X, _forward_batch(ref, feats)[0], rtol=0, atol=1e-12)
+        assert not np.allclose(trained.weights[0], params.weights[0])
 
 
 class TestAggregate:
