@@ -10,7 +10,8 @@ cover repeated-split regression, clustering, and similarity search.
 from .encoder import EncoderParams, init_encoder
 from .errors import (FormatError, IntegrityError, NotFoundError, PipelineError,
                      StageOrderError, UsageError, ValidationError)
-from .geo import GeoPoint, SpatialIndex, assign_neighborhood, build_index, haversine_distance
+from .geo import (GeoPoint, SpatialIndex, assign_neighborhood, assign_neighborhoods, build_index,
+                  haversine_distance)
 from .corpus import (NegativeWordSampler, PoiRecord, Vocabulary, WordBag,
                      build_neighborhood_bag, build_vocabulary, load_pretrained_vectors,
                      read_poi_jsonl, textualize_poi)

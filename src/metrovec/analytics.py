@@ -152,30 +152,35 @@ def regression_split_eval(Z: np.ndarray, y: np.ndarray, train_idx: np.ndarray,
     """PCA is fit on the training rows only; the candidate component count is
     chosen by validation R^2 (ties to the smaller count), and the resulting
     model is scored on the test rows."""
-    max_c = max(candidates)
-    pca = pca_fit(Z[train_idx], max_c)
-    p_train = pca.transform(Z[train_idx])
-    p_val = pca.transform(Z[val_idx])
+    pca = pca_fit(Z[train_idx], max(candidates))
+    projected = [pca.transform(Z[rows]) for rows in (train_idx, val_idx, test_idx)]
+    test_r2, c = _select_and_score(*projected, y[train_idx], y[val_idx], y[test_idx], candidates)
+    return test_r2, c, pca
+
+
+def _select_and_score(p_train: np.ndarray, p_val: np.ndarray, p_test: np.ndarray,
+                      y_train: np.ndarray, y_val: np.ndarray, y_test: np.ndarray,
+                      candidates: list[int]) -> tuple[float, int]:
+    """Test R^2 and component count of the linear fit on the leading
+    components of the PCA projections that scores best on validation."""
     best = None
     for c in sorted(candidates):
-        w, b = linreg_fit(p_train[:, :c], y[train_idx])
+        w, b = linreg_fit(p_train[:, :c], y_train)
         try:
-            score = r_squared(y[val_idx], linreg_predict(w, b, p_val[:, :c]))
+            score = r_squared(y_val, linreg_predict(w, b, p_val[:, :c]))
         except ValidationError:
             score = -np.inf  # constant validation target: no signal to rank by
         if best is None or score > best[0]:
             best = (score, c, w, b)
     _, c, w, b = best
-    p_test = pca.transform(Z[test_idx])
-    test_r2 = r_squared(y[test_idx], linreg_predict(w, b, p_test[:, :c]))
-    return test_r2, c, pca
+    return r_squared(y_test, linreg_predict(w, b, p_test[:, :c])), c
 
 
 def evaluate_regression(Z: np.ndarray, targets: np.ndarray, target_names: list[str],
                         protocol: SplitProtocol) -> RegressionReport:
-    """Repeated seeded 70/15/15 splits; per repeat and target, fit PCA+LR on
-    the training split, pick the component count on validation R^2, and
-    report test R^2 aggregated over repeats."""
+    """Repeated seeded 70/15/15 splits; per repeat, fit PCA on the training
+    split, then per target fit LR on it, pick the component count on
+    validation R^2, and report test R^2 aggregated over repeats."""
     Z = np.asarray(Z, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if targets.ndim == 1:
@@ -203,10 +208,14 @@ def evaluate_regression(Z: np.ndarray, targets: np.ndarray, target_names: list[s
         train_idx = perm[:n_train]
         val_idx = perm[n_train:n_train + n_val]
         test_idx = perm[n_train + n_val:]
+        # One PCA fit per split serves every target.
+        pca = pca_fit(Z[train_idx], max(candidates))
+        projected = [pca.transform(Z[rows]) for rows in (train_idx, val_idx, test_idx)]
         for t in range(targets.shape[1]):
-            r2, c, _ = regression_split_eval(Z, targets[:, t], train_idx, val_idx, test_idx, candidates)
-            per_repeat[rep, t] = r2
-            chosen[rep, t] = c
+            y = targets[:, t]
+            per_repeat[rep, t], chosen[rep, t] = _select_and_score(
+                *projected, y[train_idx], y[val_idx], y[test_idx], candidates)
+        del pca, projected  # not alive during the next split's SVD
     return RegressionReport(
         target_names=list(target_names),
         mean_r2=per_repeat.mean(axis=0),

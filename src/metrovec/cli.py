@@ -28,7 +28,7 @@ from . import analytics, corpus, fileio, synthcity, training
 from .encoder import init_encoder
 from .errors import (IntegrityError, NotFoundError, PipelineError, StageOrderError,
                      UsageError, ValidationError)
-from .geo import assign_neighborhood, build_index
+from .geo import assign_neighborhoods, build_index
 from .training import EMPTY_POLICIES, TrainingConfig
 
 log = logging.getLogger(__name__)
@@ -131,7 +131,7 @@ def _parse_kv_file(path) -> dict[str, str]:
 def _field_types(cls) -> dict[str, type]:
     """Dataclass field name -> its annotated type, resolved from the string
     annotations that ``from __future__ import annotations`` leaves. Cached
-    because every CLI call builds the parser, which asks three times."""
+    because building the parser asks three times and config files again."""
     hints = typing.get_type_hints(cls)
     return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
@@ -263,8 +263,9 @@ def cmd_ingest(args) -> int:
             if not args.assign_missing:
                 ids = [r.id for r in unassigned[:10]]
                 raise ValidationError(f"{kind} records without neighborhood ids (use --assign-missing): {ids}")
-            for r in unassigned:
-                r.neighborhood_id = assign_neighborhood(r.geo, centroid_points)
+            nearest = assign_neighborhoods([r.geo for r in unassigned], centroid_points)
+            for r, nid in zip(unassigned, nearest):
+                r.neighborhood_id = nid
             log.info("assigned %d %s records to nearest centroids", len(unassigned), kind)
 
     resolve(metadata, "street-view")
@@ -545,7 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="key=value synth config file")
     p.add_argument("--out", required=True)
     p.add_argument("--features-format", choices=["bin", "csv"], default="bin")
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("ingest", help="validate inputs into a workspace")
     p.add_argument("--workspace", required=True)
@@ -554,23 +554,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ids", required=True, help="street-view metadata CSV (id,lat,lon,neighborhood_id)")
     p.add_argument("--centroids", required=True)
     p.add_argument("--assign-missing", action="store_true")
-    p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("train-sv", help="stage 1: street-view triplet training")
     p.add_argument("--workspace", required=True)
     _config_flags(p)
-    p.set_defaults(func=cmd_train_sv)
 
     p = sub.add_parser("aggregate", help="stage 2: mean street-view embedding per neighborhood")
     p.add_argument("--workspace", required=True)
     _config_flags(p)
-    p.set_defaults(func=cmd_aggregate)
 
     p = sub.add_parser("train-poi", help="stage 3: joint neighborhood/word training")
     p.add_argument("--workspace", required=True)
     p.add_argument("--pretrained", default=None, help="optional pretrained word-vector file")
     _config_flags(p)
-    p.set_defaults(func=cmd_train_poi)
 
     p = sub.add_parser("eval", help="repeated-split PCA+LR regression report")
     p.add_argument("--workspace", required=True)
@@ -580,14 +576,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embedding", default="u2v", choices=["u2v", "sve", "poi", "poistats"])
     p.add_argument("--pca-components", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("cluster", help="k-means over neighborhood embeddings")
     p.add_argument("--workspace", required=True)
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--embedding", default="u2v", choices=["u2v", "sve"])
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("similar", help="cosine-similarity neighborhood search")
     p.add_argument("--workspace", required=True)
@@ -596,27 +590,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top", type=int, default=5)
     p.add_argument("--least", action="store_true")
     p.add_argument("--embedding", default="u2v", choices=["u2v", "sve"])
-    p.set_defaults(func=cmd_similar)
 
     p = sub.add_parser("export-emb", help="export a checkpoint as TSV")
     p.add_argument("--workspace", required=True)
     p.add_argument("--embedding", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_export_emb)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: building it costs more than most commands."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, stream=sys.stderr,
                         format="%(levelname)s %(message)s")
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # Looked up at call time, so a replaced cmd_* function is the one that runs.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -21,7 +21,7 @@ from .geo import GeoPoint
 
 WordBag = Counter  # multiset of token strings
 
-_REVIEW_SPLIT = re.compile(r"[^0-9a-z]+")
+_REVIEW_WORD = re.compile(r"[0-9a-z]{2,}")
 _PRETRAINED_SKIP_PREFIXES = ("cat_", "rate_", "price_")
 
 
@@ -53,27 +53,27 @@ def _rating_token(rating: float) -> str:
 
 
 def _review_tokens(reviews: list[str]) -> set[str]:
-    tokens: set[str] = set()
-    for text in reviews:
-        for tok in _REVIEW_SPLIT.split(text.lower()):
-            if len(tok) >= 2 and not tok.isdigit():
-                tokens.add(tok)
+    # Maximal runs of [0-9a-z] in the lower-cased text, at least two long
+    # and not all digits.
+    return {tok for text in reviews for tok in _REVIEW_WORD.findall(text.lower()) if not tok.isdigit()}
+
+
+def _poi_tokens(poi: PoiRecord) -> list[str]:
+    """Tokens of one POI in bag order: categories, rating, price, then the
+    sorted, deduplicated review words."""
+    tokens = [_category_token(phrase) for phrase in poi.categories if phrase.strip()]
+    if poi.rating is not None:
+        tokens.append(_rating_token(poi.rating))
+    if poi.price is not None:
+        tokens.append(f"price_{poi.price}")
+    tokens += sorted(_review_tokens(poi.reviews))
     return tokens
 
 
 def textualize_poi(poi: PoiRecord) -> WordBag:
     """Bag of tokens for one POI. Absent fields contribute no tokens; review
     words are deduplicated across the union of the POI's reviews."""
-    bag: WordBag = Counter()
-    for phrase in poi.categories:
-        if phrase.strip():
-            bag[_category_token(phrase)] += 1
-    if poi.rating is not None:
-        bag[_rating_token(poi.rating)] += 1
-    if poi.price is not None:
-        bag[f"price_{poi.price}"] += 1
-    bag.update(sorted(_review_tokens(poi.reviews)))
-    return bag
+    return Counter(_poi_tokens(poi))
 
 
 def build_neighborhood_bag(pois: list[PoiRecord]) -> WordBag:
@@ -82,10 +82,7 @@ def build_neighborhood_bag(pois: list[PoiRecord]) -> WordBag:
         nids = {p.neighborhood_id for p in pois}
         if len(nids) != 1:
             raise ValidationError(f"POIs span multiple neighborhoods: {sorted(map(str, nids))}")
-    bag: WordBag = Counter()
-    for poi in pois:
-        bag.update(textualize_poi(poi))
-    return bag
+    return Counter([token for poi in pois for token in _poi_tokens(poi)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,10 +118,13 @@ class Vocabulary:
 
     def bag_to_ids(self, bag: WordBag) -> tuple[np.ndarray, np.ndarray]:
         """(token ids, counts) arrays for a bag, sorted by token id."""
-        items = sorted((self.id_of(t), c) for t, c in bag.items())
-        ids = np.array([i for i, _ in items], dtype=np.int64)
-        counts = np.array([c for _, c in items], dtype=np.int64)
-        return ids, counts
+        try:
+            ids = np.fromiter(map(self._id_of.__getitem__, bag), dtype=np.int64, count=len(bag))
+        except KeyError as exc:
+            raise ValidationError(f"token {exc.args[0]!r} not in vocabulary") from None
+        counts = np.fromiter(bag.values(), dtype=np.int64, count=len(bag))
+        order = np.argsort(ids)
+        return ids[order], counts[order]
 
 
 def build_vocabulary(bags) -> Vocabulary:
@@ -140,25 +140,35 @@ def build_vocabulary(bags) -> Vocabulary:
 
 class NegativeWordSampler:
     """Draws token ids outside a fixed context set with probability
-    proportional to corpus frequency ** exponent."""
+    proportional to corpus frequency ** exponent.
+
+    The cumulative table is the one ``Generator.choice(n, p=...)`` builds on
+    every call, made once: a draw maps the same uniforms to the same ids."""
 
     def __init__(self, vocab: Vocabulary, context_ids, exponent: float = 0.5):
-        weights = vocab.frequencies.astype(np.float64) ** exponent
-        ctx = np.fromiter(context_ids, dtype=np.int64) if context_ids else np.empty(0, dtype=np.int64)
-        if ctx.size:
-            weights[ctx] = 0.0
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            weights = vocab.frequencies.astype(np.float64) ** exponent
+        weights[np.fromiter(context_ids, dtype=np.int64)] = 0.0
         total = weights.sum()
         if total <= 0.0:
             raise ValidationError("context covers the entire vocabulary; no negative candidates")
-        self._p = weights / total
-        self._n = vocab.size
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        return self._p.copy()
+        if not np.isfinite(total):
+            raise ValidationError(f"frequency ** {exponent} overflows float64; lower the exponent")
+        self._cdf = _inverse_cdf(weights / total)
 
     def draw(self, rng: np.random.Generator, size: int | None = None):
-        return rng.choice(self._n, size=size, p=self._p)
+        idx = self._cdf.searchsorted(rng.random(size), side="right")
+        return int(idx) if size is None else idx
+
+
+def _inverse_cdf(p: np.ndarray) -> np.ndarray:
+    """Cumulative table of the probabilities ``p``, normalised to end at 1
+    exactly as ``Generator.choice`` does, so that
+    ``cdf.searchsorted(rng.random(size), side="right")`` equals
+    ``rng.choice(len(p), size, p=p)`` draw for draw."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 def load_pretrained_vectors(path, vocab: Vocabulary, dim: int) -> dict[int, np.ndarray]:

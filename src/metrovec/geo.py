@@ -52,6 +52,18 @@ def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
     return 2.0 * EARTH_RADIUS_M * math.asin(math.sqrt(s))
 
 
+def _haversine_block(qlat, qlon, qcos, lat, lon, cos) -> np.ndarray:
+    """(queries x points) haversine distances in meters from latitude and
+    longitude vectors in degrees and the cosines of the latitudes. Mirrors
+    haversine_distance exactly (degrees subtracted before the radian
+    conversion) so tie order matches a scalar brute-force scan."""
+    dphi = np.radians(lat - qlat[:, None])
+    dlam = np.radians(lon - qlon[:, None])
+    s = np.sin(dphi / 2.0) ** 2 + qcos[:, None] * cos * np.sin(dlam / 2.0) ** 2
+    np.clip(s, 0.0, 1.0, out=s)
+    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(s))
+
+
 class SpatialIndex:
     """Immutable k-nearest-neighbor index over (id, GeoPoint) pairs.
 
@@ -128,14 +140,9 @@ class SpatialIndex:
         return self._band_order[self._band_start[lo]:self._band_start[hi + 1]]
 
     def _distance_block(self, qrows: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        # (queries x rows). Mirrors haversine_distance exactly (degrees
-        # subtracted before the radian conversion) so tie order matches a
-        # scalar brute-force scan.
-        dphi = np.radians(self._lat[rows] - self._lat[qrows, None])
-        dlam = np.radians(self._lon[rows] - self._lon[qrows, None])
-        s = np.sin(dphi / 2.0) ** 2 + self._cos_lat[qrows, None] * self._cos_lat[rows] * np.sin(dlam / 2.0) ** 2
-        np.clip(s, 0.0, 1.0, out=s)
-        return 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(s))
+        # (queries x rows)
+        return _haversine_block(self._lat[qrows], self._lon[qrows], self._cos_lat[qrows],
+                                self._lat[rows], self._lon[rows], self._cos_lat[rows])
 
     def _nearest(self, qrows: np.ndarray, lo: int, hi: int, k: int) -> np.ndarray:
         """(len(qrows), k) rows of each query's k nearest other points,
@@ -218,13 +225,29 @@ def build_index(points: list[tuple[object, GeoPoint]]) -> SpatialIndex:
     return SpatialIndex(points)
 
 
-def assign_neighborhood(point: GeoPoint, centroids: list[tuple[object, GeoPoint]]):
-    """Id of the haversine-nearest centroid; ties broken by ascending id."""
+def assign_neighborhoods(points: list[GeoPoint], centroids: list[tuple[object, GeoPoint]]) -> list:
+    """Id of the haversine-nearest centroid of each point; ties broken by
+    ascending id. Distances come in (points x centroids) blocks of at most
+    _BLOCK_FLOATS floats."""
     if not centroids:
         raise ValidationError("empty centroid list")
-    best = None
-    for cid, cpoint in centroids:
-        d = haversine_distance(point, cpoint)
-        if best is None or (d, cid) < best:
-            best = (d, cid)
-    return best[1]
+    # Columns in ascending id order, so argmin's first minimum is the smallest id.
+    centroids = sorted(centroids, key=lambda c: c[0])
+    clat = np.array([c.lat for _, c in centroids], dtype=np.float64)
+    clon = np.array([c.lon for _, c in centroids], dtype=np.float64)
+    ccos = np.cos(np.radians(clat))
+    plat = np.array([p.lat for p in points], dtype=np.float64)
+    plon = np.array([p.lon for p in points], dtype=np.float64)
+    pcos = np.cos(np.radians(plat))
+    step = max(1, _BLOCK_FLOATS // len(centroids))
+    out = []
+    for lo in range(0, len(points), step):
+        hi = lo + step
+        best = _haversine_block(plat[lo:hi], plon[lo:hi], pcos[lo:hi], clat, clon, ccos).argmin(axis=1)
+        out += [centroids[j][0] for j in best]
+    return out
+
+
+def assign_neighborhood(point: GeoPoint, centroids: list[tuple[object, GeoPoint]]):
+    """Id of the haversine-nearest centroid; ties broken by ascending id."""
+    return assign_neighborhoods([point], centroids)[0]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import NegativeWordSampler, Vocabulary, WordBag
+from .corpus import NegativeWordSampler, Vocabulary, WordBag, _inverse_cdf
 from .encoder import EncoderParams, _backward_batch, _forward_batch
 from .errors import NotFoundError, ValidationError
 from .geo import SpatialIndex
@@ -83,10 +83,11 @@ def triplet_grads(A: np.ndarray, C: np.ndarray, N: np.ndarray, margin: float):
     """
     diff_ac = A - C
     diff_an = A - N
-    d_ac = np.linalg.norm(diff_ac, axis=1)
-    d_an = np.linalg.norm(diff_an, axis=1)
+    # np.linalg.norm(x, axis=1) computes exactly this, behind more dispatch.
+    d_ac = np.sqrt((diff_ac * diff_ac).sum(axis=1))
+    d_an = np.sqrt((diff_an * diff_an).sum(axis=1))
     losses = np.maximum(0.0, margin + d_ac - d_an)
-    active = (losses > 0.0).astype(np.float64)[:, None]
+    active = (losses > 0.0)[:, None]  # multiplies as 1.0 / 0.0
     u_ac = diff_ac / np.maximum(d_ac, DISTANCE_FLOOR)[:, None]
     u_an = diff_an / np.maximum(d_an, DISTANCE_FLOOR)[:, None]
     ga = (u_ac - u_an) * active
@@ -234,7 +235,7 @@ def train_poi_stage(z_init: np.ndarray, neighborhood_ids: list, vocab: Vocabular
     Z0 = z_init if config.anchor_weight > 0.0 else None
     rng = np.random.default_rng(config.seed + 1)
 
-    draws = []  # per neighborhood: (bag token ids, their probabilities, negative sampler) or None
+    draws = []  # per neighborhood: (bag token ids, their inverse CDF, negative sampler) or None
     for nid in neighborhood_ids:
         bag: WordBag = bags.get(nid) or WordBag()
         if not bag:
@@ -247,25 +248,28 @@ def train_poi_stage(z_init: np.ndarray, neighborhood_ids: list, vocab: Vocabular
             log.warning("neighborhood %s bag covers the whole vocabulary; skipped", nid)
             draws.append(None)
             continue
-        sampler = NegativeWordSampler(vocab, set(ids.tolist()), config.neg_exponent)
-        draws.append((ids, counts / counts.sum(), sampler))
+        sampler = NegativeWordSampler(vocab, ids, config.neg_exponent)
+        draws.append((ids, _inverse_cdf(counts / counts.sum()), sampler))
 
     # One block update per (epoch, neighborhood): the anchor takes the summed
     # gradient of its triplets, and np.add.at accumulates repeated word rows.
-    # Context and negative rows never overlap (negatives lie outside the bag).
+    # Context and negative rows never overlap (negatives lie outside the bag),
+    # so one np.add.at over both gives the same sums. Context draws consume
+    # the same uniforms as rng.choice(token_ids, per, p=counts / counts.sum()).
     per = config.triplets_per_anchor
+    lr = config.lr_poi
     for _ in range(config.epochs_poi):
         for i in rng.permutation(len(neighborhood_ids)):
             if draws[i] is None:
                 continue
-            token_ids, token_probs, sampler = draws[i]
-            ctx_ids = rng.choice(token_ids, size=per, p=token_probs)
-            neg_ids = sampler.draw(rng, size=per)
-            ga, gc, gn, _ = triplet_grads(Z[i][None], Y[ctx_ids], Y[neg_ids], config.margin_poi)
+            token_ids, ctx_cdf, sampler = draws[i]
+            rows = np.concatenate([token_ids[ctx_cdf.searchsorted(rng.random(per), side="right")],
+                                   sampler.draw(rng, size=per)])
+            W = Y[rows]
+            ga, gc, gn, _ = triplet_grads(Z[i][None], W[:per], W[per:], config.margin_poi)
             step = ga.sum(axis=0)
             if Z0 is not None:
                 step += per * config.anchor_weight * (Z[i] - Z0[i])
-            Z[i] -= config.lr_poi * step
-            np.add.at(Y, ctx_ids, -config.lr_poi * gc)
-            np.add.at(Y, neg_ids, -config.lr_poi * gn)
+            Z[i] -= lr * step
+            np.add.at(Y, rows, -lr * np.concatenate([gc, gn]))
     return Z, Y

@@ -144,6 +144,24 @@ class TestEvaluateRegression:
         expected = pca_fit(Z[train], 3)
         assert np.allclose(pca.components, expected.components)
 
+    @pytest.mark.parametrize("candidates", [[], [1, 3, 5]])
+    def test_matches_per_target_split_eval(self, candidates):
+        rng = np.random.default_rng(28)
+        Z = rng.normal(size=(70, 9))
+        targets = np.column_stack([Z @ rng.normal(size=9), rng.normal(size=70),
+                                   Z[:, 0] ** 2 + 0.1 * rng.normal(size=70)])
+        protocol = SplitProtocol(repeats=4, seed=3, pca_candidates=candidates)
+        report = evaluate_regression(Z, targets, ["lin", "noise", "sq"], protocol)
+        n_train, n_val = 49, 10
+        cands = candidates or default_pca_candidates(9, n_train)
+        for rep in range(4):
+            perm = np.random.default_rng(3 + rep).permutation(70)
+            splits = perm[:n_train], perm[n_train:n_train + n_val], perm[n_train + n_val:]
+            for t in range(3):
+                r2, c, _ = regression_split_eval(Z, targets[:, t], *splits, cands)
+                assert report.per_repeat_r2[rep, t] == r2
+                assert report.chosen_components[rep, t] == c
+
     def test_too_few_rows(self):
         with pytest.raises(ValidationError):
             evaluate_regression(np.ones((4, 2)), np.ones((4, 1)), ["t"], SplitProtocol())

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from metrovec import cli
 from metrovec.cli import build_parser, main, save_manifest
 from metrovec.fileio import read_embeddings, write_targets_csv
 from metrovec.training import TrainingConfig
@@ -409,3 +410,16 @@ class TestJointCities:
     def test_unknown_city_tag(self, joint_ws):
         assert main(["similar", "--workspace", str(joint_ws), "--query", "aa_n0000",
                      "--from-city", "zz_"]) == 3
+
+
+def test_one_parser_per_process_and_dispatch_at_call_time(monkeypatch, tmp_path):
+    builds = []
+    real_build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real_build())
+    cli._parser.cache_clear()
+    argv = ["similar", "--workspace", str(tmp_path / "none"), "--query", "n1"]
+    assert main(argv) == 4  # no manifest
+    calls = []
+    monkeypatch.setattr(cli, "cmd_similar", lambda args: calls.append(args.query) or 7)
+    assert main(argv) == 7
+    assert calls == ["n1"] and builds == [1]

@@ -1,5 +1,7 @@
 """Textualization, bag, vocabulary, and negative-sampling tests."""
 
+import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -132,6 +134,58 @@ class TestVocabulary:
         assert vocab.total_count == sum(sum(b.values()) for b in bags)
 
 
+def reference_textualize(p):
+    """The per-POI bag as built token by token: categories, rating, price,
+    then the sorted review words split on non-[0-9a-z] runs."""
+    bag = Counter()
+    for phrase in p.categories:
+        if phrase.strip():
+            bag["cat_" + "_".join(phrase.lower().split())] += 1
+    if p.rating is not None:
+        bucket = min(5.0, max(1.0, math.floor(p.rating * 2.0 + 0.5) / 2.0))
+        bag[f"rate_{bucket:.1f}".replace(".", "_")] += 1
+    if p.price is not None:
+        bag[f"price_{p.price}"] += 1
+    words = set()
+    for text in p.reviews:
+        words.update(t for t in re.split(r"[^0-9a-z]+", text.lower()) if len(t) >= 2 and not t.isdigit())
+    bag.update(sorted(words))
+    return bag
+
+
+class TestNeighborhoodBagMatchesPerPoiSum:
+    POIS = [
+        poi("a", categories=["Bar", "bar", "  ", "Dive  Bar"], rating=3.74, price=2,
+            reviews=["Cheap beer, loud bar!", "beer 42 again", "x"]),
+        poi("b", categories=["", "Coffee"], rating=None, price=4, reviews=["Coffee: strong; coffee."]),
+        poi("c", categories=["Bar"], rating=4.25, price=None, reviews=[]),
+        poi("d"),
+        poi("e", categories=["Coffee", "Coffee"], rating=1.0, price=1,
+            reviews=["\u00c9t\u00e9 caf\u00e9 ok ok", "beer_garden 2nd"]),
+    ]
+
+    def test_same_items_in_the_same_order(self):
+        expected = Counter()
+        for p in self.POIS:
+            expected.update(reference_textualize(p))
+        bag = build_neighborhood_bag(self.POIS)
+        assert list(bag.items()) == list(expected.items())
+
+    def test_textualize_matches_reference_order(self):
+        for p in self.POIS:
+            assert list(textualize_poi(p).items()) == list(reference_textualize(p).items())
+
+    def test_bag_to_ids_sorted_by_id(self):
+        bag = build_neighborhood_bag(self.POIS)
+        vocab = build_vocabulary([bag, Counter({"zzz": 1, "aaa": 2})])
+        ids, counts = vocab.bag_to_ids(bag)
+        expected = sorted((vocab.id_of(t), c) for t, c in bag.items())
+        assert ids.dtype == counts.dtype == np.int64
+        assert list(zip(ids.tolist(), counts.tolist())) == expected
+        with pytest.raises(ValidationError, match="'nope'"):
+            vocab.bag_to_ids(Counter({"aaa": 1, "nope": 1}))
+
+
 class TestNegativeSampling:
     def test_forced_single_candidate(self):
         vocab = build_vocabulary([Counter({"a": 1, "b": 5})])
@@ -166,6 +220,27 @@ class TestNegativeSampling:
         vocab = build_vocabulary([Counter({"a": 1, "b": 1})])
         with pytest.raises(ValidationError):
             NegativeWordSampler(vocab, {0, 1})
+
+    @pytest.mark.parametrize("size", [None, 1, 7, (3, 4)])
+    def test_draws_equal_generator_choice(self, size):
+        freqs = {f"t{i:02d}": int(f) for i, f in enumerate([1, 3, 7, 2, 50, 1, 9, 4, 4, 12, 5, 1])}
+        vocab = build_vocabulary([Counter(freqs)])
+        ctx = {vocab.id_of("t04"), vocab.id_of("t09")}
+        weights = vocab.frequencies.astype(np.float64) ** 0.5
+        weights[sorted(ctx)] = 0.0
+        p = weights / weights.sum()
+        sampler = NegativeWordSampler(vocab, ctx)
+        ours, theirs = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(50):
+            got, want = sampler.draw(ours, size=size), theirs.choice(vocab.size, size=size, p=p)
+            assert type(got) is type(want)
+            assert np.array_equal(got, want)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_overflowing_weights_rejected(self):
+        vocab = build_vocabulary([Counter({"a": 10, "b": 20})])
+        with pytest.raises(ValidationError, match="overflows"):
+            NegativeWordSampler(vocab, set(), exponent=1000.0)
 
     def test_exponent_zero_is_uniform(self):
         vocab = build_vocabulary([Counter({"a": 1, "b": 1000})])

@@ -7,7 +7,8 @@ import pytest
 
 from metrovec import geo
 from metrovec.errors import NotFoundError, ValidationError
-from metrovec.geo import GeoPoint, assign_neighborhood, build_index, haversine_distance
+from metrovec.geo import (GeoPoint, assign_neighborhood, assign_neighborhoods, build_index,
+                          haversine_distance)
 
 # Frozen before implementation from a 50-digit haversine evaluation
 # (R = 6,371,000 m) of the (37.7749,-122.4194)-(37.7849,-122.4094) pair.
@@ -262,3 +263,37 @@ class TestAssignNeighborhood:
             p = GeoPoint(float(rng.uniform(30, 40)), float(rng.uniform(-125, -115)))
             expected = min(((brute_haversine(p, c), cid) for cid, c in cents))[1]
             assert assign_neighborhood(p, cents) == expected
+
+
+def scalar_assign(point, centroids):
+    """Nearest centroid by a loop over (distance, id) pairs."""
+    return min((haversine_distance(point, c), cid) for cid, c in centroids)[1]
+
+
+class TestAssignNeighborhoods:
+    def test_tie_grid_matches_scalar_loop(self):
+        # Centroids on a grid of binary fractions of a degree around the
+        # equator: grid points and cell midpoints are equidistant from two to
+        # four centroids, so the ascending-id tie-break decides.
+        cents = [(f"c{(7 * i) % 25:02d}", GeoPoint(0.5 * (i // 5) - 1.0, 0.5 * (i % 5) - 1.0))
+                 for i in range(25)]
+        points = [GeoPoint(0.25 * a - 1.25, 0.25 * b - 1.25) for a in range(11) for b in range(11)]
+        got = assign_neighborhoods(points, cents)
+        assert got == [scalar_assign(p, cents) for p in points]
+        assert got == [assign_neighborhood(p, cents) for p in points]
+        nearest_two = [sorted(haversine_distance(p, c) for _, c in cents)[:2] for p in points]
+        assert sum(a == b for a, b in nearest_two) == 64  # points the tie-break decides
+
+    def test_random_points_in_chunks_match_scalar_loop(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        cents = random_points(rng, 40)
+        points = [p for _, p in random_points(rng, 500)]
+        monkeypatch.setattr(geo, "_BLOCK_FLOATS", 40 * 64)  # 64 points per block
+        sizes = []
+        block = geo._haversine_block
+        monkeypatch.setattr(geo, "_haversine_block", lambda *a: sizes.append(a[0].size) or block(*a))
+        assert assign_neighborhoods(points, cents) == [scalar_assign(p, cents) for p in points]
+        assert max(sizes) == 64 and sum(sizes) == 500
+
+    def test_no_points(self):
+        assert assign_neighborhoods([], [("c1", GeoPoint(0, 0))]) == []
