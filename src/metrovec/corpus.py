@@ -239,13 +239,15 @@ def read_poi_jsonl(path) -> list[PoiRecord]:
 def write_poi_jsonl(path, pois: list[PoiRecord]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for poi in pois:
+            # Keys in sorted order, so the default (cached C) encoder writes
+            # what sort_keys=True would without building an encoder per line.
             fh.write(json.dumps({
+                "categories": poi.categories,
                 "id": poi.id,
                 "lat": poi.geo.lat,
                 "lon": poi.geo.lon,
                 "neighborhood_id": poi.neighborhood_id,
-                "categories": poi.categories,
-                "rating": poi.rating,
                 "price": poi.price,
+                "rating": poi.rating,
                 "reviews": poi.reviews,
-            }, sort_keys=True) + "\n")
+            }) + "\n")

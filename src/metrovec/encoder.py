@@ -3,7 +3,7 @@
 Maps a raw feature vector to a d-dimensional embedding through an optional
 ReLU hidden layer (hidden=0 gives a pure linear map). The backward pass
 returns the exact gradient of dot(output, grad_output) with respect to every
-parameter and to the input; the ReLU subgradient at zero is defined as zero.
+parameter; the ReLU subgradient at zero is defined as zero.
 """
 
 from __future__ import annotations
@@ -64,15 +64,14 @@ def _forward_batch(params: EncoderParams, feats: np.ndarray):
 
 
 def _backward_batch(params: EncoderParams, cache, grad_out: np.ndarray):
-    """Parameter gradients summed over the batch plus per-row input gradients."""
+    """Parameter gradients summed over the batch."""
     if grad_out.ndim != 2 or grad_out.shape[1] != params.d_out:
         raise ValidationError(f"grad_output batch shape {grad_out.shape} incompatible with d={params.d_out}")
     if len(params.weights) == 1:
         (feats,) = cache
         gw = feats.T @ grad_out
         gb = grad_out.sum(axis=0)
-        gin = grad_out @ params.weights[0].T
-        return [gw], [gb], gin
+        return [gw], [gb]
     feats, pre, act = cache
     gw2 = act.T @ grad_out
     gb2 = grad_out.sum(axis=0)
@@ -80,5 +79,4 @@ def _backward_batch(params: EncoderParams, cache, grad_out: np.ndarray):
     gpre = gact * (pre > 0.0)
     gw1 = feats.T @ gpre
     gb1 = gpre.sum(axis=0)
-    gin = gpre @ params.weights[0].T
-    return [gw1, gw2], [gb1, gb2], gin
+    return [gw1, gw2], [gb1, gb2]

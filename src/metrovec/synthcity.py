@@ -9,12 +9,13 @@ the latent attributes the pipeline is asked to recover.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import PoiRecord, write_poi_jsonl
+from .corpus import PoiRecord, _inverse_cdf, write_poi_jsonl
 from .errors import ValidationError
 from .fileio import (StreetViewRecord, write_centroids_csv, write_feature_bin,
                      write_features_csv, write_sv_metadata, write_targets_csv)
@@ -49,6 +50,12 @@ class SynthConfig:
                      "latent_dim", "feature_dim", "vocab_size"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("categories_per_poi", "review_words_per_poi"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("spatial_noise", "feature_noise", "cluster_separation", "topic_sharpness"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.spatial_noise < 0 or self.feature_noise < 0:
             raise ValidationError("noise levels must be >= 0")
         if self.n_clusters < 0:
@@ -128,6 +135,30 @@ def _half_star(value: float) -> float:
     return float(min(5.0, max(1.0, np.floor(value * 2.0 + 0.5) / 2.0)))
 
 
+def _jittered(c: GeoPoint, dlat: float, dlon: float) -> GeoPoint:
+    return GeoPoint(min(90.0, max(-90.0, c.lat + dlat)), min(180.0, max(-180.0, c.lon + dlon)))
+
+
+def _choice_distinct(rng: np.random.Generator, cdf: np.ndarray, p: np.ndarray, size: int) -> list[int]:
+    """``rng.choice(len(p), size, replace=False, p=p)`` on its prebuilt table
+    ``cdf = _inverse_cdf(p)``: the same picks from the same uniforms. Each
+    round draws the missing count and keeps first occurrences in draw order;
+    rounds after the first redraw from ``p`` with the found entries zeroed."""
+    picks = cdf.searchsorted(rng.random(size), side="right").tolist()
+    if len(set(picks)) == size:
+        return picks
+    if np.count_nonzero(p) < size:
+        raise ValidationError(f"{np.count_nonzero(p)} nonzero probabilities, "
+                              f"fewer than the {size} distinct picks asked for")
+    found = list(dict.fromkeys(picks))
+    p = p.copy()
+    while len(found) < size:
+        x = rng.random(size - len(found))
+        p[found] = 0.0
+        found += dict.fromkeys(_inverse_cdf(p).searchsorted(x, side="right").tolist())
+    return found
+
+
 def generate_city(config: SynthConfig) -> SynthCity:
     """Pure function of the config; identical configs give identical cities."""
     config.validate()
@@ -157,18 +188,21 @@ def generate_city(config: SynthConfig) -> SynthCity:
         mixing = rng.normal(size=(L, config.feature_dim)) / np.sqrt(L)
 
     street_views: list[StreetViewRecord] = []
+    V, F = config.views_per_neighborhood, config.feature_dim
     for i in range(n):
-        base = latents[i] @ mixing
-        for v in range(config.views_per_neighborhood):
-            jitter = rng.normal(size=2) * config.spatial_noise
-            lat = float(np.clip(centroids[i].lat + jitter[0], -90.0, 90.0))
-            lon = float(np.clip(centroids[i].lon + jitter[1], -180.0, 180.0))
-            feats = base + rng.normal(size=config.feature_dim) * config.feature_noise
+        # One block per neighborhood: row v holds view v's jitter normals then
+        # its feature normals, the order of separate normal(2), normal(F) calls.
+        draws = rng.normal(size=(V, 2 + F))
+        feats = (latents[i] @ mixing + draws[:, 2:] * config.feature_noise).astype(np.float32)
+        if not np.isfinite(feats).all():  # also catches latents that overflowed
+            raise ValidationError(f"neighborhood {nbhd_ids[i]}: street-view features overflow; "
+                                  f"lower feature_noise or cluster_separation")
+        for v, (dlat, dlon) in enumerate((draws[:, :2] * config.spatial_noise).tolist()):
             street_views.append(StreetViewRecord(
                 id=f"{tag}sv{i:04d}_{v:03d}",
-                geo=GeoPoint(lat, lon),
+                geo=_jittered(centroids[i], dlat, dlon),
                 neighborhood_id=nbhd_ids[i],
-                features=feats.astype(np.float32),
+                features=feats[v],
             ))
 
     n_cat = max(4, config.vocab_size // 4)
@@ -177,29 +211,36 @@ def generate_city(config: SynthConfig) -> SynthCity:
     rev_pool = [f"term{t:03d}" for t in range(n_rev)]
     cat_topics = _softmax(rng.normal(size=(L, n_cat)) * config.topic_sharpness, axis=1)
     rev_topics = _softmax(rng.normal(size=(L, n_rev)) * config.topic_sharpness, axis=1)
+    if not (np.isfinite(cat_topics).all() and np.isfinite(rev_topics).all()):
+        raise ValidationError(f"topic_sharpness {config.topic_sharpness} overflows the topic logits")
 
+    n_cats = min(config.categories_per_poi, n_cat)
+    n_words = config.review_words_per_poi
     pois: list[PoiRecord] = []
     for i in range(n):
         mix = _softmax(latents[i])
         cat_p = mix @ cat_topics
-        rev_p = mix @ rev_topics
+        if np.count_nonzero(cat_p) < n_cats:
+            raise ValidationError(f"neighborhood {nbhd_ids[i]}: {np.count_nonzero(cat_p)} categories have "
+                                  f"nonzero probability, fewer than categories_per_poi={n_cats}; "
+                                  f"lower topic_sharpness")
+        cat_cdf = _inverse_cdf(cat_p)
+        rev_cdf = _inverse_cdf(mix @ rev_topics)
+        star_base = 3.0 + 0.7 * float(latents[i, 0])
+        price_base = 2.5 + 0.7 * float(latents[i, 1 % L])
         for o in range(config.pois_per_neighborhood):
-            jitter = rng.normal(size=2) * config.spatial_noise
-            lat = float(np.clip(centroids[i].lat + jitter[0], -90.0, 90.0))
-            lon = float(np.clip(centroids[i].lon + jitter[1], -180.0, 180.0))
-            n_cats = min(config.categories_per_poi, n_cat)
-            cats = [cat_pool[t] for t in rng.choice(n_cat, size=n_cats, replace=False, p=cat_p)]
-            words = [rev_pool[t] for t in rng.choice(n_rev, size=config.review_words_per_poi, p=rev_p)]
-            rating = _half_star(3.0 + 0.7 * latents[i, 0] + 0.3 * rng.normal())
-            price = int(np.clip(round(2.5 + 0.7 * latents[i, 1 % L] + 0.3 * rng.normal()), 1, 4))
+            dlat, dlon = rng.normal(size=2).tolist()
+            cats = _choice_distinct(rng, cat_cdf, cat_p, n_cats)
+            words = rev_cdf.searchsorted(rng.random(n_words), side="right").tolist()
+            star_noise, price_noise = rng.normal(size=2).tolist()
             pois.append(PoiRecord(
                 id=f"{tag}p{i:04d}_{o:03d}",
-                geo=GeoPoint(lat, lon),
+                geo=_jittered(centroids[i], dlat * config.spatial_noise, dlon * config.spatial_noise),
                 neighborhood_id=nbhd_ids[i],
-                categories=cats,
-                rating=float(rating),
-                price=price,
-                reviews=[" ".join(words)],
+                categories=[cat_pool[t] for t in cats],
+                rating=_half_star(star_base + 0.3 * star_noise),
+                price=int(min(4, max(1, round(price_base + 0.3 * price_noise)))),
+                reviews=[" ".join([rev_pool[t] for t in words])],
             ))
 
     return SynthCity(config=config, neighborhood_ids=nbhd_ids, centroids=centroids,

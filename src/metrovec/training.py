@@ -164,7 +164,7 @@ def train_street_view(params: EncoderParams, sv_ids: list, features: np.ndarray,
             # One pass over the stacked (anchor, context, negative) rows.
             out, cache = _forward_batch(params, features[batch.T.ravel()])
             ga, gc, gn, _ = triplet_grads(out[:b], out[b:2 * b], out[2 * b:], config.margin_sv)
-            grads_w, grads_b, _ = _backward_batch(params, cache, np.concatenate([ga, gc, gn]))
+            grads_w, grads_b = _backward_batch(params, cache, np.concatenate([ga, gc, gn]))
             scale = config.lr_sv / b
             for w, g in zip(params.weights, grads_w):
                 w -= scale * g

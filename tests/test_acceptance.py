@@ -164,7 +164,7 @@ def test_criterion_1_gradient_correctness():
         x = rng.normal(size=d_in)
         gout = rng.normal(size=d)
         _, cache = _forward_batch(params, x[None, :])
-        grads_w, grads_b, _ = _backward_batch(params, cache, gout[None, :])
+        grads_w, grads_b = _backward_batch(params, cache, gout[None, :])
         step = 1e-4
         for li in range(len(params.weights)):
             numeric = np.zeros_like(params.weights[li])

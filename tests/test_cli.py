@@ -73,6 +73,24 @@ class TestSynth:
         for name in ("poi.jsonl", "features.bin", "street_views.csv", "centroids.csv"):
             assert sha(tmp_path / "again" / name) == sha(city_dir / name)
 
+    @pytest.mark.parametrize("body, named", [
+        ("review_words_per_poi = -1\n", "review_words_per_poi"),
+        ("categories_per_poi = -2\n", "categories_per_poi"),
+        ("topic_sharpness = nan\n", "topic_sharpness"),
+        ("topic_sharpness = 1e6\ncategories_per_poi = 5\n", "neighborhood n0000"),
+        ("feature_noise = nan\n", "feature_noise"),
+        ("spatial_noise = inf\n", "spatial_noise"),
+        ("n_clusters = 2\ncluster_separation = nan\n", "cluster_separation"),
+        ("feature_noise = 1e39\n", "overflow"),
+        ("n_clusters = 2\ncluster_separation = 1e308\n", "overflow"),
+        ("topic_sharpness = 1e308\n", "overflow"),
+    ])
+    def test_bad_config_is_data_error(self, tmp_path, capsys, body, named):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("n_neighborhoods = 4\n" + body)
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+        assert named in capsys.readouterr().err
+
     def test_invalid_config_field_named(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("not_a_field = 3\n")

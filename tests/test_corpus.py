@@ -1,5 +1,6 @@
 """Textualization, bag, vocabulary, and negative-sampling tests."""
 
+import json
 import math
 import re
 from collections import Counter
@@ -303,6 +304,17 @@ class TestPoiJsonl:
         write_poi_jsonl(path, pois)
         loaded = read_poi_jsonl(path)
         assert loaded == pois
+
+    def test_lines_are_sorted_key_json(self, tmp_path):
+        pois = [poi(pid="a", categories=["Dive Bar", "Café"], rating=3.5, price=1, reviews=["cheap \"drinks\""]),
+                poi(pid="b", nbhd=None)]
+        path = tmp_path / "poi.jsonl"
+        write_poi_jsonl(path, pois)
+        want = "".join(json.dumps({"id": p.id, "lat": p.geo.lat, "lon": p.geo.lon,
+                                   "neighborhood_id": p.neighborhood_id, "categories": p.categories,
+                                   "rating": p.rating, "price": p.price, "reviews": p.reviews},
+                                  sort_keys=True) + "\n" for p in pois)
+        assert path.read_bytes() == want.encode("utf-8")
 
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "poi.jsonl"

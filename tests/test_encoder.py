@@ -15,11 +15,10 @@ def encode(params, feature):
 
 
 def encode_one_backward(params, feature, grad_output):
-    """(weight grads, bias grads, input grad) of dot(output, grad_output) for
-    one feature vector, through the batched backward pass on a one-row batch."""
+    """(weight grads, bias grads) of dot(output, grad_output) for one feature
+    vector, through the batched backward pass on a one-row batch."""
     _, cache = _forward_batch(params, np.asarray(feature, dtype=float)[None, :])
-    gws, gbs, gin = _backward_batch(params, cache, np.asarray(grad_output, dtype=float)[None, :])
-    return gws, gbs, gin[0]
+    return _backward_batch(params, cache, np.asarray(grad_output, dtype=float)[None, :])
 
 
 def fd_param_grads(params, feature, grad_output, step=1e-4):
@@ -118,18 +117,16 @@ class TestForward:
 class TestBackward:
     def test_zero_grad_output(self):
         p = init_encoder(5, 4, 3, seed=1)
-        gws, _, gin = encode_one_backward(p, np.ones(5), np.zeros(3))
+        gws, _ = encode_one_backward(p, np.ones(5), np.zeros(3))
         assert not any(gw.any() for gw in gws)
-        assert not gin.any()
 
     def test_linear_weight_grad_is_outer_product(self):
         p = init_encoder(4, 0, 3, seed=2)
         x = np.array([1.0, -2.0, 0.5, 3.0])
         gout = np.array([0.2, -0.1, 0.7])
-        gws, gbs, gin = encode_one_backward(p, x, gout)
+        gws, gbs = encode_one_backward(p, x, gout)
         assert np.allclose(gws[0], np.outer(x, gout))
         assert np.allclose(gbs[0], gout)
-        assert np.allclose(gin, p.weights[0] @ gout)
 
     def test_finite_difference_agreement(self):
         rng = np.random.default_rng(11)
@@ -140,7 +137,7 @@ class TestBackward:
             p = init_encoder(d_in, hidden, d, seed=100 + trial)
             x = rng.normal(size=d_in)
             gout = rng.normal(size=d)
-            gws, gbs, _ = encode_one_backward(p, x, gout)
+            gws, gbs = encode_one_backward(p, x, gout)
             fd_w, fd_b = fd_param_grads(p, x, gout)
             for a, f in zip(gws, fd_w):
                 assert rel_err(a, f) < 1e-4
@@ -152,11 +149,10 @@ class TestBackward:
         p = init_encoder(6, 4, 3, seed=12)
         X, G = rng.normal(size=(9, 6)), rng.normal(size=(9, 3))
         out, cache = _forward_batch(p, X)
-        gws, gbs, gin = _backward_batch(p, cache, G)
+        gws, gbs = _backward_batch(p, cache, G)
         rows = [encode_one_backward(p, X[r], G[r]) for r in range(9)]
         for r in range(9):
             assert np.allclose(out[r], encode(p, X[r]))
-            assert np.allclose(gin[r], rows[r][2])
         for li in range(2):
             assert np.allclose(gws[li], sum(row[0][li] for row in rows))
             assert np.allclose(gbs[li], sum(row[1][li] for row in rows))

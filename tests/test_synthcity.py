@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 
 from metrovec.analytics import linreg_fit, linreg_predict, r_squared
-from metrovec.corpus import read_poi_jsonl
+from metrovec.corpus import PoiRecord, _inverse_cdf, read_poi_jsonl
 from metrovec.errors import ValidationError
-from metrovec.fileio import read_centroids_csv, read_feature_bin, read_sv_metadata, read_targets_csv
-from metrovec.synthcity import SynthConfig, export_city, generate_city, grid_neighbors
+from metrovec.fileio import (StreetViewRecord, read_centroids_csv, read_feature_bin, read_sv_metadata,
+                             read_targets_csv)
+from metrovec.geo import GeoPoint
+from metrovec.synthcity import (BASE_LAT, BASE_LON, GRID_SPACING_DEG, SynthCity, SynthConfig,
+                                _choice_distinct, _grid_shape, _half_star, _smooth_latents, _softmax,
+                                export_city, generate_city, grid_neighbors)
 
 
 def dir_digest(directory: Path) -> dict[str, str]:
@@ -170,3 +174,126 @@ class TestExport:
         lines = paths["clusters"].read_text().strip().splitlines()
         assert lines[0] == "id,cluster"
         assert len(lines) == 9
+
+
+def reference_city(config: SynthConfig) -> SynthCity:
+    """The generator drawn record by record: Generator.choice for every POI's
+    categories and review words, separate normal() calls for every jitter,
+    feature vector, rating and price, and np.clip for every coordinate."""
+    config.validate()
+    rng = np.random.default_rng(config.seed)
+    n, L = config.n_neighborhoods, config.latent_dim
+    rows, cols = _grid_shape(n)
+    tag = config.city_tag
+    nbhd_ids = [f"{tag}n{i:04d}" for i in range(n)]
+    centroids = [GeoPoint(BASE_LAT + (i // cols) * GRID_SPACING_DEG,
+                          BASE_LON + (i % cols) * GRID_SPACING_DEG) for i in range(n)]
+    if config.n_clusters > 0:
+        centers = rng.normal(size=(config.n_clusters, L)) * config.cluster_separation
+        labels = np.array([min(config.n_clusters - 1, (i % cols) * config.n_clusters // cols)
+                           for i in range(n)], dtype=np.int64)
+        raw = centers[labels] + rng.normal(size=(n, L))
+    else:
+        labels = None
+        raw = rng.normal(size=(n, L))
+    latents = _smooth_latents(raw, rows, cols)
+    if config.identity_mixing:
+        mixing = np.eye(L, config.feature_dim)
+    else:
+        mixing = rng.normal(size=(L, config.feature_dim)) / np.sqrt(L)
+
+    street_views = []
+    for i in range(n):
+        base = latents[i] @ mixing
+        for v in range(config.views_per_neighborhood):
+            jitter = rng.normal(size=2) * config.spatial_noise
+            lat = float(np.clip(centroids[i].lat + jitter[0], -90.0, 90.0))
+            lon = float(np.clip(centroids[i].lon + jitter[1], -180.0, 180.0))
+            feats = base + rng.normal(size=config.feature_dim) * config.feature_noise
+            street_views.append(StreetViewRecord(id=f"{tag}sv{i:04d}_{v:03d}", geo=GeoPoint(lat, lon),
+                                                 neighborhood_id=nbhd_ids[i], features=feats.astype(np.float32)))
+
+    n_cat = max(4, config.vocab_size // 4)
+    n_rev = config.vocab_size - n_cat
+    cat_pool = [f"trade {t:03d}" for t in range(n_cat)]
+    rev_pool = [f"term{t:03d}" for t in range(n_rev)]
+    cat_topics = _softmax(rng.normal(size=(L, n_cat)) * config.topic_sharpness, axis=1)
+    rev_topics = _softmax(rng.normal(size=(L, n_rev)) * config.topic_sharpness, axis=1)
+    pois = []
+    for i in range(n):
+        mix = _softmax(latents[i])
+        cat_p = mix @ cat_topics
+        rev_p = mix @ rev_topics
+        for o in range(config.pois_per_neighborhood):
+            jitter = rng.normal(size=2) * config.spatial_noise
+            lat = float(np.clip(centroids[i].lat + jitter[0], -90.0, 90.0))
+            lon = float(np.clip(centroids[i].lon + jitter[1], -180.0, 180.0))
+            n_cats = min(config.categories_per_poi, n_cat)
+            cats = [cat_pool[t] for t in rng.choice(n_cat, size=n_cats, replace=False, p=cat_p)]
+            words = [rev_pool[t] for t in rng.choice(n_rev, size=config.review_words_per_poi, p=rev_p)]
+            rating = _half_star(3.0 + 0.7 * latents[i, 0] + 0.3 * rng.normal())
+            price = int(np.clip(round(2.5 + 0.7 * latents[i, 1 % L] + 0.3 * rng.normal()), 1, 4))
+            pois.append(PoiRecord(id=f"{tag}p{i:04d}_{o:03d}", geo=GeoPoint(lat, lon),
+                                  neighborhood_id=nbhd_ids[i], categories=cats, rating=float(rating),
+                                  price=price, reviews=[" ".join(words)]))
+    return SynthCity(config=config, neighborhood_ids=nbhd_ids, centroids=centroids, latents=latents,
+                     cluster_labels=labels, street_views=street_views, pois=pois)
+
+
+class TestMatchesPerRecordReference:
+    @pytest.mark.parametrize("cfg", [
+        # Four categories, three per POI: most POIs redraw colliding picks.
+        SynthConfig(n_neighborhoods=30, views_per_neighborhood=3, pois_per_neighborhood=8, vocab_size=12,
+                    categories_per_poi=3, n_clusters=3, city_tag="bos_", seed=11),
+        SynthConfig(n_neighborhoods=10, views_per_neighborhood=4, pois_per_neighborhood=5, latent_dim=3,
+                    feature_dim=6, feature_noise=0.0, identity_mixing=True, seed=12),
+        SynthConfig(n_neighborhoods=20, views_per_neighborhood=2, pois_per_neighborhood=6, vocab_size=40,
+                    topic_sharpness=6.0, categories_per_poi=4, review_words_per_poi=12, seed=13),
+        SynthConfig(n_neighborhoods=5, views_per_neighborhood=2, pois_per_neighborhood=3,
+                    categories_per_poi=0, review_words_per_poi=0, seed=14),
+    ], ids=["clustered-tagged-redraws", "noiseless-identity", "peaked-topics", "no-tokens"])
+    def test_field_for_field(self, cfg):
+        got, want = generate_city(cfg), reference_city(cfg)
+        assert got.neighborhood_ids == want.neighborhood_ids
+        assert got.centroids == want.centroids
+        assert np.array_equal(got.latents, want.latents)
+        assert np.array_equal(got.cluster_labels, want.cluster_labels)
+        assert len(got.street_views) == len(want.street_views)
+        for a, b in zip(got.street_views, want.street_views):
+            assert (a.id, a.geo, a.neighborhood_id) == (b.id, b.geo, b.neighborhood_id)
+            assert a.features.dtype == b.features.dtype and np.array_equal(a.features, b.features)
+        assert got.pois == want.pois
+        for a in got.pois:
+            assert type(a.rating) is float and type(a.price) is int
+
+
+class TestSamplersMatchGeneratorChoice:
+    def test_same_picks_and_final_state(self):
+        rng = np.random.default_rng(2024)
+        redraws = 0
+        for case in range(3000):
+            n = int(rng.integers(1, 40))
+            w = np.exp(rng.normal(size=n) * (0.5, 3.0, 12.0)[case % 3])
+            if case % 4 == 0:
+                w[rng.random(n) < 0.3] = 0.0
+                w[int(rng.integers(n))] = 1.0
+            p = w / w.sum()
+            size = int(rng.integers(0, np.count_nonzero(p) + 1))
+            k = int(rng.integers(0, 20))
+            seed = int(rng.integers(2**32))
+            cdf = _inverse_cdf(p)
+            first = cdf.searchsorted(np.random.default_rng(seed).random(size), side="right")
+            redraws += len(set(first.tolist())) < size
+
+            want, got = np.random.default_rng(seed), np.random.default_rng(seed)
+            want_cats = want.choice(n, size, replace=False, p=p).tolist()
+            want_words = want.choice(n, k, p=p).tolist()
+            assert _choice_distinct(got, cdf, p, size) == want_cats
+            assert cdf.searchsorted(got.random(k), side="right").tolist() == want_words
+            assert got.bit_generator.state == want.bit_generator.state
+        assert redraws > 300
+
+    def test_too_few_nonzero_entries_rejected(self):
+        p = np.array([0.5, 0.0, 0.5, 0.0])
+        with pytest.raises(ValidationError, match="2 nonzero"):
+            _choice_distinct(np.random.default_rng(0), _inverse_cdf(p), p, 3)

@@ -312,7 +312,7 @@ class TestTrainStreetView:
                 sums_w = [np.zeros_like(w) for w in ref.weights]
                 sums_b = [np.zeros_like(b) for b in ref.biases]
                 for (_, cache), grad in zip(passes, grads):
-                    gws, gbs, _ = _backward_batch(ref, cache, grad)
+                    gws, gbs = _backward_batch(ref, cache, grad)
                     for acc, g in zip(sums_w + sums_b, gws + gbs):
                         acc += g
                 for param, g in zip(ref.weights + ref.biases, sums_w + sums_b):
