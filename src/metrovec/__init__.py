@@ -14,7 +14,7 @@ from .geo import (GeoPoint, SpatialIndex, assign_neighborhood, assign_neighborho
                   haversine_distance)
 from .corpus import (NegativeWordSampler, PoiRecord, Vocabulary, WordBag,
                      build_neighborhood_bag, build_vocabulary, load_pretrained_vectors,
-                     read_poi_jsonl, textualize_poi)
+                     read_poi_jsonl)
 from .training import (TrainingConfig, aggregate_neighborhoods, init_word_vectors,
                        train_poi_stage, train_street_view, triplet_grads)
 from .analytics import (PcaModel, RegressionReport, SplitProtocol, adjusted_rand_index,

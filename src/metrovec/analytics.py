@@ -20,6 +20,9 @@ from .errors import ValidationError
 log = logging.getLogger(__name__)
 
 RIDGE_LAMBDA = 1e-8  # Tikhonov term keeping the normal equations conditioned
+# Shares of the rows in each repeated split; the test split takes the rest.
+TRAIN_FRACTION = 0.70
+VAL_FRACTION = 0.15
 
 
 @dataclass
@@ -30,9 +33,6 @@ class PcaModel:
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         return (np.asarray(X, dtype=np.float64) - self.mean) @ self.components.T
-
-    def inverse_transform(self, P: np.ndarray) -> np.ndarray:
-        return P @ self.components + self.mean
 
 
 def pca_fit(matrix: np.ndarray, n_components: int) -> PcaModel:
@@ -97,8 +97,6 @@ def r_squared(y_true: np.ndarray, y_pred: np.ndarray) -> float:
 
 @dataclass
 class SplitProtocol:
-    train_fraction: float = 0.70
-    val_fraction: float = 0.15
     repeats: int = 20
     pca_candidates: list[int] = field(default_factory=list)  # empty -> auto
     seed: int = 0
@@ -128,7 +126,7 @@ class RegressionReport:
 
     def format_text(self) -> str:
         lines = [f"test R^2 over {self.protocol.repeats} splits "
-                 f"(train {self.protocol.train_fraction:.2f} / val {self.protocol.val_fraction:.2f})"]
+                 f"(train {TRAIN_FRACTION:.2f} / val {VAL_FRACTION:.2f})"]
         for i, name in enumerate(self.target_names):
             lines.append(f"  {name}: mean {self.mean_r2[i]:.4f}  std {self.std_r2[i]:.4f}")
         lines.append(f"  overall mean: {self.overall_mean:.4f}")
@@ -190,11 +188,11 @@ def evaluate_regression(Z: np.ndarray, targets: np.ndarray, target_names: list[s
     if targets.shape[1] != len(target_names):
         raise ValidationError(f"{targets.shape[1]} target columns but {len(target_names)} names")
     n = Z.shape[0]
-    n_train = int(math.floor(protocol.train_fraction * n))
-    n_val = int(math.floor(protocol.val_fraction * n))
+    n_train = int(math.floor(TRAIN_FRACTION * n))
+    n_val = int(math.floor(VAL_FRACTION * n))
     n_test = n - n_train - n_val
     if n_train < 2 or n_val < 1 or n_test < 2:
-        raise ValidationError(f"too few rows ({n}) for a {protocol.train_fraction}/{protocol.val_fraction} split")
+        raise ValidationError(f"too few rows ({n}) for a {TRAIN_FRACTION}/{VAL_FRACTION} split")
     candidates = protocol.pca_candidates or default_pca_candidates(Z.shape[1], n_train)
     candidates = sorted({c for c in candidates if 1 <= c <= min(n_train, Z.shape[1])})
     if not candidates:

@@ -77,12 +77,25 @@ def load_manifest(workspace: Path) -> dict:
     for key in ("stages", "files"):
         if not isinstance(manifest.get(key), dict):
             raise IntegrityError(f"{path} is not a manifest: no {key!r} object")
+    config = manifest.get("config")
+    if config is not None:
+        if not isinstance(config, dict):
+            raise IntegrityError(f"{path} is not a manifest: 'config' is not an object")
+        types = _field_types(TrainingConfig)
+        for key, value in config.items():
+            kind = types.get(key)
+            if kind is None:
+                raise IntegrityError(f"{path} is not a manifest: unknown config field {key!r}")
+            allowed = (int, float) if kind is float else kind  # JSON has one number type
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise IntegrityError(f"{path} is not a manifest: config field {key!r} holds {value!r}, "
+                                     f"not a {kind.__name__}")
     return manifest
 
 
 def save_manifest(workspace: Path, manifest: dict) -> None:
     with fileio.atomic_open(_manifest_path(workspace), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -131,7 +144,8 @@ def _parse_kv_file(path) -> dict[str, str]:
 def _field_types(cls) -> dict[str, type]:
     """Dataclass field name -> its annotated type, resolved from the string
     annotations that ``from __future__ import annotations`` leaves. Cached
-    because building the parser asks three times and config files again."""
+    because building the parser asks three times, and config files and
+    manifests again."""
     hints = typing.get_type_hints(cls)
     return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 

@@ -70,14 +70,10 @@ def _poi_tokens(poi: PoiRecord) -> list[str]:
     return tokens
 
 
-def textualize_poi(poi: PoiRecord) -> WordBag:
-    """Bag of tokens for one POI. Absent fields contribute no tokens; review
-    words are deduplicated across the union of the POI's reviews."""
-    return Counter(_poi_tokens(poi))
-
-
 def build_neighborhood_bag(pois: list[PoiRecord]) -> WordBag:
-    """Multiset union of the per-POI bags; duplicates across POIs preserved."""
+    """Multiset union of the per-POI token bags; duplicates across POIs
+    preserved. Absent fields contribute no tokens; review words are
+    deduplicated across the union of one POI's reviews."""
     if pois:
         nids = {p.neighborhood_id for p in pois}
         if len(nids) != 1:
@@ -102,10 +98,6 @@ class Vocabulary:
     @property
     def size(self) -> int:
         return len(self.tokens)
-
-    @property
-    def total_count(self) -> int:
-        return int(self.frequencies.sum())
 
     def id_of(self, token: str) -> int:
         idx = self._id_of.get(token)
@@ -156,9 +148,9 @@ class NegativeWordSampler:
             raise ValidationError(f"frequency ** {exponent} overflows float64; lower the exponent")
         self._cdf = _inverse_cdf(weights / total)
 
-    def draw(self, rng: np.random.Generator, size: int | None = None):
-        idx = self._cdf.searchsorted(rng.random(size), side="right")
-        return int(idx) if size is None else idx
+    def draw(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
+        """Token ids in an array of shape ``size``."""
+        return self._cdf.searchsorted(rng.random(size), side="right")
 
 
 def _inverse_cdf(p: np.ndarray) -> np.ndarray:

@@ -28,10 +28,6 @@ class EncoderParams:
     def d_out(self) -> int:
         return self.weights[-1].shape[1]
 
-    @property
-    def hidden(self) -> int:
-        return self.weights[0].shape[1] if len(self.weights) == 2 else 0
-
     def copy(self) -> "EncoderParams":
         return EncoderParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
@@ -51,32 +47,31 @@ def init_encoder(d_in: int, hidden: int, d: int, seed: int) -> EncoderParams:
 
 
 def _forward_batch(params: EncoderParams, feats: np.ndarray):
-    """Forward pass on an (n, d_in) batch; returns (outputs, cache)."""
+    """Forward pass on an (n, d_in) batch; returns (outputs, cache), the
+    cache holding each layer's input."""
     if feats.ndim != 2 or feats.shape[1] != params.d_in:
         raise ValidationError(f"feature batch shape {feats.shape} incompatible with d_in={params.d_in}")
-    if len(params.weights) == 1:
-        out = feats @ params.weights[0] + params.biases[0]
-        return out, (feats,)
-    pre = feats @ params.weights[0] + params.biases[0]
-    act = np.maximum(pre, 0.0)
-    out = act @ params.weights[1] + params.biases[1]
-    return out, (feats, pre, act)
+    cache = []
+    out = feats
+    for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
+        if layer:
+            out = np.maximum(out, 0.0)  # ReLU between layers
+        cache.append(out)
+        out = out @ w + b
+    return out, cache
 
 
 def _backward_batch(params: EncoderParams, cache, grad_out: np.ndarray):
     """Parameter gradients summed over the batch."""
     if grad_out.ndim != 2 or grad_out.shape[1] != params.d_out:
         raise ValidationError(f"grad_output batch shape {grad_out.shape} incompatible with d={params.d_out}")
-    if len(params.weights) == 1:
-        (feats,) = cache
-        gw = feats.T @ grad_out
-        gb = grad_out.sum(axis=0)
-        return [gw], [gb]
-    feats, pre, act = cache
-    gw2 = act.T @ grad_out
-    gb2 = grad_out.sum(axis=0)
-    gact = grad_out @ params.weights[1].T
-    gpre = gact * (pre > 0.0)
-    gw1 = feats.T @ gpre
-    gb1 = gpre.sum(axis=0)
-    return [gw1, gw2], [gb1, gb2]
+    grads_w, grads_b = [], []
+    grad = grad_out
+    for layer in reversed(range(len(params.weights))):
+        x = cache[layer]
+        grads_w.insert(0, x.T @ grad)
+        grads_b.insert(0, grad.sum(axis=0))
+        if layer:
+            # x is a ReLU output: x > 0 exactly where its pre-activation is.
+            grad = (grad @ params.weights[layer].T) * (x > 0.0)
+    return grads_w, grads_b

@@ -130,12 +130,6 @@ class SpatialIndex:
     def ids(self) -> list:
         return list(self._ids)
 
-    def point(self, pid) -> GeoPoint:
-        row = self._row_of.get(pid)
-        if row is None:
-            raise NotFoundError(f"unknown point id {pid!r}")
-        return GeoPoint(float(self._lat[row]), float(self._lon[row]))
-
     def _band_rows(self, lo: int, hi: int) -> np.ndarray:
         return self._band_order[self._band_start[lo]:self._band_start[hi + 1]]
 

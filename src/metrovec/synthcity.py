@@ -113,19 +113,6 @@ def _smooth_latents(u: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return out
 
 
-def grid_neighbors(config: SynthConfig) -> list[tuple[int, int]]:
-    """All adjacent (i, j) neighborhood index pairs on the generation grid."""
-    rows, cols = _grid_shape(config.n_neighborhoods)
-    pairs = []
-    for i in range(config.n_neighborhoods):
-        r, c = divmod(i, cols)
-        for rr, cc in ((r + 1, c), (r, c + 1)):
-            j = rr * cols + cc
-            if rr < rows and cc < cols and j < config.n_neighborhoods:
-                pairs.append((i, j))
-    return pairs
-
-
 def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     e = np.exp(x - x.max(axis=axis, keepdims=True))
     return e / e.sum(axis=axis, keepdims=True)

@@ -13,13 +13,14 @@ frequency**exponent-weighted from outside the bag.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import NegativeWordSampler, Vocabulary, WordBag, _inverse_cdf
 from .encoder import EncoderParams, _backward_batch, _forward_batch
-from .errors import NotFoundError, ValidationError
+from .errors import ValidationError
 from .geo import SpatialIndex
 
 log = logging.getLogger(__name__)
@@ -47,6 +48,10 @@ class TrainingConfig:
     seed: int = 0
 
     def validate(self) -> "TrainingConfig":
+        for name, value in vars(self).items():
+            # NaN passes every range check below, and inf trains to the end.
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if self.d < 1:
             raise ValidationError(f"d must be >= 1, got {self.d}")
         if self.k_context < 1:
@@ -119,41 +124,32 @@ def _sample_triplet_rows(context_rows: np.ndarray, per_anchor: int,
     return np.stack([anchors, picks, negs], axis=1)
 
 
-def context_rows_from_index(index: SpatialIndex, ids: list, k: int) -> np.ndarray:
-    """(n, K) matrix of row indices (positions in ``ids``) of each id's K
-    nearest ids, from one all-points query of the index."""
-    if len(ids) < k + 2:
-        raise ValidationError(f"need at least K+2={k + 2} street views, got {len(ids)}")
-    index_ids = index.ids
-    row_of = {pid: row for row, pid in enumerate(index_ids)}
-    try:
-        qrows = np.array([row_of[pid] for pid in ids], dtype=np.int64)
-    except KeyError as exc:
-        raise NotFoundError(f"unknown query id {exc}") from None
-    pos = np.full(len(index_ids), -1, dtype=np.int64)
-    pos[qrows] = np.arange(len(ids))
-    nbrs = index.k_nearest_rows(k)[qrows]
-    out = pos[nbrs]
-    if (out < 0).any():
-        missing = index_ids[nbrs[out < 0][0]]
-        raise ValidationError(f"index returned id {missing!r} that is not among the given ids")
-    return out
+def context_rows_from_index(index: SpatialIndex, k: int) -> np.ndarray:
+    """(n, K) matrix of the index rows of each point's K nearest other
+    points, from one all-points query of the index."""
+    if len(index) < k + 2:
+        raise ValidationError(f"need at least K+2={k + 2} street views, got {len(index)}")
+    return index.k_nearest_rows(k)
 
 
 def train_street_view(params: EncoderParams, sv_ids: list, features: np.ndarray,
                       index: SpatialIndex, config: TrainingConfig):
     """Stage 1: mini-batch SGD on the street-view triplet loss through the
     encoder. Returns (trained params, X) with X the trained encoder's forward
-    pass over every feature row; deterministic per config.seed."""
+    pass over every feature row; deterministic per config.seed. The index
+    must hold exactly ``sv_ids``, in that order: its rows are the feature
+    rows."""
     config.validate()
     features = np.asarray(features, dtype=np.float64)
     if features.shape[0] != len(sv_ids):
         raise ValidationError(f"{features.shape[0]} feature rows but {len(sv_ids)} ids")
+    if index.ids != list(sv_ids):
+        raise ValidationError("the spatial index does not hold the street-view ids in their given order")
     if params.d_out != config.d:
         raise ValidationError(f"encoder output dim {params.d_out} != config d {config.d}")
     params = params.copy()
     rng = np.random.default_rng(config.seed)
-    ctx = context_rows_from_index(index, sv_ids, config.k_context)
+    ctx = context_rows_from_index(index, config.k_context)
 
     for _ in range(config.epochs_sv):
         rows = _sample_triplet_rows(ctx, config.triplets_per_anchor, rng)
@@ -188,12 +184,11 @@ def aggregate_neighborhoods(X: np.ndarray, sv_neighborhoods: list,
     unknown = sorted({str(n) for n in sv_neighborhoods if n not in row_of})
     if unknown:
         raise ValidationError(f"street views assigned to unknown neighborhoods: {unknown}")
+    rows = np.array([row_of[nid] for nid in sv_neighborhoods], dtype=np.int64)
+    # np.add.at adds the rows in order, so each sum is the loop's, bit for bit.
     Z = np.zeros((len(neighborhood_ids), X.shape[1]))
-    counts = np.zeros(len(neighborhood_ids), dtype=np.int64)
-    for j, nid in enumerate(sv_neighborhoods):
-        i = row_of[nid]
-        Z[i] += X[j]
-        counts[i] += 1
+    np.add.at(Z, rows, X)
+    counts = np.bincount(rows, minlength=len(neighborhood_ids))
     empty = counts == 0
     if empty.any():
         missing = [neighborhood_ids[i] for i in np.flatnonzero(empty)]

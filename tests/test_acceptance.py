@@ -67,7 +67,7 @@ def main_city():
     params0 = init_encoder(feats.shape[1], cfg.hidden, cfg.d, cfg.seed)
 
     eval_rng = np.random.default_rng(90210)
-    sv_rows = _sample_triplet_rows(context_rows_from_index(index, ids, cfg.k_context), 5, eval_rng)
+    sv_rows = _sample_triplet_rows(context_rows_from_index(index, cfg.k_context), 5, eval_rng)
 
     params, X = train_street_view(params0, ids, feats, index, cfg)
     X0, _ = _forward_batch(params0, feats)

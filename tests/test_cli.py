@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import shutil
 import typing
 from pathlib import Path
 
@@ -215,6 +216,24 @@ class TestStageOrder:
         assert (ws / "manifest.json").read_bytes() == before
         assert sorted(p.name for p in ws.iterdir()) == ["ingested", "manifest.json"]
 
+    @pytest.mark.parametrize("command", ["aggregate", "similar"])
+    @pytest.mark.parametrize("edit,named", [
+        (lambda cfg: [1], "'config' is not an object"),
+        (lambda cfg: {**cfg, "bogus": 1}, "unknown config field 'bogus'"),
+        (lambda cfg: {**cfg, "d": "x"}, "config field 'd' holds 'x'"),
+    ], ids=["list", "unknown-key", "wrong-type"])
+    def test_malformed_manifest_config_is_integrity_error(self, tmp_path, trained_ws, capsys,
+                                                          command, edit, named):
+        ws = tmp_path / "ws"
+        shutil.copytree(trained_ws, ws)
+        manifest = json.loads((ws / "manifest.json").read_text())
+        manifest["config"] = edit(manifest["config"])
+        (ws / "manifest.json").write_text(json.dumps(manifest))
+        argv = [command, "--workspace", str(ws)] + (["--query", "n0000"] if command == "similar" else [])
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert "manifest.json is not a manifest" in err and named in err
+
     def test_diverged_stage_writes_no_checkpoint(self, tmp_path, city_dir, capsys):
         ws = tmp_path / "ws"
         assert main(ingest_args(city_dir, ws)) == 0
@@ -267,6 +286,19 @@ class TestConfig:
                                       "--" + f.name.replace("_", "-"), samples[kind]])
             value = getattr(args, f.name)
             assert type(value) is kind and value == kind(samples[kind]), f.name
+
+    @pytest.mark.parametrize("command,field,value", [
+        ("train-sv", "margin_sv", "nan"), ("train-sv", "lr_sv", "inf"),
+        ("train-poi", "margin_poi", "nan"), ("train-poi", "anchor_weight", "nan"),
+        ("train-poi", "neg_exponent", "nan"),
+    ])
+    def test_non_finite_field_rejected(self, tmp_path, trained_ws, capsys, command, field, value):
+        ws = tmp_path / "ws"
+        shutil.copytree(trained_ws, ws)
+        before = (ws / "manifest.json").read_bytes()
+        assert main([command, "--workspace", str(ws), "--" + field.replace("_", "-"), value]) == 3
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert (ws / "manifest.json").read_bytes() == before
 
     def test_unknown_config_key_rejected(self, tmp_path, city_dir, capsys):
         ws = tmp_path / "ws"

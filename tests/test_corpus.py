@@ -10,7 +10,7 @@ import pytest
 
 from metrovec.corpus import (NegativeWordSampler, PoiRecord, build_neighborhood_bag,
                              build_vocabulary, load_pretrained_vectors,
-                             read_poi_jsonl, textualize_poi, write_poi_jsonl)
+                             read_poi_jsonl, write_poi_jsonl)
 from metrovec.errors import FormatError, ValidationError
 from metrovec.geo import GeoPoint
 
@@ -23,43 +23,43 @@ def poi(pid="p1", nbhd="n1", categories=(), rating=None, price=None, reviews=())
 
 class TestTextualize:
     def test_full_example(self):
-        bag = textualize_poi(poi(categories=["Coffee", "Shopping Center"], rating=4.5,
-                                 price=2, reviews=["Great coffee, great vibe"]))
+        bag = build_neighborhood_bag([poi(categories=["Coffee", "Shopping Center"], rating=4.5,
+                                          price=2, reviews=["Great coffee, great vibe"])])
         assert bag == Counter({"cat_coffee": 1, "cat_shopping_center": 1, "rate_4_5": 1,
                                "price_2": 1, "great": 1, "coffee": 1, "vibe": 1})
 
     def test_empty_poi(self):
-        assert textualize_poi(poi()) == Counter()
+        assert build_neighborhood_bag([poi()]) == Counter()
 
     def test_short_tokens_dropped(self):
-        assert textualize_poi(poi(reviews=["A A a"])) == Counter()
+        assert build_neighborhood_bag([poi(reviews=["A A a"])]) == Counter()
 
     def test_numbers_dropped_alphanumerics_kept(self):
-        bag = textualize_poi(poi(reviews=["open 24 hours, 42nd street"]))
+        bag = build_neighborhood_bag([poi(reviews=["open 24 hours, 42nd street"])])
         assert bag == Counter({"open": 1, "hours": 1, "42nd": 1, "street": 1})
 
     def test_dedup_spans_all_reviews_of_one_poi(self):
-        bag = textualize_poi(poi(reviews=["tasty tacos", "tacos again"]))
+        bag = build_neighborhood_bag([poi(reviews=["tasty tacos", "tacos again"])])
         assert bag["tacos"] == 1
 
     def test_category_whitespace_collapsed(self):
-        bag = textualize_poi(poi(categories=["Shopping \t  Center", "  Dive Bar "]))
+        bag = build_neighborhood_bag([poi(categories=["Shopping \t  Center", "  Dive Bar "])])
         assert bag == Counter({"cat_shopping_center": 1, "cat_dive_bar": 1})
 
     def test_blank_category_skipped(self):
-        assert textualize_poi(poi(categories=["", "   "])) == Counter()
+        assert build_neighborhood_bag([poi(categories=["", "   "])]) == Counter()
 
     def test_duplicate_category_phrases_both_counted(self):
-        bag = textualize_poi(poi(categories=["Bar", "bar"]))
+        bag = build_neighborhood_bag([poi(categories=["Bar", "bar"])])
         assert bag == Counter({"cat_bar": 2})
 
     def test_rating_buckets(self):
-        assert "rate_4_5" in textualize_poi(poi(rating=4.5))
-        assert "rate_4_0" in textualize_poi(poi(rating=4.2))
-        assert "rate_4_5" in textualize_poi(poi(rating=4.26))
-        assert "rate_5_0" in textualize_poi(poi(rating=5.0))
-        assert "rate_1_0" in textualize_poi(poi(rating=1.0))
-        assert "rate_4_5" in textualize_poi(poi(rating=4.25))  # halves round up
+        assert "rate_4_5" in build_neighborhood_bag([poi(rating=4.5)])
+        assert "rate_4_0" in build_neighborhood_bag([poi(rating=4.2)])
+        assert "rate_4_5" in build_neighborhood_bag([poi(rating=4.26)])
+        assert "rate_5_0" in build_neighborhood_bag([poi(rating=5.0)])
+        assert "rate_1_0" in build_neighborhood_bag([poi(rating=1.0)])
+        assert "rate_4_5" in build_neighborhood_bag([poi(rating=4.25)])  # halves round up
 
     def test_rating_price_validated(self):
         with pytest.raises(ValidationError):
@@ -69,7 +69,7 @@ class TestTextualize:
 
     def test_pure_function(self):
         p = poi(categories=["Bar"], rating=3.0, reviews=["loud music"])
-        assert textualize_poi(p) == textualize_poi(p)
+        assert build_neighborhood_bag([p]) == build_neighborhood_bag([p])
 
 
 class TestNeighborhoodBag:
@@ -121,7 +121,7 @@ class TestVocabulary:
             recount.update(bag)
         for token, count in recount.items():
             assert vocab.frequencies[vocab.id_of(token)] == count
-        assert vocab.total_count == sum(recount.values())
+        assert vocab.frequencies.sum() == sum(recount.values())
 
     def test_all_empty_rejected(self):
         with pytest.raises(ValidationError):
@@ -132,7 +132,7 @@ class TestVocabulary:
         bags = [Counter(rng.choice([f"t{i}" for i in range(12)], size=int(rng.integers(1, 40))).tolist())
                 for _ in range(7)]
         vocab = build_vocabulary(bags)
-        assert vocab.total_count == sum(sum(b.values()) for b in bags)
+        assert vocab.frequencies.sum() == sum(sum(b.values()) for b in bags)
 
 
 def reference_textualize(p):
@@ -174,7 +174,7 @@ class TestNeighborhoodBagMatchesPerPoiSum:
 
     def test_textualize_matches_reference_order(self):
         for p in self.POIS:
-            assert list(textualize_poi(p).items()) == list(reference_textualize(p).items())
+            assert list(build_neighborhood_bag([p]).items()) == list(reference_textualize(p).items())
 
     def test_bag_to_ids_sorted_by_id(self):
         bag = build_neighborhood_bag(self.POIS)
@@ -192,7 +192,7 @@ class TestNegativeSampling:
         vocab = build_vocabulary([Counter({"a": 1, "b": 5})])
         rng = np.random.default_rng(0)
         ctx = {vocab.id_of("a")}
-        assert NegativeWordSampler(vocab, ctx).draw(rng) == vocab.id_of("b")
+        assert NegativeWordSampler(vocab, ctx).draw(rng, size=1).tolist() == [vocab.id_of("b")]
 
     def test_sqrt_weighting_two_tokens(self):
         # frequencies 1 and 4 -> probabilities 1/3 and 2/3
@@ -222,7 +222,7 @@ class TestNegativeSampling:
         with pytest.raises(ValidationError):
             NegativeWordSampler(vocab, {0, 1})
 
-    @pytest.mark.parametrize("size", [None, 1, 7, (3, 4)])
+    @pytest.mark.parametrize("size", [1, 7, (3, 4)])
     def test_draws_equal_generator_choice(self, size):
         freqs = {f"t{i:02d}": int(f) for i, f in enumerate([1, 3, 7, 2, 50, 1, 9, 4, 4, 12, 5, 1])}
         vocab = build_vocabulary([Counter(freqs)])

@@ -68,7 +68,6 @@ class TestInit:
         assert len(p.weights) == 1
         assert p.weights[0].shape == (6, 4)
         assert p.biases[0].shape == (4,)
-        assert p.hidden == 0
 
     def test_glorot_bound(self):
         p = init_encoder(8, 0, 4, seed=1)

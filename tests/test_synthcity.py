@@ -14,7 +14,7 @@ from metrovec.fileio import (StreetViewRecord, read_centroids_csv, read_feature_
 from metrovec.geo import GeoPoint
 from metrovec.synthcity import (BASE_LAT, BASE_LON, GRID_SPACING_DEG, SynthCity, SynthConfig,
                                 _choice_distinct, _grid_shape, _half_star, _smooth_latents, _softmax,
-                                export_city, generate_city, grid_neighbors)
+                                export_city, generate_city)
 
 
 def dir_digest(directory: Path) -> dict[str, str]:
@@ -64,7 +64,12 @@ class TestGenerate:
                           pois_per_neighborhood=1, latent_dim=4, seed=3)
         city = generate_city(cfg)
         u = city.latents
-        pairs = grid_neighbors(cfg)
+        # Adjacent grid cells: centroids one grid step apart along one axis.
+        lat = np.array([c.lat for c in city.centroids])
+        lon = np.array([c.lon for c in city.centroids])
+        steps = np.abs(lat[:, None] - lat) + np.abs(lon[:, None] - lon)
+        pairs = np.argwhere(np.triu(np.isclose(steps, GRID_SPACING_DEG)))
+        assert len(pairs) == 2 * 11 * 10
         adjacent = np.mean([float(u[i] @ u[j] / (np.linalg.norm(u[i]) * np.linalg.norm(u[j])))
                             for i, j in pairs])
         rng = np.random.default_rng(0)

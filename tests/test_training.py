@@ -156,7 +156,7 @@ def grid_points(n_side, spacing=0.001):
 
 def sv_triplets(index, ids, k, per_anchor, rng):
     """(anchor, context, negative) id triplets, drawn as stage 1 draws them."""
-    rows = _sample_triplet_rows(context_rows_from_index(index, ids, k), per_anchor, rng)
+    rows = _sample_triplet_rows(context_rows_from_index(index, k), per_anchor, rng)
     return [tuple(ids[r] for r in row) for row in rows]
 
 
@@ -274,9 +274,9 @@ class TestTrainStreetView:
         cfg = TrainingConfig(d=4, k_context=3, epochs_sv=8, triplets_per_anchor=5,
                              lr_sv=0.02, seed=33)
         params = init_encoder(feats.shape[1], 0, 4, seed=33)
-        ctx = context_rows_from_index(index, ids, cfg.k_context)
+        ctx = context_rows_from_index(index, cfg.k_context)
         eval_rng = np.random.default_rng(999)
-        rows = _sample_triplet_rows(context_rows_from_index(index, ids, cfg.k_context), 10, eval_rng)
+        rows = _sample_triplet_rows(context_rows_from_index(index, cfg.k_context), 10, eval_rng)
 
         def heldout_loss(X):
             return mean_hinge(X[rows[:, 0]], X[rows[:, 1]], X[rows[:, 2]], cfg.margin_sv)
@@ -287,6 +287,24 @@ class TestTrainStreetView:
         assert heldout_loss(X1) <= heldout_loss(X0)
         assert ctx.shape == (len(ids), cfg.k_context)
 
+
+    @pytest.mark.parametrize("reorder", ["swapped", "missing", "extra"])
+    def test_index_must_hold_the_ids_in_order(self, reorder):
+        city = small_city()
+        ids, feats, index = city_training_inputs(city)
+        by_id = {sv.id: sv.geo for sv in city.street_views}
+        if reorder == "swapped":
+            other = build_index([(i, by_id[i]) for i in [ids[1], ids[0], *ids[2:]]])
+        elif reorder == "missing":
+            other = build_index([(i, by_id[i]) for i in ids[:-1]])
+        else:
+            other = build_index([(i, by_id[i]) for i in ids] + [("zz", by_id[ids[0]])])
+        cfg = TrainingConfig(d=4, k_context=3, epochs_sv=1, seed=9)
+        params = init_encoder(feats.shape[1], 0, 4, seed=9)
+        with pytest.raises(ValidationError, match="spatial index"):
+            train_street_view(params, ids, feats, other, cfg)
+        with pytest.raises(ValidationError, match="spatial index"):
+            train_street_view(params, ids[::-1], feats, index, cfg)
 
     @pytest.mark.parametrize("hidden", [0, 5])
     def test_one_pass_step_matches_three_pass_reference(self, hidden):
@@ -301,7 +319,7 @@ class TestTrainStreetView:
 
         ref = params.copy()
         rng = np.random.default_rng(cfg.seed)
-        ctx = context_rows_from_index(index, ids, cfg.k_context)
+        ctx = context_rows_from_index(index, cfg.k_context)
         for _ in range(cfg.epochs_sv):
             rows = _sample_triplet_rows(ctx, cfg.triplets_per_anchor, rng)
             rows = rows[rng.permutation(rows.shape[0])]
@@ -323,7 +341,35 @@ class TestTrainStreetView:
         assert not np.allclose(trained.weights[0], params.weights[0])
 
 
+def reference_aggregate(X, sv_neighborhoods, neighborhood_ids):
+    """Stage 2 as a per-street-view loop: sum and count, then divide, with
+    empty neighborhoods zero."""
+    row_of = {nid: i for i, nid in enumerate(neighborhood_ids)}
+    Z = np.zeros((len(neighborhood_ids), X.shape[1]))
+    counts = np.zeros(len(neighborhood_ids), dtype=np.int64)
+    for j, nid in enumerate(sv_neighborhoods):
+        Z[row_of[nid]] += X[j]
+        counts[row_of[nid]] += 1
+    return Z / np.maximum(counts, 1)[:, None]
+
+
 class TestAggregate:
+    @pytest.mark.parametrize("policy", ["error", "zero"])
+    def test_matches_per_row_reference_bitwise(self, policy):
+        rng = np.random.default_rng(12)
+        nids = [f"n{i:02d}" for i in range(40)]
+        for trial in range(20):
+            n = int(rng.integers(len(nids), 400))
+            X = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=(n, 7))
+            # The error policy needs every neighborhood covered.
+            used = nids if policy == "error" else nids[:int(rng.integers(1, 41))]
+            assigned = [used[i] for i in rng.integers(0, len(used), size=n)]
+            if policy == "error":
+                assigned[:len(used)] = used
+                rng.shuffle(assigned)
+            Z = aggregate_neighborhoods(X, assigned, nids, policy=policy)
+            assert np.array_equal(Z, reference_aggregate(X, assigned, nids)), trial
+
     def test_single_view(self):
         X = np.array([[1.0, 2.0]])
         Z = aggregate_neighborhoods(X, ["n1"], ["n1"])
