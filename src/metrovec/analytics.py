@@ -187,6 +187,8 @@ def evaluate_regression(Z: np.ndarray, targets: np.ndarray, target_names: list[s
         raise ValidationError(f"{Z.shape[0]} embedding rows but {targets.shape[0]} target rows")
     if targets.shape[1] != len(target_names):
         raise ValidationError(f"{targets.shape[1]} target columns but {len(target_names)} names")
+    if protocol.repeats < 1:
+        raise ValidationError(f"repeats={protocol.repeats} must be at least 1")
     n = Z.shape[0]
     n_train = int(math.floor(TRAIN_FRACTION * n))
     n_val = int(math.floor(VAL_FRACTION * n))
@@ -274,8 +276,11 @@ def kmeans(Z: np.ndarray, k: int, seed: int, max_iter: int = 300,
 def cosine_rank(query: np.ndarray, candidate_ids: list, candidates: np.ndarray,
                 top_n: int | None = None, ascending: bool = False) -> list[tuple]:
     """(id, cosine) pairs ranked by similarity to the query, ties broken by
-    ascending id; ``ascending`` flips to least-similar-first. Zero-norm
+    ascending id; ``ascending`` flips to least-similar-first. The first
+    ``top_n`` pairs (at least 1), or all when it is None. Zero-norm
     candidates are skipped with a warning."""
+    if top_n is not None and top_n < 1:
+        raise ValidationError(f"top_n={top_n} must be at least 1")
     query = np.asarray(query, dtype=np.float64)
     candidates = np.asarray(candidates, dtype=np.float64)
     if candidates.shape[0] != len(candidate_ids):
@@ -288,13 +293,13 @@ def cosine_rank(query: np.ndarray, candidate_ids: list, candidates: np.ndarray,
     if not keep.all():
         skipped = [candidate_ids[i] for i in np.flatnonzero(~keep)]
         log.warning("skipping zero-norm candidates: %s", skipped)
-    sims = (candidates[keep] @ query) / (norms[keep] * qnorm)
+    sims = ((candidates[keep] @ query) / (norms[keep] * qnorm)).tolist()
     kept_ids = [cid for cid, ok in zip(candidate_ids, keep) if ok]
     order = sorted(range(len(kept_ids)),
                    key=lambda i: ((sims[i] if ascending else -sims[i]), kept_ids[i]))
     if top_n is not None:
         order = order[:top_n]
-    return [(kept_ids[i], float(sims[i])) for i in order]
+    return [(kept_ids[i], sims[i]) for i in order]
 
 
 def poistats_tfidf(bags: dict) -> tuple[list, list[str], np.ndarray]:

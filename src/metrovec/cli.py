@@ -19,7 +19,7 @@ import json
 import logging
 import sys
 import typing
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -59,12 +59,8 @@ def _new_manifest() -> dict:
             "files": {}, "stages": {s: False for s in STAGES}}
 
 
-def _manifest_path(workspace: Path) -> Path:
-    return workspace / MANIFEST_NAME
-
-
 def load_manifest(workspace: Path) -> dict:
-    path = _manifest_path(workspace)
+    path = workspace / MANIFEST_NAME
     if not path.exists():
         raise StageOrderError(f"no manifest at {path}; run 'ingest' first")
     try:
@@ -77,6 +73,10 @@ def load_manifest(workspace: Path) -> dict:
     for key in ("stages", "files"):
         if not isinstance(manifest.get(key), dict):
             raise IntegrityError(f"{path} is not a manifest: no {key!r} object")
+    for relpath, recorded in manifest["files"].items():
+        if not isinstance(recorded, str):
+            raise IntegrityError(f"{path} is not a manifest: the hash of {relpath!r} is {recorded!r}, "
+                                 "not a string")
     config = manifest.get("config")
     if config is not None:
         if not isinstance(config, dict):
@@ -94,7 +94,7 @@ def load_manifest(workspace: Path) -> dict:
 
 
 def save_manifest(workspace: Path, manifest: dict) -> None:
-    with fileio.atomic_open(_manifest_path(workspace), "w", encoding="utf-8") as fh:
+    with fileio.atomic_open(workspace / MANIFEST_NAME, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
@@ -195,10 +195,6 @@ def _flag_config_values(args) -> dict:
     return {f.name: getattr(args, f.name) for f in dataclasses.fields(TrainingConfig)}
 
 
-def _workspace(args) -> Path:
-    return Path(args.workspace)
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -230,19 +226,26 @@ def _load_features(features_path, metadata: list[fileio.StreetViewRecord]):
             raise ValidationError(f"{matrix.shape[0]} feature rows but {len(meta_ids)} metadata rows")
         return matrix
     ids, matrix = fileio.read_features_csv(features_path)
-    row_of = {rid: i for i, rid in enumerate(ids)}
-    if len(row_of) != len(ids):
-        raise ValidationError("duplicate ids in feature CSV")
-    missing = [rid for rid in meta_ids if rid not in row_of]
-    meta_set = set(meta_ids)
-    extra = [rid for rid in ids if rid not in meta_set]
+    return matrix[_rows_for(ids, meta_ids, "feature CSV")]
+
+
+def _rows_for(table_ids: list, wanted: list, what: str) -> list[int]:
+    """The row of each wanted id in a table whose rows carry ``table_ids``;
+    the table must hold each wanted id exactly once and no other."""
+    row_of = {rid: i for i, rid in enumerate(table_ids)}
+    if len(row_of) != len(table_ids):
+        twice = [rid for rid, n in Counter(table_ids).items() if n > 1]
+        raise ValidationError(f"duplicate ids in {what}: {twice[:5]}")
+    missing = [rid for rid in wanted if rid not in row_of]
+    wanted_set = set(wanted)
+    extra = [rid for rid in table_ids if rid not in wanted_set]
     if missing or extra:
-        raise ValidationError(f"feature/metadata id mismatch: missing {missing[:5]}, extra {extra[:5]}")
-    return matrix[[row_of[rid] for rid in meta_ids]]
+        raise ValidationError(f"{what} id mismatch: missing {missing[:5]}, extra {extra[:5]}")
+    return [row_of[rid] for rid in wanted]
 
 
 def cmd_ingest(args) -> int:
-    workspace = _workspace(args)
+    workspace = args.workspace
     workspace.mkdir(parents=True, exist_ok=True)
     (workspace / "ingested").mkdir(exist_ok=True)
 
@@ -309,18 +312,22 @@ def cmd_ingest(args) -> int:
 def _read_ingested(workspace: Path, manifest: dict, *names: str):
     for name in names:
         _verify_file(workspace, manifest, INGESTED[name])
-    out = []
-    for name in names:
-        path = workspace / INGESTED[name]
-        if name == "street_views":
-            out.append(fileio.read_sv_metadata(path))
-        elif name == "features":
-            out.append(fileio.read_feature_bin(path))
-        elif name == "poi":
-            out.append(corpus.read_poi_jsonl(path))
-        elif name == "centroids":
-            out.append(fileio.read_centroids_csv(path))
-    return out
+    # Built per call, so a reader replaced on its module (as a tracer does)
+    # is the one that runs.
+    readers = {"street_views": fileio.read_sv_metadata, "features": fileio.read_feature_bin,
+               "poi": corpus.read_poi_jsonl, "centroids": fileio.read_centroids_csv}
+    return [readers[name](workspace / INGESTED[name]) for name in names]
+
+
+def _write_report(workspace: Path, name: str, text: str) -> Path:
+    """Write ``text`` to ``reports/<name>``. A plain write, not an atomic one:
+    renaming over a report written moments before slowed the read-side
+    commands measurably (ROADMAP item D)."""
+    path = workspace / "reports" / name
+    path.parent.mkdir(exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
 
 
 def _write_checkpoint(workspace: Path, manifest: dict, name: str, ids, matrix) -> None:
@@ -339,7 +346,7 @@ def _read_checkpoint(workspace: Path, manifest: dict, name: str):
 
 
 def cmd_train_sv(args) -> int:
-    workspace = _workspace(args)
+    workspace = args.workspace
     manifest = load_manifest(workspace)
     _require_stage(manifest, "ingest")
     config = resolve_training_config(manifest, args.config, _flag_config_values(args))
@@ -360,7 +367,7 @@ def cmd_train_sv(args) -> int:
 
 
 def cmd_aggregate(args) -> int:
-    workspace = _workspace(args)
+    workspace = args.workspace
     manifest = load_manifest(workspace)
     _require_stage(manifest, "train_sv")
     config = resolve_training_config(manifest, args.config, _flag_config_values(args))
@@ -390,7 +397,7 @@ def _neighborhood_bags(pois, neighborhood_ids):
 
 
 def cmd_train_poi(args) -> int:
-    workspace = _workspace(args)
+    workspace = args.workspace
     manifest = load_manifest(workspace)
     _require_stage(manifest, "aggregate")
     config = resolve_training_config(manifest, args.config, _flag_config_values(args))
@@ -425,8 +432,7 @@ def _load_representation(workspace: Path, manifest: dict, name: str, config: Tra
         _require_stage(manifest, "aggregate")
         return _read_checkpoint(workspace, manifest, "sve")
     _require_stage(manifest, "ingest")
-    (pois,) = _read_ingested(workspace, manifest, "poi")
-    (centroids,) = _read_ingested(workspace, manifest, "centroids")
+    pois, centroids = _read_ingested(workspace, manifest, "poi", "centroids")
     neighborhood_ids = sorted(cid for cid, _, _ in centroids)
     bags = _neighborhood_bags(pois, neighborhood_ids)
     if name == "poistats":
@@ -444,18 +450,13 @@ def _load_representation(workspace: Path, manifest: dict, name: str, config: Tra
 def cmd_eval(args) -> int:
     if args.regressor != "pca-lr":
         raise UsageError(f"unknown regressor {args.regressor!r}; only pca-lr is supported")
-    workspace = _workspace(args)
+    workspace = args.workspace
     manifest = load_manifest(workspace)
     config = resolve_training_config(manifest, None, {"seed": args.seed})
     ids, Z = _load_representation(workspace, manifest, args.embedding, config)
 
     target_ids, target_names, values = fileio.read_targets_csv(args.targets)
-    row_of = {tid: i for i, tid in enumerate(target_ids)}
-    missing = [nid for nid in ids if nid not in row_of]
-    extra = sorted(set(target_ids) - set(ids))
-    if missing or extra:
-        raise ValidationError(f"target/neighborhood id mismatch: missing {missing[:5]}, extra {extra[:5]}")
-    targets = values[[row_of[nid] for nid in ids]]
+    targets = values[_rows_for(target_ids, ids, "targets CSV")]
 
     candidates = []
     if args.pca_components:
@@ -468,38 +469,29 @@ def cmd_eval(args) -> int:
     report = analytics.evaluate_regression(np.asarray(Z, dtype=np.float64), targets,
                                            target_names, protocol)
 
-    (workspace / "reports").mkdir(exist_ok=True)
-    csv_path = workspace / "reports" / f"eval_{args.embedding}.csv"
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        for row in report.to_csv_rows():
-            fh.write(",".join(str(v) for v in row) + "\n")
-    txt_path = workspace / "reports" / f"eval_{args.embedding}.txt"
+    rows = [",".join(str(v) for v in row) + "\n" for row in report.to_csv_rows()]
+    csv_path = _write_report(workspace, f"eval_{args.embedding}.csv", "".join(rows))
     text = f"embedding: {args.embedding}\n{report.format_text()}\n"
-    with open(txt_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write_report(workspace, f"eval_{args.embedding}.txt", text)
     print(text, end="")
     print(f"report written to {csv_path}")
     return 0
 
 
 def cmd_cluster(args) -> int:
-    workspace = _workspace(args)
+    workspace = args.workspace
     manifest = load_manifest(workspace)
     config = resolve_training_config(manifest, None, {"seed": args.seed})
     ids, Z = _load_representation(workspace, manifest, args.embedding, config)
     labels, _ = analytics.kmeans(np.asarray(Z, dtype=np.float64), args.k, seed=config.seed)
-    (workspace / "reports").mkdir(exist_ok=True)
-    out = workspace / "reports" / f"clusters_{args.embedding}.csv"
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("id,cluster\n")
-        for nid, lab in zip(ids, labels):
-            fh.write(f"{nid},{lab}\n")
+    rows = [f"{nid},{lab}\n" for nid, lab in zip(ids, labels)]
+    out = _write_report(workspace, f"clusters_{args.embedding}.csv", "id,cluster\n" + "".join(rows))
     print(f"k-means (k={args.k}) cluster assignments written to {out}")
     return 0
 
 
 def cmd_similar(args) -> int:
-    workspace = _workspace(args)
+    workspace = args.workspace
     manifest = load_manifest(workspace)
     config = resolve_training_config(manifest, None, {})
     ids, Z = _load_representation(workspace, manifest, args.embedding, config)
@@ -522,13 +514,9 @@ def cmd_similar(args) -> int:
     ranked = analytics.cosine_rank(Zf[row_of[args.query]], keep,
                                    Zf[[row_of[nid] for nid in keep]],
                                    top_n=args.top, ascending=args.least)
-    (workspace / "reports").mkdir(exist_ok=True)
     suffix = f"_{args.from_city}" if args.from_city else ""
-    out = workspace / "reports" / f"similar_{args.query}{suffix}.csv"
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("rank,id,cosine\n")
-        for rank, (nid, sim) in enumerate(ranked, start=1):
-            fh.write(f"{rank},{nid},{sim!r}\n")
+    rows = [f"{rank},{nid},{sim!r}\n" for rank, (nid, sim) in enumerate(ranked, start=1)]
+    out = _write_report(workspace, f"similar_{args.query}{suffix}.csv", "rank,id,cosine\n" + "".join(rows))
     direction = "least" if args.least else "most"
     print(f"{direction} similar to {args.query}:")
     for rank, (nid, sim) in enumerate(ranked, start=1):
@@ -538,7 +526,7 @@ def cmd_similar(args) -> int:
 
 
 def cmd_export_emb(args) -> int:
-    workspace = _workspace(args)
+    workspace = args.workspace
     manifest = load_manifest(workspace)
     if args.embedding not in CHECKPOINTS:
         raise UsageError(f"unknown embedding {args.embedding!r}; expected one of {sorted(CHECKPOINTS)}")
@@ -562,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features-format", choices=["bin", "csv"], default="bin")
 
     p = sub.add_parser("ingest", help="validate inputs into a workspace")
-    p.add_argument("--workspace", required=True)
+    p.add_argument("--workspace", required=True, type=Path)
     p.add_argument("--poi", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--ids", required=True, help="street-view metadata CSV (id,lat,lon,neighborhood_id)")
@@ -570,20 +558,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assign-missing", action="store_true")
 
     p = sub.add_parser("train-sv", help="stage 1: street-view triplet training")
-    p.add_argument("--workspace", required=True)
+    p.add_argument("--workspace", required=True, type=Path)
     _config_flags(p)
 
     p = sub.add_parser("aggregate", help="stage 2: mean street-view embedding per neighborhood")
-    p.add_argument("--workspace", required=True)
+    p.add_argument("--workspace", required=True, type=Path)
     _config_flags(p)
 
     p = sub.add_parser("train-poi", help="stage 3: joint neighborhood/word training")
-    p.add_argument("--workspace", required=True)
+    p.add_argument("--workspace", required=True, type=Path)
     p.add_argument("--pretrained", default=None, help="optional pretrained word-vector file")
     _config_flags(p)
 
     p = sub.add_parser("eval", help="repeated-split PCA+LR regression report")
-    p.add_argument("--workspace", required=True)
+    p.add_argument("--workspace", required=True, type=Path)
     p.add_argument("--targets", required=True)
     p.add_argument("--repeats", type=int, default=20)
     p.add_argument("--regressor", default="pca-lr")
@@ -592,13 +580,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("cluster", help="k-means over neighborhood embeddings")
-    p.add_argument("--workspace", required=True)
+    p.add_argument("--workspace", required=True, type=Path)
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--embedding", default="u2v", choices=["u2v", "sve"])
     p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("similar", help="cosine-similarity neighborhood search")
-    p.add_argument("--workspace", required=True)
+    p.add_argument("--workspace", required=True, type=Path)
     p.add_argument("--query", required=True)
     p.add_argument("--from-city", default=None)
     p.add_argument("--top", type=int, default=5)
@@ -606,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embedding", default="u2v", choices=["u2v", "sve"])
 
     p = sub.add_parser("export-emb", help="export a checkpoint as TSV")
-    p.add_argument("--workspace", required=True)
+    p.add_argument("--workspace", required=True, type=Path)
     p.add_argument("--embedding", required=True)
     p.add_argument("--out", required=True)
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError, ValidationError
+from .fileio import atomic_open
 from .geo import GeoPoint
 
 WordBag = Counter  # multiset of token strings
@@ -229,7 +230,7 @@ def read_poi_jsonl(path) -> list[PoiRecord]:
 
 
 def write_poi_jsonl(path, pois: list[PoiRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         for poi in pois:
             # Keys in sorted order, so the default (cached C) encoder writes
             # what sort_keys=True would without building an encoder per line.

@@ -100,35 +100,20 @@ def read_feature_bin(path) -> np.ndarray:
 
 
 def write_features_csv(path, ids: list[str], features: np.ndarray) -> None:
-    dim = features.shape[1]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id"] + [f"f{i + 1}" for i in range(dim)])
-        for rid, row in zip(ids, features):
-            writer.writerow([rid] + [repr(float(v)) for v in row])
+    header = ["id"] + [f"f{i + 1}" for i in range(features.shape[1])]
+    _write_csv(path, header, ([rid] + [repr(float(v)) for v in row] for rid, row in zip(ids, features)))
 
 
 def read_features_csv(path) -> tuple[list[str], np.ndarray]:
-    ids, rows = [], []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "id":
-            raise FormatError(f"{path}: expected header starting with 'id'")
-        width = len(header) - 1
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) - 1 != width:
-                raise FormatError(f"{path}:{lineno}: expected {width} feature values, got {len(row) - 1}")
-            ids.append(row[0])
-            try:
-                rows.append([float(v) for v in row[1:]])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from None
-    if not ids:
-        raise FormatError(f"{path}: no feature rows")
-    return ids, np.array(rows, dtype=np.float32)
+    rows = _read_csv(path, lambda h: h[0] == "id", "header starting with 'id'", "feature")
+    width = len(next(rows)) - 1
+    ids, values = [], []
+    for lineno, row in rows:
+        if len(row) - 1 != width:
+            raise FormatError(f"{path}:{lineno}: expected {width} feature values, got {len(row) - 1}")
+        ids.append(row[0])
+        values.append(_floats(path, lineno, row[1:]))
+    return ids, np.array(values, dtype=np.float32)
 
 
 def write_embeddings(path, ids: list, matrix: np.ndarray) -> None:
@@ -166,103 +151,105 @@ def write_embeddings_tsv(path, ids: list, matrix: np.ndarray) -> None:
 
 
 def write_sv_metadata(path, records: list[StreetViewRecord]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "lat", "lon", "neighborhood_id"])
-        for rec in records:
-            writer.writerow([rec.id, repr(rec.geo.lat), repr(rec.geo.lon), rec.neighborhood_id or ""])
+    _write_csv(path, ["id", "lat", "lon", "neighborhood_id"],
+               ([r.id, repr(r.geo.lat), repr(r.geo.lon), r.neighborhood_id or ""] for r in records))
 
 
 def read_sv_metadata(path) -> list[StreetViewRecord]:
+    rows = _read_csv(path, lambda h: [c.strip() for c in h[:4]] == ["id", "lat", "lon", "neighborhood_id"],
+                     "header id,lat,lon,neighborhood_id", "street-view")
+    next(rows)
     records = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:4]] != ["id", "lat", "lon", "neighborhood_id"]:
-            raise FormatError(f"{path}: expected header id,lat,lon,neighborhood_id")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < 4:
-                raise FormatError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
-            try:
-                geo = GeoPoint(float(row[1]), float(row[2]))
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from None
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{lineno} (street view {row[0]!r}): {exc}") from None
-            records.append(StreetViewRecord(id=row[0], geo=geo,
-                                            neighborhood_id=row[3] or None))
-    if not records:
-        raise FormatError(f"{path}: no street-view rows")
+    for lineno, row in rows:
+        if len(row) < 4:
+            raise FormatError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
+        records.append(StreetViewRecord(id=row[0], geo=_geo(path, lineno, row, "street view"),
+                                        neighborhood_id=row[3] or None))
     return records
 
 
 def write_centroids_csv(path, centroids: list[tuple[str, GeoPoint, str | None]]) -> None:
     has_city = any(city for _, _, city in centroids)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "lat", "lon", "city"] if has_city else ["id", "lat", "lon"])
-        for cid, point, city in centroids:
-            row = [cid, repr(point.lat), repr(point.lon)]
-            if has_city:
-                row.append(city or "")
-            writer.writerow(row)
+    _write_csv(path, ["id", "lat", "lon", "city"] if has_city else ["id", "lat", "lon"],
+               ([cid, repr(point.lat), repr(point.lon)] + ([city or ""] if has_city else [])
+                for cid, point, city in centroids))
 
 
 def read_centroids_csv(path) -> list[tuple[str, GeoPoint, str | None]]:
+    rows = _read_csv(path, lambda h: [c.strip() for c in h[:3]] == ["id", "lat", "lon"],
+                     "header id,lat,lon[,city]", "centroid")
+    header = next(rows)
+    has_city = len(header) > 3 and header[3].strip() == "city"
     out = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:3]] != ["id", "lat", "lon"]:
-            raise FormatError(f"{path}: expected header id,lat,lon[,city]")
-        has_city = len(header) > 3 and header[3].strip() == "city"
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < 3:
-                raise FormatError(f"{path}:{lineno}: expected at least 3 columns, got {len(row)}")
-            try:
-                point = GeoPoint(float(row[1]), float(row[2]))
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from None
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{lineno} (centroid {row[0]!r}): {exc}") from None
-            city = row[3] if has_city and len(row) > 3 and row[3] else None
-            out.append((row[0], point, city))
-    if not out:
-        raise FormatError(f"{path}: no centroid rows")
+    for lineno, row in rows:
+        if len(row) < 3:
+            raise FormatError(f"{path}:{lineno}: expected at least 3 columns, got {len(row)}")
+        city = row[3] if has_city and len(row) > 3 and row[3] else None
+        out.append((row[0], _geo(path, lineno, row, "centroid"), city))
     return out
 
 
 def write_targets_csv(path, ids: list[str], names: list[str], values: np.ndarray) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["neighborhood_id"] + list(names))
-        for rid, row in zip(ids, values):
-            writer.writerow([rid] + [repr(float(v)) for v in row])
+    _write_csv(path, ["neighborhood_id"] + list(names),
+               ([rid] + [repr(float(v)) for v in row] for rid, row in zip(ids, values)))
 
 
 def read_targets_csv(path) -> tuple[list[str], list[str], np.ndarray]:
     """(neighborhood ids, target names, N x T value matrix)."""
-    ids, rows = [], []
+    rows = _read_csv(path, lambda h: len(h) >= 2, "a header with an id column and >= 1 target column", "target")
+    header = next(rows)
+    ids, values = [], []
+    for lineno, row in rows:
+        if len(row) != len(header):
+            raise FormatError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
+        ids.append(row[0])
+        values.append(_floats(path, lineno, row[1:]))
+    return ids, [h.strip() for h in header[1:]], np.array(values, dtype=np.float64)
+
+
+def _write_csv(path, header: list[str], rows) -> None:
+    """A header and the rows of an iterable, through ``csv.writer`` (so with
+    \\r\\n line ends), written atomically."""
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _read_csv(path, header_ok, expected: str, what: str):
+    """Yield the header, then (line number, cells) of each non-blank row, one
+    row at a time so that a large table is never held as text. A header that
+    ``header_ok`` refuses, or a table without rows, is a FormatError
+    ("expected <expected>", "no <what> rows")."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if not header or len(header) < 2:
-            raise FormatError(f"{path}: expected a header with an id column and >= 1 target column")
-        names = [h.strip() for h in header[1:]]
+        if not header or not header_ok(header):
+            raise FormatError(f"{path}: expected {expected}")
+        yield header
+        empty = True
         for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise FormatError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
-            ids.append(row[0])
-            try:
-                rows.append([float(v) for v in row[1:]])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from None
-    if not ids:
-        raise FormatError(f"{path}: no target rows")
-    return ids, names, np.array(rows, dtype=np.float64)
+            if row:
+                empty = False
+                yield lineno, row
+    if empty:
+        raise FormatError(f"{path}: no {what} rows")
+
+
+def _floats(path, lineno: int, cells: list[str]) -> list[float]:
+    try:
+        return [float(v) for v in cells]
+    except ValueError as exc:
+        raise FormatError(f"{path}:{lineno}: {exc}") from None
+
+
+def _geo(path, lineno: int, row: list[str], what: str) -> GeoPoint:
+    """The point in a row's lat and lon cells; a range error names the row
+    as ``what`` and its id. Parses its two cells itself rather than through
+    ``_floats``: a street-view table has a row per image."""
+    try:
+        return GeoPoint(float(row[1]), float(row[2]))
+    except ValueError as exc:
+        raise FormatError(f"{path}:{lineno}: {exc}") from None
+    except ValidationError as exc:
+        raise ValidationError(f"{path}:{lineno} ({what} {row[0]!r}): {exc}") from None

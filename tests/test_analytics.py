@@ -280,6 +280,24 @@ class TestCosineRank:
         assert any("zero" in rec.message for rec in caplog.records)
 
 
+class TestCountsBelowOne:
+    @pytest.mark.parametrize("top_n", [0, -1])
+    def test_cosine_rank_rejects_top_n(self, top_n):
+        with pytest.raises(ValidationError, match=f"top_n={top_n}"):
+            cosine_rank(np.array([1.0, 0.0]), ["a", "b"], np.eye(2), top_n=top_n)
+
+    def test_cosine_rank_top_n_none_means_all(self):
+        ranked = cosine_rank(np.array([1.0, 0.0]), ["a", "b", "c"], np.eye(3)[:, :2] + 0.5)
+        assert [r[0] for r in ranked] == ["a", "c", "b"]
+
+    @pytest.mark.parametrize("repeats", [0, -1])
+    def test_evaluate_regression_rejects_repeats(self, repeats):
+        rng = np.random.default_rng(4)
+        Z = rng.normal(size=(40, 3))
+        with pytest.raises(ValidationError, match=f"repeats={repeats}"):
+            evaluate_regression(Z, Z[:, 0], ["t"], SplitProtocol(repeats=repeats))
+
+
 class TestPoistats:
     def test_hand_worked_example(self):
         bags = {

@@ -13,7 +13,8 @@ import pytest
 
 from metrovec import cli
 from metrovec.cli import build_parser, main, save_manifest
-from metrovec.fileio import read_embeddings, write_targets_csv
+from metrovec.fileio import (read_embeddings, read_feature_bin, read_sv_metadata, read_targets_csv,
+                             write_feature_bin, write_features_csv, write_targets_csv)
 from metrovec.training import TrainingConfig
 
 SYNTH_CFG = """
@@ -473,3 +474,111 @@ def test_one_parser_per_process_and_dispatch_at_call_time(monkeypatch, tmp_path)
     monkeypatch.setattr(cli, "cmd_similar", lambda args: calls.append(args.query) or 7)
     assert main(argv) == 7
     assert calls == ["n1"] and builds == [1]
+
+
+def _lines(path: Path) -> list[str]:
+    return path.read_text().splitlines()
+
+
+def _write_lines(path: Path, lines: list[str]) -> Path:
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _features_csv(city_dir, path: Path, edit) -> Path:
+    """The city's features as CSV, with ``edit`` applied to the id list."""
+    ids = [r.id for r in read_sv_metadata(city_dir / "street_views.csv")]
+    feats = read_feature_bin(city_dir / "features.bin")
+    ids, feats = edit(ids, feats)
+    write_features_csv(path, ids, feats)
+    return path
+
+
+def _nan_row_three(city_dir, path: Path) -> Path:
+    feats = read_feature_bin(city_dir / "features.bin").copy()
+    feats[3, 1] = np.nan
+    write_feature_bin(path, sorted(r.id for r in read_sv_metadata(city_dir / "street_views.csv")), feats)
+    return path
+
+
+def _swap_rows(lines: list[str]) -> list[str]:
+    return [lines[0], lines[2], lines[1]] + lines[3:]
+
+
+def _rename_first(ids, feats):
+    return ["ghost"] + ids[1:], feats
+
+
+def _repeat_first(ids, feats):
+    return ids + ids[:1], np.vstack([feats, feats[:1]])
+
+
+class TestIngestChecks:
+    @pytest.mark.parametrize("flag,make,named", [
+        ("--centroids", lambda c, t: _write_lines(t / "c.csv", _lines(c / "centroids.csv")
+                                                  + _lines(c / "centroids.csv")[-1:]),
+         "duplicate centroid ids"),
+        ("--ids", lambda c, t: _write_lines(t / "sv.csv", _lines(c / "street_views.csv")
+                                            + _lines(c / "street_views.csv")[-1:]),
+         "duplicate street-view ids"),
+        ("--poi", lambda c, t: _write_lines(t / "poi.jsonl", _lines(c / "poi.jsonl")
+                                            + _lines(c / "poi.jsonl")[:1]),
+         "duplicate POI ids"),
+        ("--features", lambda c, t: _nan_row_three(c, t / "f.bin"),
+         "non-finite feature values for street views ['sv0000_003']"),
+        ("--ids", lambda c, t: _write_lines(t / "sv.csv", _swap_rows(_lines(c / "street_views.csv"))),
+         "binary features require the ids file sorted ascending by id"),
+        ("--ids", lambda c, t: _write_lines(t / "sv.csv", _lines(c / "street_views.csv")[:-1]),
+         "80 feature rows but 79 metadata rows"),
+        ("--features", lambda c, t: _features_csv(c, t / "f.csv", _repeat_first),
+         "duplicate ids in feature CSV"),
+        ("--features", lambda c, t: _features_csv(c, t / "f.csv", _rename_first),
+         "'ghost'"),
+    ], ids=["centroid-ids", "street-view-ids", "poi-ids", "non-finite", "unsorted-binary",
+            "row-count", "feature-csv-ids", "feature-csv-mismatch"])
+    def test_bad_input_is_data_error(self, tmp_path, city_dir, capsys, flag, make, named):
+        args = ingest_args(city_dir, tmp_path / "ws")
+        args[args.index(flag) + 1] = str(make(city_dir, tmp_path))
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert named in err, err
+        assert not (tmp_path / "ws" / "manifest.json").exists()
+
+
+def test_duplicate_target_id_is_data_error(trained_ws, tmp_path, city_dir, capsys):
+    ids, names, values = read_targets_csv(city_dir / "attributes.csv")
+    tpath = tmp_path / "targets.csv"
+    write_targets_csv(tpath, ids + ids[-1:], names, np.vstack([values, values[:1]]))
+    assert main(["eval", "--workspace", str(trained_ws), "--targets", str(tpath),
+                 "--repeats", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "duplicate" in err and repr(ids[-1]) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train-sv"] + TRAIN_FLAGS,
+    ["similar", "--query", "n0000"],
+], ids=["train-sv", "similar"])
+@pytest.mark.parametrize("value", [1, None, []], ids=["int", "null", "list"])
+def test_non_string_manifest_hash_is_integrity_error(tmp_path, trained_ws, capsys, argv, value):
+    ws = tmp_path / "ws"
+    shutil.copytree(trained_ws, ws)
+    manifest = json.loads((ws / "manifest.json").read_text())
+    relpath = "ingested/street_views.csv" if argv[0] == "train-sv" else "checkpoints/u2v.emb"
+    manifest["files"][relpath] = value
+    (ws / "manifest.json").write_text(json.dumps(manifest))
+    assert main([argv[0], "--workspace", str(ws)] + argv[1:]) == 4
+    err = capsys.readouterr().err
+    assert "manifest.json is not a manifest" in err and relpath in err, err
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["eval", "--repeats", "0"], "repeats=0"),
+    (["eval", "--repeats", "-1"], "repeats=-1"),
+    (["similar", "--query", "n0000", "--top", "0"], "top_n=0"),
+    (["similar", "--query", "n0000", "--top", "-1"], "top_n=-1"),
+])
+def test_count_below_one_is_data_error(trained_ws, city_dir, capsys, argv, named):
+    targets = ["--targets", str(city_dir / "attributes.csv")] if argv[0] == "eval" else []
+    assert main([argv[0], "--workspace", str(trained_ws)] + targets + argv[1:]) == 3
+    assert named in capsys.readouterr().err

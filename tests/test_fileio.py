@@ -1,15 +1,19 @@
 """Binary table, checkpoint, and CSV schema tests."""
 
+import re
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from metrovec.corpus import PoiRecord, write_poi_jsonl
 from metrovec.errors import FormatError, ValidationError
-from metrovec.fileio import (ids_sidecar_path, read_centroids_csv, read_embeddings,
-                             read_feature_bin, read_features_csv, read_targets_csv,
-                             write_centroids_csv, write_embeddings, write_embeddings_tsv,
-                             write_feature_bin, write_features_csv, write_targets_csv)
+from metrovec.fileio import (StreetViewRecord, ids_sidecar_path, read_centroids_csv,
+                             read_embeddings, read_feature_bin, read_features_csv,
+                             read_sv_metadata, read_targets_csv, write_centroids_csv,
+                             write_embeddings, write_embeddings_tsv, write_feature_bin,
+                             write_features_csv, write_sv_metadata, write_targets_csv)
 from metrovec.geo import GeoPoint
 
 
@@ -178,3 +182,107 @@ class TestTargetsCsv:
         path.write_text("neighborhood_id,income\nn1,abc\n")
         with pytest.raises(FormatError, match=":2"):
             read_targets_csv(path)
+
+
+# reader, header, a good row, its row with a non-numeric cell, a short row and
+# the messages for a bad header, a short row and a file without data rows.
+CSV_READERS = {
+    "features": (read_features_csv, "id,f1,f2", "a,1.5,2.0", "a,1.5,x", "a,1.5",
+                 "expected header starting with 'id'", "expected 2 feature values, got 1",
+                 "no feature rows"),
+    "sv_metadata": (read_sv_metadata, "id,lat,lon,neighborhood_id", "a,1.5,2.0,n1", "a,x,2.0,n1",
+                    "a,1.5,2.0", "expected header id,lat,lon,neighborhood_id",
+                    "expected 4 columns, got 3", "no street-view rows"),
+    "centroids": (read_centroids_csv, "id,lat,lon", "n1,1.5,2.0", "n1,1.5,x", "n1,1.5",
+                  "expected header id,lat,lon[,city]", "expected at least 3 columns, got 2",
+                  "no centroid rows"),
+    "targets": (read_targets_csv, "neighborhood_id,t", "n1,1.5", "n1,x", "n1",
+                "expected a header with an id column and >= 1 target column",
+                "expected 2 columns, got 1", "no target rows"),
+}
+
+
+def _csv_case(tmp_path, name, *lines):
+    reader, *spec = CSV_READERS[name]
+    path = tmp_path / f"{name}.csv"
+    path.write_text("".join(line + "\n" for line in lines))
+    return reader, path, spec
+
+
+def _format_error(reader, path, message):
+    with pytest.raises(FormatError, match="^" + re.escape(f"{path}{message}") + "$"):
+        reader(path)
+
+
+@pytest.mark.parametrize("name", sorted(CSV_READERS))
+class TestCsvReaders:
+    def test_bad_header(self, tmp_path, name):
+        reader, path, spec = _csv_case(tmp_path, name, "nope", CSV_READERS[name][2])
+        _format_error(reader, path, ": " + spec[4])
+
+    @pytest.mark.parametrize("blank_lines", [0, 2])
+    def test_header_without_rows(self, tmp_path, name, blank_lines):
+        reader, path, spec = _csv_case(tmp_path, name, CSV_READERS[name][1], *[""] * blank_lines)
+        _format_error(reader, path, ": " + spec[6])
+
+    def test_non_numeric_cell_names_line(self, tmp_path, name):
+        # The blank line still counts, so the bad row is line 4.
+        _, header, good, bad = CSV_READERS[name][:4]
+        reader, path, _ = _csv_case(tmp_path, name, header, good, "", bad)
+        _format_error(reader, path, ":4: could not convert string to float: 'x'")
+
+    def test_short_row_names_line(self, tmp_path, name):
+        _, header, good, _, short = CSV_READERS[name][:5]
+        reader, path, spec = _csv_case(tmp_path, name, header, "", short, good)
+        _format_error(reader, path, ":3: " + spec[5])
+
+    def test_blank_line_skipped(self, tmp_path, name):
+        _, header, good = CSV_READERS[name][:3]
+        reader, spaced, _ = _csv_case(tmp_path, name, header, "", good, "", "", good.replace("1.5", "3.0"))
+        plain = tmp_path / "plain.csv"
+        plain.write_text("\n".join([header, good, good.replace("1.5", "3.0")]) + "\n")
+        assert repr(reader(spaced)) == repr(reader(plain))
+
+
+class Unwritable:
+    """A value that fails when a writer turns it into text."""
+
+    def __float__(self):
+        raise ValueError("unwritable")
+
+    __repr__ = __float__
+
+
+# writer, arguments that write, arguments that fail on the second row
+TABLE_WRITERS = {
+    "features_csv": (write_features_csv,
+                     (["a", "b"], np.array([[1.0, 2.0], [3.0, 4.0]])),
+                     (["a", "b"], np.array([[5.0, 6.0], [Unwritable(), 7.0]], dtype=object))),
+    "sv_metadata": (write_sv_metadata,
+                    ([StreetViewRecord("a", GeoPoint(1.0, 2.0), "n1")],),
+                    ([StreetViewRecord("a", GeoPoint(3.0, 4.0), "n1"),
+                      StreetViewRecord("b", SimpleNamespace(lat=Unwritable(), lon=0.0), "n1")],)),
+    "centroids_csv": (write_centroids_csv,
+                      ([("n1", GeoPoint(1.0, 2.0), "sf")],),
+                      ([("n1", GeoPoint(3.0, 4.0), "sf"),
+                        ("n2", SimpleNamespace(lat=Unwritable(), lon=0.0), None)],)),
+    "targets_csv": (write_targets_csv,
+                    (["n1"], ["t"], np.array([[1.0]])),
+                    (["n1", "n2"], ["t"], np.array([[2.0], [Unwritable()]], dtype=object))),
+    "poi_jsonl": (write_poi_jsonl,
+                  ([PoiRecord("p1", GeoPoint(1.0, 2.0), "n1", ["cafe"])],),
+                  ([PoiRecord("p1", GeoPoint(3.0, 4.0), "n1", ["bar"]),
+                    PoiRecord("p2", GeoPoint(3.0, 4.0), "n1", [Unwritable()])],)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_WRITERS))
+def test_failed_table_write_keeps_previous_file(tmp_path, name):
+    write, good, failing = TABLE_WRITERS[name]
+    path = tmp_path / "table"
+    write(path, *good)
+    before = path.read_bytes()
+    with pytest.raises((ValueError, TypeError)):
+        write(path, *failing)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["table"]
