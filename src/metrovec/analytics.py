@@ -101,6 +101,10 @@ class SplitProtocol:
     pca_candidates: list[int] = field(default_factory=list)  # empty -> auto
     seed: int = 0
 
+    def __post_init__(self):
+        if self.repeats < 1:
+            raise ValidationError(f"repeats={self.repeats} must be at least 1")
+
 
 @dataclass
 class RegressionReport:
@@ -187,8 +191,6 @@ def evaluate_regression(Z: np.ndarray, targets: np.ndarray, target_names: list[s
         raise ValidationError(f"{Z.shape[0]} embedding rows but {targets.shape[0]} target rows")
     if targets.shape[1] != len(target_names):
         raise ValidationError(f"{targets.shape[1]} target columns but {len(target_names)} names")
-    if protocol.repeats < 1:
-        raise ValidationError(f"repeats={protocol.repeats} must be at least 1")
     n = Z.shape[0]
     n_train = int(math.floor(TRAIN_FRACTION * n))
     n_val = int(math.floor(VAL_FRACTION * n))

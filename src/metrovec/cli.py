@@ -49,6 +49,14 @@ CHECKPOINTS = {
     "words": "checkpoints/words.emb",
 }
 
+# Config fields each stage's checkpoints were made with. A later stage may not
+# change them: the manifest record would no longer describe those checkpoints,
+# and later commands read it.
+_FIXED_BY_STAGE = {
+    "train_sv": ("d", "hidden", "k_context", "margin_sv", "lr_sv", "epochs_sv", "batch_size"),
+    "aggregate": ("empty_policy",),
+}
+
 # Seed offsets off the root seed; stage-3 word init and SGD offsets live in
 # training.train_poi_stage (seed, seed + 1).
 POI_ONLY_Z_SEED_OFFSET = 2
@@ -128,15 +136,18 @@ def _complete_stage(manifest: dict, stage: str) -> None:
 
 def _parse_kv_file(path) -> dict[str, str]:
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValidationError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ValidationError(f"{path}:{lineno}: expected key=value, got {line!r}")
+                key, value = line.split("=", 1)
+                out[key.strip()] = value.strip()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return out
 
 
@@ -150,6 +161,10 @@ def _field_types(cls) -> dict[str, type]:
     return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
 def _coerce_into(instance, values: dict[str, str], source: str):
     types = _field_types(type(instance))
     for key, raw in values.items():
@@ -157,11 +172,8 @@ def _coerce_into(instance, values: dict[str, str], source: str):
         if kind is None:
             raise ValidationError(f"{source}: unknown config field {key!r}")
         try:
-            if kind is bool:
-                val = raw.lower() in ("1", "true", "yes", "on")
-            else:
-                val = kind(raw)
-        except ValueError:
+            val = _BOOLEANS[raw.lower()] if kind is bool else kind(raw)
+        except (KeyError, ValueError):
             raise ValidationError(f"{source}: field {key!r} got unparsable value {raw!r}") from None
         setattr(instance, key, val)
     return instance
@@ -178,6 +190,20 @@ def resolve_training_config(manifest: dict | None, config_path, flag_values: dic
         if value is not None:
             setattr(cfg, key, value)
     return cfg.validate()
+
+
+def _later_stage_config(manifest: dict, args, stage: str) -> TrainingConfig:
+    """The config ``stage`` runs with, refusing a change to a field that an
+    earlier stage fixed (_FIXED_BY_STAGE)."""
+    config = resolve_training_config(manifest, args.config, _flag_config_values(args))
+    recorded = resolve_training_config(manifest, None, {})
+    for earlier in STAGES[:STAGES.index(stage)]:
+        for name in _FIXED_BY_STAGE.get(earlier, ()):
+            want, got = getattr(recorded, name), getattr(config, name)
+            if got != want:
+                raise ValidationError(f"{name}={got!r} differs from {name}={want!r}, which "
+                                      f"'{earlier.replace('_', '-')}' ran with; re-run it to change {name}")
+    return config
 
 
 def _config_flags(parser: argparse.ArgumentParser) -> None:
@@ -370,7 +396,7 @@ def cmd_aggregate(args) -> int:
     workspace = args.workspace
     manifest = load_manifest(workspace)
     _require_stage(manifest, "train_sv")
-    config = resolve_training_config(manifest, args.config, _flag_config_values(args))
+    config = _later_stage_config(manifest, args, "aggregate")
     sv_ids, X = _read_checkpoint(workspace, manifest, "sv")
     metadata, centroids = _read_ingested(workspace, manifest, "street_views", "centroids")
     nbhd_of = {r.id: r.neighborhood_id for r in metadata}
@@ -400,7 +426,7 @@ def cmd_train_poi(args) -> int:
     workspace = args.workspace
     manifest = load_manifest(workspace)
     _require_stage(manifest, "aggregate")
-    config = resolve_training_config(manifest, args.config, _flag_config_values(args))
+    config = _later_stage_config(manifest, args, "train_poi")
     neighborhood_ids, z_init = _read_checkpoint(workspace, manifest, "sve")
     (pois,) = _read_ingested(workspace, manifest, "poi")
     bags = _neighborhood_bags(pois, neighborhood_ids)
@@ -453,11 +479,8 @@ def cmd_eval(args) -> int:
     workspace = args.workspace
     manifest = load_manifest(workspace)
     config = resolve_training_config(manifest, None, {"seed": args.seed})
-    ids, Z = _load_representation(workspace, manifest, args.embedding, config)
-
-    target_ids, target_names, values = fileio.read_targets_csv(args.targets)
-    targets = values[_rows_for(target_ids, ids, "targets CSV")]
-
+    # Every argument and the targets are checked before the representation,
+    # which for ``poi`` means training a model.
     candidates = []
     if args.pca_components:
         try:
@@ -466,6 +489,10 @@ def cmd_eval(args) -> int:
             raise UsageError(f"--pca-components must be a comma-separated int list, got {args.pca_components!r}") from None
     protocol = analytics.SplitProtocol(repeats=args.repeats, pca_candidates=candidates,
                                        seed=config.seed)
+    target_ids, target_names, values = fileio.read_targets_csv(args.targets)
+
+    ids, Z = _load_representation(workspace, manifest, args.embedding, config)
+    targets = values[_rows_for(target_ids, ids, "targets CSV")]
     report = analytics.evaluate_regression(np.asarray(Z, dtype=np.float64), targets,
                                            target_names, protocol)
 

@@ -169,23 +169,26 @@ def load_pretrained_vectors(path, vocab: Vocabulary, dim: int) -> dict[int, np.n
     "token v1 ... vd" file. cat_/rate_/price_ tokens are never initialized
     from the file; the first occurrence of a token wins."""
     out: dict[int, np.ndarray] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            token = parts[0]
-            if token.startswith(_PRETRAINED_SKIP_PREFIXES) or token not in vocab:
-                continue
-            if len(parts) - 1 != dim:
-                raise FormatError(f"{path}:{lineno}: expected {dim} values for {token!r}, got {len(parts) - 1}")
-            try:
-                vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from None
-            if not np.isfinite(vec).all():
-                raise FormatError(f"{path}:{lineno}: non-finite value in the vector for {token!r}")
-            out.setdefault(vocab.id_of(token), vec)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                parts = line.split()
+                if not parts:
+                    continue
+                token = parts[0]
+                if token.startswith(_PRETRAINED_SKIP_PREFIXES) or token not in vocab:
+                    continue
+                if len(parts) - 1 != dim:
+                    raise FormatError(f"{path}:{lineno}: expected {dim} values for {token!r}, got {len(parts) - 1}")
+                try:
+                    vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+                except ValueError as exc:
+                    raise FormatError(f"{path}:{lineno}: {exc}") from None
+                if not np.isfinite(vec).all():
+                    raise FormatError(f"{path}:{lineno}: non-finite value in the vector for {token!r}")
+                out.setdefault(vocab.id_of(token), vec)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return out
 
 
@@ -200,32 +203,35 @@ def read_poi_jsonl(path) -> list[PoiRecord]:
     """One PoiRecord per JSON line; fields id, lat, lon, neighborhood_id,
     categories, rating, price, reviews. Errors carry line numbers."""
     records: list[PoiRecord] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from None
-            rec_id = obj.get("id", "<missing id>") if isinstance(obj, dict) else "<not an object>"
-            try:
-                records.append(PoiRecord(
-                    id=str(obj["id"]),
-                    geo=GeoPoint(float(obj["lat"]), float(obj["lon"])),
-                    neighborhood_id=(None if obj.get("neighborhood_id") in (None, "")
-                                     else str(obj["neighborhood_id"])),
-                    categories=_string_list(obj, "categories"),
-                    rating=None if obj.get("rating") is None else float(obj["rating"]),
-                    price=None if obj.get("price") is None else int(obj["price"]),
-                    reviews=_string_list(obj, "reviews"),
-                ))
-            except KeyError as exc:
-                raise FormatError(f"{path}:{lineno} (POI {rec_id!r}): missing field {exc}") from None
-            except (TypeError, ValueError) as exc:
-                raise FormatError(f"{path}:{lineno} (POI {rec_id!r}): {exc}") from None
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{lineno} (POI {rec_id!r}): {exc}") from None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+                rec_id = obj.get("id", "<missing id>") if isinstance(obj, dict) else "<not an object>"
+                try:
+                    records.append(PoiRecord(
+                        id=str(obj["id"]),
+                        geo=GeoPoint(float(obj["lat"]), float(obj["lon"])),
+                        neighborhood_id=(None if obj.get("neighborhood_id") in (None, "")
+                                         else str(obj["neighborhood_id"])),
+                        categories=_string_list(obj, "categories"),
+                        rating=None if obj.get("rating") is None else float(obj["rating"]),
+                        price=None if obj.get("price") is None else int(obj["price"]),
+                        reviews=_string_list(obj, "reviews"),
+                    ))
+                except KeyError as exc:
+                    raise FormatError(f"{path}:{lineno} (POI {rec_id!r}): missing field {exc}") from None
+                except (TypeError, ValueError) as exc:
+                    raise FormatError(f"{path}:{lineno} (POI {rec_id!r}): {exc}") from None
+                except ValidationError as exc:
+                    raise ValidationError(f"{path}:{lineno} (POI {rec_id!r}): {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return records
 
 

@@ -139,6 +139,8 @@ def read_embeddings(path) -> tuple[list[str], np.ndarray]:
             ids = [line.rstrip("\n") for line in fh if line.strip()]
     except OSError as exc:
         raise FormatError(f"{sidecar}: missing id sidecar ({exc})") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{sidecar}: not UTF-8 text ({exc.reason})") from None
     if len(ids) != matrix.shape[0]:
         raise FormatError(f"{sidecar}: {len(ids)} ids for {matrix.shape[0]} embedding rows")
     return ids, matrix
@@ -220,18 +222,21 @@ def _read_csv(path, header_ok, expected: str, what: str):
     """Yield the header, then (line number, cells) of each non-blank row, one
     row at a time so that a large table is never held as text. A header that
     ``header_ok`` refuses, or a table without rows, is a FormatError
-    ("expected <expected>", "no <what> rows")."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or not header_ok(header):
-            raise FormatError(f"{path}: expected {expected}")
-        yield header
-        empty = True
-        for lineno, row in enumerate(reader, start=2):
-            if row:
-                empty = False
-                yield lineno, row
+    ("expected <expected>", "no <what> rows"), and so is text that is not UTF-8."""
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if not header or not header_ok(header):
+                raise FormatError(f"{path}: expected {expected}")
+            yield header
+            empty = True
+            for lineno, row in enumerate(reader, start=2):
+                if row:
+                    empty = False
+                    yield lineno, row
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if empty:
         raise FormatError(f"{path}: no {what} rows")
 

@@ -1,9 +1,11 @@
 """Geographic points, great-circle distance, and exact k-nearest-neighbor queries.
 
-Distances are haversine on a sphere of radius 6,371,000 m. The index buckets
-points into uniform latitude bands and widens the scanned window until the
-R * delta-lat lower bound proves no unscanned point can enter the result, so
-query answers are always identical to a brute-force scan, including tie order.
+Distances are haversine on a sphere of radius 6,371,000 m. The index stores
+its points sorted by latitude and splits that order into about sqrt(n)
+equal-height latitude bands. A query scans a window of bands and widens it
+until the R * delta-lat lower bound, taken from the sorted latitudes just
+outside the window, proves no unscanned point can enter the result, so query
+answers are always identical to a brute-force scan, including tie order.
 """
 
 from __future__ import annotations
@@ -83,45 +85,30 @@ class SpatialIndex:
             raise ValidationError(f"duplicate point ids: {sorted(dupes)!r}")
 
         self._ids = ids
-        self._row_of = {pid: i for i, pid in enumerate(ids)}
-        self._lat = np.array([p.lat for _, p in points], dtype=np.float64)
-        self._lon = np.array([p.lon for _, p in points], dtype=np.float64)
+        lat = np.array([p.lat for _, p in points], dtype=np.float64)
+        # Rows are stored in ascending latitude order: self._order[pos] is the
+        # input row at sorted position pos, and every array below is indexed
+        # by sorted position.
+        self._order = np.argsort(lat, kind="stable")
+        self._pos_of = {ids[r]: pos for pos, r in enumerate(self._order.tolist())}
+        self._lat = lat[self._order]
+        self._lon = np.array([p.lon for _, p in points], dtype=np.float64)[self._order]
         self._cos_lat = np.cos(np.radians(self._lat))
 
         # Tie rank: position of each row's id in ascending id order.
-        self._id_rank = np.empty(len(ids), dtype=np.int64)
-        self._id_rank[sorted(range(len(ids)), key=lambda i: ids[i])] = np.arange(len(ids))
+        rank = np.empty(len(ids), dtype=np.int64)
+        rank[sorted(range(len(ids)), key=lambda i: ids[i])] = np.arange(len(ids))
+        self._id_rank = rank[self._order]
 
-        # Latitude bands. Band extents are taken from the member points
-        # themselves (prefix max / suffix min), so the pruning bound depends
-        # only on actual data, never on band-boundary arithmetic.
+        # About sqrt(n) latitude bands of equal height: band b is the sorted
+        # positions _band_start[b]:_band_start[b + 1], the points whose
+        # (lat - min) / height truncates to b. With zero span all share band 0.
         n = len(ids)
         self._n_bands = max(1, int(math.isqrt(n)))
-        lat_min, lat_max = float(self._lat.min()), float(self._lat.max())
-        span = lat_max - lat_min
-        if span <= 0.0:
-            band = np.zeros(n, dtype=np.int64)
-            self._n_bands = 1
-        else:
-            h = span / self._n_bands
-            band = np.clip(((self._lat - lat_min) / h).astype(np.int64), 0, self._n_bands - 1)
-        self._band_of_row = band
-        # Rows sorted by band, so bands lo..hi are the slice
-        # _band_order[_band_start[lo]:_band_start[hi + 1]].
-        self._band_order = np.argsort(band, kind="stable")
-        self._band_start = np.searchsorted(band[self._band_order], np.arange(self._n_bands + 1))
-        self._order_pos = np.empty(n, dtype=np.int64)
-        self._order_pos[self._band_order] = np.arange(n)
-
-        band_max = np.full(self._n_bands, -np.inf)
-        band_min = np.full(self._n_bands, np.inf)
-        for b in range(self._n_bands):
-            rows = self._band_rows(b, b)
-            if rows.size:
-                band_max[b] = self._lat[rows].max()
-                band_min[b] = self._lat[rows].min()
-        self._prefix_max_lat = np.maximum.accumulate(band_max)
-        self._suffix_min_lat = np.minimum.accumulate(band_min[::-1])[::-1]
+        height = float(self._lat[-1] - self._lat[0]) / self._n_bands or 1.0
+        self._band_start = np.searchsorted((self._lat - self._lat[0]) / height,
+                                           np.arange(self._n_bands + 1))
+        self._band_start[-1] = n
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -130,44 +117,42 @@ class SpatialIndex:
     def ids(self) -> list:
         return list(self._ids)
 
-    def _band_rows(self, lo: int, hi: int) -> np.ndarray:
-        return self._band_order[self._band_start[lo]:self._band_start[hi + 1]]
+    def _distance_block(self, qpos: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        # (queries x points), both given as sorted positions
+        return _haversine_block(self._lat[qpos], self._lon[qpos], self._cos_lat[qpos],
+                                self._lat[pos], self._lon[pos], self._cos_lat[pos])
 
-    def _distance_block(self, qrows: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        # (queries x rows)
-        return _haversine_block(self._lat[qrows], self._lon[qrows], self._cos_lat[qrows],
-                                self._lat[rows], self._lon[rows], self._cos_lat[rows])
-
-    def _nearest(self, qrows: np.ndarray, lo: int, hi: int, k: int) -> np.ndarray:
-        """(len(qrows), k) rows of each query's k nearest other points,
+    def _nearest(self, qpos: np.ndarray, lo: int, hi: int, k: int) -> np.ndarray:
+        """(len(qpos), k) input rows of each query's k nearest other points,
         ascending by (distance, id); 1 <= k < len(self).
 
         All queries share one window of bands, starting at lo..hi (which must
         hold every query) and widened by one band on each side until, for
         every query, the k-th distance is below the latitude bound of the
-        unscanned bands. A window wider than one query needs only adds points
+        unscanned points. A window wider than one query needs only adds points
         farther than its k-th neighbor, so each row equals a brute-force scan.
         """
-        last = self._n_bands - 1
-        dist = np.empty((qrows.size, 0))
-        done_lo, done_hi = lo, lo - 1  # bands already in ``dist``
+        n, last = len(self._ids), self._n_bands - 1
+        dist = np.empty((qpos.size, 0))
+        done_lo = done_hi = self._band_start[lo]  # positions already in ``dist``
         while True:
-            width = int(self._band_start[hi + 1] - self._band_start[lo])
-            if qrows.size > 1 and qrows.size * width > _BLOCK_FLOATS:
-                parts = np.array_split(qrows, -(-qrows.size * width // _BLOCK_FLOATS))
+            start, stop = int(self._band_start[lo]), int(self._band_start[hi + 1])
+            width = stop - start
+            if qpos.size > 1 and qpos.size * width > _BLOCK_FLOATS:
+                parts = np.array_split(qpos, -(-qpos.size * width // _BLOCK_FLOATS))
                 return np.concatenate([self._nearest(part, lo, hi, k) for part in parts])
-            left = self._band_rows(lo, done_lo - 1)
-            right = self._band_rows(done_hi + 1, hi)
-            dist = np.concatenate([self._distance_block(qrows, left), dist,
-                                   self._distance_block(qrows, right)], axis=1)
-            done_lo, done_hi = lo, hi
-            dist[np.arange(qrows.size), self._order_pos[qrows] - self._band_start[lo]] = np.inf
+            dist = np.concatenate([self._distance_block(qpos, np.arange(start, done_lo)), dist,
+                                   self._distance_block(qpos, np.arange(done_hi, stop))], axis=1)
+            done_lo, done_hi = start, stop
+            dist[np.arange(qpos.size), qpos - start] = np.inf
             if lo == 0 and hi == last:
                 break
             if width > k:
-                qlat = self._lat[qrows]
-                gap_lo = qlat - self._prefix_max_lat[lo - 1] if lo > 0 else np.inf
-                gap_hi = self._suffix_min_lat[hi + 1] - qlat if hi < last else np.inf
+                # The nearest unscanned latitudes are the sorted ones just
+                # outside the window.
+                qlat = self._lat[qpos]
+                gap_lo = qlat - self._lat[start - 1] if start > 0 else np.inf
+                gap_hi = self._lat[stop] - qlat if stop < n else np.inf
                 bound_m = EARTH_RADIUS_M * np.radians(np.minimum(gap_lo, gap_hi))
                 kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
                 if (kth < bound_m - _PRUNE_SLACK_M).all():
@@ -180,9 +165,9 @@ class SpatialIndex:
         kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
         c = int((dist <= kth).sum(axis=1).max())
         cand = np.argpartition(dist, c - 1, axis=1)[:, :c]
-        cand_rows = self._band_rows(lo, hi)[cand]
-        order = np.lexsort((self._id_rank[cand_rows], np.take_along_axis(dist, cand, axis=1)), axis=1)
-        return np.take_along_axis(cand_rows, order[:, :k], axis=1)
+        cand_pos = cand + start
+        order = np.lexsort((self._id_rank[cand_pos], np.take_along_axis(dist, cand, axis=1)), axis=1)
+        return self._order[np.take_along_axis(cand_pos, order[:, :k], axis=1)]
 
     def k_nearest_rows(self, k: int) -> np.ndarray:
         """(n, min(k, n - 1)) int64 matrix: row i holds the index rows of
@@ -195,9 +180,9 @@ class SpatialIndex:
         out = np.empty((n, k), dtype=np.int64)
         if k:
             for b in range(self._n_bands):
-                qrows = self._band_rows(b, b)
-                if qrows.size:
-                    out[qrows] = self._nearest(qrows, b, b, k)
+                qpos = np.arange(self._band_start[b], self._band_start[b + 1])
+                if qpos.size:
+                    out[self._order[qpos]] = self._nearest(qpos, b, b, k)
         return out
 
     def k_nearest(self, query_id, k: int) -> list:
@@ -205,14 +190,14 @@ class SpatialIndex:
         (distance, id). Returns all other points when fewer than k exist."""
         if k < 1:
             raise ValidationError(f"k must be >= 1, got {k}")
-        qrow = self._row_of.get(query_id)
-        if qrow is None:
+        qpos = self._pos_of.get(query_id)
+        if qpos is None:
             raise NotFoundError(f"unknown query id {query_id!r}")
         k = min(k, len(self._ids) - 1)
         if not k:
             return []
-        b = int(self._band_of_row[qrow])
-        return [self._ids[r] for r in self._nearest(np.array([qrow]), b, b, k)[0]]
+        b = int(np.searchsorted(self._band_start, qpos, side="right")) - 1
+        return [self._ids[r] for r in self._nearest(np.array([qpos]), b, b, k)[0]]
 
 
 def build_index(points: list[tuple[object, GeoPoint]]) -> SpatialIndex:

@@ -13,8 +13,10 @@ import pytest
 
 from metrovec import cli
 from metrovec.cli import build_parser, main, save_manifest
+from metrovec.errors import ValidationError
 from metrovec.fileio import (read_embeddings, read_feature_bin, read_sv_metadata, read_targets_csv,
                              write_feature_bin, write_features_csv, write_targets_csv)
+from metrovec.synthcity import SynthConfig
 from metrovec.training import TrainingConfig
 
 SYNTH_CFG = """
@@ -582,3 +584,102 @@ def test_count_below_one_is_data_error(trained_ws, city_dir, capsys, argv, named
     targets = ["--targets", str(city_dir / "attributes.csv")] if argv[0] == "eval" else []
     assert main([argv[0], "--workspace", str(trained_ws)] + targets + argv[1:]) == 3
     assert named in capsys.readouterr().err
+
+
+def _write_bytes(path: Path, data: bytes) -> Path:
+    path.write_bytes(data)
+    return path
+
+
+def _ff_on_line_two(src: Path, dst: Path) -> Path:
+    """``src`` with a 0xff byte at the start of its second line."""
+    lines = src.read_bytes().splitlines(keepends=True)
+    return _write_bytes(dst, b"".join(lines[:1] + [b"\xff" + lines[1]] + lines[2:]))
+
+
+@pytest.mark.parametrize("argv,make", [
+    (["ingest", "--centroids"], lambda c, t: _ff_on_line_two(c / "centroids.csv", t / "c.csv")),
+    (["ingest", "--poi"], lambda c, t: _ff_on_line_two(c / "poi.jsonl", t / "poi.jsonl")),
+    (["synth", "--out", "{tmp}/out", "--config"], lambda c, t: _write_bytes(t / "s.cfg", b"seed = 3  # caf\xe9\n")),
+    (["train-sv", "--config"], lambda c, t: _write_bytes(t / "t.cfg", b"d = 8\n\xff\n")),
+    (["train-poi", "--pretrained"], lambda c, t: _write_bytes(t / "w.txt", b"caf\xe9 0.5 0.5\n")),
+], ids=["ingest-centroids", "ingest-poi", "synth-config", "train-sv-config", "train-poi-pretrained"])
+def test_text_that_is_not_utf8_is_data_error(tmp_path, city_dir, trained_ws, capsys, argv, make):
+    bad = make(city_dir, tmp_path)
+    if argv[0] == "ingest":
+        args = ingest_args(city_dir, tmp_path / "ws")
+        args[args.index(argv[1]) + 1] = str(bad)
+    elif argv[0] == "synth":
+        args = [a.format(tmp=tmp_path) for a in argv] + [str(bad)]
+    else:
+        shutil.copytree(trained_ws, tmp_path / "ws")
+        args = [argv[0], "--workspace", str(tmp_path / "ws")] + argv[1:] + [str(bad)]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert f"{bad}: not UTF-8 text" in err and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["--repeats", "0"], 3),
+    (["--pca-components", "2,x"], 2),
+    (["--targets", "{tmp}/bad.csv"], 3),
+], ids=["repeats", "pca-components", "targets-header"])
+def test_eval_checks_arguments_before_training(trained_ws, city_dir, tmp_path, monkeypatch, argv, code):
+    (tmp_path / "bad.csv").write_text("neighborhood_id\n")
+    calls = []
+    train = cli.training.train_poi_stage
+    monkeypatch.setattr(cli.training, "train_poi_stage", lambda *a, **k: calls.append(a) or train(*a, **k))
+    args = ["eval", "--workspace", str(trained_ws), "--embedding", "poi",
+            "--targets", str(city_dir / "attributes.csv")] + [a.format(tmp=tmp_path) for a in argv]
+    assert main(args) == code
+    assert calls == []
+
+
+def test_config_booleans_accept_only_known_words():
+    for words, value in [(["1", "true", "Yes", "ON"], True), (["0", "FALSE", "no", "Off"], False)]:
+        for word in words:
+            assert cli._coerce_into(SynthConfig(), {"identity_mixing": word}, "c").identity_mixing is value
+    for word in ["ture", "2", "", "y"]:
+        with pytest.raises(ValidationError, match=f"'identity_mixing' got unparsable value {word!r}"):
+            cli._coerce_into(SynthConfig(), {"identity_mixing": word}, "c")
+
+
+def test_misspelt_config_boolean_is_data_error(tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("n_neighborhoods = 4\nidentity_mixing = ture\n")
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "identity_mixing" in err and "'ture'" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,flags,named", [
+    ("aggregate", ["--d", "64"], "d=64"),
+    ("aggregate", ["--hidden", "4"], "hidden=4"),
+    ("aggregate", ["--k-context", "2"], "k_context=2"),
+    ("aggregate", ["--config", "{tmp}/c.cfg"], "margin_sv=0.5"),
+    ("train-poi", ["--lr-sv", "0.5"], "lr_sv=0.5"),
+    ("train-poi", ["--epochs-sv", "1"], "epochs_sv=1"),
+    ("train-poi", ["--batch-size", "7"], "batch_size=7"),
+    ("train-poi", ["--empty-policy", "zero"], "empty_policy='zero'"),
+])
+def test_later_stage_cannot_change_what_earlier_stages_used(tmp_path, trained_ws, capsys,
+                                                            command, flags, named):
+    ws = tmp_path / "ws"
+    shutil.copytree(trained_ws, ws)
+    (tmp_path / "c.cfg").write_text("margin_sv = 0.5\n")
+    before = (ws / "manifest.json").read_bytes()
+    assert main([command, "--workspace", str(ws)] + [f.format(tmp=tmp_path) for f in flags]) == 3
+    err = capsys.readouterr().err
+    assert named in err, err
+    assert (ws / "manifest.json").read_bytes() == before
+
+
+def test_later_stage_accepts_the_recorded_values(tmp_path, trained_ws):
+    ws = tmp_path / "ws"
+    shutil.copytree(trained_ws, ws)
+    same = ["--d", "8", "--k-context", "3", "--hidden", "0", "--epochs-sv", "2"]
+    assert main(["aggregate", "--workspace", str(ws), "--empty-policy", "zero"] + same) == 0
+    assert main(["train-poi", "--workspace", str(ws), "--empty-policy", "zero", "--seed", "5"] + same) == 0
+    config = json.loads((ws / "manifest.json").read_text())["config"]
+    assert (config["d"], config["empty_policy"], config["seed"]) == (8, "zero", 5)

@@ -92,6 +92,13 @@ class TestEmbeddings:
         with pytest.raises(FormatError):
             read_embeddings(path)
 
+    def test_sidecar_not_utf8(self, tmp_path):
+        path = tmp_path / "z.emb"
+        write_embeddings(path, ["a", "b"], np.ones((2, 2)))
+        ids_sidecar_path(path).write_bytes(b"a\n\xffb\n")
+        with pytest.raises(FormatError, match=re.escape(f"{ids_sidecar_path(path)}: not UTF-8 text")):
+            read_embeddings(path)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39])
     def test_unstorable_values_refused_before_writing(self, tmp_path, bad):
         path = tmp_path / "z.emb"
@@ -235,6 +242,12 @@ class TestCsvReaders:
         _, header, good, _, short = CSV_READERS[name][:5]
         reader, path, spec = _csv_case(tmp_path, name, header, "", short, good)
         _format_error(reader, path, ":3: " + spec[5])
+
+    def test_not_utf8(self, tmp_path, name):
+        _, header, good = CSV_READERS[name][:3]
+        reader, path, _ = _csv_case(tmp_path, name, header, good)
+        path.write_bytes(f"{header}\n{good}\n".encode().replace(b"1.5", b"1.\xff"))
+        _format_error(reader, path, ": not UTF-8 text (invalid start byte)")
 
     def test_blank_line_skipped(self, tmp_path, name):
         _, header, good = CSV_READERS[name][:3]

@@ -183,6 +183,19 @@ def duplicate_points(rng, n, n_sites):
     return [(f"d{i:03d}", sites[int(rng.integers(n_sites))]) for i in range(n)]
 
 
+def two_clusters(rng, n_south, n_north):
+    # 10 degrees apart in latitude, so the bands between them are empty.
+    return [(f"{tag}{i:03d}", GeoPoint(lat + float(rng.uniform(0, 0.05)), float(rng.uniform(-122.1, -122.0))))
+            for tag, lat, n in (("s", 30.0, n_south), ("n", 40.0, n_north)) for i in range(n)]
+
+
+def band_edge_grid():
+    # 17 x 16 points make 16 bands, each 1/1024 degree high: every row of the
+    # grid lies exactly on a band edge.
+    return [(f"e{r:02d}{c:02d}", GeoPoint(10.0 + r / 1024, 20.0 + c / 1024))
+            for r in range(17) for c in range(16)]
+
+
 def rows_as_ids(index, k):
     ids = index.ids
     return [[ids[r] for r in row] for row in index.k_nearest_rows(k)]
@@ -197,8 +210,10 @@ class TestAllPointsKNN:
         ([(i, GeoPoint(12.5, -50.0 + 0.01 * i)) for i in range(40)], 4),
         (random_points(np.random.default_rng(23), 7), 5),
         (random_points(np.random.default_rng(24), 400), 10),
+        (two_clusters(np.random.default_rng(26), 6, 58), 8),
+        (band_edge_grid(), 6),
     ], ids=["tie_grid_k4", "tie_grid_k8", "duplicates_k5", "duplicates_k15",
-            "single_band", "n_is_k_plus_2", "random_k10"])
+            "single_band", "n_is_k_plus_2", "random_k10", "two_clusters_k8", "band_edge_grid_k6"])
     def test_matches_per_query_and_brute_force(self, points, k):
         index = build_index(points)
         for (qid, _), row in zip(points, rows_as_ids(index, k)):
