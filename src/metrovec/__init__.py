@@ -12,7 +12,7 @@ from .errors import (FormatError, IntegrityError, NotFoundError, PipelineError,
                      StageOrderError, UsageError, ValidationError)
 from .geo import (GeoPoint, SpatialIndex, assign_neighborhood, assign_neighborhoods, build_index,
                   haversine_distance)
-from .corpus import (NegativeWordSampler, PoiRecord, Vocabulary, WordBag,
+from .corpus import (Bag, NegativeWordSampler, PoiRecord, Vocabulary,
                      build_neighborhood_bag, build_vocabulary, load_pretrained_vectors,
                      read_poi_jsonl)
 from .training import (TrainingConfig, aggregate_neighborhoods, init_word_vectors,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -304,33 +303,35 @@ def cosine_rank(query: np.ndarray, candidate_ids: list, candidates: np.ndarray,
     return [(kept_ids[i], sims[i]) for i in order]
 
 
-def poistats_tfidf(bags: dict) -> tuple[list, list[str], np.ndarray]:
+def poistats_tfidf(bags: dict, tokens) -> tuple[list, list[str], np.ndarray]:
     """tf-idf matrix over "cat_" tokens only: tf is the within-neighborhood
-    category share, idf is ln(N / (1 + document frequency)). Returns
+    category share, idf is ln(N / (1 + document frequency)). ``bags`` maps a
+    neighborhood id to its ``corpus.Bag``, whose ids index ``tokens``. Returns
     (neighborhood ids, category tokens, N x |categories| matrix)."""
     nbhd_ids = sorted(bags)
     if not nbhd_ids:
         raise ValidationError("no neighborhood bags")
-    doc_freq: Counter = Counter()
-    cat_bags = {}
-    for nid in nbhd_ids:
-        cats = Counter({t: c for t, c in bags[nid].items() if t.startswith("cat_")})
-        cat_bags[nid] = cats
-        doc_freq.update(cats.keys())
-    categories = sorted(doc_freq)
-    if not categories:
-        raise ValidationError("no category tokens in any bag")
     n = len(nbhd_ids)
-    idf = np.array([math.log(n / (1 + doc_freq[c])) for c in categories])
-    matrix = np.zeros((n, len(categories)))
-    col = {c: i for i, c in enumerate(categories)}
-    for row, nid in enumerate(nbhd_ids):
-        total = sum(cat_bags[nid].values())
-        if total == 0:
-            log.warning("neighborhood %s has no category tokens; zero tf-idf row", nid)
-            continue
-        for token, count in cat_bags[nid].items():
-            matrix[row, col[token]] = (count / total) * idf[col[token]]
+    ids = np.concatenate([bags[nid].ids for nid in nbhd_ids])
+    counts = np.concatenate([bags[nid].counts for nid in nbhd_ids])
+    rows = np.repeat(np.arange(n), [len(bags[nid]) for nid in nbhd_ids])
+    is_cat = np.array([t.startswith("cat_") for t in tokens], dtype=bool)
+    keep = is_cat[ids]
+    rows, ids, counts = rows[keep], ids[keep], counts[keep]
+    # A bag holds each token once, so counting ids counts documents.
+    doc_freq = np.bincount(ids, minlength=len(tokens))
+    present = np.flatnonzero(doc_freq)  # ascending ids: sorted tokens
+    if not present.size:
+        raise ValidationError("no category tokens in any bag")
+    categories = [tokens[i] for i in present]
+    idf = np.array([math.log(n / (1 + df)) for df in doc_freq[present].tolist()])
+    col = np.zeros(len(tokens), dtype=np.int64)
+    col[present] = np.arange(present.size)
+    totals = np.bincount(rows, weights=counts, minlength=n)
+    matrix = np.zeros((n, present.size))
+    matrix[rows, col[ids]] = (counts / totals[rows]) * idf[col[ids]]
+    for row in np.flatnonzero(totals == 0):
+        log.warning("neighborhood %s has no category tokens; zero tf-idf row", nbhd_ids[row])
     return nbhd_ids, categories, matrix
 
 

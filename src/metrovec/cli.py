@@ -19,7 +19,7 @@ import json
 import logging
 import sys
 import typing
-from collections import Counter, defaultdict
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,7 @@ MANIFEST_NAME = "manifest.json"
 INGESTED = {
     "street_views": "ingested/street_views.csv",
     "features": "ingested/features.bin",
-    "poi": "ingested/poi.jsonl",
+    "bags": "ingested/bags.bin",
     "centroids": "ingested/centroids.csv",
 }
 CHECKPOINTS = {
@@ -313,14 +313,16 @@ def cmd_ingest(args) -> int:
 
     resolve(metadata, "street-view")
     resolve(pois, "POI")
+    table = corpus.build_bag_table(pois, sorted(centroid_ids))
 
     order = sorted(range(len(metadata)), key=lambda i: metadata[i].id)
     metadata = [metadata[i] for i in order]
     features = features[order]
 
+    # The bag table first: it is the one write that can still refuse its data.
+    fileio.write_bags(workspace / INGESTED["bags"], table)
     fileio.write_sv_metadata(workspace / INGESTED["street_views"], metadata)
     fileio.write_feature_bin(workspace / INGESTED["features"], [r.id for r in metadata], features)
-    corpus.write_poi_jsonl(workspace / INGESTED["poi"], pois)
     fileio.write_centroids_csv(workspace / INGESTED["centroids"], centroids)
 
     manifest = _new_manifest()
@@ -337,11 +339,15 @@ def cmd_ingest(args) -> int:
 
 def _read_ingested(workspace: Path, manifest: dict, *names: str):
     for name in names:
+        if INGESTED[name] not in manifest["files"]:
+            # A workspace ingested before this file existed.
+            raise IntegrityError(f"{INGESTED[name]} is not recorded in the manifest; "
+                                 "re-run 'ingest' to rebuild the workspace")
         _verify_file(workspace, manifest, INGESTED[name])
     # Built per call, so a reader replaced on its module (as a tracer does)
     # is the one that runs.
     readers = {"street_views": fileio.read_sv_metadata, "features": fileio.read_feature_bin,
-               "poi": corpus.read_poi_jsonl, "centroids": fileio.read_centroids_csv}
+               "bags": fileio.read_bags, "centroids": fileio.read_centroids_csv}
     return [readers[name](workspace / INGESTED[name]) for name in names]
 
 
@@ -415,28 +421,20 @@ def cmd_aggregate(args) -> int:
     return 0
 
 
-def _neighborhood_bags(pois, neighborhood_ids):
-    grouped = defaultdict(list)
-    for poi in pois:
-        grouped[poi.neighborhood_id].append(poi)
-    return {nid: corpus.build_neighborhood_bag(grouped.get(nid, [])) for nid in neighborhood_ids}
-
-
 def cmd_train_poi(args) -> int:
     workspace = args.workspace
     manifest = load_manifest(workspace)
     _require_stage(manifest, "aggregate")
     config = _later_stage_config(manifest, args, "train_poi")
     neighborhood_ids, z_init = _read_checkpoint(workspace, manifest, "sve")
-    (pois,) = _read_ingested(workspace, manifest, "poi")
-    bags = _neighborhood_bags(pois, neighborhood_ids)
-    vocab = corpus.build_vocabulary(bags.values())
+    (table,) = _read_ingested(workspace, manifest, "bags")
+    vocab = corpus.vocabulary_of(table)
     pretrained = None
     if args.pretrained:
         pretrained = corpus.load_pretrained_vectors(args.pretrained, vocab, config.d)
         log.info("loaded %d pretrained word vectors", len(pretrained))
     Z, Y = training.train_poi_stage(z_init.astype(np.float64), neighborhood_ids,
-                                    vocab, bags, config, pretrained)
+                                    vocab, corpus.bags_of(table), config, pretrained)
     _write_checkpoint(workspace, manifest, "u2v", neighborhood_ids, Z)
     _write_checkpoint(workspace, manifest, "words", list(vocab.tokens), Y)
     manifest["config"] = dataclasses.asdict(config)
@@ -448,28 +446,27 @@ def cmd_train_poi(args) -> int:
 
 
 def _load_representation(workspace: Path, manifest: dict, name: str, config: TrainingConfig):
-    """Neighborhood representation matrix for evaluation: the full pipeline
-    (u2v), street-view-only (sve), POI-only trained from a random start, or
-    the category tf-idf baseline."""
-    if name == "u2v":
-        _require_stage(manifest, "train_poi")
-        return _read_checkpoint(workspace, manifest, "u2v")
-    if name == "sve":
-        _require_stage(manifest, "aggregate")
-        return _read_checkpoint(workspace, manifest, "sve")
+    """(row ids, a function returning the matrix) of a neighborhood
+    representation: the full pipeline (u2v), street-view-only (sve),
+    POI-only trained from a random start, or the category tf-idf baseline.
+    The ids come first so that a caller can check them before ``poi``
+    trains a model."""
+    if name in ("u2v", "sve"):
+        _require_stage(manifest, "train_poi" if name == "u2v" else "aggregate")
+        ids, Z = _read_checkpoint(workspace, manifest, name)
+        return ids, lambda: Z
     _require_stage(manifest, "ingest")
-    pois, centroids = _read_ingested(workspace, manifest, "poi", "centroids")
-    neighborhood_ids = sorted(cid for cid, _, _ in centroids)
-    bags = _neighborhood_bags(pois, neighborhood_ids)
+    (table,) = _read_ingested(workspace, manifest, "bags")
     if name == "poistats":
-        ids, _, matrix = analytics.poistats_tfidf(bags)
-        return ids, matrix
+        return table.row_ids, lambda: analytics.poistats_tfidf(corpus.bags_of(table), table.tokens)[2]
     if name == "poi":
-        vocab = corpus.build_vocabulary(bags.values())
-        rng = np.random.default_rng(config.seed + POI_ONLY_Z_SEED_OFFSET)
-        z_init = rng.uniform(-0.5 / config.d, 0.5 / config.d, size=(len(neighborhood_ids), config.d))
-        Z, _ = training.train_poi_stage(z_init, neighborhood_ids, vocab, bags, config)
-        return neighborhood_ids, Z
+        def train_poi_only():
+            rng = np.random.default_rng(config.seed + POI_ONLY_Z_SEED_OFFSET)
+            z_init = rng.uniform(-0.5 / config.d, 0.5 / config.d, size=(len(table.row_ids), config.d))
+            Z, _ = training.train_poi_stage(z_init, table.row_ids, corpus.vocabulary_of(table),
+                                            corpus.bags_of(table), config)
+            return Z
+        return table.row_ids, train_poi_only
     raise UsageError(f"unknown embedding {name!r}; expected u2v, sve, poi, or poistats")
 
 
@@ -479,8 +476,8 @@ def cmd_eval(args) -> int:
     workspace = args.workspace
     manifest = load_manifest(workspace)
     config = resolve_training_config(manifest, None, {"seed": args.seed})
-    # Every argument and the targets are checked before the representation,
-    # which for ``poi`` means training a model.
+    # Every argument and the targets, their ids included, are checked before
+    # the representation is computed, which for ``poi`` means training a model.
     candidates = []
     if args.pca_components:
         try:
@@ -491,9 +488,9 @@ def cmd_eval(args) -> int:
                                        seed=config.seed)
     target_ids, target_names, values = fileio.read_targets_csv(args.targets)
 
-    ids, Z = _load_representation(workspace, manifest, args.embedding, config)
+    ids, matrix = _load_representation(workspace, manifest, args.embedding, config)
     targets = values[_rows_for(target_ids, ids, "targets CSV")]
-    report = analytics.evaluate_regression(np.asarray(Z, dtype=np.float64), targets,
+    report = analytics.evaluate_regression(np.asarray(matrix(), dtype=np.float64), targets,
                                            target_names, protocol)
 
     rows = [",".join(str(v) for v in row) + "\n" for row in report.to_csv_rows()]
@@ -509,8 +506,8 @@ def cmd_cluster(args) -> int:
     workspace = args.workspace
     manifest = load_manifest(workspace)
     config = resolve_training_config(manifest, None, {"seed": args.seed})
-    ids, Z = _load_representation(workspace, manifest, args.embedding, config)
-    labels, _ = analytics.kmeans(np.asarray(Z, dtype=np.float64), args.k, seed=config.seed)
+    ids, matrix = _load_representation(workspace, manifest, args.embedding, config)
+    labels, _ = analytics.kmeans(np.asarray(matrix(), dtype=np.float64), args.k, seed=config.seed)
     rows = [f"{nid},{lab}\n" for nid, lab in zip(ids, labels)]
     out = _write_report(workspace, f"clusters_{args.embedding}.csv", "id,cluster\n" + "".join(rows))
     print(f"k-means (k={args.k}) cluster assignments written to {out}")
@@ -521,7 +518,7 @@ def cmd_similar(args) -> int:
     workspace = args.workspace
     manifest = load_manifest(workspace)
     config = resolve_training_config(manifest, None, {})
-    ids, Z = _load_representation(workspace, manifest, args.embedding, config)
+    ids, matrix = _load_representation(workspace, manifest, args.embedding, config)
     row_of = {nid: i for i, nid in enumerate(ids)}
     if args.query not in row_of:
         raise NotFoundError(f"unknown query neighborhood {args.query!r}")
@@ -537,7 +534,7 @@ def cmd_similar(args) -> int:
     else:
         keep = list(ids)
 
-    Zf = np.asarray(Z, dtype=np.float64)
+    Zf = np.asarray(matrix(), dtype=np.float64)
     ranked = analytics.cosine_rank(Zf[row_of[args.query]], keep,
                                    Zf[[row_of[nid] for nid in keep]],
                                    top_n=args.top, ascending=args.least)

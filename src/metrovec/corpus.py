@@ -4,10 +4,19 @@ A POI becomes a bag of tokens: "cat_"-prefixed category phrases, a half-star
 rating bucket, a price tier, and review words deduplicated within the POI.
 Neighborhood bags are multiset unions over their POIs; duplicates across POIs
 are kept on purpose because token frequency carries signal.
+
+``ingest`` tokenizes the corpus once: ``build_bag_table`` turns the POIs into
+one CSR ``fileio.BagTable`` of token ids and counts per neighborhood, which is
+``ingested/bags.bin``. The training and evaluation commands read that table
+and take its rows as ``Bag``s (``bags_of``) and its vocabulary from it
+(``vocabulary_of``); ``build_neighborhood_bag`` gives one neighborhood's bag as
+a ``Counter`` of token strings, and ``Vocabulary.bag_to_ids`` turns such a
+``Counter`` into a ``Bag``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -17,12 +26,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .fileio import atomic_open
+from .fileio import BagTable, atomic_open
 from .geo import GeoPoint
 
-WordBag = Counter  # multiset of token strings
-
-_REVIEW_WORD = re.compile(r"[0-9a-z]{2,}")
+# Maximal runs of [0-9a-z], at least two long and not all digits. The
+# lookahead refuses a start whose digits reach the end of its run; every
+# later start in such a run is all digits too, so no part of it matches.
+_REVIEW_WORD = re.compile(r"(?![0-9]+(?![0-9a-z]))[0-9a-z]{2,}")
 _PRETRAINED_SKIP_PREFIXES = ("cat_", "rate_", "price_")
 
 
@@ -43,10 +53,15 @@ class PoiRecord:
             raise ValidationError(f"POI {self.id!r}: price tier {self.price} outside [1, 4]")
 
 
+# Both token functions are cached: a corpus repeats few distinct category
+# phrases and ratings across many POIs. The caches are bounded because a
+# process may tokenize many corpora.
+@functools.lru_cache(maxsize=1 << 16)
 def _category_token(phrase: str) -> str:
     return "cat_" + "_".join(phrase.lower().split())
 
 
+@functools.lru_cache(maxsize=1 << 12)
 def _rating_token(rating: float) -> str:
     bucket = math.floor(rating * 2.0 + 0.5) / 2.0  # nearest half star, halves round up
     bucket = min(5.0, max(1.0, bucket))
@@ -54,9 +69,9 @@ def _rating_token(rating: float) -> str:
 
 
 def _review_tokens(reviews: list[str]) -> set[str]:
-    # Maximal runs of [0-9a-z] in the lower-cased text, at least two long
-    # and not all digits.
-    return {tok for text in reviews for tok in _REVIEW_WORD.findall(text.lower()) if not tok.isdigit()}
+    # One pass over the lower-cased reviews joined by spaces finds the same
+    # words as one pass per review: a space ends every run.
+    return set(_REVIEW_WORD.findall(" ".join(reviews).lower()))
 
 
 def _poi_tokens(poi: PoiRecord) -> list[str]:
@@ -71,7 +86,7 @@ def _poi_tokens(poi: PoiRecord) -> list[str]:
     return tokens
 
 
-def build_neighborhood_bag(pois: list[PoiRecord]) -> WordBag:
+def build_neighborhood_bag(pois: list[PoiRecord]) -> Counter:
     """Multiset union of the per-POI token bags; duplicates across POIs
     preserved. Absent fields contribute no tokens; review words are
     deduplicated across the union of one POI's reviews."""
@@ -80,6 +95,47 @@ def build_neighborhood_bag(pois: list[PoiRecord]) -> WordBag:
         if len(nids) != 1:
             raise ValidationError(f"POIs span multiple neighborhoods: {sorted(map(str, nids))}")
     return Counter([token for poi in pois for token in _poi_tokens(poi)])
+
+
+def build_bag_table(pois: list[PoiRecord], row_ids: list[str]) -> BagTable:
+    """The bags of the neighborhoods ``row_ids`` (sorted, distinct) as one
+    CSR table: row r holds, for the POIs of ``row_ids[r]``, what
+    ``vocabulary_of(table).bag_to_ids(build_neighborhood_bag(pois))`` holds.
+    Every POI must belong to one of ``row_ids``."""
+    row_of = {nid: r for r, nid in enumerate(row_ids)}
+    flat: list[str] = []
+    poi_rows, lengths = [], []
+    try:
+        for poi in pois:
+            tokens = _poi_tokens(poi)
+            flat += tokens
+            poi_rows.append(row_of[poi.neighborhood_id])
+            lengths.append(len(tokens))
+    except KeyError as exc:
+        raise ValidationError(f"POI {poi.id!r} belongs to an unknown neighborhood {exc.args[0]!r}") from None
+    tokens = sorted(set(flat))
+    index = {t: i for i, t in enumerate(tokens)}
+    ids = np.fromiter(map(index.__getitem__, flat), dtype=np.int64, count=len(flat))
+    rows = np.repeat(np.array(poi_rows, dtype=np.int64), lengths)
+    # One key per (row, token id), so np.unique sorts by row, then by id.
+    width = max(len(tokens), 1)
+    keys, counts = np.unique(rows * width + ids, return_counts=True)
+    indptr = np.zeros(len(row_ids) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // width, minlength=len(row_ids)), out=indptr[1:])
+    return BagTable(list(row_ids), tokens, indptr, keys % width, counts.astype(np.int64))
+
+
+@dataclass(frozen=True, eq=False)
+class Bag:
+    """One neighborhood's bag in token-id space: its distinct token ids in
+    ascending order and the count (>= 1) of each. ``len`` is the number of
+    distinct tokens, so an empty bag is falsy."""
+
+    ids: np.ndarray  # int64
+    counts: np.ndarray  # int64
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,15 +165,32 @@ class Vocabulary:
     def __contains__(self, token: str) -> bool:
         return token in self._id_of
 
-    def bag_to_ids(self, bag: WordBag) -> tuple[np.ndarray, np.ndarray]:
-        """(token ids, counts) arrays for a bag, sorted by token id."""
+    def bag_to_ids(self, bag: Counter) -> Bag:
+        """The ``Bag`` of a ``Counter`` of token strings."""
         try:
             ids = np.fromiter(map(self._id_of.__getitem__, bag), dtype=np.int64, count=len(bag))
         except KeyError as exc:
             raise ValidationError(f"token {exc.args[0]!r} not in vocabulary") from None
         counts = np.fromiter(bag.values(), dtype=np.int64, count=len(bag))
         order = np.argsort(ids)
-        return ids[order], counts[order]
+        return Bag(ids[order], counts[order])
+
+
+def vocabulary_of(table: BagTable) -> Vocabulary:
+    """The table's tokens with their corpus frequencies, the counts summed
+    by token id: what ``build_vocabulary`` gives for the table's bags."""
+    if not table.tokens:
+        raise ValidationError("cannot build a vocabulary: all bags are empty")
+    freqs = np.zeros(len(table.tokens), dtype=np.int64)
+    np.add.at(freqs, table.token_ids, table.counts)
+    return Vocabulary(tokens=tuple(table.tokens), frequencies=freqs)
+
+
+def bags_of(table: BagTable) -> dict[str, Bag]:
+    """Row id -> its ``Bag``, views of the table's arrays."""
+    bounds = table.indptr.tolist()
+    return {nid: Bag(table.token_ids[a:b], table.counts[a:b])
+            for nid, a, b in zip(table.row_ids, bounds, bounds[1:])}
 
 
 def build_vocabulary(bags) -> Vocabulary:

@@ -4,6 +4,15 @@ Feature binary (magic GVFEAT01): u32 row count, u32 dim, then row-major
 little-endian float32, rows in ascending-id order matching the metadata CSV.
 Embedding checkpoint (magic GVEMB001): u32 rows, u32 dim, row-major
 little-endian float32, with a "<path>.ids" text sidecar of one id per line.
+
+Bag table (magic GVBAGS01), every neighborhood's bag of POI tokens in CSR
+form: u32 rows R, u32 vocabulary size V, u64 nnz, u64 text length T; then T
+bytes of UTF-8 holding the R row ids (ascending) and the V tokens (ascending,
+so a token's id is its position), each ended by a newline; then R + 1
+little-endian int64 row pointers, rising from 0 to nnz; nnz int32 token ids,
+strictly ascending within each row and in [0, V); nnz int64 counts, each at
+least 1. Row r's bag is the ids and counts between pointers r and r + 1. The
+reader checks every one of these conditions.
 """
 
 from __future__ import annotations
@@ -11,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
+import operator
 import os
 import struct
 from dataclasses import dataclass
@@ -23,6 +33,8 @@ from .geo import GeoPoint
 
 FEATURE_MAGIC = b"GVFEAT01"
 EMBEDDING_MAGIC = b"GVEMB001"
+BAGS_MAGIC = b"GVBAGS01"
+_BAGS_HEADER = struct.Struct("<IIQQ")
 
 
 @dataclass
@@ -31,6 +43,20 @@ class StreetViewRecord:
     geo: GeoPoint
     neighborhood_id: str | None
     features: np.ndarray | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class BagTable:
+    """Neighborhood bags as one CSR table, the content of a GVBAGS01 file:
+    row r is the bag of ``row_ids[r]``, the token ids
+    ``token_ids[indptr[r]:indptr[r + 1]]`` (positions in ``tokens``) and
+    their ``counts``."""
+
+    row_ids: list[str]
+    tokens: list[str]
+    indptr: np.ndarray  # int64, R + 1
+    token_ids: np.ndarray  # int64, nnz
+    counts: np.ndarray  # int64, nnz
 
 
 def ids_sidecar_path(path) -> Path:
@@ -144,6 +170,66 @@ def read_embeddings(path) -> tuple[list[str], np.ndarray]:
     if len(ids) != matrix.shape[0]:
         raise FormatError(f"{sidecar}: {len(ids)} ids for {matrix.shape[0]} embedding rows")
     return ids, matrix
+
+
+def write_bags(path, table: BagTable) -> None:
+    names = table.row_ids + table.tokens
+    try:
+        text = "".join(name + "\n" for name in names).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        bad = exc.object[max(0, exc.start - 20):exc.end + 20]
+        raise ValidationError(f"{path}: an id or token in {bad!r} is not valid Unicode text") from None
+    if text.count(b"\n") != len(names):
+        raise ValidationError(f"{path}: a neighborhood id or token holds a newline")
+    with atomic_open(path) as fh:
+        fh.write(BAGS_MAGIC)
+        fh.write(_BAGS_HEADER.pack(len(table.row_ids), len(table.tokens), len(table.token_ids), len(text)))
+        fh.write(text)
+        fh.write(np.ascontiguousarray(table.indptr, dtype="<i8").tobytes())
+        fh.write(np.ascontiguousarray(table.token_ids, dtype="<i4").tobytes())
+        fh.write(np.ascontiguousarray(table.counts, dtype="<i8").tobytes())
+
+
+def read_bags(path) -> BagTable:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    magic = data[:len(BAGS_MAGIC)]
+    if magic != BAGS_MAGIC:
+        raise FormatError(f"{path}: bad magic {magic!r}, expected {BAGS_MAGIC!r}")
+    start = len(BAGS_MAGIC) + _BAGS_HEADER.size
+    if len(data) < start:
+        raise FormatError(f"{path}: truncated header, {len(data) - len(BAGS_MAGIC)} of {_BAGS_HEADER.size} bytes")
+    rows, vocab, nnz, text_len = _BAGS_HEADER.unpack_from(data, len(BAGS_MAGIC))
+    expected = text_len + 8 * (rows + 1) + 12 * nnz
+    if len(data) - start != expected:
+        raise FormatError(f"{path}: expected {expected} payload bytes, found {len(data) - start}")
+    try:
+        names = data[start:start + text_len].decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: the id and token block is not UTF-8 text ({exc.reason})") from None
+    if names.pop() != "" or len(names) != rows + vocab:
+        raise FormatError(f"{path}: expected {rows + vocab} newline-ended ids and tokens")
+    row_ids, tokens = names[:rows], names[rows:]
+    for what, seq in (("row ids", row_ids), ("tokens", tokens)):
+        if not all(map(operator.lt, seq, seq[1:])):
+            raise FormatError(f"{path}: {what} are not sorted and distinct")
+    at = start + text_len
+    indptr = np.frombuffer(data, "<i8", rows + 1, at).astype(np.int64)
+    token_ids = np.frombuffer(data, "<i4", nnz, at + 8 * (rows + 1)).astype(np.int64)
+    counts = np.frombuffer(data, "<i8", nnz, at + 8 * (rows + 1) + 4 * nnz).astype(np.int64)
+    if indptr[0] != 0 or indptr[-1] != nnz or (np.diff(indptr) < 0).any():
+        raise FormatError(f"{path}: row pointers do not rise from 0 to {nnz}")
+    if nnz and (token_ids.min() < 0 or token_ids.max() >= vocab):
+        raise FormatError(f"{path}: a token id is outside [0, {vocab})")
+    # Ids rise within a row; the step from one row into the next may fall.
+    rising = np.diff(token_ids) > 0
+    starts = indptr[1:-1]
+    rising[starts[(starts > 0) & (starts < nnz)] - 1] = True
+    if not rising.all():
+        raise FormatError(f"{path}: token ids are not strictly ascending within a row")
+    if (counts < 1).any():
+        raise FormatError(f"{path}: a token count is below 1")
+    return BagTable(row_ids, tokens, indptr, token_ids, counts)
 
 
 def write_embeddings_tsv(path, ids: list, matrix: np.ndarray) -> None:

@@ -7,7 +7,10 @@ neighborhood embedding to the mean of its street-view embeddings (the closed
 form minimizer of the summed squared distance). Stage 3 jointly trains
 neighborhood and POI-word embeddings on word triplets, with context words
 drawn from the neighborhood bag (respecting multiplicity) and negatives drawn
-frequency**exponent-weighted from outside the bag.
+frequency**exponent-weighted from outside the bag. Stages 1 and 3 check at
+the end of every epoch that what they train is still finite and within the
+float32 range of a checkpoint, and stop with a ValidationError naming the
+stage and the epoch if it is not.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import NegativeWordSampler, Vocabulary, WordBag, _inverse_cdf
+from .corpus import NegativeWordSampler, Vocabulary, _inverse_cdf
 from .encoder import EncoderParams, _backward_batch, _forward_batch
 from .errors import ValidationError
 from .geo import SpatialIndex
@@ -26,6 +29,7 @@ from .geo import SpatialIndex
 log = logging.getLogger(__name__)
 
 DISTANCE_FLOOR = 1e-8  # floor for distances in gradient denominators
+_FLOAT32_MAX = float(np.finfo(np.float32).max)  # the largest value a checkpoint holds
 EMPTY_POLICIES = ("error", "zero")  # what stage 2 gives a neighborhood without street views
 
 
@@ -124,6 +128,16 @@ def _sample_triplet_rows(context_rows: np.ndarray, per_anchor: int,
     return np.stack([anchors, picks, negs], axis=1)
 
 
+def _check_not_diverged(stage: str, what: str, arrays, epoch: int, epochs: int, lr: str) -> None:
+    """Raise a ValidationError naming the stage and the epoch if a value of
+    ``arrays`` is non-finite or beyond the float32 range of a checkpoint.
+    Hinge gradients are bounded, so a run with too large a learning rate
+    can stay finite in float64 while no checkpoint could hold it."""
+    if not all(np.abs(a).max(initial=0.0) <= _FLOAT32_MAX for a in arrays):
+        raise ValidationError(f"{stage} diverged in epoch {epoch} of {epochs}: {what} are non-finite "
+                              f"or beyond the float32 range; lower {lr}")
+
+
 def context_rows_from_index(index: SpatialIndex, k: int) -> np.ndarray:
     """(n, K) matrix of the index rows of each point's K nearest other
     points, from one all-points query of the index."""
@@ -151,7 +165,7 @@ def train_street_view(params: EncoderParams, sv_ids: list, features: np.ndarray,
     rng = np.random.default_rng(config.seed)
     ctx = context_rows_from_index(index, config.k_context)
 
-    for _ in range(config.epochs_sv):
+    for epoch in range(1, config.epochs_sv + 1):
         rows = _sample_triplet_rows(ctx, config.triplets_per_anchor, rng)
         rows = rows[rng.permutation(rows.shape[0])]
         for start in range(0, rows.shape[0], config.batch_size):
@@ -166,6 +180,8 @@ def train_street_view(params: EncoderParams, sv_ids: list, features: np.ndarray,
                 w -= scale * g
             for bias, g in zip(params.biases, grads_b):
                 bias -= scale * g
+        _check_not_diverged("stage 1", "encoder parameters", [*params.weights, *params.biases],
+                            epoch, config.epochs_sv, f"lr_sv (now {config.lr_sv})")
 
     X, _ = _forward_batch(params, features)
     return params, X
@@ -218,8 +234,11 @@ def train_poi_stage(z_init: np.ndarray, neighborhood_ids: list, vocab: Vocabular
                     bags: dict, config: TrainingConfig,
                     pretrained: dict[int, np.ndarray] | None = None):
     """Stage 3: joint SGD over neighborhood and word embeddings on POI-word
-    triplets. Word vectors start from init_word_vectors(vocab, d, config.seed,
-    pretrained); the SGD stream uses config.seed + 1. Returns (Z, Y)."""
+    triplets. ``bags`` maps a neighborhood id to its ``corpus.Bag`` (token ids
+    of ``vocab`` and their counts); a neighborhood without one, or with an
+    empty one, gets no triplets. Word vectors start from
+    init_word_vectors(vocab, d, config.seed, pretrained); the SGD stream uses
+    config.seed + 1. Returns (Z, Y)."""
     config.validate()
     z_init = np.asarray(z_init, dtype=np.float64)
     if z_init.shape[0] != len(neighborhood_ids):
@@ -232,12 +251,12 @@ def train_poi_stage(z_init: np.ndarray, neighborhood_ids: list, vocab: Vocabular
 
     draws = []  # per neighborhood: (bag token ids, their inverse CDF, negative sampler) or None
     for nid in neighborhood_ids:
-        bag: WordBag = bags.get(nid) or WordBag()
+        bag = bags.get(nid)
         if not bag:
             log.info("neighborhood %s has an empty bag; contributes no triplets", nid)
             draws.append(None)
             continue
-        ids, counts = vocab.bag_to_ids(bag)
+        ids, counts = bag.ids, bag.counts
         if ids.size == vocab.size:
             # No negatives exist outside this bag; skip like an empty bag.
             log.warning("neighborhood %s bag covers the whole vocabulary; skipped", nid)
@@ -253,7 +272,7 @@ def train_poi_stage(z_init: np.ndarray, neighborhood_ids: list, vocab: Vocabular
     # the same uniforms as rng.choice(token_ids, per, p=counts / counts.sum()).
     per = config.triplets_per_anchor
     lr = config.lr_poi
-    for _ in range(config.epochs_poi):
+    for epoch in range(1, config.epochs_poi + 1):
         for i in rng.permutation(len(neighborhood_ids)):
             if draws[i] is None:
                 continue
@@ -267,4 +286,6 @@ def train_poi_stage(z_init: np.ndarray, neighborhood_ids: list, vocab: Vocabular
                 step += per * config.anchor_weight * (Z[i] - Z0[i])
             Z[i] -= lr * step
             np.add.at(Y, rows, -lr * np.concatenate([gc, gn]))
+        _check_not_diverged("stage 3", "neighborhood or word embeddings", [Z, Y],
+                            epoch, config.epochs_poi, f"lr_poi (now {config.lr_poi})")
     return Z, Y

@@ -83,11 +83,12 @@ def main_city():
         grouped.setdefault(poi.neighborhood_id, []).append(poi)
     bags = {nid: build_neighborhood_bag(grouped.get(nid, [])) for nid in city.neighborhood_ids}
     vocab = build_vocabulary(bags.values())
+    bags = {nid: vocab.bag_to_ids(bag) for nid, bag in bags.items()}
 
     poi_rng = np.random.default_rng(777)
     poi_rows = []
     for i, nid in enumerate(city.neighborhood_ids):
-        tids, counts = vocab.bag_to_ids(bags[nid])
+        tids, counts = bags[nid].ids, bags[nid].counts
         outside = np.array([t for t in range(vocab.size) if t not in set(tids.tolist())])
         for _ in range(10):
             poi_rows.append((i, int(poi_rng.choice(tids, p=counts / counts.sum())),
@@ -294,6 +295,7 @@ def test_criterion_7_clustering_sanity():
         grouped.setdefault(poi.neighborhood_id, []).append(poi)
     bags = {nid: build_neighborhood_bag(grouped.get(nid, [])) for nid in city.neighborhood_ids}
     vocab = build_vocabulary(bags.values())
+    bags = {nid: vocab.bag_to_ids(bag) for nid, bag in bags.items()}
     Z, _ = train_poi_stage(Z, city.neighborhood_ids, vocab, bags, cfg)
     labels, _ = kmeans(Z, 4, seed=cfg.seed)
     ari = adjusted_rand_index(labels, city.cluster_labels)

@@ -11,6 +11,7 @@ from metrovec.analytics import (SplitProtocol, adjusted_rand_index, cosine_rank,
                                 default_pca_candidates, evaluate_regression, kmeans,
                                 linreg_fit, linreg_predict, pca_fit, poistats_tfidf,
                                 r_squared, regression_split_eval)
+from metrovec.corpus import build_vocabulary
 from metrovec.errors import ValidationError
 
 
@@ -298,7 +299,40 @@ class TestCountsBelowOne:
             evaluate_regression(Z, Z[:, 0], ["t"], SplitProtocol(repeats=repeats))
 
 
+def tfidf(bags):
+    """poistats_tfidf of Counter bags."""
+    vocab = build_vocabulary(bags.values())
+    return poistats_tfidf({nid: vocab.bag_to_ids(bag) for nid, bag in bags.items()}, vocab.tokens)
+
+
+def reference_tfidf(bags):
+    """The tf-idf of Counter bags, one neighborhood and one token at a time."""
+    nbhd_ids = sorted(bags)
+    cat_bags = {nid: {t: c for t, c in bags[nid].items() if t.startswith("cat_")} for nid in nbhd_ids}
+    doc_freq = Counter(t for cats in cat_bags.values() for t in cats)
+    categories = sorted(doc_freq)
+    idf = [math.log(len(nbhd_ids) / (1 + doc_freq[c])) for c in categories]
+    matrix = np.zeros((len(nbhd_ids), len(categories)))
+    for row, nid in enumerate(nbhd_ids):
+        total = sum(cat_bags[nid].values())
+        for token, count in cat_bags[nid].items():
+            col = categories.index(token)
+            matrix[row, col] = (count / total) * idf[col]
+    return nbhd_ids, categories, matrix
+
+
 class TestPoistats:
+    def test_matches_reference_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        tokens = [f"cat_{i}" for i in range(15)] + [f"w{i}" for i in range(10)]
+        for _ in range(30):
+            bags = {f"n{j:02d}": Counter(rng.choice(tokens, size=int(rng.integers(0, 40))).tolist())
+                    for j in range(12)}
+            bags["n99"] = Counter({"cat_0": 1})  # at least one category token
+            got, want = tfidf(bags), reference_tfidf(bags)
+            assert got[:2] == want[:2]
+            assert np.array_equal(got[2], want[2])
+
     def test_hand_worked_example(self):
         bags = {
             "n1": Counter({"cat_coffee": 2, "cat_bar": 1, "ignored": 7}),
@@ -306,7 +340,7 @@ class TestPoistats:
             "n3": Counter({"cat_bar": 2}),
             "n4": Counter({"cat_gym": 3, "cat_bar": 1}),
         }
-        ids, cats, M = poistats_tfidf(bags)
+        ids, cats, M = tfidf(bags)
         assert ids == ["n1", "n2", "n3", "n4"]
         assert cats == ["cat_bar", "cat_coffee", "cat_gym"]
         ln43 = math.log(4 / 3)
@@ -320,19 +354,19 @@ class TestPoistats:
 
     def test_ubiquitous_category_negative_idf(self):
         bags = {"n1": Counter({"cat_x": 1}), "n2": Counter({"cat_x": 1})}
-        _, _, M = poistats_tfidf(bags)
+        _, _, M = tfidf(bags)
         assert (M < 0).all()  # idf = ln(2/3) < 0, allowed
 
     def test_single_neighborhood_tf(self):
         bags = {"n1": Counter({"cat_solo": 1})}
-        _, _, M = poistats_tfidf(bags)
+        _, _, M = tfidf(bags)
         # tf = 1; cell = ln(1/2)
         assert M[0, 0] == pytest.approx(math.log(0.5))
 
     def test_zero_category_row_warned(self, caplog):
         bags = {"n1": Counter({"cat_a": 1}), "n2": Counter({"review_word": 3})}
         with caplog.at_level(logging.WARNING):
-            _, _, M = poistats_tfidf(bags)
+            _, _, M = tfidf(bags)
         assert not M[1].any()
         assert any("n2" in rec.message for rec in caplog.records)
 

@@ -14,8 +14,11 @@ import pytest
 from metrovec import cli
 from metrovec.cli import build_parser, main, save_manifest
 from metrovec.errors import ValidationError
-from metrovec.fileio import (read_embeddings, read_feature_bin, read_sv_metadata, read_targets_csv,
-                             write_feature_bin, write_features_csv, write_targets_csv)
+from metrovec.corpus import bags_of, build_neighborhood_bag, read_poi_jsonl, vocabulary_of
+from metrovec.fileio import (read_bags, read_centroids_csv, read_embeddings, read_feature_bin,
+                             read_sv_metadata, read_targets_csv, write_feature_bin,
+                             write_features_csv, write_targets_csv)
+from metrovec.geo import assign_neighborhoods
 from metrovec.synthcity import SynthConfig
 from metrovec.training import TrainingConfig
 
@@ -135,7 +138,6 @@ class TestIngest:
     def test_assign_missing(self, tmp_path, city_dir):
         blank = tmp_path / "poi.jsonl"
         rows = [json.loads(line) for line in (city_dir / "poi.jsonl").read_text().splitlines()]
-        original = {r["id"]: r["neighborhood_id"] for r in rows}
         for r in rows:
             r["neighborhood_id"] = None
         blank.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
@@ -143,12 +145,31 @@ class TestIngest:
         args[args.index("--poi") + 1] = str(blank)
         assert main(args) == 3  # without the flag: validation error
         assert main(args + ["--assign-missing"]) == 0
-        from metrovec.corpus import read_poi_jsonl
-        restored = read_poi_jsonl(tmp_path / "ws" / "ingested" / "poi.jsonl")
+        assert main(ingest_args(city_dir, tmp_path / "ws-given")) == 0
+        assigned = read_bags(tmp_path / "ws" / "ingested" / "bags.bin")
+        given = read_bags(tmp_path / "ws-given" / "ingested" / "bags.bin")
+        assert assigned.row_ids == given.row_ids and assigned.tokens == given.tokens
+
+        # Each POI's tokens are in the row of its nearest centroid.
+        pois = read_poi_jsonl(blank)
+        centroids = [(cid, point) for cid, point, _ in read_centroids_csv(city_dir / "centroids.csv")]
+        nearest = assign_neighborhoods([p.geo for p in pois], centroids)
+        vocab = vocabulary_of(assigned)
+        for nid, bag in bags_of(assigned).items():
+            want = vocab.bag_to_ids(build_neighborhood_bag([p for p, n in zip(pois, nearest) if n == nid]))
+            assert bag.ids.tolist() == want.ids.tolist() and bag.counts.tolist() == want.counts.tolist()
+
         # POIs are jittered around their own centroid, so nearest-centroid
-        # assignment recovers the generating neighborhood for almost all.
-        agree = sum(p.neighborhood_id == original[p.id] for p in restored)
-        assert agree >= 0.9 * len(restored)
+        # assignment recovers the generating neighborhood for almost all: at
+        # least 90% of the token mass sits in the row the given ids put it in.
+        def dense(table):
+            matrix = np.zeros((len(table.row_ids), len(table.tokens)), dtype=np.int64)
+            rows = np.repeat(np.arange(len(table.row_ids)), np.diff(table.indptr))
+            matrix[rows, table.token_ids] = table.counts
+            return matrix
+        kept = np.minimum(dense(assigned), dense(given)).sum()
+        assert kept >= 0.9 * given.counts.sum()
+        assert assigned.counts.sum() == given.counts.sum()
 
     def test_short_centroid_row_is_format_error(self, tmp_path, city_dir, capsys):
         bad = tmp_path / "centroids.csv"
@@ -683,3 +704,82 @@ def test_later_stage_accepts_the_recorded_values(tmp_path, trained_ws):
     assert main(["train-poi", "--workspace", str(ws), "--empty-policy", "zero", "--seed", "5"] + same) == 0
     config = json.loads((ws / "manifest.json").read_text())["config"]
     assert (config["d"], config["empty_policy"], config["seed"]) == (8, "zero", 5)
+
+
+def test_ingest_writes_the_bag_table_and_no_poi_copy(trained_ws):
+    assert sorted(p.name for p in (trained_ws / "ingested").iterdir()) == [
+        "bags.bin", "centroids.csv", "features.bin", "street_views.csv"]
+    files = json.loads((trained_ws / "manifest.json").read_text())["files"]
+    assert files["ingested/bags.bin"] == sha(trained_ws / "ingested" / "bags.bin")
+    assert "ingested/poi.jsonl" not in files
+
+
+def _ingested_before_bag_tables(src: Path, dst: Path, city_dir: Path) -> Path:
+    """A copy of the workspace ``src`` as an ingest that kept the POIs as
+    ingested/poi.jsonl, and wrote no bag table, would have left it."""
+    shutil.copytree(src, dst)
+    (dst / "ingested" / "bags.bin").unlink()
+    shutil.copy(city_dir / "poi.jsonl", dst / "ingested" / "poi.jsonl")
+    manifest = json.loads((dst / "manifest.json").read_text())
+    del manifest["files"]["ingested/bags.bin"]
+    manifest["files"]["ingested/poi.jsonl"] = sha(dst / "ingested" / "poi.jsonl")
+    save_manifest(dst, manifest)
+    return dst
+
+
+@pytest.mark.parametrize("argv", [
+    ["train-poi"],
+    ["eval", "--embedding", "poi", "--repeats", "2"],
+    ["eval", "--embedding", "poistats", "--repeats", "2"],
+], ids=["train-poi", "eval-poi", "eval-poistats"])
+def test_workspace_without_bag_table_asks_for_reingest(tmp_path, trained_ws, city_dir, capsys, argv):
+    ws = _ingested_before_bag_tables(trained_ws, tmp_path / "ws", city_dir)
+    before = (ws / "manifest.json").read_bytes()
+    targets = ["--targets", str(city_dir / "attributes.csv")] if argv[0] == "eval" else []
+    assert main([argv[0], "--workspace", str(ws)] + argv[1:] + targets) == 4
+    err = capsys.readouterr().err
+    assert "ingested/bags.bin is not recorded in the manifest; re-run 'ingest'" in err, err
+    assert "Traceback" not in err
+    assert (ws / "manifest.json").read_bytes() == before
+
+
+def test_tampered_bag_table_refused(tmp_path, trained_ws, city_dir, capsys):
+    ws = tmp_path / "ws"
+    shutil.copytree(trained_ws, ws)
+    with open(ws / "ingested" / "bags.bin", "ab") as fh:
+        fh.write(b"\x00")
+    assert main(["eval", "--workspace", str(ws), "--targets", str(city_dir / "attributes.csv"),
+                 "--embedding", "poistats", "--repeats", "2"]) == 4
+    assert "ingested/bags.bin hash mismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda ids, values: (ids + ["ghost"], np.vstack([values, values[:1]])),
+    lambda ids, values: (ids[1:], values[1:]),
+], ids=["extra-id", "missing-id"])
+def test_eval_checks_target_ids_before_training(trained_ws, city_dir, tmp_path, monkeypatch, capsys, edit):
+    ids, names, values = read_targets_csv(city_dir / "attributes.csv")
+    path = tmp_path / "targets.csv"
+    new_ids, new_values = edit(ids, values)
+    write_targets_csv(path, new_ids, names, new_values)
+    calls = []
+    train = cli.training.train_poi_stage
+    monkeypatch.setattr(cli.training, "train_poi_stage", lambda *a, **k: calls.append(a) or train(*a, **k))
+    assert main(["eval", "--workspace", str(trained_ws), "--embedding", "poi", "--targets", str(path)]) == 3
+    assert calls == []
+    assert "targets CSV id mismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["train-sv"] + TRAIN_FLAGS + ["--lr-sv", "1e100"], "stage 1 diverged in epoch 1 of 2"),
+    (["train-poi", "--lr-poi", "1e100"], "stage 3 diverged in epoch 1 of 2"),
+    (["train-poi", "--lr-poi", "10", "--anchor-weight", "1", "--epochs-poi", "300"], "stage 3 diverged in epoch 31 of 300"),
+], ids=["train-sv", "train-poi", "train-poi-anchor"])
+def test_diverging_stage_stops_in_the_epoch(tmp_path, trained_ws, capsys, argv, named):
+    ws = tmp_path / "ws"
+    shutil.copytree(trained_ws, ws)
+    before = {p: p.read_bytes() for p in sorted(ws.rglob("*")) if p.is_file()}
+    assert main([argv[0], "--workspace", str(ws)] + argv[1:]) == 3
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err, err
+    assert {p: p.read_bytes() for p in sorted(ws.rglob("*")) if p.is_file()} == before

@@ -1,5 +1,6 @@
 """Textualization, bag, vocabulary, and negative-sampling tests."""
 
+import dataclasses
 import json
 import math
 import re
@@ -8,11 +9,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from metrovec.corpus import (NegativeWordSampler, PoiRecord, build_neighborhood_bag,
-                             build_vocabulary, load_pretrained_vectors,
-                             read_poi_jsonl, write_poi_jsonl)
+from metrovec.corpus import (NegativeWordSampler, PoiRecord, bags_of, build_bag_table,
+                             build_neighborhood_bag, build_vocabulary, load_pretrained_vectors,
+                             read_poi_jsonl, vocabulary_of, write_poi_jsonl)
 from metrovec.errors import FormatError, ValidationError
+from metrovec.fileio import read_bags, write_bags
 from metrovec.geo import GeoPoint
+from metrovec.synthcity import SynthConfig, generate_city
 
 
 def poi(pid="p1", nbhd="n1", categories=(), rating=None, price=None, reviews=()):
@@ -179,12 +182,61 @@ class TestNeighborhoodBagMatchesPerPoiSum:
     def test_bag_to_ids_sorted_by_id(self):
         bag = build_neighborhood_bag(self.POIS)
         vocab = build_vocabulary([bag, Counter({"zzz": 1, "aaa": 2})])
-        ids, counts = vocab.bag_to_ids(bag)
+        as_ids = vocab.bag_to_ids(bag)
+        ids, counts = as_ids.ids, as_ids.counts
         expected = sorted((vocab.id_of(t), c) for t, c in bag.items())
         assert ids.dtype == counts.dtype == np.int64
         assert list(zip(ids.tolist(), counts.tolist())) == expected
         with pytest.raises(ValidationError, match="'nope'"):
             vocab.bag_to_ids(Counter({"aaa": 1, "nope": 1}))
+
+    def test_review_words_match_reference_on_random_text(self):
+        # Letters, digits, separators and characters whose lower case is or
+        # holds ASCII (Kelvin sign, dotted capital I), in random reviews.
+        alphabet = list("aZ09 _-.,\t\n") + ["\u212a", "\u0130", "\u00e9", "\u03a3", "\u00df"]
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            reviews = ["".join(rng.choice(alphabet, size=int(rng.integers(0, 30))))
+                       for _ in range(int(rng.integers(0, 4)))]
+            p = poi(reviews=reviews)
+            assert list(build_neighborhood_bag([p]).items()) == list(reference_textualize(p).items())
+
+
+class TestBagTable:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_rows_equal_the_neighborhood_bags(self, tmp_path, seed):
+        city = generate_city(SynthConfig(n_neighborhoods=12, views_per_neighborhood=2,
+                                         pois_per_neighborhood=5, vocab_size=60, seed=seed))
+        row_ids = sorted(city.neighborhood_ids + ["n_without_pois"])
+        # The hand-made POIs add blank and repeated categories, absent fields and numbers.
+        pois = city.pois + [dataclasses.replace(p, id=f"x{i}", neighborhood_id=row_ids[i % 3])
+                            for i, p in enumerate(TestNeighborhoodBagMatchesPerPoiSum.POIS)]
+        path = tmp_path / "bags.bin"
+        write_bags(path, build_bag_table(pois, row_ids))
+        table = read_bags(path)
+        counters = {nid: build_neighborhood_bag([p for p in pois if p.neighborhood_id == nid])
+                    for nid in row_ids}
+        vocab = build_vocabulary(counters.values())
+        derived = vocabulary_of(table)
+        assert derived.tokens == vocab.tokens
+        assert np.array_equal(derived.frequencies, vocab.frequencies)
+        bags = bags_of(table)
+        assert list(bags) == table.row_ids == row_ids
+        for nid in row_ids:
+            want = vocab.bag_to_ids(counters[nid])
+            assert bags[nid].ids.tolist() == want.ids.tolist(), nid
+            assert bags[nid].counts.tolist() == want.counts.tolist(), nid
+        assert not bags["n_without_pois"] and len(bags[row_ids[0]]) == len(counters[row_ids[0]])
+
+    def test_poi_of_another_neighborhood_refused(self):
+        with pytest.raises(ValidationError, match="POI 'p1' belongs to an unknown neighborhood 'n9'"):
+            build_bag_table([poi(nbhd="n9", categories=["Bar"])], ["n1"])
+
+    def test_empty_corpus_has_no_vocabulary(self):
+        table = build_bag_table([poi()], ["n1"])
+        assert table.tokens == [] and table.indptr.tolist() == [0, 0]
+        with pytest.raises(ValidationError, match="all bags are empty"):
+            vocabulary_of(table)
 
 
 class TestNegativeSampling:

@@ -9,11 +9,12 @@ import pytest
 
 from metrovec.corpus import PoiRecord, write_poi_jsonl
 from metrovec.errors import FormatError, ValidationError
-from metrovec.fileio import (StreetViewRecord, ids_sidecar_path, read_centroids_csv,
-                             read_embeddings, read_feature_bin, read_features_csv,
-                             read_sv_metadata, read_targets_csv, write_centroids_csv,
-                             write_embeddings, write_embeddings_tsv, write_feature_bin,
-                             write_features_csv, write_sv_metadata, write_targets_csv)
+from metrovec.fileio import (BAGS_MAGIC, BagTable, StreetViewRecord, ids_sidecar_path, read_bags,
+                             read_centroids_csv, read_embeddings, read_feature_bin,
+                             read_features_csv, read_sv_metadata, read_targets_csv, write_bags,
+                             write_centroids_csv, write_embeddings, write_embeddings_tsv,
+                             write_feature_bin, write_features_csv, write_sv_metadata,
+                             write_targets_csv)
 from metrovec.geo import GeoPoint
 
 
@@ -207,6 +208,95 @@ CSV_READERS = {
                 "expected a header with an id column and >= 1 target column",
                 "expected 2 columns, got 1", "no target rows"),
 }
+
+
+def _table(row_ids=("n1", "n2", "n3"), tokens=("a", "b", "c"), indptr=(0, 2, 2, 5),
+           token_ids=(0, 2, 0, 1, 2), counts=(3, 1, 1, 2, 7)):
+    """A table of three rows, the second empty; the arguments replace its parts."""
+    return BagTable(list(row_ids), list(tokens), np.array(indptr, dtype=np.int64),
+                    np.array(token_ids, dtype=np.int64), np.array(counts, dtype=np.int64))
+
+
+class TestBags:
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "bags.bin"
+        table = _table(row_ids=("n1", "n\u00e9", "z z"), tokens=("a", "c", "cat_caf\u00e9"))
+        write_bags(path, table)
+        got = read_bags(path)
+        assert (got.row_ids, got.tokens) == (table.row_ids, table.tokens)
+        for part in ("indptr", "token_ids", "counts"):
+            assert getattr(got, part).dtype == np.int64
+            assert np.array_equal(getattr(got, part), getattr(table, part))
+
+    def test_empty_table(self, tmp_path):
+        path = tmp_path / "bags.bin"
+        write_bags(path, _table(row_ids=("",), tokens=(), indptr=(0, 0), token_ids=(), counts=()))
+        got = read_bags(path)
+        assert (got.row_ids, got.tokens, got.indptr.tolist(), got.token_ids.size) == ([""], [], [0, 0], 0)
+
+    @pytest.mark.parametrize("table, message", [
+        (_table(indptr=(0, 3, 2, 5)), "row pointers do not rise from 0 to 5"),
+        (_table(indptr=(0, 2, 2, 4)), "row pointers do not rise from 0 to 5"),
+        (_table(indptr=(1, 2, 2, 5)), "row pointers do not rise from 0 to 5"),
+        (_table(token_ids=(0, 2, 0, 1, 3)), r"a token id is outside \[0, 3\)"),
+        (_table(token_ids=(0, 2, 0, -1, 2)), r"a token id is outside \[0, 3\)"),
+        (_table(token_ids=(2, 0, 0, 1, 2)), "token ids are not strictly ascending within a row"),
+        (_table(token_ids=(0, 2, 0, 2, 2)), "token ids are not strictly ascending within a row"),
+        (_table(counts=(3, 1, 1, 0, 7)), "a token count is below 1"),
+        (_table(counts=(3, -1, 1, 2, 7)), "a token count is below 1"),
+        (_table(tokens=("a", "c", "b")), "tokens are not sorted and distinct"),
+        (_table(tokens=("a", "b", "b")), "tokens are not sorted and distinct"),
+        (_table(row_ids=("n1", "n3", "n2")), "row ids are not sorted and distinct"),
+    ], ids=["pointer-falls", "pointer-ends-short", "pointer-starts-above-0", "id-at-V", "id-negative",
+            "row-unsorted", "row-repeats-id", "count-0", "count-negative", "tokens-unsorted",
+            "tokens-duplicate", "rows-unsorted"])
+    def test_inconsistent_table(self, tmp_path, table, message):
+        path = tmp_path / "bags.bin"
+        write_bags(path, table)
+        with pytest.raises(FormatError, match=re.escape(f"{path}: ") + message):
+            read_bags(path)
+
+    def test_ascending_across_a_row_boundary_is_not_required(self, tmp_path):
+        path = tmp_path / "bags.bin"
+        write_bags(path, _table(indptr=(0, 2, 3, 5), token_ids=(1, 2, 0, 0, 2)))
+        assert read_bags(path).token_ids.tolist() == [1, 2, 0, 0, 2]
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda b: b"GVBAGS02" + b[8:], "bad magic b'GVBAGS02'"),
+        (lambda b: b[:20], "truncated header, 12 of 24 bytes"),
+        (lambda b: b[:-1], "expected 107 payload bytes, found 106"),
+        (lambda b: b + b"\x00", "expected 107 payload bytes, found 108"),
+        (lambda b: b.replace(b"n2\n", b"n\xff\n"), "the id and token block is not UTF-8 text"),
+        (lambda b: b.replace(b"c\n", b"cc"), "expected 6 newline-ended ids and tokens"),
+        (lambda b: b.replace(b"a\nb\n", b"a\n\n\n"), "expected 6 newline-ended ids and tokens"),
+    ], ids=["magic", "header", "payload-short", "payload-long", "not-utf8", "unterminated", "extra-name"])
+    def test_damaged_file(self, tmp_path, edit, message):
+        path = tmp_path / "bags.bin"
+        write_bags(path, _table())
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: {message}")):
+            read_bags(path)
+
+    def test_layout(self, tmp_path):
+        path = tmp_path / "bags.bin"
+        write_bags(path, _table())
+        data = path.read_bytes()
+        assert data[:8] == BAGS_MAGIC
+        assert struct.unpack_from("<IIQQ", data, 8) == (3, 3, 5, 15)
+        assert data[32:47] == b"n1\nn2\nn3\na\nb\nc\n"
+        assert np.frombuffer(data, "<i8", 4, 47).tolist() == [0, 2, 2, 5]
+        assert np.frombuffer(data, "<i4", 5, 79).tolist() == [0, 2, 0, 1, 2]
+        assert np.frombuffer(data, "<i8", 5, 99).tolist() == [3, 1, 1, 2, 7]
+
+    @pytest.mark.parametrize("row_ids, tokens, message", [
+        (("n1", "n\n2", "n3"), ("a", "b", "c"), "holds a newline"),
+        (("n1", "n2", "n3"), ("a", "cat_\ud800", "c"), "is not valid Unicode text"),
+    ], ids=["newline", "lone-surrogate"])
+    def test_unwritable_names_refused(self, tmp_path, row_ids, tokens, message):
+        path = tmp_path / "bags.bin"
+        with pytest.raises(ValidationError, match=message):
+            write_bags(path, _table(row_ids=row_ids, tokens=tokens))
+        assert list(tmp_path.iterdir()) == []
 
 
 def _csv_case(tmp_path, name, *lines):

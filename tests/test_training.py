@@ -410,7 +410,7 @@ def toy_corpus():
     for nid, word in signature.items():
         bags[nid] = Counter({word: 40, "shared": 4})
     vocab = build_vocabulary(bags.values())
-    return bags, vocab, signature
+    return {nid: vocab.bag_to_ids(bag) for nid, bag in bags.items()}, vocab, signature
 
 
 class TestTrainPoiStage:
@@ -443,7 +443,7 @@ class TestTrainPoiStage:
         eval_rng = np.random.default_rng(123)
         trips = []
         for i, nid in enumerate(nbhd_ids):
-            ids, counts = vocab.bag_to_ids(bags[nid])
+            ids, counts = bags[nid].ids, bags[nid].counts
             outside = [t for t in range(vocab.size) if t not in set(ids.tolist())]
             for _ in range(25):
                 c = int(eval_rng.choice(ids, p=counts / counts.sum()))
@@ -472,7 +472,7 @@ class TestTrainPoiStage:
 
     def test_empty_bag_not_fatal(self):
         bags, vocab, _ = toy_corpus()
-        bags["n_empty"] = Counter()
+        bags["n_empty"] = vocab.bag_to_ids(Counter())
         nbhd_ids = sorted(bags)
         z0 = np.zeros((5, 6))
         cfg = TrainingConfig(d=6, epochs_poi=2, seed=0)
@@ -503,7 +503,7 @@ class TestTrainPoiStage:
         rng = np.random.default_rng(cfg.seed + 1)
         for _ in range(cfg.epochs_poi):
             for i in rng.permutation(len(nbhd_ids)):
-                ids, counts = vocab.bag_to_ids(bags[nbhd_ids[i]])
+                ids, counts = bags[nbhd_ids[i]].ids, bags[nbhd_ids[i]].counts
                 ctx = rng.choice(ids, size=8, p=counts / counts.sum())
                 neg = NegativeWordSampler(vocab, set(ids.tolist())).draw(rng, size=8)
                 z_start, y_start = Zr[i].copy(), Yr.copy()
@@ -538,6 +538,7 @@ def test_full_pipeline_seed_determinism():
     for nid in city.neighborhood_ids:
         bags[nid] = build_neighborhood_bag(grouped.get(nid, []))
     vocab = build_vocabulary(bags.values())
+    bags = {nid: vocab.bag_to_ids(bag) for nid, bag in bags.items()}
     cfg = TrainingConfig(d=4, k_context=3, epochs_sv=2, epochs_poi=2,
                          triplets_per_anchor=2, seed=55)
 
