@@ -367,13 +367,11 @@ def _write_checkpoint(workspace: Path, manifest: dict, name: str, ids, matrix) -
     relpath = CHECKPOINTS[name]
     fileio.write_embeddings(workspace / relpath, ids, matrix)
     _record_file(workspace, manifest, relpath)
-    _record_file(workspace, manifest, relpath + ".ids")
 
 
 def _read_checkpoint(workspace: Path, manifest: dict, name: str):
     relpath = CHECKPOINTS[name]
     _verify_file(workspace, manifest, relpath)
-    _verify_file(workspace, manifest, relpath + ".ids")
     return fileio.read_embeddings(workspace / relpath)
 
 

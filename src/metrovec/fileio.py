@@ -2,8 +2,10 @@
 
 Feature binary (magic GVFEAT01): u32 row count, u32 dim, then row-major
 little-endian float32, rows in ascending-id order matching the metadata CSV.
-Embedding checkpoint (magic GVEMB001): u32 rows, u32 dim, row-major
-little-endian float32, with a "<path>.ids" text sidecar of one id per line.
+Embedding checkpoint (magic GVEMB002): u32 rows R, u32 dim, u64 text length
+T; then T bytes of UTF-8 holding the R row ids, each ended by a newline; then
+the row-major little-endian float32 matrix. A GVEMB001 checkpoint (its ids in
+a ".ids" file beside it) is a StageOrderError: re-run the stage.
 
 Bag table (magic GVBAGS01), every neighborhood's bag of POI tokens in CSR
 form: u32 rows R, u32 vocabulary size V, u64 nnz, u64 text length T; then T
@@ -28,13 +30,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, StageOrderError, ValidationError
 from .geo import GeoPoint
 
 FEATURE_MAGIC = b"GVFEAT01"
-EMBEDDING_MAGIC = b"GVEMB001"
+EMBEDDING_MAGIC = b"GVEMB002"
 BAGS_MAGIC = b"GVBAGS01"
+_FEATURE_HEADER = struct.Struct("<II")
+_EMBEDDING_HEADER = struct.Struct("<IIQ")
 _BAGS_HEADER = struct.Struct("<IIQQ")
+# What the names in a block are, singular and plural, for the errors about it.
+_EMBEDDING_NAMES = ("id", "ids")
+_BAGS_NAMES = ("id and token", "ids and tokens")
 
 
 @dataclass
@@ -57,11 +64,6 @@ class BagTable:
     indptr: np.ndarray  # int64, R + 1
     token_ids: np.ndarray  # int64, nnz
     counts: np.ndarray  # int64, nnz
-
-
-def ids_sidecar_path(path) -> Path:
-    p = Path(path)
-    return p.with_name(p.name + ".ids")
 
 
 def sha256_file(path) -> str:
@@ -89,28 +91,49 @@ def atomic_open(path, mode: str = "wb", **kwargs):
         raise
 
 
-def _write_matrix(path, magic: bytes, matrix: np.ndarray) -> None:
-    rows, dim = matrix.shape
+def _write_binary(path, magic: bytes, header: struct.Struct, fields: tuple, *parts: bytes) -> None:
     with atomic_open(path) as fh:
-        fh.write(magic)
-        fh.write(struct.pack("<II", rows, dim))
-        fh.write(np.ascontiguousarray(matrix, dtype="<f4").tobytes())
+        fh.writelines([magic, header.pack(*fields), *parts])
 
 
-def _read_matrix(path, magic: bytes) -> np.ndarray:
-    with open(path, "rb") as fh:
-        head = fh.read(len(magic))
-        if head != magic:
-            raise FormatError(f"{path}: bad magic {head!r}, expected {magic!r}")
-        header = fh.read(8)
-        if len(header) < 8:
-            raise FormatError(f"{path}: truncated header, {len(header)} of 8 bytes")
-        rows, dim = struct.unpack("<II", header)
-        payload = fh.read()
-    expected = rows * dim * 4
-    if len(payload) != expected:
-        raise FormatError(f"{path}: expected {expected} payload bytes, found {len(payload)}")
-    return np.frombuffer(payload, dtype="<f4").reshape(rows, dim).astype(np.float32)
+def _check_binary(path, data: bytes, magic: bytes, header: struct.Struct, payload_bytes) -> tuple[tuple, int]:
+    """The header fields of a binary file's bytes and the offset its payload
+    starts at, once the magic, the header's length and the payload's length
+    (``payload_bytes(*fields)``) are checked."""
+    head = data[:len(magic)]
+    if head != magic:
+        raise FormatError(f"{path}: bad magic {head!r}, expected {magic!r}")
+    start = len(magic) + header.size
+    if len(data) < start:
+        raise FormatError(f"{path}: truncated header, {len(data) - len(magic)} of {header.size} bytes")
+    fields = header.unpack_from(data, len(magic))
+    expected = payload_bytes(*fields)
+    if len(data) - start != expected:
+        raise FormatError(f"{path}: expected {expected} payload bytes, found {len(data) - start}")
+    return fields, start
+
+
+def _encode_names(path, names: list, what: tuple[str, str]) -> bytes:
+    """The newline-ended UTF-8 block of ``names``; a name holding a newline
+    or a lone surrogate is refused, before the caller writes anything."""
+    try:
+        text = "".join(name + "\n" for name in names).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        bad = exc.object[max(0, exc.start - 20):exc.end + 20]
+        raise ValidationError(f"{path}: one of the {what[1]} in {bad!r} is not valid Unicode text") from None
+    if text.count(b"\n") != len(names):
+        raise ValidationError(f"{path}: one of the {what[1]} holds a newline")
+    return text
+
+
+def _decode_names(path, text: bytes, count: int, what: tuple[str, str]) -> list[str]:
+    try:
+        names = text.decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: the {what[0]} block is not UTF-8 text ({exc.reason})") from None
+    if names.pop() != "" or len(names) != count:
+        raise FormatError(f"{path}: expected {count} newline-ended {what[1]}")
+    return names
 
 
 def write_feature_bin(path, ids: list[str], features: np.ndarray) -> None:
@@ -118,11 +141,13 @@ def write_feature_bin(path, ids: list[str], features: np.ndarray) -> None:
         raise ValidationError("feature rows must be written in ascending id order")
     if features.shape[0] != len(ids):
         raise ValidationError(f"{features.shape[0]} feature rows but {len(ids)} ids")
-    _write_matrix(path, FEATURE_MAGIC, features)
+    _write_binary(path, FEATURE_MAGIC, _FEATURE_HEADER, features.shape, np.asarray(features, "<f4").tobytes())
 
 
 def read_feature_bin(path) -> np.ndarray:
-    return _read_matrix(path, FEATURE_MAGIC)
+    data = Path(path).read_bytes()
+    (rows, dim), at = _check_binary(path, data, FEATURE_MAGIC, _FEATURE_HEADER, lambda r, d: 4 * r * d)
+    return np.frombuffer(data, "<f4", rows * dim, at).reshape(rows, dim).astype(np.float32)
 
 
 def write_features_csv(path, ids: list[str], features: np.ndarray) -> None:
@@ -143,7 +168,8 @@ def read_features_csv(path) -> tuple[list[str], np.ndarray]:
 
 
 def write_embeddings(path, ids: list, matrix: np.ndarray) -> None:
-    """Checkpoint plus id sidecar; refuses, before writing anything, a matrix
+    """Checkpoint of the rows of ``matrix`` and their ids; refuses, before
+    writing anything, an id that the names block cannot hold and a matrix
     holding a value that is non-finite or does not fit in float32."""
     if matrix.shape[0] != len(ids):
         raise ValidationError(f"{matrix.shape[0]} embedding rows but {len(ids)} ids")
@@ -151,64 +177,33 @@ def write_embeddings(path, ids: list, matrix: np.ndarray) -> None:
         stored = np.asarray(matrix, dtype="<f4")
     if not np.isfinite(stored).all():
         raise ValidationError(f"{path}: embedding values are non-finite or outside the float32 range")
-    _write_matrix(path, EMBEDDING_MAGIC, stored)
-    with atomic_open(ids_sidecar_path(path), "w", encoding="utf-8") as fh:
-        for rid in ids:
-            fh.write(f"{rid}\n")
+    text = _encode_names(path, ids, _EMBEDDING_NAMES)
+    _write_binary(path, EMBEDDING_MAGIC, _EMBEDDING_HEADER, (*stored.shape, len(text)), text, stored.tobytes())
 
 
 def read_embeddings(path) -> tuple[list[str], np.ndarray]:
-    matrix = _read_matrix(path, EMBEDDING_MAGIC)
-    sidecar = ids_sidecar_path(path)
-    try:
-        with open(sidecar, "r", encoding="utf-8") as fh:
-            ids = [line.rstrip("\n") for line in fh if line.strip()]
-    except OSError as exc:
-        raise FormatError(f"{sidecar}: missing id sidecar ({exc})") from None
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{sidecar}: not UTF-8 text ({exc.reason})") from None
-    if len(ids) != matrix.shape[0]:
-        raise FormatError(f"{sidecar}: {len(ids)} ids for {matrix.shape[0]} embedding rows")
-    return ids, matrix
+    data = Path(path).read_bytes()
+    if data.startswith(b"GVEMB001"):
+        raise StageOrderError(f"{path} is a checkpoint of the old GVEMB001 format; re-run the stage that wrote it")
+    (rows, dim, text_len), at = _check_binary(path, data, EMBEDDING_MAGIC, _EMBEDDING_HEADER,
+                                              lambda r, d, t: t + 4 * r * d)
+    ids = _decode_names(path, data[at:at + text_len], rows, _EMBEDDING_NAMES)
+    return ids, np.frombuffer(data, "<f4", rows * dim, at + text_len).reshape(rows, dim).astype(np.float32)
 
 
 def write_bags(path, table: BagTable) -> None:
-    names = table.row_ids + table.tokens
-    try:
-        text = "".join(name + "\n" for name in names).encode("utf-8")
-    except UnicodeEncodeError as exc:
-        bad = exc.object[max(0, exc.start - 20):exc.end + 20]
-        raise ValidationError(f"{path}: an id or token in {bad!r} is not valid Unicode text") from None
-    if text.count(b"\n") != len(names):
-        raise ValidationError(f"{path}: a neighborhood id or token holds a newline")
-    with atomic_open(path) as fh:
-        fh.write(BAGS_MAGIC)
-        fh.write(_BAGS_HEADER.pack(len(table.row_ids), len(table.tokens), len(table.token_ids), len(text)))
-        fh.write(text)
-        fh.write(np.ascontiguousarray(table.indptr, dtype="<i8").tobytes())
-        fh.write(np.ascontiguousarray(table.token_ids, dtype="<i4").tobytes())
-        fh.write(np.ascontiguousarray(table.counts, dtype="<i8").tobytes())
+    text = _encode_names(path, table.row_ids + table.tokens, _BAGS_NAMES)
+    _write_binary(path, BAGS_MAGIC, _BAGS_HEADER,
+                  (len(table.row_ids), len(table.tokens), len(table.token_ids), len(text)), text,
+                  np.asarray(table.indptr, "<i8").tobytes(), np.asarray(table.token_ids, "<i4").tobytes(),
+                  np.asarray(table.counts, "<i8").tobytes())
 
 
 def read_bags(path) -> BagTable:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    magic = data[:len(BAGS_MAGIC)]
-    if magic != BAGS_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {BAGS_MAGIC!r}")
-    start = len(BAGS_MAGIC) + _BAGS_HEADER.size
-    if len(data) < start:
-        raise FormatError(f"{path}: truncated header, {len(data) - len(BAGS_MAGIC)} of {_BAGS_HEADER.size} bytes")
-    rows, vocab, nnz, text_len = _BAGS_HEADER.unpack_from(data, len(BAGS_MAGIC))
-    expected = text_len + 8 * (rows + 1) + 12 * nnz
-    if len(data) - start != expected:
-        raise FormatError(f"{path}: expected {expected} payload bytes, found {len(data) - start}")
-    try:
-        names = data[start:start + text_len].decode("utf-8").split("\n")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: the id and token block is not UTF-8 text ({exc.reason})") from None
-    if names.pop() != "" or len(names) != rows + vocab:
-        raise FormatError(f"{path}: expected {rows + vocab} newline-ended ids and tokens")
+    data = Path(path).read_bytes()
+    (rows, vocab, nnz, text_len), start = _check_binary(path, data, BAGS_MAGIC, _BAGS_HEADER,
+                                                        lambda r, v, n, t: t + 8 * (r + 1) + 12 * n)
+    names = _decode_names(path, data[start:start + text_len], rows + vocab, _BAGS_NAMES)
     row_ids, tokens = names[:rows], names[rows:]
     for what, seq in (("row ids", row_ids), ("tokens", tokens)):
         if not all(map(operator.lt, seq, seq[1:])):

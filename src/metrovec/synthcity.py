@@ -158,16 +158,17 @@ def generate_city(config: SynthConfig) -> SynthCity:
     centroids = [GeoPoint(BASE_LAT + (i // cols) * GRID_SPACING_DEG,
                           BASE_LON + (i % cols) * GRID_SPACING_DEG) for i in range(n)]
 
-    if config.n_clusters > 0:
-        centers = rng.normal(size=(config.n_clusters, L)) * config.cluster_separation
-        # Contiguous column strips keep clusters spatially coherent under smoothing.
-        labels = np.array([min(config.n_clusters - 1, (i % cols) * config.n_clusters // cols)
-                           for i in range(n)], dtype=np.int64)
-        raw = centers[labels] + rng.normal(size=(n, L))
-    else:
-        labels = None
-        raw = rng.normal(size=(n, L))
-    latents = _smooth_latents(raw, rows, cols)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing latents fail the feature check
+        if config.n_clusters > 0:
+            centers = rng.normal(size=(config.n_clusters, L)) * config.cluster_separation
+            # Contiguous column strips keep clusters spatially coherent under smoothing.
+            labels = np.array([min(config.n_clusters - 1, (i % cols) * config.n_clusters // cols)
+                               for i in range(n)], dtype=np.int64)
+            raw = centers[labels] + rng.normal(size=(n, L))
+        else:
+            labels = None
+            raw = rng.normal(size=(n, L))
+        latents = _smooth_latents(raw, rows, cols)
 
     if config.identity_mixing:
         mixing = np.eye(L, config.feature_dim)
@@ -180,7 +181,8 @@ def generate_city(config: SynthConfig) -> SynthCity:
         # One block per neighborhood: row v holds view v's jitter normals then
         # its feature normals, the order of separate normal(2), normal(F) calls.
         draws = rng.normal(size=(V, 2 + F))
-        feats = (latents[i] @ mixing + draws[:, 2:] * config.feature_noise).astype(np.float32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            feats = (latents[i] @ mixing + draws[:, 2:] * config.feature_noise).astype(np.float32)
         if not np.isfinite(feats).all():  # also catches latents that overflowed
             raise ValidationError(f"neighborhood {nbhd_ids[i]}: street-view features overflow; "
                                   f"lower feature_noise or cluster_separation")
@@ -196,8 +198,9 @@ def generate_city(config: SynthConfig) -> SynthCity:
     n_rev = config.vocab_size - n_cat
     cat_pool = [f"trade {t:03d}" for t in range(n_cat)]
     rev_pool = [f"term{t:03d}" for t in range(n_rev)]
-    cat_topics = _softmax(rng.normal(size=(L, n_cat)) * config.topic_sharpness, axis=1)
-    rev_topics = _softmax(rng.normal(size=(L, n_rev)) * config.topic_sharpness, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cat_topics = _softmax(rng.normal(size=(L, n_cat)) * config.topic_sharpness, axis=1)
+        rev_topics = _softmax(rng.normal(size=(L, n_rev)) * config.topic_sharpness, axis=1)
     if not (np.isfinite(cat_topics).all() and np.isfinite(rev_topics).all()):
         raise ValidationError(f"topic_sharpness {config.topic_sharpness} overflows the topic logits")
 

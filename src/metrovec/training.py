@@ -165,23 +165,24 @@ def train_street_view(params: EncoderParams, sv_ids: list, features: np.ndarray,
     rng = np.random.default_rng(config.seed)
     ctx = context_rows_from_index(index, config.k_context)
 
-    for epoch in range(1, config.epochs_sv + 1):
-        rows = _sample_triplet_rows(ctx, config.triplets_per_anchor, rng)
-        rows = rows[rng.permutation(rows.shape[0])]
-        for start in range(0, rows.shape[0], config.batch_size):
-            batch = rows[start:start + config.batch_size]
-            b = batch.shape[0]
-            # One pass over the stacked (anchor, context, negative) rows.
-            out, cache = _forward_batch(params, features[batch.T.ravel()])
-            ga, gc, gn, _ = triplet_grads(out[:b], out[b:2 * b], out[2 * b:], config.margin_sv)
-            grads_w, grads_b = _backward_batch(params, cache, np.concatenate([ga, gc, gn]))
-            scale = config.lr_sv / b
-            for w, g in zip(params.weights, grads_w):
-                w -= scale * g
-            for bias, g in zip(params.biases, grads_b):
-                bias -= scale * g
-        _check_not_diverged("stage 1", "encoder parameters", [*params.weights, *params.biases],
-                            epoch, config.epochs_sv, f"lr_sv (now {config.lr_sv})")
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_not_diverged reports them
+        for epoch in range(1, config.epochs_sv + 1):
+            rows = _sample_triplet_rows(ctx, config.triplets_per_anchor, rng)
+            rows = rows[rng.permutation(rows.shape[0])]
+            for start in range(0, rows.shape[0], config.batch_size):
+                batch = rows[start:start + config.batch_size]
+                b = batch.shape[0]
+                # One pass over the stacked (anchor, context, negative) rows.
+                out, cache = _forward_batch(params, features[batch.T.ravel()])
+                ga, gc, gn, _ = triplet_grads(out[:b], out[b:2 * b], out[2 * b:], config.margin_sv)
+                grads_w, grads_b = _backward_batch(params, cache, np.concatenate([ga, gc, gn]))
+                scale = config.lr_sv / b
+                for w, g in zip(params.weights, grads_w):
+                    w -= scale * g
+                for bias, g in zip(params.biases, grads_b):
+                    bias -= scale * g
+            _check_not_diverged("stage 1", "encoder parameters", [*params.weights, *params.biases],
+                                epoch, config.epochs_sv, f"lr_sv (now {config.lr_sv})")
 
     X, _ = _forward_batch(params, features)
     return params, X
@@ -272,20 +273,21 @@ def train_poi_stage(z_init: np.ndarray, neighborhood_ids: list, vocab: Vocabular
     # the same uniforms as rng.choice(token_ids, per, p=counts / counts.sum()).
     per = config.triplets_per_anchor
     lr = config.lr_poi
-    for epoch in range(1, config.epochs_poi + 1):
-        for i in rng.permutation(len(neighborhood_ids)):
-            if draws[i] is None:
-                continue
-            token_ids, ctx_cdf, sampler = draws[i]
-            rows = np.concatenate([token_ids[ctx_cdf.searchsorted(rng.random(per), side="right")],
-                                   sampler.draw(rng, size=per)])
-            W = Y[rows]
-            ga, gc, gn, _ = triplet_grads(Z[i][None], W[:per], W[per:], config.margin_poi)
-            step = ga.sum(axis=0)
-            if Z0 is not None:
-                step += per * config.anchor_weight * (Z[i] - Z0[i])
-            Z[i] -= lr * step
-            np.add.at(Y, rows, -lr * np.concatenate([gc, gn]))
-        _check_not_diverged("stage 3", "neighborhood or word embeddings", [Z, Y],
-                            epoch, config.epochs_poi, f"lr_poi (now {config.lr_poi})")
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_not_diverged reports them
+        for epoch in range(1, config.epochs_poi + 1):
+            for i in rng.permutation(len(neighborhood_ids)):
+                if draws[i] is None:
+                    continue
+                token_ids, ctx_cdf, sampler = draws[i]
+                rows = np.concatenate([token_ids[ctx_cdf.searchsorted(rng.random(per), side="right")],
+                                       sampler.draw(rng, size=per)])
+                W = Y[rows]
+                ga, gc, gn, _ = triplet_grads(Z[i][None], W[:per], W[per:], config.margin_poi)
+                step = ga.sum(axis=0)
+                if Z0 is not None:
+                    step += per * config.anchor_weight * (Z[i] - Z0[i])
+                Z[i] -= lr * step
+                np.add.at(Y, rows, -lr * np.concatenate([gc, gn]))
+            _check_not_diverged("stage 3", "neighborhood or word embeddings", [Z, Y],
+                                epoch, config.epochs_poi, f"lr_poi (now {config.lr_poi})")
     return Z, Y

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import shutil
+import struct
 import typing
 from pathlib import Path
 
@@ -783,3 +784,60 @@ def test_diverging_stage_stops_in_the_epoch(tmp_path, trained_ws, capsys, argv, 
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err, err
     assert {p: p.read_bytes() for p in sorted(ws.rglob("*")) if p.is_file()} == before
+
+
+def test_blank_street_view_id_runs_through_the_stages(tmp_path, city_dir):
+    # A CSV row and a checkpoint carry an id of one space; a line-based id
+    # list could not.
+    sv = _lines(city_dir / "street_views.csv")
+    sv[1] = " " + sv[1][sv[1].index(","):]
+    args = ingest_args(city_dir, tmp_path / "ws")
+    args[args.index("--ids") + 1] = str(_write_lines(tmp_path / "sv.csv", sv))
+    args[args.index("--features") + 1] = str(_features_csv(city_dir, tmp_path / "f.csv",
+                                                           lambda ids, feats: ([" "] + ids[1:], feats)))
+    assert main(args) == 0
+    ws = tmp_path / "ws"
+    assert main(["train-sv", "--workspace", str(ws)] + TRAIN_FLAGS) == 0
+    assert main(["aggregate", "--workspace", str(ws)]) == 0
+    assert main(["train-poi", "--workspace", str(ws)]) == 0
+    assert read_embeddings(ws / "checkpoints" / "sv.emb")[0][0] == " "
+    files = json.loads((ws / "manifest.json").read_text())["files"]
+    assert sorted(rel for rel in files if rel.startswith("checkpoints/")) == [
+        "checkpoints/sv.emb", "checkpoints/sve.emb", "checkpoints/u2v.emb", "checkpoints/words.emb"]
+    assert sorted(p.name for p in (ws / "checkpoints").iterdir()) == ["sv.emb", "sve.emb", "u2v.emb", "words.emb"]
+
+
+def _with_old_checkpoints(src: Path, dst: Path) -> Path:
+    """A copy of the workspace ``src`` as the GVEMB001 format, which kept a
+    checkpoint's ids in a ``.ids`` text file beside it, would have left it."""
+    shutil.copytree(src, dst)
+    manifest = json.loads((dst / "manifest.json").read_text())
+    for rel in cli.CHECKPOINTS.values():
+        ids, matrix = read_embeddings(dst / rel)
+        (dst / rel).write_bytes(b"GVEMB001" + struct.pack("<II", *matrix.shape) + matrix.astype("<f4").tobytes())
+        (dst / (rel + ".ids")).write_text("".join(i + "\n" for i in ids), encoding="utf-8")
+        for path in (rel, rel + ".ids"):
+            manifest["files"][path] = sha(dst / path)
+    save_manifest(dst, manifest)
+    return dst
+
+
+@pytest.mark.parametrize("argv", [
+    ["aggregate"],
+    ["train-poi"],
+    ["eval", "--embedding", "sve", "--repeats", "2"],
+    ["cluster", "--k", "2"],
+    ["similar", "--query", "n0000"],
+    ["export-emb", "--embedding", "words", "--out", "words.tsv"],
+], ids=["aggregate", "train-poi", "eval", "cluster", "similar", "export-emb"])
+def test_old_format_checkpoint_asks_for_the_stage_again(tmp_path, trained_ws, city_dir, capsys, argv):
+    ws = _with_old_checkpoints(trained_ws, tmp_path / "ws")
+    before = (ws / "manifest.json").read_bytes()
+    targets = ["--targets", str(city_dir / "attributes.csv")] if argv[0] == "eval" else []
+    if argv[0] == "export-emb":
+        argv = argv[:-1] + [str(tmp_path / argv[-1])]
+    assert main([argv[0], "--workspace", str(ws)] + argv[1:] + targets) == 4
+    err = capsys.readouterr().err
+    assert "checkpoint of the old GVEMB001 format" in err and "re-run the stage that wrote it" in err, err
+    assert "Traceback" not in err
+    assert (ws / "manifest.json").read_bytes() == before

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from metrovec.corpus import PoiRecord, write_poi_jsonl
-from metrovec.errors import FormatError, ValidationError
-from metrovec.fileio import (BAGS_MAGIC, BagTable, StreetViewRecord, ids_sidecar_path, read_bags,
+from metrovec import fileio
+from metrovec.errors import FormatError, StageOrderError, ValidationError
+from metrovec.fileio import (BAGS_MAGIC, BagTable, StreetViewRecord, read_bags,
                              read_centroids_csv, read_embeddings, read_feature_bin,
                              read_features_csv, read_sv_metadata, read_targets_csv, write_bags,
                              write_centroids_csv, write_embeddings, write_embeddings_tsv,
@@ -69,35 +70,58 @@ class TestFeatureCsv:
 
 
 class TestEmbeddings:
-    def test_round_trip_with_sidecar(self, tmp_path):
+    @pytest.mark.parametrize("ids", [
+        ["n1", "n2"],
+        ["", " ", "a\rb", "\t", "caf\u00e9 \u5317\u4eac", "n\u2028x"],
+        [],
+    ], ids=["plain", "blank-space-cr-non-ascii", "no-rows"])
+    def test_round_trip(self, tmp_path, ids):
         path = tmp_path / "z.emb"
-        ids = ["n1", "n2"]
-        Z = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        Z = np.arange(3.0 * len(ids)).reshape(len(ids), 3) - 2.5
         write_embeddings(path, ids, Z)
         rids, rz = read_embeddings(path)
         assert rids == ids
-        assert np.array_equal(rz, Z.astype(np.float32))
-        assert ids_sidecar_path(path).exists()
+        assert np.array_equal(rz, Z.astype(np.float32)) and rz.dtype == np.float32
+        assert [p.name for p in tmp_path.iterdir()] == ["z.emb"]
 
-    def test_missing_sidecar(self, tmp_path):
+    def test_layout(self, tmp_path):
         path = tmp_path / "z.emb"
-        write_embeddings(path, ["a"], np.ones((1, 2)))
-        ids_sidecar_path(path).unlink()
-        with pytest.raises(FormatError, match="sidecar"):
-            read_embeddings(path)
+        write_embeddings(path, ["a", "\u00e9"], np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
+        data = path.read_bytes()
+        assert data[:8] == b"GVEMB002"
+        assert struct.unpack_from("<IIQ", data, 8) == (2, 3, 5)
+        assert data[24:29] == "a\n\u00e9\n".encode()
+        assert np.frombuffer(data, "<f4", 6, 29).tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        assert len(data) == 29 + 24
 
-    def test_sidecar_count_mismatch(self, tmp_path):
+    @pytest.mark.parametrize("bad, message", [
+        ("a\nb", "one of the ids holds a newline"),
+        ("a\ud800", "is not valid Unicode text"),
+    ], ids=["newline", "lone-surrogate"])
+    def test_unwritable_id_refused_before_writing(self, tmp_path, bad, message):
+        path = tmp_path / "z.emb"
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: ") + ".*" + message):
+            write_embeddings(path, ["a", bad], np.ones((2, 3)))
+        assert list(tmp_path.iterdir()) == []
+        write_embeddings(path, ["a", "b"], np.ones((2, 3)))
+        before = path.read_bytes()
+        with pytest.raises(ValidationError, match=message):
+            write_embeddings(path, ["a", bad], np.zeros((2, 3)))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["z.emb"]
+
+    def test_block_count_mismatch(self, tmp_path):
         path = tmp_path / "z.emb"
         write_embeddings(path, ["a", "b"], np.ones((2, 2)))
-        ids_sidecar_path(path).write_text("a\n")
-        with pytest.raises(FormatError):
+        path.write_bytes(path.read_bytes().replace(b"a\nb\n", b"a\nbb"))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: expected 2 newline-ended ids")):
             read_embeddings(path)
 
-    def test_sidecar_not_utf8(self, tmp_path):
+    def test_block_not_utf8(self, tmp_path):
         path = tmp_path / "z.emb"
         write_embeddings(path, ["a", "b"], np.ones((2, 2)))
-        ids_sidecar_path(path).write_bytes(b"a\n\xffb\n")
-        with pytest.raises(FormatError, match=re.escape(f"{ids_sidecar_path(path)}: not UTF-8 text")):
+        path.write_bytes(path.read_bytes().replace(b"a\nb\n", b"a\n\xff\n"))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: the id block is not UTF-8 text")):
             read_embeddings(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39])
@@ -105,43 +129,45 @@ class TestEmbeddings:
         path = tmp_path / "z.emb"
         with pytest.raises(ValidationError, match="float32"):
             write_embeddings(path, ["a", "b"], np.array([[1.0, 2.0], [bad, 0.0]]))
-        assert not path.exists() and not ids_sidecar_path(path).exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "z.emb"
         write_embeddings(path, ["a"], np.ones((1, 2)))
         path.write_bytes(path.read_bytes()[:12])
-        with pytest.raises(FormatError, match="header"):
+        with pytest.raises(FormatError, match=re.escape(f"{path}: truncated header, 4 of 16 bytes")):
+            read_embeddings(path)
+
+    @pytest.mark.parametrize("edit, found", [(lambda b: b[:-1], 9), (lambda b: b + b"\x00", 11)],
+                             ids=["short", "long"])
+    def test_payload_length(self, tmp_path, edit, found):
+        path = tmp_path / "z.emb"
+        write_embeddings(path, ["a"], np.ones((1, 2)))
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: expected 10 payload bytes, found {found}")):
+            read_embeddings(path)
+
+    def test_old_format_asks_for_the_stage_again(self, tmp_path):
+        path = tmp_path / "z.emb"
+        path.write_bytes(b"GVEMB001" + struct.pack("<II", 1, 2) + np.ones(2, "<f4").tobytes())
+        with pytest.raises(StageOrderError, match="re-run the stage that wrote it"):
             read_embeddings(path)
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "z.emb"
         write_embeddings(path, ["a", "b"], np.ones((2, 3)))
-        before = path.read_bytes(), ids_sidecar_path(path).read_bytes()
+        before = path.read_bytes()
 
         def fail(*args):
             raise OSError("disk full")
 
-        # The magic is written before the header, so the write fails partway.
-        monkeypatch.setattr(struct, "pack", fail)
+        # Packing the header fails after the temporary file is opened.
+        monkeypatch.setattr(fileio, "_EMBEDDING_HEADER", SimpleNamespace(pack=fail))
         with pytest.raises(OSError, match="disk full"):
             write_embeddings(path, ["a", "b"], np.zeros((2, 3)))
         monkeypatch.undo()
-        assert (path.read_bytes(), ids_sidecar_path(path).read_bytes()) == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["z.emb", "z.emb.ids"]
-
-    def test_failed_sidecar_write_keeps_previous_sidecar(self, tmp_path):
-        class Unprintable:
-            def __format__(self, spec):
-                raise ValueError("no text form")
-
-        path = tmp_path / "z.emb"
-        write_embeddings(path, ["a", "b"], np.ones((2, 3)))
-        before = ids_sidecar_path(path).read_bytes()
-        with pytest.raises(ValueError, match="no text form"):
-            write_embeddings(path, ["a", Unprintable()], np.ones((2, 3)))
-        assert ids_sidecar_path(path).read_bytes() == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["z.emb", "z.emb.ids"]
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["z.emb"]
 
     def test_tsv_export(self, tmp_path):
         path = tmp_path / "z.tsv"

@@ -1,6 +1,7 @@
 """Batched triplet loss/gradient, sampling, and staged-training tests."""
 
 import dataclasses
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -524,6 +525,34 @@ class TestTrainPoiStage:
         held, _ = train_poi_stage(z0, nbhd_ids, vocab, bags,
                                   dataclasses.replace(cfg, anchor_weight=0.5))
         assert np.linalg.norm(held - z0) < 0.5 * np.linalg.norm(free - z0)
+
+
+def diverging_stage_1():
+    ids, feats, index = city_training_inputs(small_city())
+    cfg = TrainingConfig(d=4, hidden=4, k_context=3, epochs_sv=2, lr_sv=1e200, seed=9)
+    train_street_view(init_encoder(feats.shape[1], 4, 4, seed=9), ids, feats, index, cfg)
+
+
+def diverging_stage_3():
+    bags, vocab, _ = toy_corpus()
+    cfg = TrainingConfig(d=6, epochs_poi=2, triplets_per_anchor=4, lr_poi=1e200, seed=7)
+    train_poi_stage(np.full((4, 6), 0.1), sorted(bags), vocab, bags, cfg)
+
+
+@pytest.mark.parametrize("run, message", [
+    (diverging_stage_1, "stage 1 diverged in epoch 1 of 2"),
+    (diverging_stage_3, "stage 3 diverged in epoch 1 of 2"),
+    (lambda: small_city(n_clusters=2, cluster_separation=1e308), "street-view features overflow"),
+    (lambda: small_city(feature_noise=1e39), "street-view features overflow"),
+    (lambda: small_city(topic_sharpness=1e308), "overflows the topic logits"),
+], ids=["stage-1", "stage-3", "synth-latents", "synth-features", "synth-topics"])
+def test_guarded_overflow_raises_without_numpy_warnings(run, message):
+    """Where a check reports an overflow as a ValidationError, numpy's own
+    RuntimeWarnings for it are not shown as well."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=message):
+            run()
 
 
 def test_full_pipeline_seed_determinism():
