@@ -354,7 +354,7 @@ def _read_ingested(workspace: Path, manifest: dict, *names: str):
 def _write_report(workspace: Path, name: str, text: str) -> Path:
     """Write ``text`` to ``reports/<name>``. A plain write, not an atomic one:
     renaming over a report written moments before slowed the read-side
-    commands measurably (ROADMAP item D)."""
+    commands measurably (ROADMAP item E)."""
     path = workspace / "reports" / name
     path.parent.mkdir(exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:

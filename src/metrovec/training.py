@@ -7,7 +7,11 @@ neighborhood embedding to the mean of its street-view embeddings (the closed
 form minimizer of the summed squared distance). Stage 3 jointly trains
 neighborhood and POI-word embeddings on word triplets, with context words
 drawn from the neighborhood bag (respecting multiplicity) and negatives drawn
-frequency**exponent-weighted from outside the bag. Stages 1 and 3 check at
+frequency**exponent-weighted from outside the bag. Each stage-3 epoch draws
+all of its triplets at once, from the stacked bag counts and one shared
+negative table, and then updates in blocks of _POI_BLOCK neighborhoods with
+the gradients taken at the block's start, so memory grows with the
+vocabulary plus the bags, not with their product. Stages 1 and 3 check at
 the end of every epoch that what they train is still finite and within the
 float32 range of a checkpoint, and stop with a ValidationError naming the
 stage and the epoch if it is not.
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import NegativeWordSampler, Vocabulary, _inverse_cdf
+from .corpus import NegativeWordSampler, Vocabulary
 from .encoder import EncoderParams, _backward_batch, _forward_batch
 from .errors import ValidationError
 from .geo import SpatialIndex
@@ -31,6 +35,8 @@ log = logging.getLogger(__name__)
 DISTANCE_FLOOR = 1e-8  # floor for distances in gradient denominators
 _FLOAT32_MAX = float(np.finfo(np.float32).max)  # the largest value a checkpoint holds
 EMPTY_POLICIES = ("error", "zero")  # what stage 2 gives a neighborhood without street views
+_POI_BLOCK = 16  # neighborhoods per stage-3 update; the gradients are taken at the block's start
+_HEAVY_BAG_SHARE = 0.5  # a stage-3 bag above this share of the negative weight keeps its own sampler
 
 
 @dataclass
@@ -231,6 +237,64 @@ def init_word_vectors(vocab: Vocabulary, d: int, seed: int,
     return Y
 
 
+class _EpochDraws:
+    """Whole-epoch triplet draws of stage 3 for the active bags: bag j
+    anchors row ``rows[j]`` of Z.
+
+    Contexts come from one ``searchsorted`` over the stacked integer
+    cumulative counts of the bags, at ``before[j] + min(floor(u * total[j]),
+    total[j] - 1)``, so no draw rounds into the next bag. Negatives come from
+    one shared frequency ** exponent table (word2vec's unigram table); the
+    draws that hit their own bag, found among the sorted ``j * V + id`` keys,
+    are redrawn until none do, which is the law of the table with the bag's
+    entries zeroed. Rejection takes 1 / (1 - share) draws on average, without
+    bound as a bag's share of the negative weight nears 1, so a bag above
+    _HEAVY_BAG_SHARE keeps its own exact NegativeWordSampler."""
+
+    def __init__(self, rows: list[int], bags: list, vocab: Vocabulary, exponent: float):
+        # Raises before any epoch runs if frequency ** exponent overflows.
+        self.shared = NegativeWordSampler(vocab, (), exponent)
+        self.rows = np.asarray(rows, dtype=np.int64)
+        self.ids = np.concatenate([bag.ids for bag in bags])
+        counts = np.concatenate([bag.counts for bag in bags])
+        sizes = [len(bag) for bag in bags]
+        starts = np.cumsum([0] + sizes[:-1])
+        self.cum = np.cumsum(counts)
+        self.total = np.add.reduceat(counts, starts)
+        self.before = self.cum[starts] - counts[starts]
+        self.keys = np.sort(np.repeat(np.arange(len(bags)), sizes) * vocab.size + self.ids)
+        self.vocab_size = vocab.size
+        weights = vocab.frequencies.astype(np.float64) ** exponent
+        share = np.add.reduceat(weights[self.ids], starts) / weights.sum()
+        self.heavy = {int(j): NegativeWordSampler(vocab, bags[j].ids, exponent)
+                      for j in np.flatnonzero(share > _HEAVY_BAG_SHARE)}
+
+    def _in_bag(self, j: np.ndarray, words: np.ndarray) -> np.ndarray:
+        keys = j * self.vocab_size + words
+        at = np.minimum(self.keys.searchsorted(keys), self.keys.size - 1)
+        return self.keys[at] == keys
+
+    def epoch(self, rng: np.random.Generator, per: int):
+        """(Z rows in a fresh random order, context ids, negative ids): the
+        ``per`` triplets of each row lie together, in the rows' order."""
+        order = rng.permutation(self.rows.size)
+        j = np.repeat(order, per)
+        total = self.total[j]
+        picks = np.minimum((rng.random(j.size) * total).astype(np.int64), total - 1)
+        ctx = self.ids[self.cum.searchsorted(self.before[j] + picks, side="right")]
+        neg = self.shared.draw(rng, size=j.size)
+        if self.heavy:
+            position = np.argsort(order)
+            for h, sampler in self.heavy.items():
+                at = position[h] * per
+                neg[at:at + per] = sampler.draw(rng, size=per)
+        redo = np.arange(j.size)
+        while redo.size:
+            redo = redo[self._in_bag(j[redo], neg[redo])]
+            neg[redo] = self.shared.draw(rng, size=redo.size)
+        return self.rows[order], ctx, neg
+
+
 def train_poi_stage(z_init: np.ndarray, neighborhood_ids: list, vocab: Vocabulary,
                     bags: dict, config: TrainingConfig,
                     pretrained: dict[int, np.ndarray] | None = None):
@@ -239,7 +303,9 @@ def train_poi_stage(z_init: np.ndarray, neighborhood_ids: list, vocab: Vocabular
     of ``vocab`` and their counts); a neighborhood without one, or with an
     empty one, gets no triplets. Word vectors start from
     init_word_vectors(vocab, d, config.seed, pretrained); the SGD stream uses
-    config.seed + 1. Returns (Z, Y)."""
+    config.seed + 1. Each epoch draws all of its triplets at once
+    (``_EpochDraws``) and updates in blocks of _POI_BLOCK neighborhoods.
+    Returns (Z, Y)."""
     config.validate()
     z_init = np.asarray(z_init, dtype=np.float64)
     if z_init.shape[0] != len(neighborhood_ids):
@@ -250,44 +316,41 @@ def train_poi_stage(z_init: np.ndarray, neighborhood_ids: list, vocab: Vocabular
     Z0 = z_init if config.anchor_weight > 0.0 else None
     rng = np.random.default_rng(config.seed + 1)
 
-    draws = []  # per neighborhood: (bag token ids, their inverse CDF, negative sampler) or None
-    for nid in neighborhood_ids:
+    rows, active = [], []
+    for i, nid in enumerate(neighborhood_ids):
         bag = bags.get(nid)
         if not bag:
             log.info("neighborhood %s has an empty bag; contributes no triplets", nid)
-            draws.append(None)
-            continue
-        ids, counts = bag.ids, bag.counts
-        if ids.size == vocab.size:
+        elif len(bag) == vocab.size:
             # No negatives exist outside this bag; skip like an empty bag.
             log.warning("neighborhood %s bag covers the whole vocabulary; skipped", nid)
-            draws.append(None)
-            continue
-        sampler = NegativeWordSampler(vocab, ids, config.neg_exponent)
-        draws.append((ids, _inverse_cdf(counts / counts.sum()), sampler))
+        else:
+            rows.append(i)
+            active.append(bag)
+    draws = _EpochDraws(rows, active, vocab, config.neg_exponent) if rows else None
 
-    # One block update per (epoch, neighborhood): the anchor takes the summed
-    # gradient of its triplets, and np.add.at accumulates repeated word rows.
-    # Context and negative rows never overlap (negatives lie outside the bag),
-    # so one np.add.at over both gives the same sums. Context draws consume
-    # the same uniforms as rng.choice(token_ids, per, p=counts / counts.sum()).
-    per = config.triplets_per_anchor
-    lr = config.lr_poi
+    # One update per block of neighborhoods, every gradient taken at the
+    # block's start: each anchor takes the summed gradient of its triplets
+    # (the block's Z rows are distinct), and one np.add.at accumulates the
+    # repeated word rows of the block's contexts and negatives.
+    per, lr, block = config.triplets_per_anchor, config.lr_poi, _POI_BLOCK
     with np.errstate(over="ignore", invalid="ignore"):  # _check_not_diverged reports them
         for epoch in range(1, config.epochs_poi + 1):
-            for i in rng.permutation(len(neighborhood_ids)):
-                if draws[i] is None:
-                    continue
-                token_ids, ctx_cdf, sampler = draws[i]
-                rows = np.concatenate([token_ids[ctx_cdf.searchsorted(rng.random(per), side="right")],
-                                       sampler.draw(rng, size=per)])
-                W = Y[rows]
-                ga, gc, gn, _ = triplet_grads(Z[i][None], W[:per], W[per:], config.margin_poi)
-                step = ga.sum(axis=0)
-                if Z0 is not None:
-                    step += per * config.anchor_weight * (Z[i] - Z0[i])
-                Z[i] -= lr * step
-                np.add.at(Y, rows, -lr * np.concatenate([gc, gn]))
+            if draws is not None:
+                order, ctx, neg = draws.epoch(rng, per)
+                for start in range(0, order.size, block):
+                    z_rows = order[start:start + block]
+                    n = z_rows.size * per
+                    triplets = slice(start * per, start * per + n)
+                    words = np.concatenate([ctx[triplets], neg[triplets]])
+                    W = Y[words]
+                    ga, gc, gn, _ = triplet_grads(np.repeat(Z[z_rows], per, axis=0), W[:n], W[n:],
+                                                  config.margin_poi)
+                    step = ga.reshape(z_rows.size, per, d).sum(axis=1)
+                    if Z0 is not None:
+                        step += per * config.anchor_weight * (Z[z_rows] - Z0[z_rows])
+                    Z[z_rows] -= lr * step
+                    np.add.at(Y, words, -lr * np.concatenate([gc, gn]))
             _check_not_diverged("stage 3", "neighborhood or word embeddings", [Z, Y],
                                 epoch, config.epochs_poi, f"lr_poi (now {config.lr_poi})")
     return Z, Y

@@ -325,6 +325,16 @@ class TestConfig:
         assert f"{field} must be finite" in capsys.readouterr().err
         assert (ws / "manifest.json").read_bytes() == before
 
+    @pytest.mark.parametrize("extra", [[], ["--epochs-poi", "0"]], ids=["default-epochs", "zero-epochs"])
+    def test_overflowing_neg_exponent_rejected(self, tmp_path, trained_ws, capsys, extra):
+        # The check runs once per stage, before any epoch.
+        ws = tmp_path / "ws"
+        shutil.copytree(trained_ws, ws)
+        before = (ws / "manifest.json").read_bytes()
+        assert main(["train-poi", "--workspace", str(ws), "--neg-exponent", "1000"] + extra) == 3
+        assert "overflows" in capsys.readouterr().err
+        assert (ws / "manifest.json").read_bytes() == before
+
     def test_unknown_config_key_rejected(self, tmp_path, city_dir, capsys):
         ws = tmp_path / "ws"
         assert main(ingest_args(city_dir, ws)) == 0

@@ -1,13 +1,16 @@
 """Batched triplet loss/gradient, sampling, and staged-training tests."""
 
 import dataclasses
+import time
+import tracemalloc
 import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from metrovec.corpus import NegativeWordSampler, build_vocabulary
+from metrovec import training
+from metrovec.corpus import Bag, Vocabulary, build_vocabulary
 from metrovec.encoder import _backward_batch, _forward_batch, init_encoder
 from metrovec.errors import ValidationError
 from metrovec.fileio import write_embeddings
@@ -414,6 +417,17 @@ def toy_corpus():
     return {nid: vocab.bag_to_ids(bag) for nid, bag in bags.items()}, vocab, signature
 
 
+def random_corpus(n, vocab_size, seed, words_per_bag=8):
+    """``n`` neighborhoods with random bags of up to ``words_per_bag`` of
+    ``vocab_size`` words, and their vocabulary."""
+    rng = np.random.default_rng(seed)
+    bags = {f"n{i:03d}": Counter({f"w{w:03d}": int(rng.integers(1, 6))
+                                  for w in rng.choice(vocab_size, words_per_bag)})
+            for i in range(n)}
+    vocab = build_vocabulary(bags.values())
+    return {nid: vocab.bag_to_ids(bag) for nid, bag in bags.items()}, vocab
+
+
 class TestTrainPoiStage:
     def test_zero_epochs_identity(self):
         bags, vocab, _ = toy_corpus()
@@ -490,27 +504,37 @@ class TestTrainPoiStage:
         _, Y = train_poi_stage(np.zeros((4, 6)), nbhd_ids, vocab, bags, cfg, pretrained=pre)
         assert np.array_equal(Y[vocab.id_of("shared")], vec)
 
-    def test_block_update_matches_per_triplet_reference(self):
-        # Reference: each neighborhood's triplets in turn, every gradient taken
-        # at the values the block started from, so repeated word rows add up.
-        bags, vocab, _ = toy_corpus()
+    @pytest.mark.parametrize("block", [1, training._POI_BLOCK], ids=["block-of-one", "default-block"])
+    def test_blocks_match_replay_of_the_same_draws(self, monkeypatch, block):
+        # Reference: the stage's own draws replayed one triplet at a time,
+        # every gradient taken at the values its block started from, so
+        # repeated word rows add up. A block of one is sequential
+        # per-neighborhood SGD.
+        monkeypatch.setattr(training, "_POI_BLOCK", block)
+        draws = []
+        epoch = training._EpochDraws.epoch
+        monkeypatch.setattr(training._EpochDraws, "epoch",
+                            lambda self, rng, per: draws.append(epoch(self, rng, per)) or draws[-1])
+        bags, vocab = random_corpus(n=40, vocab_size=30, seed=3)
+        bags["n_empty"] = vocab.bag_to_ids(Counter())
         nbhd_ids = sorted(bags)
-        z0 = np.random.default_rng(8).normal(size=(4, 6)) * 0.1
+        z0 = np.random.default_rng(8).normal(size=(len(nbhd_ids), 6)) * 0.1
         cfg = TrainingConfig(d=6, epochs_poi=2, triplets_per_anchor=8, lr_poi=0.05,
                              anchor_weight=0.3, seed=4)
         Z, Y = train_poi_stage(z0, nbhd_ids, vocab, bags, cfg)
+        assert len(draws) == cfg.epochs_poi
 
         Zr, Yr = z0.copy(), init_word_vectors(vocab, 6, cfg.seed)
-        rng = np.random.default_rng(cfg.seed + 1)
-        for _ in range(cfg.epochs_poi):
-            for i in rng.permutation(len(nbhd_ids)):
-                ids, counts = bags[nbhd_ids[i]].ids, bags[nbhd_ids[i]].counts
-                ctx = rng.choice(ids, size=8, p=counts / counts.sum())
-                neg = NegativeWordSampler(vocab, set(ids.tolist())).draw(rng, size=8)
-                z_start, y_start = Zr[i].copy(), Yr.copy()
-                for c, n in zip(ctx, neg):
-                    ga, gc, gn = grads_of(z_start, y_start[c], y_start[n], cfg.margin_poi)
-                    Zr[i] -= cfg.lr_poi * (ga + cfg.anchor_weight * (z_start - z0[i]))
+        per = cfg.triplets_per_anchor
+        for order, ctx, neg in draws:
+            assert sorted(order.tolist()) == [i for i, nid in enumerate(nbhd_ids) if nid != "n_empty"]
+            for start in range(0, order.size, block):
+                z_start, y_start = Zr.copy(), Yr.copy()
+                for t in range(start * per, min(start + block, order.size) * per):
+                    i, c, n = order[t // per], ctx[t], neg[t]
+                    assert c in bags[nbhd_ids[i]].ids and n not in bags[nbhd_ids[i]].ids
+                    ga, gc, gn = grads_of(z_start[i], y_start[c], y_start[n], cfg.margin_poi)
+                    Zr[i] -= cfg.lr_poi * (ga + cfg.anchor_weight * (z_start[i] - z0[i]))
                     Yr[c] -= cfg.lr_poi * gc
                     Yr[n] -= cfg.lr_poi * gn
         assert np.allclose(Z, Zr, rtol=0, atol=1e-12)
@@ -525,6 +549,66 @@ class TestTrainPoiStage:
         held, _ = train_poi_stage(z0, nbhd_ids, vocab, bags,
                                   dataclasses.replace(cfg, anchor_weight=0.5))
         assert np.linalg.norm(held - z0) < 0.5 * np.linalg.norm(free - z0)
+
+
+LAW_FREQS = {"a": 2, "b": 7, "c": 13, "d": 29, "e": 50}
+
+
+class TestEpochDraws:
+    @pytest.mark.parametrize("bag_words, heavy", [("ad", False), ("de", True)],
+                             ids=["rejection", "heavy-bag"])
+    def test_negatives_follow_the_zeroed_table_law(self, bag_words, heavy):
+        vocab = build_vocabulary([Counter(LAW_FREQS)])
+        bag = vocab.bag_to_ids(Counter({w: 1 for w in bag_words}))
+        draws = training._EpochDraws([0], [bag], vocab, 0.5)
+        assert bool(draws.heavy) == heavy
+        _, _, neg = draws.epoch(np.random.default_rng(33), per=100_000)
+        assert not np.isin(neg, bag.ids).any()
+        weights = np.array(list(LAW_FREQS.values()), dtype=float) ** 0.5
+        weights[bag.ids] = 0.0
+        emp = np.bincount(neg, minlength=vocab.size) / neg.size
+        assert np.abs(emp - weights / weights.sum()).max() <= 0.01
+
+    def test_contexts_follow_the_counts_and_stay_in_their_bag(self):
+        vocab = build_vocabulary([Counter(LAW_FREQS)])
+        bags = [vocab.bag_to_ids(Counter(c)) for c in ({"a": 1, "b": 3}, {"c": 5}, {"b": 1, "d": 1, "e": 2})]
+        order, ctx, neg = training._EpochDraws([4, 0, 2], bags, vocab, 0.5).epoch(
+            np.random.default_rng(34), per=50_000)
+        assert sorted(order.tolist()) == [0, 2, 4]
+        for row, bag in zip([4, 0, 2], bags):
+            own = np.repeat(order, 50_000) == row
+            assert np.isin(ctx[own], bag.ids).all() and not np.isin(neg[own], bag.ids).any()
+            emp = np.array([np.mean(ctx[own] == t) for t in bag.ids])
+            assert np.abs(emp - bag.counts / bag.counts.sum()).max() <= 0.01
+
+    def test_heavy_bag_epoch_terminates_quickly(self):
+        # The bag holds all but ~5e-7 of the negative weight: rejection from
+        # the shared table would need ~2e6 draws per negative.
+        vocab = Vocabulary(tokens=("a", "b", "c"), frequencies=np.array([10**12, 10**12, 1]))
+        bags = {"n0": Bag(np.array([0, 1]), np.array([1, 1]))}
+        cfg = TrainingConfig(d=4, epochs_poi=1, seed=1)
+        t0 = time.monotonic()
+        train_poi_stage(np.zeros((1, 4)), ["n0"], vocab, bags, cfg)
+        assert time.monotonic() - t0 < 1.0
+
+    def test_memory_grows_with_vocabulary_plus_bags_not_their_product(self):
+        # 1000 neighborhoods x 20000 words: one |V|-long table per bag would
+        # be 1000 * 20000 * 8 B = 160 MB.
+        rng = np.random.default_rng(5)
+        n, size = 1000, 20_000
+        vocab = Vocabulary(tokens=tuple(f"w{i:05d}" for i in range(size)),
+                           frequencies=rng.integers(1, 1000, size=size))
+        ids = [np.unique(rng.integers(0, size, 60)) for _ in range(n)]
+        bags = {f"n{i:04d}": Bag(b, rng.integers(1, 5, size=b.size)) for i, b in enumerate(ids)}
+        z0 = np.zeros((n, 8))
+        cfg = TrainingConfig(d=8, epochs_poi=1, seed=2)
+        tracemalloc.start()
+        try:
+            train_poi_stage(z0, sorted(bags), vocab, bags, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 def diverging_stage_1():
