@@ -1,6 +1,6 @@
 """Downstream evaluation: PCA, linear regression with R-squared, repeated
-split evaluation, k-means, cosine similarity ranking, and the category
-tf-idf baseline.
+split evaluation (principal-components regression in closed form), k-means,
+cosine similarity ranking, and the category tf-idf baseline.
 
 Everything here is a pure function of its inputs and a seed; repeated splits
 derive their generator from seed + repeat index.
@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -61,7 +62,9 @@ def pca_fit(matrix: np.ndarray, n_components: int) -> PcaModel:
 
 def linreg_fit(features: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, float]:
     """Least squares via normal equations with a tiny Tikhonov term; the
-    intercept is handled by centering. Returns (weights, intercept)."""
+    intercept is handled by centering. Returns (weights, intercept). The
+    general-solve reference that ``evaluate_regression``'s tests check its
+    closed form against."""
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
@@ -79,6 +82,7 @@ def linreg_fit(features: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, f
 
 
 def linreg_predict(weights: np.ndarray, intercept: float, features: np.ndarray) -> np.ndarray:
+    """Predictions of a ``linreg_fit`` model; a reference, like it."""
     return np.asarray(features, dtype=np.float64) @ weights + intercept
 
 
@@ -147,41 +151,16 @@ def default_pca_candidates(dim: int, n_train: int) -> list[int]:
     return sorted(set(cands))
 
 
-def regression_split_eval(Z: np.ndarray, y: np.ndarray, train_idx: np.ndarray,
-                          val_idx: np.ndarray, test_idx: np.ndarray,
-                          candidates: list[int]) -> tuple[float, int, PcaModel]:
-    """PCA is fit on the training rows only; the candidate component count is
-    chosen by validation R^2 (ties to the smaller count), and the resulting
-    model is scored on the test rows."""
-    pca = pca_fit(Z[train_idx], max(candidates))
-    projected = [pca.transform(Z[rows]) for rows in (train_idx, val_idx, test_idx)]
-    test_r2, c = _select_and_score(*projected, y[train_idx], y[val_idx], y[test_idx], candidates)
-    return test_r2, c, pca
-
-
-def _select_and_score(p_train: np.ndarray, p_val: np.ndarray, p_test: np.ndarray,
-                      y_train: np.ndarray, y_val: np.ndarray, y_test: np.ndarray,
-                      candidates: list[int]) -> tuple[float, int]:
-    """Test R^2 and component count of the linear fit on the leading
-    components of the PCA projections that scores best on validation."""
-    best = None
-    for c in sorted(candidates):
-        w, b = linreg_fit(p_train[:, :c], y_train)
-        try:
-            score = r_squared(y_val, linreg_predict(w, b, p_val[:, :c]))
-        except ValidationError:
-            score = -np.inf  # constant validation target: no signal to rank by
-        if best is None or score > best[0]:
-            best = (score, c, w, b)
-    _, c, w, b = best
-    return r_squared(y_test, linreg_predict(w, b, p_test[:, :c])), c
-
-
 def evaluate_regression(Z: np.ndarray, targets: np.ndarray, target_names: list[str],
                         protocol: SplitProtocol) -> RegressionReport:
-    """Repeated seeded 70/15/15 splits; per repeat, fit PCA on the training
-    split, then per target fit LR on it, pick the component count on
-    validation R^2, and report test R^2 aggregated over repeats."""
+    """Repeated seeded 70/15/15 splits scored by principal-components
+    regression in closed form (Hastie, Tibshirani & Friedman, ESL 3.5.1).
+    One PCA per split, fit on the training rows, serves every target and
+    candidate count: the training projections are centred and orthogonal, so
+    the ridge weights are ``p_j . (y - mean(y)) / (|p_j|^2 + RIDGE_LAMBDA)``
+    and the fit on c components keeps the first c. Validation R^2 picks the
+    count (the smaller on a tie, or on a constant validation target), and
+    test R^2 is aggregated over repeats."""
     Z = np.asarray(Z, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if targets.ndim == 1:
@@ -190,6 +169,8 @@ def evaluate_regression(Z: np.ndarray, targets: np.ndarray, target_names: list[s
         raise ValidationError(f"{Z.shape[0]} embedding rows but {targets.shape[0]} target rows")
     if targets.shape[1] != len(target_names):
         raise ValidationError(f"{targets.shape[1]} target columns but {len(target_names)} names")
+    if not (np.isfinite(Z).all() and np.isfinite(targets).all()):
+        raise ValidationError("non-finite regression inputs")
     n = Z.shape[0]
     n_train = int(math.floor(TRAIN_FRACTION * n))
     n_val = int(math.floor(VAL_FRACTION * n))
@@ -200,6 +181,8 @@ def evaluate_regression(Z: np.ndarray, targets: np.ndarray, target_names: list[s
     candidates = sorted({c for c in candidates if 1 <= c <= min(n_train, Z.shape[1])})
     if not candidates:
         raise ValidationError("no usable PCA component candidates")
+    # The components each candidate adds to the one before it.
+    blocks = list(zip([0, *candidates[:-1]], candidates))
 
     per_repeat = np.empty((protocol.repeats, targets.shape[1]))
     chosen = np.empty((protocol.repeats, targets.shape[1]), dtype=np.int64)
@@ -209,14 +192,25 @@ def evaluate_regression(Z: np.ndarray, targets: np.ndarray, target_names: list[s
         train_idx = perm[:n_train]
         val_idx = perm[n_train:n_train + n_val]
         test_idx = perm[n_train + n_val:]
-        # One PCA fit per split serves every target.
-        pca = pca_fit(Z[train_idx], max(candidates))
-        projected = [pca.transform(Z[rows]) for rows in (train_idx, val_idx, test_idx)]
-        for t in range(targets.shape[1]):
-            y = targets[:, t]
-            per_repeat[rep, t], chosen[rep, t] = _select_and_score(
-                *projected, y[train_idx], y[val_idx], y[test_idx], candidates)
-        del pca, projected  # not alive during the next split's SVD
+        pca = pca_fit(Z[train_idx], candidates[-1])
+        p_train, p_val, p_test = (pca.transform(Z[rows]) for rows in (train_idx, val_idx, test_idx))
+        y_mean = targets[train_idx].mean(axis=0)
+        gram_diagonal = (p_train ** 2).sum(axis=0) + RIDGE_LAMBDA
+        weights = (p_train.T @ (targets[train_idx] - y_mean)) / gram_diagonal[:, None]
+        # (candidates, rows, targets): predictions less y_mean, per count.
+        fit_val, fit_test = (np.cumsum([p[:, lo:hi] @ weights[lo:hi] for lo, hi in blocks], axis=0)
+                             for p in (p_val, p_test))
+        y_val = targets[val_idx]
+        ss_res = ((y_val - y_mean - fit_val) ** 2).sum(axis=1)
+        ss_tot = ((y_val - y_val.mean(axis=0)) ** 2).sum(axis=0)
+        score = np.full_like(ss_res, -np.inf)
+        varies = ss_tot != 0.0
+        score[:, varies] = 1.0 - ss_res[:, varies] / ss_tot[varies]
+        best = score.argmax(axis=0)
+        for t, k in enumerate(best.tolist()):
+            per_repeat[rep, t] = r_squared(targets[test_idx, t], y_mean[t] + fit_test[k, :, t])
+            chosen[rep, t] = candidates[k]
+        del pca, p_train, p_val, p_test  # not alive during the next split's SVD
     return RegressionReport(
         target_names=list(target_names),
         mean_r2=per_repeat.mean(axis=0),
@@ -294,12 +288,16 @@ def cosine_rank(query: np.ndarray, candidate_ids: list, candidates: np.ndarray,
     if not keep.all():
         skipped = [candidate_ids[i] for i in np.flatnonzero(~keep)]
         log.warning("skipping zero-norm candidates: %s", skipped)
-    sims = ((candidates[keep] @ query) / (norms[keep] * qnorm)).tolist()
-    kept_ids = [cid for cid, ok in zip(candidate_ids, keep) if ok]
-    order = sorted(range(len(kept_ids)),
-                   key=lambda i: ((sims[i] if ascending else -sims[i]), kept_ids[i]))
-    if top_n is not None:
-        order = order[:top_n]
+    sims = (candidates[keep] @ query) / (norms[keep] * qnorm)
+    kept_ids = list(compress(candidate_ids, keep.tolist()))
+    key = sims if ascending else -sims
+    pool = range(key.size)
+    if top_n is not None and top_n < key.size:
+        # Only keys at or before the top_n-th smallest, ties at the cut
+        # included, can rank; the rest need no sort.
+        pool = np.flatnonzero(key <= np.partition(key, top_n - 1)[top_n - 1]).tolist()
+    keys, sims = key.tolist(), sims.tolist()
+    order = sorted(pool, key=lambda i: (keys[i], kept_ids[i]))[:top_n]
     return [(kept_ids[i], sims[i]) for i in order]
 
 

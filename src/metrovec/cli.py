@@ -17,6 +17,7 @@ import dataclasses
 import functools
 import json
 import logging
+import os
 import sys
 import typing
 from collections import Counter
@@ -352,13 +353,25 @@ def _read_ingested(workspace: Path, manifest: dict, *names: str):
 
 
 def _write_report(workspace: Path, name: str, text: str) -> Path:
-    """Write ``text`` to ``reports/<name>``. A plain write, not an atomic one:
-    renaming over a report written moments before slowed the read-side
-    commands measurably (ROADMAP item E)."""
+    """Write ``text`` to ``reports/<name>`` through a temporary file beside
+    it: the old report is unlinked, then the temporary file is renamed into
+    place. A report is never partial. On a failure the temporary file is
+    removed, and before the unlink the old report stays as it was; for the
+    moment between unlink and rename there is no report. Not ``atomic_open``'s
+    rename over the old file: on ext4 with its default ``auto_da_alloc``, a
+    rename over (or a truncation of) an existing file forces the new data out
+    to disk first, a cost paid by every repeated read-side command."""
     path = workspace / "reports" / name
     path.parent.mkdir(exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    tmp = path.with_name(f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        path.unlink(missing_ok=True)
+        os.rename(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -517,24 +530,22 @@ def cmd_similar(args) -> int:
     manifest = load_manifest(workspace)
     config = resolve_training_config(manifest, None, {})
     ids, matrix = _load_representation(workspace, manifest, args.embedding, config)
-    row_of = {nid: i for i, nid in enumerate(ids)}
-    if args.query not in row_of:
+    if args.query not in ids:
         raise NotFoundError(f"unknown query neighborhood {args.query!r}")
 
+    city_rows = None  # every neighborhood is a candidate
     if args.from_city:
         (centroids,) = _read_ingested(workspace, manifest, "centroids")
         city_of = {cid: city for cid, _, city in centroids}
         if not any(city_of.values()):
             raise ValidationError("centroids carry no city tags; --from-city is unavailable")
-        keep = [nid for nid in ids if city_of.get(nid) == args.from_city]
-        if not keep:
+        city_rows = [i for i, nid in enumerate(ids) if city_of.get(nid) == args.from_city]
+        if not city_rows:
             raise ValidationError(f"no neighborhoods tagged with city {args.from_city!r}")
-    else:
-        keep = list(ids)
 
     Zf = np.asarray(matrix(), dtype=np.float64)
-    ranked = analytics.cosine_rank(Zf[row_of[args.query]], keep,
-                                   Zf[[row_of[nid] for nid in keep]],
+    keep, candidates = (ids, Zf) if city_rows is None else ([ids[i] for i in city_rows], Zf[city_rows])
+    ranked = analytics.cosine_rank(Zf[ids.index(args.query)], keep, candidates,
                                    top_n=args.top, ascending=args.least)
     suffix = f"_{args.from_city}" if args.from_city else ""
     rows = [f"{rank},{nid},{sim!r}\n" for rank, (nid, sim) in enumerate(ranked, start=1)]

@@ -2,15 +2,17 @@
 
 import logging
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from metrovec import analytics
 from metrovec.analytics import (SplitProtocol, adjusted_rand_index, cosine_rank,
                                 default_pca_candidates, evaluate_regression, kmeans,
                                 linreg_fit, linreg_predict, pca_fit, poistats_tfidf,
-                                r_squared, regression_split_eval)
+                                r_squared)
 from metrovec.corpus import build_vocabulary
 from metrovec.errors import ValidationError
 
@@ -108,6 +110,46 @@ class TestRSquared:
             r_squared(np.ones(5), np.arange(5.0))
 
 
+def reference_split_eval(Z, y, train_idx, val_idx, test_idx, candidates):
+    """(test R^2, component count) of one split and one target, one general
+    ``linreg_fit`` solve per candidate: PCA on the training rows, the count
+    with the best validation R^2 (the smaller on a tie; a constant validation
+    target scores -inf), scored on the test rows."""
+    pca = pca_fit(Z[train_idx], max(candidates))
+    p_train, p_val, p_test = (pca.transform(Z[rows]) for rows in (train_idx, val_idx, test_idx))
+    best = None
+    for c in sorted(candidates):
+        w, b = linreg_fit(p_train[:, :c], y[train_idx])
+        try:
+            score = r_squared(y[val_idx], linreg_predict(w, b, p_val[:, :c]))
+        except ValidationError:
+            score = -np.inf
+        if best is None or score > best[0]:
+            best = (score, c, w, b)
+    _, c, w, b = best
+    return r_squared(y[test_idx], linreg_predict(w, b, p_test[:, :c])), c
+
+
+def splits(n, repeats, seed):
+    """The (train, val, test) rows of each repeat of ``evaluate_regression``."""
+    n_train, n_val = math.floor(analytics.TRAIN_FRACTION * n), math.floor(analytics.VAL_FRACTION * n)
+    for rep in range(repeats):
+        perm = np.random.default_rng(seed + rep).permutation(n)
+        yield perm[:n_train], perm[n_train:n_train + n_val], perm[n_train + n_val:]
+
+
+def assert_matches_reference(Z, targets, protocol, tol):
+    report = evaluate_regression(Z, targets, [f"t{t}" for t in range(targets.shape[1])], protocol)
+    n_train = math.floor(analytics.TRAIN_FRACTION * len(Z))
+    cands = protocol.pca_candidates or default_pca_candidates(Z.shape[1], n_train)
+    for rep, rows in enumerate(splits(len(Z), protocol.repeats, protocol.seed)):
+        for t in range(targets.shape[1]):
+            r2, c = reference_split_eval(Z, targets[:, t], *rows, cands)
+            assert abs(report.per_repeat_r2[rep, t] - r2) <= tol
+            assert report.chosen_components[rep, t] == c
+    return report
+
+
 class TestEvaluateRegression:
     def test_linear_targets_recovered(self):
         rng = np.random.default_rng(14)
@@ -134,16 +176,22 @@ class TestEvaluateRegression:
         many = evaluate_regression(Z, y, ["t"], SplitProtocol(repeats=20, seed=5))
         assert one.per_repeat_r2[0, 0] == many.per_repeat_r2[0, 0]
 
-    def test_pca_fit_on_train_rows_only(self):
+    def test_pca_fit_on_train_rows_only(self, monkeypatch):
         rng = np.random.default_rng(17)
         Z = rng.normal(size=(50, 5))
         y = Z @ rng.normal(size=5)
-        idx = rng.permutation(50)
-        train, val, test = idx[:35], idx[35:42], idx[42:]
-        _, _, pca = regression_split_eval(Z, y, train, val, test, [2, 3])
-        assert np.allclose(pca.mean, Z[train].mean(axis=0))
-        expected = pca_fit(Z[train], 3)
-        assert np.allclose(pca.components, expected.components)
+        calls = []
+
+        def recording_pca_fit(matrix, n_components):
+            calls.append((matrix.copy(), n_components))
+            return pca_fit(matrix, n_components)
+
+        monkeypatch.setattr(analytics, "pca_fit", recording_pca_fit)
+        evaluate_regression(Z, y, ["t"], SplitProtocol(repeats=3, seed=4, pca_candidates=[2, 3]))
+        assert len(calls) == 3
+        for (matrix, n_components), (train, _, _) in zip(calls, splits(50, 3, 4)):
+            assert np.array_equal(matrix, Z[train])
+            assert n_components == 3
 
     @pytest.mark.parametrize("candidates", [[], [1, 3, 5]])
     def test_matches_per_target_split_eval(self, candidates):
@@ -151,17 +199,64 @@ class TestEvaluateRegression:
         Z = rng.normal(size=(70, 9))
         targets = np.column_stack([Z @ rng.normal(size=9), rng.normal(size=70),
                                    Z[:, 0] ** 2 + 0.1 * rng.normal(size=70)])
-        protocol = SplitProtocol(repeats=4, seed=3, pca_candidates=candidates)
-        report = evaluate_regression(Z, targets, ["lin", "noise", "sq"], protocol)
-        n_train, n_val = 49, 10
-        cands = candidates or default_pca_candidates(9, n_train)
-        for rep in range(4):
-            perm = np.random.default_rng(3 + rep).permutation(70)
-            splits = perm[:n_train], perm[n_train:n_train + n_val], perm[n_train + n_val:]
-            for t in range(3):
-                r2, c, _ = regression_split_eval(Z, targets[:, t], *splits, cands)
-                assert report.per_repeat_r2[rep, t] == r2
-                assert report.chosen_components[rep, t] == c
+        assert_matches_reference(Z, targets, SplitProtocol(repeats=4, seed=3, pca_candidates=candidates),
+                                 tol=1e-12)
+
+    @pytest.mark.parametrize("shape", ["duplicated-columns", "near-zero-singular-value", "wide"])
+    def test_rank_deficient_matches_reference(self, shape):
+        rng = np.random.default_rng(29)
+        if shape == "duplicated-columns":
+            base = rng.normal(size=(80, 5))
+            Z = np.hstack([base, base[:, :3]])
+        elif shape == "near-zero-singular-value":
+            Z = rng.normal(size=(80, 8))
+            Z[:, 4:] *= 1e-9
+        else:
+            Z = rng.normal(size=(60, 90))
+        targets = np.column_stack([Z[:, :4] @ rng.normal(size=4) + 0.1 * rng.normal(size=len(Z)),
+                                   rng.normal(size=len(Z))])
+        assert_matches_reference(Z, targets, SplitProtocol(repeats=5, seed=6), tol=1e-9)
+
+    def test_constant_training_target_picks_smallest_count(self):
+        rng = np.random.default_rng(30)
+        Z = rng.normal(size=(60, 8))
+        y = rng.normal(size=60)
+        train, _, test = next(splits(60, 1, 2))
+        y[train] = 2.5  # every prediction is then exactly 2.5: a tie
+        protocol = SplitProtocol(repeats=1, seed=2)
+        report = assert_matches_reference(Z, y[:, None], protocol, tol=1e-12)
+        assert report.chosen_components[0, 0] == default_pca_candidates(8, 42)[0]
+        assert report.per_repeat_r2[0, 0] == r_squared(y[test], np.full(len(test), 2.5))
+
+    def test_constant_validation_target_picks_smallest_count(self):
+        rng = np.random.default_rng(31)
+        Z = rng.normal(size=(60, 8))
+        y = Z @ rng.normal(size=8)
+        _, val, _ = next(splits(60, 1, 2))
+        y[val] = -1.0
+        protocol = SplitProtocol(repeats=1, seed=2, pca_candidates=[2, 5, 8])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no division by the zero variance
+            report = assert_matches_reference(Z, y[:, None], protocol, tol=1e-12)
+        assert report.chosen_components[0, 0] == 2
+
+    def test_constant_test_target_rejected(self):
+        rng = np.random.default_rng(32)
+        Z = rng.normal(size=(60, 8))
+        y = Z @ rng.normal(size=8)
+        _, _, test = next(splits(60, 1, 2))
+        y[test] = 4.0
+        with pytest.raises(ValidationError, match="R\\^2 undefined"):
+            evaluate_regression(Z, y, ["t"], SplitProtocol(repeats=1, seed=2))
+
+    @pytest.mark.parametrize("where", ["embedding", "targets"])
+    def test_non_finite_input_rejected(self, where):
+        rng = np.random.default_rng(33)
+        Z = rng.normal(size=(40, 4))
+        y = Z @ rng.normal(size=4)
+        (Z if where == "embedding" else y)[7] = np.nan
+        with pytest.raises(ValidationError, match="non-finite regression inputs"):
+            evaluate_regression(Z, y, ["t"], SplitProtocol(repeats=2))
 
     def test_too_few_rows(self):
         with pytest.raises(ValidationError):
@@ -272,6 +367,19 @@ class TestCosineRank:
     def test_zero_query_rejected(self):
         with pytest.raises(ValidationError):
             cosine_rank(np.zeros(3), ["a"], np.ones((1, 3)))
+
+    @pytest.mark.parametrize("ascending", [False, True])
+    def test_top_n_matches_full_sort(self, ascending):
+        rng = np.random.default_rng(34)
+        for _ in range(5):
+            M = rng.normal(size=(30, 3))
+            M[10:20] = M[rng.integers(0, 10, size=10)]  # duplicated rows: ties at the cut
+            M[20:23] = 0.0  # zero-norm rows, skipped
+            ids = [f"c{i:02d}" for i in rng.permutation(30)]
+            q = rng.normal(size=3)
+            full = cosine_rank(q, ids, M, ascending=ascending)
+            for top_n in range(1, 31):
+                assert cosine_rank(q, ids, M, top_n=top_n, ascending=ascending) == full[:top_n]
 
     def test_zero_candidate_skipped(self, caplog):
         M = np.array([[1.0, 0.0], [0.0, 0.0]])

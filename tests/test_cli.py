@@ -392,6 +392,31 @@ class TestEval:
                      "--pca-components", "two"]) == 2
 
 
+    def test_constant_target_is_data_error(self, trained_ws, tmp_path, capsys):
+        ids, Z = read_embeddings(trained_ws / "checkpoints" / "u2v.emb")
+        tpath = tmp_path / "targets.csv"
+        values = np.column_stack([Z[:, 0].astype(np.float64), np.full(len(ids), 1.5)])
+        write_targets_csv(tpath, ids, ["varies", "constant"], values)
+        assert main(["eval", "--workspace", str(trained_ws), "--targets", str(tpath),
+                     "--repeats", "2"]) == 3
+        assert "R^2 undefined" in capsys.readouterr().err
+
+
+class TestReports:
+    def test_rewrite_leaves_only_the_report(self, tmp_path):
+        cli._write_report(tmp_path, "r.csv", "old\n")
+        path = cli._write_report(tmp_path, "r.csv", "new\n")
+        assert path.read_bytes() == b"new\n"
+        assert [p.name for p in (tmp_path / "reports").iterdir()] == ["r.csv"]
+
+    def test_failed_write_keeps_old_report(self, tmp_path):
+        cli._write_report(tmp_path, "r.csv", "old\n")
+        with pytest.raises(UnicodeEncodeError):
+            cli._write_report(tmp_path, "r.csv", "partial\n" * 10000 + "\ud800")
+        assert (tmp_path / "reports" / "r.csv").read_bytes() == b"old\n"
+        assert [p.name for p in (tmp_path / "reports").iterdir()] == ["r.csv"]
+
+
 class TestClusterSimilar:
     def test_cluster_csv(self, trained_ws):
         assert main(["cluster", "--workspace", str(trained_ws), "--k", "4"]) == 0
