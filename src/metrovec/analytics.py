@@ -16,6 +16,7 @@ from itertools import compress
 import numpy as np
 
 from .errors import ValidationError
+from .fileio import BagTable
 
 log = logging.getLogger(__name__)
 
@@ -301,21 +302,18 @@ def cosine_rank(query: np.ndarray, candidate_ids: list, candidates: np.ndarray,
     return [(kept_ids[i], sims[i]) for i in order]
 
 
-def poistats_tfidf(bags: dict, tokens) -> tuple[list, list[str], np.ndarray]:
+def poistats_tfidf(table: BagTable) -> tuple[list, list[str], np.ndarray]:
     """tf-idf matrix over "cat_" tokens only: tf is the within-neighborhood
-    category share, idf is ln(N / (1 + document frequency)). ``bags`` maps a
-    neighborhood id to its ``corpus.Bag``, whose ids index ``tokens``. Returns
-    (neighborhood ids, category tokens, N x |categories| matrix)."""
-    nbhd_ids = sorted(bags)
-    if not nbhd_ids:
+    category share, idf is ln(N / (1 + document frequency)). One row per row
+    of the bag table, in its order. Returns (neighborhood ids, category
+    tokens, N x |categories| matrix)."""
+    n, tokens = len(table.row_ids), table.tokens
+    if not n:
         raise ValidationError("no neighborhood bags")
-    n = len(nbhd_ids)
-    ids = np.concatenate([bags[nid].ids for nid in nbhd_ids])
-    counts = np.concatenate([bags[nid].counts for nid in nbhd_ids])
-    rows = np.repeat(np.arange(n), [len(bags[nid]) for nid in nbhd_ids])
+    rows = np.repeat(np.arange(n), np.diff(table.indptr))
     is_cat = np.array([t.startswith("cat_") for t in tokens], dtype=bool)
-    keep = is_cat[ids]
-    rows, ids, counts = rows[keep], ids[keep], counts[keep]
+    keep = is_cat[table.token_ids]
+    rows, ids, counts = rows[keep], table.token_ids[keep], table.counts[keep]
     # A bag holds each token once, so counting ids counts documents.
     doc_freq = np.bincount(ids, minlength=len(tokens))
     present = np.flatnonzero(doc_freq)  # ascending ids: sorted tokens
@@ -329,30 +327,5 @@ def poistats_tfidf(bags: dict, tokens) -> tuple[list, list[str], np.ndarray]:
     matrix = np.zeros((n, present.size))
     matrix[rows, col[ids]] = (counts / totals[rows]) * idf[col[ids]]
     for row in np.flatnonzero(totals == 0):
-        log.warning("neighborhood %s has no category tokens; zero tf-idf row", nbhd_ids[row])
-    return nbhd_ids, categories, matrix
-
-
-def adjusted_rand_index(labels_a, labels_b) -> float:
-    """Chance-corrected agreement between two labelings of the same points."""
-    a = np.asarray(labels_a)
-    b = np.asarray(labels_b)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValidationError(f"label arrays must be equal-length 1-D, got {a.shape}, {b.shape}")
-    n = a.shape[0]
-    _, a_idx = np.unique(a, return_inverse=True)
-    _, b_idx = np.unique(b, return_inverse=True)
-    table = np.zeros((a_idx.max() + 1, b_idx.max() + 1), dtype=np.int64)
-    np.add.at(table, (a_idx, b_idx), 1)
-
-    def comb2(x):
-        return x * (x - 1) / 2.0
-
-    sum_cells = comb2(table).sum()
-    sum_rows = comb2(table.sum(axis=1)).sum()
-    sum_cols = comb2(table.sum(axis=0)).sum()
-    expected = sum_rows * sum_cols / comb2(n)
-    max_index = (sum_rows + sum_cols) / 2.0
-    if max_index == expected:
-        return 1.0
-    return float((sum_cells - expected) / (max_index - expected))
+        log.warning("neighborhood %s has no category tokens; zero tf-idf row", table.row_ids[row])
+    return table.row_ids, categories, matrix

@@ -29,7 +29,7 @@ from . import analytics, corpus, fileio, synthcity, training
 from .encoder import init_encoder
 from .errors import (IntegrityError, NotFoundError, PipelineError, StageOrderError,
                      UsageError, ValidationError)
-from .geo import assign_neighborhoods, build_index
+from .geo import assign_neighborhood, build_index
 from .training import EMPTY_POLICIES, TrainingConfig
 
 log = logging.getLogger(__name__)
@@ -307,7 +307,7 @@ def cmd_ingest(args) -> int:
             if not args.assign_missing:
                 ids = [r.id for r in unassigned[:10]]
                 raise ValidationError(f"{kind} records without neighborhood ids (use --assign-missing): {ids}")
-            nearest = assign_neighborhoods([r.geo for r in unassigned], centroid_points)
+            nearest = assign_neighborhood([r.geo for r in unassigned], centroid_points)
             for r, nid in zip(unassigned, nearest):
                 r.neighborhood_id = nid
             log.info("assigned %d %s records to nearest centroids", len(unassigned), kind)
@@ -360,7 +360,11 @@ def _write_report(workspace: Path, name: str, text: str) -> Path:
     moment between unlink and rename there is no report. Not ``atomic_open``'s
     rename over the old file: on ext4 with its default ``auto_da_alloc``, a
     rename over (or a truncation of) an existing file forces the new data out
-    to disk first, a cost paid by every repeated read-side command."""
+    to disk first, a cost paid by every repeated read-side command. ``name``
+    must be one plain file name: it may carry a query id or a city tag, and
+    those come from the input files."""
+    if name in (".", "..") or {"/", "\0", os.sep, os.altsep} & set(name):
+        raise ValidationError(f"report name {name!r} is not a plain file name")
     path = workspace / "reports" / name
     path.parent.mkdir(exist_ok=True)
     tmp = path.with_name(f".{name}.{os.getpid()}.tmp")
@@ -439,7 +443,7 @@ def cmd_train_poi(args) -> int:
     config = _later_stage_config(manifest, args, "train_poi")
     neighborhood_ids, z_init = _read_checkpoint(workspace, manifest, "sve")
     (table,) = _read_ingested(workspace, manifest, "bags")
-    vocab = corpus.vocabulary_of(table)
+    vocab = corpus.build_vocabulary(table)
     pretrained = None
     if args.pretrained:
         pretrained = corpus.load_pretrained_vectors(args.pretrained, vocab, config.d)
@@ -469,12 +473,12 @@ def _load_representation(workspace: Path, manifest: dict, name: str, config: Tra
     _require_stage(manifest, "ingest")
     (table,) = _read_ingested(workspace, manifest, "bags")
     if name == "poistats":
-        return table.row_ids, lambda: analytics.poistats_tfidf(corpus.bags_of(table), table.tokens)[2]
+        return table.row_ids, lambda: analytics.poistats_tfidf(table)[2]
     if name == "poi":
         def train_poi_only():
             rng = np.random.default_rng(config.seed + POI_ONLY_Z_SEED_OFFSET)
             z_init = rng.uniform(-0.5 / config.d, 0.5 / config.d, size=(len(table.row_ids), config.d))
-            Z, _ = training.train_poi_stage(z_init, table.row_ids, corpus.vocabulary_of(table),
+            Z, _ = training.train_poi_stage(z_init, table.row_ids, corpus.build_vocabulary(table),
                                             corpus.bags_of(table), config)
             return Z
         return table.row_ids, train_poi_only

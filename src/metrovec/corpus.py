@@ -9,9 +9,9 @@ are kept on purpose because token frequency carries signal.
 one CSR ``fileio.BagTable`` of token ids and counts per neighborhood, which is
 ``ingested/bags.bin``. The training and evaluation commands read that table
 and take its rows as ``Bag``s (``bags_of``) and its vocabulary from it
-(``vocabulary_of``); ``build_neighborhood_bag`` gives one neighborhood's bag as
-a ``Counter`` of token strings, and ``Vocabulary.bag_to_ids`` turns such a
-``Counter`` into a ``Bag``.
+(``build_vocabulary``). ``build_neighborhood_bag`` gives one neighborhood's
+bag as a ``Counter`` of token strings: the reference a table row is checked
+against.
 """
 
 from __future__ import annotations
@@ -99,9 +99,10 @@ def build_neighborhood_bag(pois: list[PoiRecord]) -> Counter:
 
 def build_bag_table(pois: list[PoiRecord], row_ids: list[str]) -> BagTable:
     """The bags of the neighborhoods ``row_ids`` (sorted, distinct) as one
-    CSR table: row r holds, for the POIs of ``row_ids[r]``, what
-    ``vocabulary_of(table).bag_to_ids(build_neighborhood_bag(pois))`` holds.
-    Every POI must belong to one of ``row_ids``."""
+    CSR table: row r holds the tokens of ``build_neighborhood_bag`` over the
+    POIs of ``row_ids[r]``, as ids into the table's sorted ``tokens`` in
+    ascending order, with their counts. Every POI must belong to one of
+    ``row_ids``."""
     row_of = {nid: r for r, nid in enumerate(row_ids)}
     flat: list[str] = []
     poi_rows, lengths = [], []
@@ -165,20 +166,10 @@ class Vocabulary:
     def __contains__(self, token: str) -> bool:
         return token in self._id_of
 
-    def bag_to_ids(self, bag: Counter) -> Bag:
-        """The ``Bag`` of a ``Counter`` of token strings."""
-        try:
-            ids = np.fromiter(map(self._id_of.__getitem__, bag), dtype=np.int64, count=len(bag))
-        except KeyError as exc:
-            raise ValidationError(f"token {exc.args[0]!r} not in vocabulary") from None
-        counts = np.fromiter(bag.values(), dtype=np.int64, count=len(bag))
-        order = np.argsort(ids)
-        return Bag(ids[order], counts[order])
 
-
-def vocabulary_of(table: BagTable) -> Vocabulary:
+def build_vocabulary(table: BagTable) -> Vocabulary:
     """The table's tokens with their corpus frequencies, the counts summed
-    by token id: what ``build_vocabulary`` gives for the table's bags."""
+    by token id."""
     if not table.tokens:
         raise ValidationError("cannot build a vocabulary: all bags are empty")
     freqs = np.zeros(len(table.tokens), dtype=np.int64)
@@ -191,17 +182,6 @@ def bags_of(table: BagTable) -> dict[str, Bag]:
     bounds = table.indptr.tolist()
     return {nid: Bag(table.token_ids[a:b], table.counts[a:b])
             for nid, a, b in zip(table.row_ids, bounds, bounds[1:])}
-
-
-def build_vocabulary(bags) -> Vocabulary:
-    total: Counter = Counter()
-    for bag in bags:
-        total.update(bag)
-    if not total:
-        raise ValidationError("cannot build a vocabulary: all bags are empty")
-    tokens = tuple(sorted(total))
-    freqs = np.array([total[t] for t in tokens], dtype=np.int64)
-    return Vocabulary(tokens=tokens, frequencies=freqs)
 
 
 class NegativeWordSampler:

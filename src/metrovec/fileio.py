@@ -49,7 +49,6 @@ class StreetViewRecord:
     id: str
     geo: GeoPoint
     neighborhood_id: str | None
-    features: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,11 +1,14 @@
-"""Geographic points, great-circle distance, and exact k-nearest-neighbor queries.
+"""Geographic points, great-circle distance, the exact all-points k-nearest-
+neighbor query, and nearest-centroid assignment.
 
 Distances are haversine on a sphere of radius 6,371,000 m. The index stores
 its points sorted by latitude and splits that order into about sqrt(n)
-equal-height latitude bands. A query scans a window of bands and widens it
-until the R * delta-lat lower bound, taken from the sorted latitudes just
-outside the window, proves no unscanned point can enter the result, so query
-answers are always identical to a brute-force scan, including tie order.
+equal-height latitude bands. ``SpatialIndex.k_nearest`` answers every point
+at once, one band of queries at a time: the band's queries share a window of
+bands, widened until the R * delta-lat lower bound, taken from the sorted
+latitudes just outside the window, proves no unscanned point can enter any
+result, so each row is identical to a brute-force scan, including tie order.
+``haversine_distance`` is the scalar reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotFoundError, ValidationError
+from .errors import ValidationError
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -90,7 +93,6 @@ class SpatialIndex:
         # input row at sorted position pos, and every array below is indexed
         # by sorted position.
         self._order = np.argsort(lat, kind="stable")
-        self._pos_of = {ids[r]: pos for pos, r in enumerate(self._order.tolist())}
         self._lat = lat[self._order]
         self._lon = np.array([p.lon for _, p in points], dtype=np.float64)[self._order]
         self._cos_lat = np.cos(np.radians(self._lat))
@@ -169,10 +171,10 @@ class SpatialIndex:
         order = np.lexsort((self._id_rank[cand_pos], np.take_along_axis(dist, cand, axis=1)), axis=1)
         return self._order[np.take_along_axis(cand_pos, order[:, :k], axis=1)]
 
-    def k_nearest_rows(self, k: int) -> np.ndarray:
+    def k_nearest(self, k: int) -> np.ndarray:
         """(n, min(k, n - 1)) int64 matrix: row i holds the index rows of
-        point i's nearest other points, ascending by (distance, id), exactly
-        as k_nearest orders them. Queries run one latitude band at a time."""
+        point i's nearest other points, ascending by (distance, id). Queries
+        run one latitude band at a time."""
         if k < 1:
             raise ValidationError(f"k must be >= 1, got {k}")
         n = len(self._ids)
@@ -185,26 +187,12 @@ class SpatialIndex:
                     out[self._order[qpos]] = self._nearest(qpos, b, b, k)
         return out
 
-    def k_nearest(self, query_id, k: int) -> list:
-        """The k ids nearest to ``query_id`` (excluding it), ascending by
-        (distance, id). Returns all other points when fewer than k exist."""
-        if k < 1:
-            raise ValidationError(f"k must be >= 1, got {k}")
-        qpos = self._pos_of.get(query_id)
-        if qpos is None:
-            raise NotFoundError(f"unknown query id {query_id!r}")
-        k = min(k, len(self._ids) - 1)
-        if not k:
-            return []
-        b = int(np.searchsorted(self._band_start, qpos, side="right")) - 1
-        return [self._ids[r] for r in self._nearest(np.array([qpos]), b, b, k)[0]]
-
 
 def build_index(points: list[tuple[object, GeoPoint]]) -> SpatialIndex:
     return SpatialIndex(points)
 
 
-def assign_neighborhoods(points: list[GeoPoint], centroids: list[tuple[object, GeoPoint]]) -> list:
+def assign_neighborhood(points: list[GeoPoint], centroids: list[tuple[object, GeoPoint]]) -> list:
     """Id of the haversine-nearest centroid of each point; ties broken by
     ascending id. Distances come in (points x centroids) blocks of at most
     _BLOCK_FLOATS floats."""
@@ -225,8 +213,3 @@ def assign_neighborhoods(points: list[GeoPoint], centroids: list[tuple[object, G
         best = _haversine_block(plat[lo:hi], plon[lo:hi], pcos[lo:hi], clat, clon, ccos).argmin(axis=1)
         out += [centroids[j][0] for j in best]
     return out
-
-
-def assign_neighborhood(point: GeoPoint, centroids: list[tuple[object, GeoPoint]]):
-    """Id of the haversine-nearest centroid; ties broken by ascending id."""
-    return assign_neighborhoods([point], centroids)[0]

@@ -75,6 +75,7 @@ class SynthCity:
     latents: np.ndarray  # (N, L), post-smoothing: the generating factors
     cluster_labels: np.ndarray | None
     street_views: list[StreetViewRecord]
+    features: np.ndarray  # (street views, feature_dim) float32, in street_views order
     pois: list[PoiRecord]
 
     @property
@@ -83,9 +84,7 @@ class SynthCity:
 
     def feature_matrix(self) -> tuple[list[str], np.ndarray]:
         order = sorted(range(len(self.street_views)), key=lambda i: self.street_views[i].id)
-        ids = [self.street_views[i].id for i in order]
-        feats = np.stack([self.street_views[i].features for i in order])
-        return ids, feats
+        return [self.street_views[i].id for i in order], self.features[order]
 
 
 def _grid_shape(n: int) -> tuple[int, int]:
@@ -176,6 +175,7 @@ def generate_city(config: SynthConfig) -> SynthCity:
         mixing = rng.normal(size=(L, config.feature_dim)) / np.sqrt(L)
 
     street_views: list[StreetViewRecord] = []
+    feature_blocks: list[np.ndarray] = []
     V, F = config.views_per_neighborhood, config.feature_dim
     for i in range(n):
         # One block per neighborhood: row v holds view v's jitter normals then
@@ -186,12 +186,12 @@ def generate_city(config: SynthConfig) -> SynthCity:
         if not np.isfinite(feats).all():  # also catches latents that overflowed
             raise ValidationError(f"neighborhood {nbhd_ids[i]}: street-view features overflow; "
                                   f"lower feature_noise or cluster_separation")
+        feature_blocks.append(feats)
         for v, (dlat, dlon) in enumerate((draws[:, :2] * config.spatial_noise).tolist()):
             street_views.append(StreetViewRecord(
                 id=f"{tag}sv{i:04d}_{v:03d}",
                 geo=_jittered(centroids[i], dlat, dlon),
                 neighborhood_id=nbhd_ids[i],
-                features=feats[v],
             ))
 
     n_cat = max(4, config.vocab_size // 4)
@@ -235,7 +235,7 @@ def generate_city(config: SynthConfig) -> SynthCity:
 
     return SynthCity(config=config, neighborhood_ids=nbhd_ids, centroids=centroids,
                      latents=latents, cluster_labels=labels,
-                     street_views=street_views, pois=pois)
+                     street_views=street_views, features=np.concatenate(feature_blocks), pois=pois)
 
 
 def export_city(city: SynthCity, directory, features_format: str = "bin") -> dict[str, Path]:

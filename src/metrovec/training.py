@@ -149,7 +149,7 @@ def context_rows_from_index(index: SpatialIndex, k: int) -> np.ndarray:
     points, from one all-points query of the index."""
     if len(index) < k + 2:
         raise ValidationError(f"need at least K+2={k + 2} street views, got {len(index)}")
-    return index.k_nearest_rows(k)
+    return index.k_nearest(k)
 
 
 def train_street_view(params: EncoderParams, sv_ids: list, features: np.ndarray,

@@ -12,11 +12,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from oracles import adjusted_rand_index, table_of
 
-from metrovec.analytics import (SplitProtocol, adjusted_rand_index, cosine_rank,
-                                evaluate_regression, kmeans)
+from metrovec.analytics import SplitProtocol, cosine_rank, evaluate_regression, kmeans
 from metrovec.cli import main
-from metrovec.corpus import NegativeWordSampler, build_neighborhood_bag, build_vocabulary
+from metrovec.corpus import NegativeWordSampler, bags_of, build_bag_table, build_vocabulary
 from metrovec.encoder import _backward_batch, _forward_batch, init_encoder
 from metrovec.geo import GeoPoint, build_index
 from metrovec.synthcity import SynthConfig, generate_city
@@ -78,12 +78,8 @@ def main_city():
 
     Z_sve = aggregate_neighborhoods(X, [by_id[i].neighborhood_id for i in ids],
                                     city.neighborhood_ids)
-    grouped = {}
-    for poi in city.pois:
-        grouped.setdefault(poi.neighborhood_id, []).append(poi)
-    bags = {nid: build_neighborhood_bag(grouped.get(nid, [])) for nid in city.neighborhood_ids}
-    vocab = build_vocabulary(bags.values())
-    bags = {nid: vocab.bag_to_ids(bag) for nid, bag in bags.items()}
+    table = build_bag_table(city.pois, city.neighborhood_ids)
+    vocab, bags = build_vocabulary(table), bags_of(table)
 
     poi_rng = np.random.default_rng(777)
     poi_rows = []
@@ -216,7 +212,7 @@ def test_criterion_2_aggregation_optimality():
 def test_criterion_3_negative_sampling_law():
     t0 = time.monotonic()
     freqs = {"a": 2, "b": 7, "c": 13, "d": 29, "e": 50}
-    vocab = build_vocabulary([Counter(freqs)])
+    vocab = build_vocabulary(table_of({"n": Counter(freqs)}))
     sampler = NegativeWordSampler(vocab, context_ids=set(), exponent=0.5)
     draws = sampler.draw(np.random.default_rng(33), size=100_000)
     weights = {t: f ** 0.5 for t, f in freqs.items()}
@@ -249,7 +245,8 @@ def test_criterion_4_knn_exactness():
         order = np.lexsort((rank, d))
         return [ids[i] for i in order if i != qrow][:5]
 
-    ok = all(index.k_nearest(ids[q], 5) == oracle(q) for q in range(1000))
+    rows = index.k_nearest(5)
+    ok = all([ids[r] for r in rows[q]] == oracle(q) for q in range(1000))
     elapsed = time.monotonic() - t0
     report(4, "1000-point index matches brute force on all K=5 queries",
            ok and elapsed < 10.0, f"{elapsed:.1f}s")
@@ -290,13 +287,8 @@ def test_criterion_7_clustering_sanity():
     params, X = train_street_view(params, ids, feats, index, cfg)
     Z = aggregate_neighborhoods(X, [by_id[i].neighborhood_id for i in ids],
                                 city.neighborhood_ids)
-    grouped = {}
-    for poi in city.pois:
-        grouped.setdefault(poi.neighborhood_id, []).append(poi)
-    bags = {nid: build_neighborhood_bag(grouped.get(nid, [])) for nid in city.neighborhood_ids}
-    vocab = build_vocabulary(bags.values())
-    bags = {nid: vocab.bag_to_ids(bag) for nid, bag in bags.items()}
-    Z, _ = train_poi_stage(Z, city.neighborhood_ids, vocab, bags, cfg)
+    table = build_bag_table(city.pois, city.neighborhood_ids)
+    Z, _ = train_poi_stage(Z, city.neighborhood_ids, build_vocabulary(table), bags_of(table), cfg)
     labels, _ = kmeans(Z, 4, seed=cfg.seed)
     ari = adjusted_rand_index(labels, city.cluster_labels)
     report(7, "k-means on Z recovers the 4 latent clusters (ARI >= 0.8)",

@@ -7,13 +7,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from oracles import adjusted_rand_index, table_of
 
 from metrovec import analytics
-from metrovec.analytics import (SplitProtocol, adjusted_rand_index, cosine_rank,
-                                default_pca_candidates, evaluate_regression, kmeans,
-                                linreg_fit, linreg_predict, pca_fit, poistats_tfidf,
-                                r_squared)
-from metrovec.corpus import build_vocabulary
+from metrovec.analytics import (SplitProtocol, cosine_rank, default_pca_candidates,
+                                evaluate_regression, kmeans, linreg_fit, linreg_predict,
+                                pca_fit, poistats_tfidf, r_squared)
 from metrovec.errors import ValidationError
 
 
@@ -409,8 +408,7 @@ class TestCountsBelowOne:
 
 def tfidf(bags):
     """poistats_tfidf of Counter bags."""
-    vocab = build_vocabulary(bags.values())
-    return poistats_tfidf({nid: vocab.bag_to_ids(bag) for nid, bag in bags.items()}, vocab.tokens)
+    return poistats_tfidf(table_of(bags))
 
 
 def reference_tfidf(bags):
@@ -480,6 +478,8 @@ class TestPoistats:
 
 
 class TestAdjustedRandIndex:
+    """The test-side ARI that criterion 7 scores clusterings with."""
+
     def test_perfect_and_permuted(self):
         a = np.array([0, 0, 1, 1, 2, 2])
         assert adjusted_rand_index(a, a) == pytest.approx(1.0)

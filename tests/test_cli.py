@@ -11,15 +11,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import table_of
 
 from metrovec import cli
 from metrovec.cli import build_parser, main, save_manifest
 from metrovec.errors import ValidationError
-from metrovec.corpus import bags_of, build_neighborhood_bag, read_poi_jsonl, vocabulary_of
+from metrovec.corpus import build_neighborhood_bag, read_poi_jsonl
 from metrovec.fileio import (read_bags, read_centroids_csv, read_embeddings, read_feature_bin,
                              read_sv_metadata, read_targets_csv, write_feature_bin,
                              write_features_csv, write_targets_csv)
-from metrovec.geo import assign_neighborhoods
+from metrovec.geo import assign_neighborhood
 from metrovec.synthcity import SynthConfig
 from metrovec.training import TrainingConfig
 
@@ -154,11 +155,13 @@ class TestIngest:
         # Each POI's tokens are in the row of its nearest centroid.
         pois = read_poi_jsonl(blank)
         centroids = [(cid, point) for cid, point, _ in read_centroids_csv(city_dir / "centroids.csv")]
-        nearest = assign_neighborhoods([p.geo for p in pois], centroids)
-        vocab = vocabulary_of(assigned)
-        for nid, bag in bags_of(assigned).items():
-            want = vocab.bag_to_ids(build_neighborhood_bag([p for p, n in zip(pois, nearest) if n == nid]))
-            assert bag.ids.tolist() == want.ids.tolist() and bag.counts.tolist() == want.counts.tolist()
+        nearest = assign_neighborhood([p.geo for p in pois], centroids)
+        want = table_of({nid: build_neighborhood_bag([p for p, n in zip(pois, nearest) if n == nid])
+                         for nid in assigned.row_ids})
+        assert assigned.tokens == want.tokens
+        for got, expected in ((assigned.indptr, want.indptr), (assigned.token_ids, want.token_ids),
+                              (assigned.counts, want.counts)):
+            assert np.array_equal(got, expected)
 
         # POIs are jittered around their own centroid, so nearest-centroid
         # assignment recovers the generating neighborhood for almost all: at
@@ -520,6 +523,43 @@ class TestJointCities:
     def test_unknown_city_tag(self, joint_ws):
         assert main(["similar", "--workspace", str(joint_ws), "--query", "aa_n0000",
                      "--from-city", "zz_"]) == 3
+
+
+def test_similar_refuses_a_report_name_holding_a_slash(tmp_path, capsys):
+    # Nothing at ingest refuses a neighborhood id or a city tag that holds
+    # "/", and ``similar`` puts both in its report's file name.
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text(SYNTH_CFG.replace("n_neighborhoods = 16", "n_neighborhoods = 6"))
+    city = tmp_path / "city"
+    assert main(["synth", "--config", str(cfg), "--out", str(city)]) == 0
+    renamed = {"n0000": "x/y", "n0001": "x/../../../made_outside/y"}
+    for name in ("centroids.csv", "street_views.csv", "poi.jsonl"):
+        text = (city / name).read_text()
+        for old, new in renamed.items():
+            text = text.replace(old, new)
+        if name == "centroids.csv":
+            text = "".join(line + (",city\n" if i == 0 else ",a/b\n")
+                           for i, line in enumerate(text.splitlines()))
+        (city / name).write_text(text)
+    ws = tmp_path / "ws" / "inner"
+    assert main(ingest_args(city, ws)) == 0
+    assert main(["train-sv", "--workspace", str(ws)] + TRAIN_FLAGS) == 0
+    assert main(["aggregate", "--workspace", str(ws)]) == 0
+    assert main(["train-poi", "--workspace", str(ws)]) == 0
+    capsys.readouterr()
+
+    queries = [["--query", "x/y"], ["--query", "x/../../../made_outside/y"],
+               ["--query", "n0002", "--from-city", "a/b"]]
+    for has_reports in (False, True):
+        if has_reports:
+            assert main(["cluster", "--workspace", str(ws), "--k", "2"]) == 0
+            capsys.readouterr()
+        before = sorted(p.relative_to(tmp_path) for p in (tmp_path / "ws").rglob("*"))
+        for query in queries:
+            assert main(["similar", "--workspace", str(ws)] + query) == 3
+            err = capsys.readouterr().err
+            assert "is not a plain file name" in err and query[-1] in err and "Traceback" not in err, err
+        assert sorted(p.relative_to(tmp_path) for p in (tmp_path / "ws").rglob("*")) == before
 
 
 def test_one_parser_per_process_and_dispatch_at_call_time(monkeypatch, tmp_path):

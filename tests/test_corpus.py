@@ -8,10 +8,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from oracles import table_of
 
 from metrovec.corpus import (NegativeWordSampler, PoiRecord, bags_of, build_bag_table,
                              build_neighborhood_bag, build_vocabulary, load_pretrained_vectors,
-                             read_poi_jsonl, vocabulary_of, write_poi_jsonl)
+                             read_poi_jsonl, write_poi_jsonl)
 from metrovec.errors import FormatError, ValidationError
 from metrovec.fileio import read_bags, write_bags
 from metrovec.geo import GeoPoint
@@ -97,20 +98,25 @@ class TestNeighborhoodBag:
         assert build_neighborhood_bag(pois) == build_neighborhood_bag(pois[::-1])
 
 
+def vocabulary(*bags: Counter):
+    """The vocabulary of toy bags, built from their bag table."""
+    return build_vocabulary(table_of({f"n{i:03d}": bag for i, bag in enumerate(bags)}))
+
+
 class TestVocabulary:
     def test_counts(self):
-        vocab = build_vocabulary([Counter({"a": 1, "b": 2})])
+        vocab = vocabulary(Counter({"a": 1, "b": 2}))
         assert vocab.size == 2
         assert vocab.frequencies[vocab.id_of("a")] == 1
         assert vocab.frequencies[vocab.id_of("b")] == 2
 
     def test_lexicographic_ids(self):
-        vocab = build_vocabulary([Counter({"zeta": 1, "alpha": 1, "mid": 1})])
+        vocab = vocabulary(Counter({"zeta": 1, "alpha": 1, "mid": 1}))
         assert vocab.tokens == ("alpha", "mid", "zeta")
 
     def test_deterministic(self):
         bags = [Counter({"x": 3, "y": 1}), Counter({"y": 2})]
-        v1, v2 = build_vocabulary(bags), build_vocabulary(bags)
+        v1, v2 = vocabulary(*bags), vocabulary(*bags)
         assert v1.tokens == v2.tokens
         assert np.array_equal(v1.frequencies, v2.frequencies)
 
@@ -118,7 +124,7 @@ class TestVocabulary:
         rng = np.random.default_rng(0)
         words = [f"w{i}" for i in range(20)]
         bags = [Counter(rng.choice(words, size=30).tolist()) for _ in range(3)]
-        vocab = build_vocabulary(bags)
+        vocab = vocabulary(*bags)
         recount = Counter()
         for bag in bags:
             recount.update(bag)
@@ -128,13 +134,13 @@ class TestVocabulary:
 
     def test_all_empty_rejected(self):
         with pytest.raises(ValidationError):
-            build_vocabulary([Counter(), Counter()])
+            vocabulary(Counter(), Counter())
 
     def test_frequency_conservation(self):
         rng = np.random.default_rng(1)
         bags = [Counter(rng.choice([f"t{i}" for i in range(12)], size=int(rng.integers(1, 40))).tolist())
                 for _ in range(7)]
-        vocab = build_vocabulary(bags)
+        vocab = vocabulary(*bags)
         assert vocab.frequencies.sum() == sum(sum(b.values()) for b in bags)
 
 
@@ -179,17 +185,6 @@ class TestNeighborhoodBagMatchesPerPoiSum:
         for p in self.POIS:
             assert list(build_neighborhood_bag([p]).items()) == list(reference_textualize(p).items())
 
-    def test_bag_to_ids_sorted_by_id(self):
-        bag = build_neighborhood_bag(self.POIS)
-        vocab = build_vocabulary([bag, Counter({"zzz": 1, "aaa": 2})])
-        as_ids = vocab.bag_to_ids(bag)
-        ids, counts = as_ids.ids, as_ids.counts
-        expected = sorted((vocab.id_of(t), c) for t, c in bag.items())
-        assert ids.dtype == counts.dtype == np.int64
-        assert list(zip(ids.tolist(), counts.tolist())) == expected
-        with pytest.raises(ValidationError, match="'nope'"):
-            vocab.bag_to_ids(Counter({"aaa": 1, "nope": 1}))
-
     def test_review_words_match_reference_on_random_text(self):
         # Letters, digits, separators and characters whose lower case is or
         # holds ASCII (Kelvin sign, dotted capital I), in random reviews.
@@ -216,16 +211,21 @@ class TestBagTable:
         table = read_bags(path)
         counters = {nid: build_neighborhood_bag([p for p in pois if p.neighborhood_id == nid])
                     for nid in row_ids}
-        vocab = build_vocabulary(counters.values())
-        derived = vocabulary_of(table)
-        assert derived.tokens == vocab.tokens
-        assert np.array_equal(derived.frequencies, vocab.frequencies)
+        want = table_of(counters)
+        assert table.row_ids == want.row_ids == row_ids and table.tokens == want.tokens
+        for got, expected in ((table.indptr, want.indptr), (table.token_ids, want.token_ids),
+                              (table.counts, want.counts)):
+            assert got.dtype == np.int64 and np.array_equal(got, expected)
+        vocab = build_vocabulary(table)
+        recount = sum(counters.values(), Counter())
+        assert vocab.tokens == tuple(sorted(recount))
+        assert vocab.frequencies.tolist() == [recount[t] for t in vocab.tokens]
         bags = bags_of(table)
-        assert list(bags) == table.row_ids == row_ids
-        for nid in row_ids:
-            want = vocab.bag_to_ids(counters[nid])
-            assert bags[nid].ids.tolist() == want.ids.tolist(), nid
-            assert bags[nid].counts.tolist() == want.counts.tolist(), nid
+        assert list(bags) == row_ids
+        for r, nid in enumerate(row_ids):
+            lo, hi = table.indptr[r], table.indptr[r + 1]
+            assert np.array_equal(bags[nid].ids, table.token_ids[lo:hi]), nid
+            assert np.array_equal(bags[nid].counts, table.counts[lo:hi]), nid
         assert not bags["n_without_pois"] and len(bags[row_ids[0]]) == len(counters[row_ids[0]])
 
     def test_poi_of_another_neighborhood_refused(self):
@@ -236,19 +236,19 @@ class TestBagTable:
         table = build_bag_table([poi()], ["n1"])
         assert table.tokens == [] and table.indptr.tolist() == [0, 0]
         with pytest.raises(ValidationError, match="all bags are empty"):
-            vocabulary_of(table)
+            build_vocabulary(table)
 
 
 class TestNegativeSampling:
     def test_forced_single_candidate(self):
-        vocab = build_vocabulary([Counter({"a": 1, "b": 5})])
+        vocab = vocabulary(Counter({"a": 1, "b": 5}))
         rng = np.random.default_rng(0)
         ctx = {vocab.id_of("a")}
         assert NegativeWordSampler(vocab, ctx).draw(rng, size=1).tolist() == [vocab.id_of("b")]
 
     def test_sqrt_weighting_two_tokens(self):
         # frequencies 1 and 4 -> probabilities 1/3 and 2/3
-        vocab = build_vocabulary([Counter({"ctx": 2, "u": 1, "v": 4})])
+        vocab = vocabulary(Counter({"ctx": 2, "u": 1, "v": 4}))
         sampler = NegativeWordSampler(vocab, {vocab.id_of("ctx")})
         rng = np.random.default_rng(2)
         draws = sampler.draw(rng, size=100_000)
@@ -257,7 +257,7 @@ class TestNegativeSampling:
 
     def test_empirical_matches_analytic_five_tokens(self):
         freqs = {"a": 1, "b": 4, "c": 9, "d": 16, "e": 25}
-        vocab = build_vocabulary([Counter(freqs)])
+        vocab = vocabulary(Counter(freqs))
         ctx = {vocab.id_of("a")}
         sampler = NegativeWordSampler(vocab, ctx)
         weights = {t: f ** 0.5 for t, f in freqs.items() if t != "a"}
@@ -270,14 +270,14 @@ class TestNegativeSampling:
         assert not np.any(draws == vocab.id_of("a"))
 
     def test_full_context_rejected(self):
-        vocab = build_vocabulary([Counter({"a": 1, "b": 1})])
+        vocab = vocabulary(Counter({"a": 1, "b": 1}))
         with pytest.raises(ValidationError):
             NegativeWordSampler(vocab, {0, 1})
 
     @pytest.mark.parametrize("size", [1, 7, (3, 4)])
     def test_draws_equal_generator_choice(self, size):
         freqs = {f"t{i:02d}": int(f) for i, f in enumerate([1, 3, 7, 2, 50, 1, 9, 4, 4, 12, 5, 1])}
-        vocab = build_vocabulary([Counter(freqs)])
+        vocab = vocabulary(Counter(freqs))
         ctx = {vocab.id_of("t04"), vocab.id_of("t09")}
         weights = vocab.frequencies.astype(np.float64) ** 0.5
         weights[sorted(ctx)] = 0.0
@@ -291,12 +291,12 @@ class TestNegativeSampling:
         assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_overflowing_weights_rejected(self):
-        vocab = build_vocabulary([Counter({"a": 10, "b": 20})])
+        vocab = vocabulary(Counter({"a": 10, "b": 20}))
         with pytest.raises(ValidationError, match="overflows"):
             NegativeWordSampler(vocab, set(), exponent=1000.0)
 
     def test_exponent_zero_is_uniform(self):
-        vocab = build_vocabulary([Counter({"a": 1, "b": 1000})])
+        vocab = vocabulary(Counter({"a": 1, "b": 1000}))
         sampler = NegativeWordSampler(vocab, set(), exponent=0.0)
         rng = np.random.default_rng(4)
         draws = sampler.draw(rng, size=50_000)
@@ -307,13 +307,13 @@ class TestPretrainedVectors:
     def test_no_overlap(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("unseen 0.1 0.2\n")
-        vocab = build_vocabulary([Counter({"coffee": 1})])
+        vocab = vocabulary(Counter({"coffee": 1}))
         assert load_pretrained_vectors(path, vocab, 2) == {}
 
     def test_single_match(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("coffee 0.1 0.2\n")
-        vocab = build_vocabulary([Counter({"coffee": 1, "tea": 1})])
+        vocab = vocabulary(Counter({"coffee": 1, "tea": 1}))
         out = load_pretrained_vectors(path, vocab, 2)
         assert set(out) == {vocab.id_of("coffee")}
         assert np.allclose(out[vocab.id_of("coffee")], [0.1, 0.2])
@@ -321,7 +321,7 @@ class TestPretrainedVectors:
     def test_wrong_length_rejected(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("coffee 0.1 0.2 0.3\n")
-        vocab = build_vocabulary([Counter({"coffee": 1})])
+        vocab = vocabulary(Counter({"coffee": 1}))
         with pytest.raises(FormatError):
             load_pretrained_vectors(path, vocab, 2)
 
@@ -329,21 +329,21 @@ class TestPretrainedVectors:
     def test_non_finite_rejected_with_line(self, tmp_path, bad):
         path = tmp_path / "vecs.txt"
         path.write_text(f"tea 0.1 0.2\ncoffee 0.1 {bad}\n")
-        vocab = build_vocabulary([Counter({"coffee": 1, "tea": 1})])
+        vocab = vocabulary(Counter({"coffee": 1, "tea": 1}))
         with pytest.raises(FormatError, match=r"vecs\.txt:2"):
             load_pretrained_vectors(path, vocab, 2)
 
     def test_prefixed_tokens_never_initialized(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("cat_coffee 0.1 0.2\nrate_4_5 0.3 0.4\nprice_2 0.5 0.6\ncoffee 0.7 0.8\n")
-        vocab = build_vocabulary([Counter({"cat_coffee": 1, "rate_4_5": 1, "price_2": 1, "coffee": 1})])
+        vocab = vocabulary(Counter({"cat_coffee": 1, "rate_4_5": 1, "price_2": 1, "coffee": 1}))
         out = load_pretrained_vectors(path, vocab, 2)
         assert set(out) == {vocab.id_of("coffee")}
 
     def test_first_occurrence_wins(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("coffee 1.0 1.0\ncoffee 2.0 2.0\n")
-        vocab = build_vocabulary([Counter({"coffee": 1})])
+        vocab = vocabulary(Counter({"coffee": 1}))
         out = load_pretrained_vectors(path, vocab, 2)
         assert np.allclose(out[vocab.id_of("coffee")], [1.0, 1.0])
 

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from metrovec import geo
-from metrovec.errors import NotFoundError, ValidationError
-from metrovec.geo import (GeoPoint, assign_neighborhood, assign_neighborhoods, build_index,
-                          haversine_distance)
+from metrovec.errors import ValidationError
+from metrovec.geo import GeoPoint, assign_neighborhood, build_index, haversine_distance
 
 # Frozen before implementation from a 50-digit haversine evaluation
 # (R = 6,371,000 m) of the (37.7749,-122.4194)-(37.7849,-122.4094) pair.
@@ -28,6 +27,12 @@ def brute_k_nearest(points, query_id, k):
     q = dict(points)[query_id]
     ranked = sorted((brute_haversine(q, p), pid) for pid, p in points if pid != query_id)
     return [pid for _, pid in ranked[:k]]
+
+
+def rows_as_ids(index, k):
+    """The all-points query's rows, each as the list of its neighbors' ids."""
+    ids = index.ids
+    return [[ids[r] for r in row] for row in index.k_nearest(k)]
 
 
 def random_points(rng, n, lat_span=(36.5, 38.0), lon_span=(-122.8, -121.2)):
@@ -73,7 +78,7 @@ class TestIndex:
     def test_single_point(self):
         idx = build_index([("only", GeoPoint(1.0, 2.0))])
         assert len(idx) == 1
-        assert idx.k_nearest("only", 3) == []
+        assert idx.k_nearest(3).shape == (1, 0)
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValidationError, match="duplicate"):
@@ -86,38 +91,33 @@ class TestIndex:
     def test_collinear_ordering(self):
         pts = [("A", GeoPoint(0, 0)), ("B", GeoPoint(0, 0.001)), ("C", GeoPoint(0, 0.01))]
         idx = build_index(pts)
-        assert idx.k_nearest("A", 1) == ["B"]
-        assert idx.k_nearest("A", 2) == ["B", "C"]
+        assert rows_as_ids(idx, 1)[0] == ["B"]
+        assert rows_as_ids(idx, 2)[0] == ["B", "C"]
 
     def test_saturation_returns_all_others(self):
         pts = [(i, GeoPoint(0, 0.001 * i)) for i in range(4)]
         idx = build_index(pts)
-        assert idx.k_nearest(0, 99) == [1, 2, 3]
-
-    def test_unknown_query(self):
-        idx = build_index([("a", GeoPoint(0, 0)), ("b", GeoPoint(1, 1))])
-        with pytest.raises(NotFoundError):
-            idx.k_nearest("nope", 1)
+        assert rows_as_ids(idx, 99)[0] == [1, 2, 3]
 
     def test_bad_k(self):
         idx = build_index([("a", GeoPoint(0, 0)), ("b", GeoPoint(1, 1))])
         with pytest.raises(ValidationError):
-            idx.k_nearest("a", 0)
+            idx.k_nearest(0)
 
     def test_matches_brute_force_city_scale(self):
         rng = np.random.default_rng(3)
         pts = random_points(rng, 500)
         idx = build_index(pts)
-        for qid, _ in pts:
-            assert idx.k_nearest(qid, 5) == brute_k_nearest(pts, qid, 5)
+        for (qid, _), row in zip(pts, rows_as_ids(idx, 5)):
+            assert row == brute_k_nearest(pts, qid, 5)
 
     def test_matches_brute_force_global(self):
         rng = np.random.default_rng(4)
         pts = [(i, GeoPoint(float(rng.uniform(-90, 90)), float(rng.uniform(-180, 180))))
                for i in range(300)]
         idx = build_index(pts)
-        for qid, _ in pts:
-            assert idx.k_nearest(qid, 7) == brute_k_nearest(pts, qid, 7)
+        for (qid, _), row in zip(pts, rows_as_ids(idx, 7)):
+            assert row == brute_k_nearest(pts, qid, 7)
 
     def test_matches_brute_force_2000_points(self):
         rng = np.random.default_rng(12)
@@ -135,22 +135,23 @@ class TestIndex:
             order = np.lexsort((rank, d))
             return [ids[i] for i in order if i != qrow][:k]
 
+        rows = rows_as_ids(idx, 5)
         for qrow in range(0, 2000, 7):
-            assert idx.k_nearest(ids[qrow], 5) == oracle(qrow, 5)
+            assert rows[qrow] == oracle(qrow, 5)
 
     def test_exact_ties_break_by_ascending_id(self):
         pts = [(5, GeoPoint(0.0, 0.0)), (9, GeoPoint(0.0, 0.002)), (2, GeoPoint(0.0, -0.002)),
                (7, GeoPoint(0.02, 0.0))]
         idx = build_index(pts)
         # ids 2 and 9 are exactly equidistant from 5
-        assert idx.k_nearest(5, 2) == [2, 9]
+        assert rows_as_ids(idx, 2)[0] == [2, 9]
 
     def test_single_latitude_band_degenerate(self):
         # identical latitudes collapse the index to one band: pure scan path
         pts = [(i, GeoPoint(12.5, -50.0 + 0.01 * i)) for i in range(40)]
         idx = build_index(pts)
-        for qid, _ in pts:
-            assert idx.k_nearest(qid, 4) == brute_k_nearest(pts, qid, 4)
+        for (qid, _), row in zip(pts, rows_as_ids(idx, 4)):
+            assert row == brute_k_nearest(pts, qid, 4)
 
     def test_near_poles_and_antimeridian(self):
         rng = np.random.default_rng(13)
@@ -158,16 +159,14 @@ class TestIndex:
                             float(rng.choice([-1, 1]) * rng.uniform(170.0, 180.0))))
                for i in range(60)]
         idx = build_index(pts)
-        for qid, _ in pts:
-            assert idx.k_nearest(qid, 5) == brute_k_nearest(pts, qid, 5)
+        for (qid, _), row in zip(pts, rows_as_ids(idx, 5)):
+            assert row == brute_k_nearest(pts, qid, 5)
 
     def test_repeat_queries_identical(self):
         rng = np.random.default_rng(5)
         pts = random_points(rng, 80)
         idx = build_index(pts)
-        first = [idx.k_nearest(qid, 6) for qid, _ in pts]
-        second = [idx.k_nearest(qid, 6) for qid, _ in pts]
-        assert first == second
+        assert np.array_equal(idx.k_nearest(6), idx.k_nearest(6))
 
 
 def tie_grid(n_side):
@@ -196,11 +195,6 @@ def band_edge_grid():
             for r in range(17) for c in range(16)]
 
 
-def rows_as_ids(index, k):
-    ids = index.ids
-    return [[ids[r] for r in row] for row in index.k_nearest_rows(k)]
-
-
 class TestAllPointsKNN:
     @pytest.mark.parametrize("points,k", [
         (tie_grid(9), 4),
@@ -217,7 +211,7 @@ class TestAllPointsKNN:
     def test_matches_per_query_and_brute_force(self, points, k):
         index = build_index(points)
         for (qid, _), row in zip(points, rows_as_ids(index, k)):
-            assert row == index.k_nearest(qid, k) == brute_k_nearest(points, qid, k)
+            assert row == brute_k_nearest(points, qid, k)
 
     def test_chunked_band_matches_per_query_and_oracle(self, monkeypatch):
         # 1100 points on one latitude form one band whose full block would
@@ -245,39 +239,38 @@ class TestAllPointsKNN:
             h = np.cos(np.radians(40.0)) ** 2 * np.sin((lon - lon[q]) / 2) ** 2
             d = 6_371_000.0 * 2 * np.arctan2(np.sqrt(h), np.sqrt(1 - h))
             oracle = [ids[i] for i in np.lexsort((rank, d)) if i != q][:6]
-            assert got[q] == index.k_nearest(qid, 6) == oracle
+            assert got[q] == oracle
 
     def test_shape_saturation_and_bad_k(self):
         pts = [(i, GeoPoint(0, 0.001 * i)) for i in range(4)]
         index = build_index(pts)
-        assert index.k_nearest_rows(99).tolist() == [[1, 2, 3], [0, 2, 3], [1, 3, 0], [2, 1, 0]]
-        assert index.k_nearest_rows(2).dtype == np.int64
-        assert build_index([("only", GeoPoint(1.0, 2.0))]).k_nearest_rows(3).shape == (1, 0)
+        assert index.k_nearest(99).tolist() == [[1, 2, 3], [0, 2, 3], [1, 3, 0], [2, 1, 0]]
+        assert index.k_nearest(2).dtype == np.int64
+        assert build_index([("only", GeoPoint(1.0, 2.0))]).k_nearest(3).shape == (1, 0)
         with pytest.raises(ValidationError):
-            index.k_nearest_rows(0)
+            index.k_nearest(0)
 
 
 class TestAssignNeighborhood:
     def test_exact_centroid(self):
         cents = [("c1", GeoPoint(10, 10)), ("c2", GeoPoint(20, 20))]
-        assert assign_neighborhood(GeoPoint(10, 10), cents) == "c1"
+        assert assign_neighborhood([GeoPoint(10, 10), GeoPoint(20, 20)], cents) == ["c1", "c2"]
 
     def test_equidistant_tie_prefers_smaller_id(self):
         cents = [("c2", GeoPoint(0, 1)), ("c1", GeoPoint(0, -1))]
-        assert assign_neighborhood(GeoPoint(0, 0), cents) == "c1"
+        assert assign_neighborhood([GeoPoint(0, 0)], cents) == ["c1"]
 
     def test_empty_centroids(self):
         with pytest.raises(ValidationError):
-            assign_neighborhood(GeoPoint(0, 0), [])
+            assign_neighborhood([GeoPoint(0, 0)], [])
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(6)
         cents = [(f"c{i}", GeoPoint(float(rng.uniform(30, 40)), float(rng.uniform(-125, -115))))
                  for i in range(10)]
-        for _ in range(100):
-            p = GeoPoint(float(rng.uniform(30, 40)), float(rng.uniform(-125, -115)))
-            expected = min(((brute_haversine(p, c), cid) for cid, c in cents))[1]
-            assert assign_neighborhood(p, cents) == expected
+        points = [GeoPoint(float(rng.uniform(30, 40)), float(rng.uniform(-125, -115))) for _ in range(100)]
+        expected = [min((brute_haversine(p, c), cid) for cid, c in cents)[1] for p in points]
+        assert assign_neighborhood(points, cents) == expected
 
 
 def scalar_assign(point, centroids):
@@ -293,9 +286,7 @@ class TestAssignNeighborhoods:
         cents = [(f"c{(7 * i) % 25:02d}", GeoPoint(0.5 * (i // 5) - 1.0, 0.5 * (i % 5) - 1.0))
                  for i in range(25)]
         points = [GeoPoint(0.25 * a - 1.25, 0.25 * b - 1.25) for a in range(11) for b in range(11)]
-        got = assign_neighborhoods(points, cents)
-        assert got == [scalar_assign(p, cents) for p in points]
-        assert got == [assign_neighborhood(p, cents) for p in points]
+        assert assign_neighborhood(points, cents) == [scalar_assign(p, cents) for p in points]
         nearest_two = [sorted(haversine_distance(p, c) for _, c in cents)[:2] for p in points]
         assert sum(a == b for a, b in nearest_two) == 64  # points the tie-break decides
 
@@ -307,8 +298,8 @@ class TestAssignNeighborhoods:
         sizes = []
         block = geo._haversine_block
         monkeypatch.setattr(geo, "_haversine_block", lambda *a: sizes.append(a[0].size) or block(*a))
-        assert assign_neighborhoods(points, cents) == [scalar_assign(p, cents) for p in points]
+        assert assign_neighborhood(points, cents) == [scalar_assign(p, cents) for p in points]
         assert max(sizes) == 64 and sum(sizes) == 500
 
     def test_no_points(self):
-        assert assign_neighborhoods([], [("c1", GeoPoint(0, 0))]) == []
+        assert assign_neighborhood([], [("c1", GeoPoint(0, 0))]) == []

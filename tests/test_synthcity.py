@@ -34,7 +34,7 @@ class TestGenerate:
         assert a.neighborhood_ids == b.neighborhood_ids
         for sa, sb in zip(a.street_views, b.street_views):
             assert sa.id == sb.id and sa.geo == sb.geo
-            assert np.array_equal(sa.features, sb.features)
+        assert np.array_equal(a.features, b.features)
         for pa, pb in zip(a.pois, b.pois):
             assert pa == pb
 
@@ -53,8 +53,8 @@ class TestGenerate:
                           feature_dim=6, feature_noise=0.0, identity_mixing=True, seed=2)
         city = generate_city(cfg)
         by_nbhd = {}
-        for sv in city.street_views:
-            by_nbhd.setdefault(sv.neighborhood_id, []).append(sv.features)
+        for sv, features in zip(city.street_views, city.features):
+            by_nbhd.setdefault(sv.neighborhood_id, []).append(features)
         for feats in by_nbhd.values():
             for f in feats[1:]:
                 assert np.array_equal(f, feats[0])
@@ -84,8 +84,8 @@ class TestGenerate:
                           pois_per_neighborhood=1, latent_dim=3, feature_dim=12, seed=4)
         city = generate_city(cfg)
         means = {}
-        for sv in city.street_views:
-            means.setdefault(sv.neighborhood_id, []).append(sv.features.astype(np.float64))
+        for sv, features in zip(city.street_views, city.features):
+            means.setdefault(sv.neighborhood_id, []).append(features.astype(np.float64))
         X = np.stack([np.mean(means[nid], axis=0) for nid in city.neighborhood_ids])
         n_train = 60
         for t in range(3):
@@ -207,7 +207,7 @@ def reference_city(config: SynthConfig) -> SynthCity:
     else:
         mixing = rng.normal(size=(L, config.feature_dim)) / np.sqrt(L)
 
-    street_views = []
+    street_views, features = [], []
     for i in range(n):
         base = latents[i] @ mixing
         for v in range(config.views_per_neighborhood):
@@ -216,7 +216,8 @@ def reference_city(config: SynthConfig) -> SynthCity:
             lon = float(np.clip(centroids[i].lon + jitter[1], -180.0, 180.0))
             feats = base + rng.normal(size=config.feature_dim) * config.feature_noise
             street_views.append(StreetViewRecord(id=f"{tag}sv{i:04d}_{v:03d}", geo=GeoPoint(lat, lon),
-                                                 neighborhood_id=nbhd_ids[i], features=feats.astype(np.float32)))
+                                                 neighborhood_id=nbhd_ids[i]))
+            features.append(feats.astype(np.float32))
 
     n_cat = max(4, config.vocab_size // 4)
     n_rev = config.vocab_size - n_cat
@@ -242,7 +243,8 @@ def reference_city(config: SynthConfig) -> SynthCity:
                                   neighborhood_id=nbhd_ids[i], categories=cats, rating=float(rating),
                                   price=price, reviews=[" ".join(words)]))
     return SynthCity(config=config, neighborhood_ids=nbhd_ids, centroids=centroids, latents=latents,
-                     cluster_labels=labels, street_views=street_views, pois=pois)
+                     cluster_labels=labels, street_views=street_views, features=np.stack(features),
+                     pois=pois)
 
 
 class TestMatchesPerRecordReference:
@@ -266,7 +268,7 @@ class TestMatchesPerRecordReference:
         assert len(got.street_views) == len(want.street_views)
         for a, b in zip(got.street_views, want.street_views):
             assert (a.id, a.geo, a.neighborhood_id) == (b.id, b.geo, b.neighborhood_id)
-            assert a.features.dtype == b.features.dtype and np.array_equal(a.features, b.features)
+        assert got.features.dtype == want.features.dtype and np.array_equal(got.features, want.features)
         assert got.pois == want.pois
         for a in got.pois:
             assert type(a.rating) is float and type(a.price) is int

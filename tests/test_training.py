@@ -8,9 +8,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from oracles import table_of
 
 from metrovec import training
-from metrovec.corpus import Bag, Vocabulary, build_vocabulary
+from metrovec.corpus import Bag, Vocabulary, bags_of, build_bag_table, build_vocabulary
 from metrovec.encoder import _backward_batch, _forward_batch, init_encoder
 from metrovec.errors import ValidationError
 from metrovec.fileio import write_embeddings
@@ -179,7 +180,7 @@ class TestSvSampling:
         pts = grid_points(5)
         idx = build_index(pts)
         ids = [pid for pid, _ in pts]
-        ctx = {pid: set(idx.k_nearest(pid, 4)) for pid in ids}
+        ctx = {pid: {ids[r] for r in row} for pid, row in zip(ids, idx.k_nearest(4))}
         rng = np.random.default_rng(1)
         trips = sv_triplets(idx, ids, k=4, per_anchor=16, rng=rng)
         assert len(trips) == len(ids) * 16  # 25 anchors x 16 = 400 per call
@@ -198,9 +199,8 @@ class TestSvSampling:
         rng = np.random.default_rng(2)
         trips = sv_triplets(idx, ids, k=5, per_anchor=15_000, rng=rng)
         counts = Counter((anchor, context) for anchor, context, _ in trips)
-        for pid in ids:
-            nbrs = idx.k_nearest(pid, 5)
-            for nbr in nbrs:
+        for pid, row in zip(ids, idx.k_nearest(5)):
+            for nbr in (ids[r] for r in row):
                 freq = counts[(pid, nbr)] / 15_000
                 assert abs(freq - 0.2) < 0.02
 
@@ -406,6 +406,16 @@ class TestAggregate:
             aggregate_neighborhoods(np.ones((1, 2)), ["n9"], ["n1"])
 
 
+def corpus_of(counters):
+    """The bags and vocabulary of toy bags, taken from their bag table as
+    ``train-poi`` takes them."""
+    table = table_of(counters)
+    return bags_of(table), build_vocabulary(table)
+
+
+NO_WORDS = Bag(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+
+
 def toy_corpus():
     """Four neighborhoods, each dominated by its own signature word plus a
     shared background word."""
@@ -413,8 +423,7 @@ def toy_corpus():
     bags = {}
     for nid, word in signature.items():
         bags[nid] = Counter({word: 40, "shared": 4})
-    vocab = build_vocabulary(bags.values())
-    return {nid: vocab.bag_to_ids(bag) for nid, bag in bags.items()}, vocab, signature
+    return *corpus_of(bags), signature
 
 
 def random_corpus(n, vocab_size, seed, words_per_bag=8):
@@ -424,8 +433,7 @@ def random_corpus(n, vocab_size, seed, words_per_bag=8):
     bags = {f"n{i:03d}": Counter({f"w{w:03d}": int(rng.integers(1, 6))
                                   for w in rng.choice(vocab_size, words_per_bag)})
             for i in range(n)}
-    vocab = build_vocabulary(bags.values())
-    return {nid: vocab.bag_to_ids(bag) for nid, bag in bags.items()}, vocab
+    return corpus_of(bags)
 
 
 class TestTrainPoiStage:
@@ -487,7 +495,7 @@ class TestTrainPoiStage:
 
     def test_empty_bag_not_fatal(self):
         bags, vocab, _ = toy_corpus()
-        bags["n_empty"] = vocab.bag_to_ids(Counter())
+        bags["n_empty"] = NO_WORDS
         nbhd_ids = sorted(bags)
         z0 = np.zeros((5, 6))
         cfg = TrainingConfig(d=6, epochs_poi=2, seed=0)
@@ -516,7 +524,7 @@ class TestTrainPoiStage:
         monkeypatch.setattr(training._EpochDraws, "epoch",
                             lambda self, rng, per: draws.append(epoch(self, rng, per)) or draws[-1])
         bags, vocab = random_corpus(n=40, vocab_size=30, seed=3)
-        bags["n_empty"] = vocab.bag_to_ids(Counter())
+        bags["n_empty"] = NO_WORDS
         nbhd_ids = sorted(bags)
         z0 = np.random.default_rng(8).normal(size=(len(nbhd_ids), 6)) * 0.1
         cfg = TrainingConfig(d=6, epochs_poi=2, triplets_per_anchor=8, lr_poi=0.05,
@@ -552,14 +560,20 @@ class TestTrainPoiStage:
 
 
 LAW_FREQS = {"a": 2, "b": 7, "c": 13, "d": 29, "e": 50}
+LAW_VOCAB = Vocabulary(tokens=tuple(LAW_FREQS), frequencies=np.array(list(LAW_FREQS.values())))
+
+
+def law_bag(counts: dict) -> Bag:
+    """The ``Bag`` over LAW_VOCAB of token -> count."""
+    ids = sorted(map(LAW_VOCAB.id_of, counts))
+    return Bag(np.array(ids), np.array([counts[LAW_VOCAB.tokens[i]] for i in ids]))
 
 
 class TestEpochDraws:
     @pytest.mark.parametrize("bag_words, heavy", [("ad", False), ("de", True)],
                              ids=["rejection", "heavy-bag"])
     def test_negatives_follow_the_zeroed_table_law(self, bag_words, heavy):
-        vocab = build_vocabulary([Counter(LAW_FREQS)])
-        bag = vocab.bag_to_ids(Counter({w: 1 for w in bag_words}))
+        vocab, bag = LAW_VOCAB, law_bag({w: 1 for w in bag_words})
         draws = training._EpochDraws([0], [bag], vocab, 0.5)
         assert bool(draws.heavy) == heavy
         _, _, neg = draws.epoch(np.random.default_rng(33), per=100_000)
@@ -570,8 +584,8 @@ class TestEpochDraws:
         assert np.abs(emp - weights / weights.sum()).max() <= 0.01
 
     def test_contexts_follow_the_counts_and_stay_in_their_bag(self):
-        vocab = build_vocabulary([Counter(LAW_FREQS)])
-        bags = [vocab.bag_to_ids(Counter(c)) for c in ({"a": 1, "b": 3}, {"c": 5}, {"b": 1, "d": 1, "e": 2})]
+        vocab = LAW_VOCAB
+        bags = [law_bag(c) for c in ({"a": 1, "b": 3}, {"c": 5}, {"b": 1, "d": 1, "e": 2})]
         order, ctx, neg = training._EpochDraws([4, 0, 2], bags, vocab, 0.5).epoch(
             np.random.default_rng(34), per=50_000)
         assert sorted(order.tolist()) == [0, 2, 4]
@@ -643,15 +657,8 @@ def test_full_pipeline_seed_determinism():
     city = small_city()
     ids, feats, index = city_training_inputs(city)
     by_id = {sv.id: sv for sv in city.street_views}
-    bags = {}
-    from metrovec.corpus import build_neighborhood_bag
-    grouped = {}
-    for poi in city.pois:
-        grouped.setdefault(poi.neighborhood_id, []).append(poi)
-    for nid in city.neighborhood_ids:
-        bags[nid] = build_neighborhood_bag(grouped.get(nid, []))
-    vocab = build_vocabulary(bags.values())
-    bags = {nid: vocab.bag_to_ids(bag) for nid, bag in bags.items()}
+    table = build_bag_table(city.pois, city.neighborhood_ids)
+    vocab, bags = build_vocabulary(table), bags_of(table)
     cfg = TrainingConfig(d=4, k_context=3, epochs_sv=2, epochs_poi=2,
                          triplets_per_anchor=2, seed=55)
 
