@@ -11,9 +11,9 @@ from .encoder import EncoderParams, init_encoder
 from .errors import (FormatError, IntegrityError, NotFoundError, PipelineError,
                      StageOrderError, UsageError, ValidationError)
 from .geo import GeoPoint, SpatialIndex, assign_neighborhood, build_index, haversine_distance
-from .corpus import (Bag, NegativeWordSampler, PoiRecord, Vocabulary,
+from .corpus import (Bag, NegativeWordSampler, PoiColumns, PoiRecord, Vocabulary,
                      build_neighborhood_bag, build_vocabulary, load_pretrained_vectors,
-                     read_poi_jsonl)
+                     read_poi_columns, read_poi_jsonl)
 from .training import (TrainingConfig, aggregate_neighborhoods, init_word_vectors,
                        train_poi_stage, train_street_view, triplet_grads)
 from .analytics import (PcaModel, RegressionReport, SplitProtocol, cosine_rank,

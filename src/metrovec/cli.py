@@ -29,7 +29,7 @@ from . import analytics, corpus, fileio, synthcity, training
 from .encoder import init_encoder
 from .errors import (IntegrityError, NotFoundError, PipelineError, StageOrderError,
                      UsageError, ValidationError)
-from .geo import assign_neighborhood, build_index
+from .geo import GeoPoint, assign_neighborhood, build_index
 from .training import EMPTY_POLICIES, TrainingConfig
 
 log = logging.getLogger(__name__)
@@ -273,8 +273,6 @@ def _rows_for(table_ids: list, wanted: list, what: str) -> list[int]:
 
 def cmd_ingest(args) -> int:
     workspace = args.workspace
-    workspace.mkdir(parents=True, exist_ok=True)
-    (workspace / "ingested").mkdir(exist_ok=True)
 
     centroids = fileio.read_centroids_csv(args.centroids)
     centroid_ids = [cid for cid, _, _ in centroids]
@@ -292,28 +290,30 @@ def cmd_ingest(args) -> int:
         bad = [metadata[i].id for i in np.unique(np.nonzero(~np.isfinite(features))[0])][:5]
         raise ValidationError(f"non-finite feature values for street views {bad}")
 
-    pois = corpus.read_poi_jsonl(args.poi)
-    poi_ids = [p.id for p in pois]
-    if len(set(poi_ids)) != len(poi_ids):
-        raise ValidationError("duplicate POI ids")
+    pois = corpus.read_poi_columns(args.poi)
 
-    def resolve(records, kind):
-        unassigned = [r for r in records if r.neighborhood_id is None]
-        dangling = [r for r in records if r.neighborhood_id is not None and r.neighborhood_id not in known]
+    def resolve(ids, nids, point, kind):
+        """Fill in the None entries of ``nids`` with the id of the nearest
+        centroid to ``point(i)``; refuse unknown ids, and missing ones
+        without --assign-missing."""
+        dangling = [(rid, nid) for rid, nid in zip(ids, nids) if nid is not None and nid not in known]
         if dangling:
-            names = [(r.id, r.neighborhood_id) for r in dangling[:10]]
-            raise ValidationError(f"{kind} records reference unknown neighborhoods: {names}")
+            raise ValidationError(f"{kind} records reference unknown neighborhoods: {dangling[:10]}")
+        unassigned = [i for i, nid in enumerate(nids) if nid is None]
         if unassigned:
             if not args.assign_missing:
-                ids = [r.id for r in unassigned[:10]]
-                raise ValidationError(f"{kind} records without neighborhood ids (use --assign-missing): {ids}")
-            nearest = assign_neighborhood([r.geo for r in unassigned], centroid_points)
-            for r, nid in zip(unassigned, nearest):
-                r.neighborhood_id = nid
+                names = [ids[i] for i in unassigned[:10]]
+                raise ValidationError(f"{kind} records without neighborhood ids (use --assign-missing): {names}")
+            nearest = assign_neighborhood([point(i) for i in unassigned], centroid_points)
+            for i, nid in zip(unassigned, nearest):
+                nids[i] = nid
             log.info("assigned %d %s records to nearest centroids", len(unassigned), kind)
 
-    resolve(metadata, "street-view")
-    resolve(pois, "POI")
+    sv_nids = [r.neighborhood_id for r in metadata]
+    resolve(sv_ids, sv_nids, lambda i: metadata[i].geo, "street-view")
+    for r, nid in zip(metadata, sv_nids):
+        r.neighborhood_id = nid
+    resolve(pois.ids, pois.neighborhood_ids, lambda i: GeoPoint(float(pois.lat[i]), float(pois.lon[i])), "POI")
     table = corpus.build_bag_table(pois, sorted(centroid_ids))
 
     order = sorted(range(len(metadata)), key=lambda i: metadata[i].id)
@@ -321,6 +321,7 @@ def cmd_ingest(args) -> int:
     features = features[order]
 
     # The bag table first: it is the one write that can still refuse its data.
+    (workspace / "ingested").mkdir(parents=True, exist_ok=True)
     fileio.write_bags(workspace / INGESTED["bags"], table)
     fileio.write_sv_metadata(workspace / INGESTED["street_views"], metadata)
     fileio.write_feature_bin(workspace / INGESTED["features"], [r.id for r in metadata], features)

@@ -5,18 +5,22 @@ rating bucket, a price tier, and review words deduplicated within the POI.
 Neighborhood bags are multiset unions over their POIs; duplicates across POIs
 are kept on purpose because token frequency carries signal.
 
-``ingest`` tokenizes the corpus once: ``build_bag_table`` turns the POIs into
-one CSR ``fileio.BagTable`` of token ids and counts per neighborhood, which is
+``ingest`` reads the POI JSONL once, as columns (``read_poi_columns``), and
+tokenizes it once: ``build_bag_table`` turns the columns into one CSR
+``fileio.BagTable`` of token ids and counts per neighborhood, which is
 ``ingested/bags.bin``. The training and evaluation commands read that table
 and take its rows as ``Bag``s (``bags_of``) and its vocabulary from it
-(``build_vocabulary``). ``build_neighborhood_bag`` gives one neighborhood's
-bag as a ``Counter`` of token strings: the reference a table row is checked
-against.
+(``build_vocabulary``).
+
+The per-POI path stays as the reference: ``read_poi_jsonl`` reads one
+``PoiRecord`` per line and words the line-numbered error for any file the
+column reader refuses, and ``build_neighborhood_bag`` gives one
+neighborhood's bag as a ``Counter`` of token strings, the bag a table row is
+checked against. ``synth`` writes its POIs as records (``write_poi_jsonl``).
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import re
@@ -33,6 +37,9 @@ from .geo import GeoPoint
 # lookahead refuses a start whose digits reach the end of its run; every
 # later start in such a run is all digits too, so no part of it matches.
 _REVIEW_WORD = re.compile(r"(?![0-9]+(?![0-9a-z]))[0-9a-z]{2,}")
+# Bytes that a run of [0-9a-z] is made of map to themselves, and NUL too;
+# every other byte maps to a space.
+_RUN_BYTES = bytes(b if chr(b) in "0123456789abcdefghijklmnopqrstuvwxyz\0" else 0x20 for b in range(256))
 _PRETRAINED_SKIP_PREFIXES = ("cat_", "rate_", "price_")
 
 
@@ -53,15 +60,30 @@ class PoiRecord:
             raise ValidationError(f"POI {self.id!r}: price tier {self.price} outside [1, 4]")
 
 
-# Both token functions are cached: a corpus repeats few distinct category
-# phrases and ratings across many POIs. The caches are bounded because a
-# process may tokenize many corpora.
-@functools.lru_cache(maxsize=1 << 16)
+@dataclass(frozen=True, eq=False)
+class PoiColumns:
+    """A POI corpus as flat columns, one entry per POI unless noted: what
+    ``read_poi_jsonl``'s records hold, without a record, point or list per
+    POI."""
+
+    ids: list[str]
+    lat: np.ndarray  # float64
+    lon: np.ndarray  # float64
+    neighborhood_ids: list[str | None]  # None where blank or absent
+    phrases: list[str]  # every category phrase, POI after POI
+    phrase_counts: np.ndarray  # int64: how many of ``phrases`` each POI has
+    ratings: np.ndarray  # float64, NaN where absent
+    prices: np.ndarray  # int64, 0 where absent
+    reviews: list[str]  # each POI's reviews joined by spaces
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
 def _category_token(phrase: str) -> str:
     return "cat_" + "_".join(phrase.lower().split())
 
 
-@functools.lru_cache(maxsize=1 << 12)
 def _rating_token(rating: float) -> str:
     bucket = math.floor(rating * 2.0 + 0.5) / 2.0  # nearest half star, halves round up
     bucket = min(5.0, max(1.0, bucket))
@@ -97,27 +119,76 @@ def build_neighborhood_bag(pois: list[PoiRecord]) -> Counter:
     return Counter([token for poi in pois for token in _poi_tokens(poi)])
 
 
-def build_bag_table(pois: list[PoiRecord], row_ids: list[str]) -> BagTable:
+def _distinct_codes(values: list) -> tuple[list, np.ndarray]:
+    """The distinct ``values`` in first-seen order, and the index of each
+    value among them."""
+    code_of = {v: i for i, v in enumerate(dict.fromkeys(values))}
+    return list(code_of), np.fromiter(map(code_of.__getitem__, values), dtype=np.int64, count=len(values))
+
+
+def _review_words(texts: list[str]):
+    """The distinct review words of each text, as (words, text index, word
+    index) with one entry per (text, word) pair; ``None`` stands in for a
+    run that is not a word.
+
+    ``_REVIEW_WORD``'s maximal runs, found for all texts at once: they are
+    joined by " NUL " (a NUL inside a text becomes a space first; both end a
+    run) and lowered, which comes first because it can turn a character into
+    ASCII letters (Kelvin sign to "k"). Then every character outside [0-9a-z]
+    is a space (a non-ASCII one is encoded as "?"), and one split gives the
+    runs and a NUL between texts."""
+    joined = " \0 ".join([text.replace("\0", " ") for text in texts]).lower()
+    runs, codes = _distinct_codes(joined.encode("ascii", "replace").translate(_RUN_BYTES).split())
+    words = [run.decode() if len(run) >= 2 and not run.isdigit() else None for run in runs]
+    if b"\0" in runs:
+        sep = codes == runs.index(b"\0")
+        owner, codes = np.cumsum(sep)[~sep], codes[~sep]
+    else:
+        owner = np.zeros(len(codes), dtype=np.int64)
+    width = max(len(words), 1)
+    # Sorted distinct (text, word) keys. np.unique with counts sorts; without
+    # them numpy 2 may hash, which is many times slower on int64 keys.
+    keys = np.unique(owner * width + codes, return_counts=True)[0]
+    return words, keys // width, keys % width
+
+
+def build_bag_table(pois: PoiColumns, row_ids: list[str]) -> BagTable:
     """The bags of the neighborhoods ``row_ids`` (sorted, distinct) as one
     CSR table: row r holds the tokens of ``build_neighborhood_bag`` over the
     POIs of ``row_ids[r]``, as ids into the table's sorted ``tokens`` in
     ascending order, with their counts. Every POI must belong to one of
-    ``row_ids``."""
+    ``row_ids``.
+
+    Tokenized by column, not by POI: each distinct category phrase, rating
+    and price becomes its token once, and one pass over all review texts
+    finds their words."""
     row_of = {nid: r for r, nid in enumerate(row_ids)}
-    flat: list[str] = []
-    poi_rows, lengths = [], []
+    nids = pois.neighborhood_ids
     try:
-        for poi in pois:
-            tokens = _poi_tokens(poi)
-            flat += tokens
-            poi_rows.append(row_of[poi.neighborhood_id])
-            lengths.append(len(tokens))
+        poi_rows = np.fromiter(map(row_of.__getitem__, nids), dtype=np.int64, count=len(nids))
     except KeyError as exc:
-        raise ValidationError(f"POI {poi.id!r} belongs to an unknown neighborhood {exc.args[0]!r}") from None
-    tokens = sorted(set(flat))
+        poi_id = pois.ids[nids.index(exc.args[0])]
+        raise ValidationError(f"POI {poi_id!r} belongs to an unknown neighborhood {exc.args[0]!r}") from None
+
+    # Per kind of token: (token of each code, or None for no token; POI
+    # index and code of each occurrence).
+    phrases, codes = _distinct_codes(pois.phrases)
+    parts = [([_category_token(p) if p.strip() else None for p in phrases],
+              np.repeat(np.arange(len(nids)), pois.phrase_counts), codes)]
+    rated = np.flatnonzero(~np.isnan(pois.ratings))
+    ratings, codes = np.unique(pois.ratings[rated], return_inverse=True)
+    parts.append(([_rating_token(r) for r in ratings.tolist()], rated, codes))
+    priced = np.flatnonzero(pois.prices)
+    prices, codes = np.unique(pois.prices[priced], return_inverse=True)
+    parts.append(([f"price_{p}" for p in prices.tolist()], priced, codes))
+    parts.append(_review_words(pois.reviews))
+
+    tokens = sorted({t for local, _, _ in parts for t in local if t is not None})
     index = {t: i for i, t in enumerate(tokens)}
-    ids = np.fromiter(map(index.__getitem__, flat), dtype=np.int64, count=len(flat))
-    rows = np.repeat(np.array(poi_rows, dtype=np.int64), lengths)
+    ids = np.concatenate([np.array([index.get(t, -1) for t in local], dtype=np.int64)[codes]
+                          for local, _, codes in parts])
+    rows = poi_rows[np.concatenate([poi for _, poi, _ in parts])]
+    rows, ids = rows[ids >= 0], ids[ids >= 0]
     # One key per (row, token id), so np.unique sorts by row, then by id.
     width = max(len(tokens), 1)
     keys, counts = np.unique(rows * width + ids, return_counts=True)
@@ -279,13 +350,72 @@ def read_poi_jsonl(path) -> list[PoiRecord]:
                     ))
                 except KeyError as exc:
                     raise FormatError(f"{path}:{lineno} (POI {rec_id!r}): missing field {exc}") from None
-                except (TypeError, ValueError) as exc:
+                # OverflowError: int() of an infinite price, float() of a huge integer.
+                except (TypeError, ValueError, OverflowError) as exc:
                     raise FormatError(f"{path}:{lineno} (POI {rec_id!r}): {exc}") from None
                 except ValidationError as exc:
                     raise ValidationError(f"{path}:{lineno} (POI {rec_id!r}): {exc}") from None
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return records
+
+
+def read_poi_columns(path) -> PoiColumns:
+    """The POI JSONL file as ``PoiColumns``: the fields ``read_poi_jsonl``
+    reads, through the same builtins, from the same lines. Each line's dict is
+    dropped once its fields are read, so the collector has no heap of records
+    to walk. The first problem of any kind hands the file to
+    ``read_poi_jsonl``, which raises its line-numbered error."""
+    try:
+        columns = _scan_poi_columns(path)
+    except (StopIteration, ValueError, KeyError, TypeError, OverflowError) as exc:
+        # What a bad file raises in the scan: no JSON value (StopIteration);
+        # bad JSON, text, number or range (ValueError); a missing field; a
+        # wrong type; a number too large for its type.
+        refused = exc
+    else:
+        if len(set(columns.ids)) != len(columns):
+            raise ValidationError("duplicate POI ids")
+        return columns
+    read_poi_jsonl(path)
+    raise refused  # read_poi_jsonl accepted what this reader refused
+
+
+def _scan_poi_columns(path) -> PoiColumns:
+    scan = json.JSONDecoder().scan_once
+    ids, lat, lon, nids, phrases, counts, ratings, prices, reviews = ([] for _ in range(9))
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            if not line.strip():
+                continue
+            # json.loads: JSON whitespace, one value, JSON whitespace. A
+            # value never ends in whitespace, so stripping it first is the same.
+            text = line.strip(" \t\n\r")
+            obj, end = scan(text, 0)
+            if end != len(text):
+                raise ValueError("extra data")
+            ids.append(str(obj["id"]))
+            lat.append(float(obj["lat"]))
+            lon.append(float(obj["lon"]))
+            nids.append(None if obj.get("neighborhood_id") in (None, "") else str(obj["neighborhood_id"]))
+            categories, texts = obj.get("categories", []), obj.get("reviews", [])
+            if not (isinstance(categories, list) and isinstance(texts, list)):
+                raise TypeError("categories and reviews must be lists")
+            phrases += map(str, categories)
+            counts.append(len(categories))
+            ratings.append(None if obj.get("rating") is None else float(obj["rating"]))
+            prices.append(None if obj.get("price") is None else int(obj["price"]))
+            reviews.append(" ".join(map(str, texts)))
+    lat, lon = np.array(lat, dtype=np.float64), np.array(lon, dtype=np.float64)
+    # None becomes NaN; the count of in-range values plus the count of None
+    # is the length only if no present value is NaN or out of range.
+    rating, price = np.array(ratings, dtype=np.float64), np.array(prices, dtype=np.float64)
+    if not ((-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0)).all() \
+            or np.count_nonzero((1.0 <= rating) & (rating <= 5.0)) + ratings.count(None) != len(ids) \
+            or np.count_nonzero((1.0 <= price) & (price <= 4.0)) + prices.count(None) != len(ids):
+        raise ValueError("a value out of range")
+    return PoiColumns(ids, lat, lon, nids, phrases, np.array(counts, dtype=np.int64), rating,
+                      np.nan_to_num(price, nan=0.0).astype(np.int64), reviews)
 
 
 def write_poi_jsonl(path, pois: list[PoiRecord]) -> None:

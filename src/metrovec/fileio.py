@@ -267,6 +267,10 @@ def read_centroids_csv(path) -> list[tuple[str, GeoPoint, str | None]]:
         if len(row) < 3:
             raise FormatError(f"{path}:{lineno}: expected at least 3 columns, got {len(row)}")
         city = row[3] if has_city and len(row) > 3 and row[3] else None
+        # Both go into report file names (``similar``'s query and --from-city).
+        for kind, name in (("id", row[0]), ("city tag", city or "")):
+            if {"/", "\0", os.sep, os.altsep} & set(name):
+                raise ValidationError(f"{path}:{lineno}: centroid {kind} {name!r} holds a path separator or NUL")
         out.append((row[0], _geo(path, lineno, row, "centroid"), city))
     return out
 

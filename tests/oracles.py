@@ -1,5 +1,6 @@
-"""Test-side references: toy corpora as bag tables, and the adjusted Rand
-index that scores a clustering against known labels.
+"""Test-side references: POI records as the columns ``ingest`` reads, toy
+corpora as bag tables, and the adjusted Rand index that scores a clustering
+against known labels.
 
 Not a test module (its name does not start with ``test_``), so pytest
 collects nothing here; the test modules import it by name.
@@ -9,7 +10,23 @@ from collections import Counter
 
 import numpy as np
 
+from metrovec.corpus import PoiColumns, PoiRecord
 from metrovec.fileio import BagTable
+
+
+def columns_of(pois: list[PoiRecord]) -> PoiColumns:
+    """The columns ``read_poi_columns`` reads from a file of these records
+    (``write_poi_jsonl``)."""
+    return PoiColumns(
+        ids=[p.id for p in pois],
+        lat=np.array([p.geo.lat for p in pois], dtype=np.float64),
+        lon=np.array([p.geo.lon for p in pois], dtype=np.float64),
+        neighborhood_ids=[p.neighborhood_id for p in pois],
+        phrases=[phrase for p in pois for phrase in p.categories],
+        phrase_counts=np.array([len(p.categories) for p in pois], dtype=np.int64),
+        ratings=np.array([np.nan if p.rating is None else p.rating for p in pois], dtype=np.float64),
+        prices=np.array([p.price or 0 for p in pois], dtype=np.int64),
+        reviews=[" ".join(p.reviews) for p in pois])
 
 
 def table_of(counters: dict[str, Counter]) -> BagTable:

@@ -51,7 +51,8 @@ def public_functions():
 
 
 def run_chain(base):
-    """Two tagged cities: one ingested from binary features, and both merged
+    """Two tagged cities: one ingested from binary features (and once from a
+    POI file with a malformed line, refused), and both merged
     with CSV features, a blank street-view neighborhood id and
     --assign-missing, then trained and read by every read-side command."""
     def main(*argv):
@@ -68,6 +69,14 @@ def run_chain(base):
     main("ingest", "--workspace", base / "ws-bin", "--poi", single / "poi.jsonl",
          "--features", single / "features.bin", "--ids", single / "street_views.csv",
          "--centroids", single / "centroids.csv")
+
+    # A malformed line: the column reader hands the file to the line
+    # reader, which words the error.
+    malformed = base / "malformed.jsonl"
+    malformed.write_text((single / "poi.jsonl").read_text() + '{"id": "bad", "lat": 7,\n')
+    assert cli.main([str(a) for a in ("ingest", "--workspace", base / "ws-malformed", "--poi", malformed,
+                                      "--features", single / "features.bin", "--ids", single / "street_views.csv",
+                                      "--centroids", single / "centroids.csv")]) == 3
 
     merged = base / "merged"
     merged.mkdir()

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import re
 import shutil
 import struct
 import typing
@@ -15,8 +16,8 @@ from oracles import table_of
 
 from metrovec import cli
 from metrovec.cli import build_parser, main, save_manifest
-from metrovec.errors import ValidationError
-from metrovec.corpus import build_neighborhood_bag, read_poi_jsonl
+from metrovec.corpus import build_neighborhood_bag, read_poi_columns, read_poi_jsonl
+from metrovec.errors import PipelineError, ValidationError
 from metrovec.fileio import (read_bags, read_centroids_csv, read_embeddings, read_feature_bin,
                              read_sv_metadata, read_targets_csv, write_feature_bin,
                              write_features_csv, write_targets_csv)
@@ -525,41 +526,30 @@ class TestJointCities:
                      "--from-city", "zz_"]) == 3
 
 
-def test_similar_refuses_a_report_name_holding_a_slash(tmp_path, capsys):
-    # Nothing at ingest refuses a neighborhood id or a city tag that holds
-    # "/", and ``similar`` puts both in its report's file name.
-    cfg = tmp_path / "synth.cfg"
-    cfg.write_text(SYNTH_CFG.replace("n_neighborhoods = 16", "n_neighborhoods = 6"))
-    city = tmp_path / "city"
-    assert main(["synth", "--config", str(cfg), "--out", str(city)]) == 0
-    renamed = {"n0000": "x/y", "n0001": "x/../../../made_outside/y"}
-    for name in ("centroids.csv", "street_views.csv", "poi.jsonl"):
-        text = (city / name).read_text()
-        for old, new in renamed.items():
-            text = text.replace(old, new)
-        if name == "centroids.csv":
-            text = "".join(line + (",city\n" if i == 0 else ",a/b\n")
-                           for i, line in enumerate(text.splitlines()))
-        (city / name).write_text(text)
-    ws = tmp_path / "ws" / "inner"
-    assert main(ingest_args(city, ws)) == 0
-    assert main(["train-sv", "--workspace", str(ws)] + TRAIN_FLAGS) == 0
-    assert main(["aggregate", "--workspace", str(ws)]) == 0
-    assert main(["train-poi", "--workspace", str(ws)]) == 0
-    capsys.readouterr()
+def test_ingest_refuses_an_id_or_city_tag_holding_a_slash(tmp_path, city_dir, capsys):
+    # ``similar`` puts a neighborhood id and a city tag in its report's file name.
+    lines = [line + (",city" if i == 0 else ",c") for i, line in enumerate(_lines(city_dir / "centroids.csv"))]
+    cases = {2: ("x/y" + lines[1][5:], "centroid id 'x/y'"),
+             3: ("x/../../../made_outside/y" + lines[2][5:], "centroid id 'x/../../../made_outside/y'"),
+             4: ("x\0y" + lines[3][5:], "centroid id 'x\\x00y'"),
+             5: (lines[4][:-1] + "a/b", "centroid city tag 'a/b'")}
+    for row, (line, named) in cases.items():
+        path = _write_lines(tmp_path / "c.csv", lines[:row - 1] + [line] + lines[row:])
+        args = ingest_args(city_dir, tmp_path / "ws" / "inner")
+        args[args.index("--centroids") + 1] = str(path)
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert f"c.csv:{row}: {named} holds a path separator or NUL" in err and "Traceback" not in err, err
+        assert not (tmp_path / "ws").exists() and not (tmp_path / "made_outside").exists()
 
-    queries = [["--query", "x/y"], ["--query", "x/../../../made_outside/y"],
-               ["--query", "n0002", "--from-city", "a/b"]]
-    for has_reports in (False, True):
-        if has_reports:
-            assert main(["cluster", "--workspace", str(ws), "--k", "2"]) == 0
-            capsys.readouterr()
-        before = sorted(p.relative_to(tmp_path) for p in (tmp_path / "ws").rglob("*"))
-        for query in queries:
-            assert main(["similar", "--workspace", str(ws)] + query) == 3
-            err = capsys.readouterr().err
-            assert "is not a plain file name" in err and query[-1] in err and "Traceback" not in err, err
-        assert sorted(p.relative_to(tmp_path) for p in (tmp_path / "ws").rglob("*")) == before
+
+@pytest.mark.parametrize("name", ["x/y", "x/../../../made_outside/y", "a\0b", ".", ".."])
+def test_write_report_refuses_a_name_that_is_not_a_plain_file_name(tmp_path, name):
+    ws = tmp_path / "ws" / "inner"
+    ws.mkdir(parents=True)
+    with pytest.raises(ValidationError, match="is not a plain file name"):
+        cli._write_report(ws, name, "text")
+    assert sorted(tmp_path.rglob("*")) == [tmp_path / "ws", ws]
 
 
 def test_one_parser_per_process_and_dispatch_at_call_time(monkeypatch, tmp_path):
@@ -642,6 +632,57 @@ class TestIngestChecks:
         err = capsys.readouterr().err
         assert named in err, err
         assert not (tmp_path / "ws" / "manifest.json").exists()
+
+
+GOOD_POI = {"id": "p", "lat": 37.0, "lon": -122.0, "neighborhood_id": "n0000",
+            "categories": ["Bar"], "rating": 4.0, "price": 2, "reviews": ["fine place"]}
+BAD_LINE = 1050
+
+
+def _poi(**fields) -> bytes:
+    return json.dumps({**GOOD_POI, **fields}, allow_nan=True).encode()
+
+
+@pytest.mark.parametrize("line", [
+    b'{"id": "bad", "lat": 1.0,',
+    # One object over two lines: valid JSON if the lines were read as one text.
+    b'{"id": "bad", "lat": [1,\n2], "lon": 0}',
+    b'{"id": "a1", "lat": 0, "lon": 0} {"id": "a2", "lat": 0, "lon": 0}',
+    b'{"id": "a1", "lat": 0, "lon": 0}, {"id": "a2", "lat": 0, "lon": 0}',
+    "\ufeff".encode() + _poi(id="bom"), b"\x0c" + _poi(id="form-feed"),
+    b"[1, 2]", b'"text"', b"3", b"null",
+    json.dumps({k: v for k, v in GOOD_POI.items() if k != "lon"}).encode(),
+    _poi(categories="Coffee"), _poi(reviews={"a": 1}), _poi(categories=None), _poi(lat=[1.0]),
+    _poi(price="cheap"), _poi(rating="good"), _poi(id=None, lat="north"),
+    _poi(lat=91.0), _poi(lon=-180.5), _poi(lat=float("nan")), _poi(lon=float("inf")),
+    _poi(rating=7), _poi(rating=0.5), _poi(rating=float("nan")),
+    _poi(price=9), _poi(price=0), _poi(price=-1), _poi(price=float("inf")), _poi(lat=10 ** 400),
+    _poi(id="\u00e9").replace("\\u00e9".encode(), b"\xe9"),
+], ids=["truncated", "object-over-two-lines", "two-objects", "comma-list", "bom", "form-feed", "list",
+        "string", "number", "null", "missing-field", "categories-string", "reviews-object", "categories-null",
+        "lat-list", "price-word", "rating-word", "lat-word", "lat-range", "lon-range", "lat-nan",
+        "lon-inf", "rating-high", "rating-low", "rating-nan", "price-high", "price-zero",
+        "price-negative", "price-inf", "lat-huge", "not-utf8"])
+def test_bad_poi_line_is_reported_as_by_the_line_reader(tmp_path, city_dir, capsys, line):
+    """A bad line deep in the file: ``read_poi_columns`` raises the type and
+    message of ``read_poi_jsonl``, and ``ingest`` exits 3 without writing."""
+    lines = [_poi(id=f"p{i:04d}", neighborhood_id=f"n{i % 16:04d}") for i in range(1, 1200)]
+    lines[BAD_LINE - 1] = line
+    path = _write_bytes(tmp_path / "poi.jsonl", b"\n".join(lines) + b"\n")
+    with pytest.raises(PipelineError) as want:
+        read_poi_jsonl(path)
+    if b"\xe9" not in line:  # a decoding error names no line
+        assert re.search(rf"poi\.jsonl:{BAD_LINE}[: ]", str(want.value)), want.value
+    with pytest.raises(PipelineError) as got:
+        read_poi_columns(path)
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+    args = ingest_args(city_dir, tmp_path / "ws")
+    args[args.index("--poi") + 1] = str(path)
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert str(want.value) in err and "Traceback" not in err, err
+    assert not (tmp_path / "ws").exists()
 
 
 def test_duplicate_target_id_is_data_error(trained_ws, tmp_path, city_dir, capsys):

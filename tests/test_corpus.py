@@ -8,11 +8,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from oracles import table_of
+from oracles import columns_of, table_of
 
+from metrovec import corpus
 from metrovec.corpus import (NegativeWordSampler, PoiRecord, bags_of, build_bag_table,
                              build_neighborhood_bag, build_vocabulary, load_pretrained_vectors,
-                             read_poi_jsonl, write_poi_jsonl)
+                             read_poi_columns, read_poi_jsonl, write_poi_jsonl)
 from metrovec.errors import FormatError, ValidationError
 from metrovec.fileio import read_bags, write_bags
 from metrovec.geo import GeoPoint
@@ -207,7 +208,7 @@ class TestBagTable:
         pois = city.pois + [dataclasses.replace(p, id=f"x{i}", neighborhood_id=row_ids[i % 3])
                             for i, p in enumerate(TestNeighborhoodBagMatchesPerPoiSum.POIS)]
         path = tmp_path / "bags.bin"
-        write_bags(path, build_bag_table(pois, row_ids))
+        write_bags(path, build_bag_table(columns_of(pois), row_ids))
         table = read_bags(path)
         counters = {nid: build_neighborhood_bag([p for p in pois if p.neighborhood_id == nid])
                     for nid in row_ids}
@@ -230,13 +231,119 @@ class TestBagTable:
 
     def test_poi_of_another_neighborhood_refused(self):
         with pytest.raises(ValidationError, match="POI 'p1' belongs to an unknown neighborhood 'n9'"):
-            build_bag_table([poi(nbhd="n9", categories=["Bar"])], ["n1"])
+            build_bag_table(columns_of([poi(nbhd="n9", categories=["Bar"])]), ["n1"])
 
     def test_empty_corpus_has_no_vocabulary(self):
-        table = build_bag_table([poi()], ["n1"])
+        table = build_bag_table(columns_of([poi()]), ["n1"])
         assert table.tokens == [] and table.indptr.tolist() == [0, 0]
         with pytest.raises(ValidationError, match="all bags are empty"):
             build_vocabulary(table)
+
+
+# Lines the column reader must read as the line reader does, one case each.
+ODD_LINES = [
+    # CRLF, a lone CR, leading and trailing JSON whitespace.
+    '{"id": "crlf", "lat": 1.0, "lon": 2.0, "neighborhood_id": "n1", "reviews": ["crlf line"]}\r\n',
+    '{"id": "cr", "lat": 1.0, "lon": 2.0, "neighborhood_id": "n1", "reviews": ["cr line"]}\r',
+    ' \t {"id": "spaced", "lat": 1.0, "lon": 2.0, "neighborhood_id": "n2", "categories": ["Bar"]} \t\r\n',
+    # Blank and whitespace-only lines (a form feed and an ideographic space
+    # are whitespace to str.strip, not to JSON).
+    '\n', '   \t  \n', '\x0c\u3000\n', '\r\n',
+    # Non-string list items, blank phrases, empty and missing lists.
+    '{"id": "mixed", "lat": 1.0, "lon": 2.0, "neighborhood_id": "n2", "categories": '
+    '[1, 2.5, null, true, ["x y"], {"a": 1}, "", "   ", "Dive  Bar"], "reviews": [3, null, "ok words", ["ab cd"]]}\n',
+    '{"id": "empty", "lat": 1.0, "lon": 2.0, "neighborhood_id": "n2", "categories": [], "reviews": []}\n',
+    '{"id": "bare", "lat": 1.0, "lon": 2.0, "neighborhood_id": "n3"}\n',
+    # Strings and floats where numbers go, null rating and price.
+    '{"id": "cast", "lat": "37.1", "lon": -122, "neighborhood_id": "n3", "price": 2.0, "rating": "4.26"}\n',
+    '{"id": "nulls", "lat": 1, "lon": 2, "neighborhood_id": "n3", "price": null, "rating": null}\n',
+    '{"id": "true", "lat": 1, "lon": 2, "neighborhood_id": "n3", "price": true, "rating": 4}\n',
+    # NUL and a lone surrogate inside reviews; dotted capital I, capital
+    # sigma and the Kelvin sign.
+    '{"id": "nul", "lat": 1, "lon": 2, "neighborhood_id": "n4", '
+    '"reviews": ["ab\\u0000cd ef\\u0000", "\\u0000gh\\ud800ij"]}\n',
+    '{"id": "case", "lat": 1, "lon": 2, "neighborhood_id": "n4", '
+    '"reviews": ["\u0130stanbul \u03a3\u03a3ab \u212aelvin", "\u2126hm x\u212a \u0130i"]}\n',
+    # Blank and absent neighborhood ids, non-string ids, no line end at the end of the file.
+    '{"id": "blank", "lat": 1, "lon": 2, "neighborhood_id": "", "categories": ["Bar"]}\n',
+    '{"id": "absent", "lat": 1, "lon": 2, "categories": ["bar"], "rating": 1.0, "price": 4}\n',
+    '{"id": 7, "lat": 1, "lon": 2, "neighborhood_id": 5, "reviews": ["fives"]}',
+]
+
+
+class TestPoiColumns:
+    """``read_poi_columns`` + ``build_bag_table`` against the line reader and
+    the per-POI reference, ``read_poi_jsonl`` + ``build_neighborhood_bag``."""
+
+    def columns(self, path, monkeypatch):
+        """The columns read without the line reader, which would hide a
+        refusal of the column reader."""
+        with monkeypatch.context() as m:
+            m.setattr(corpus, "read_poi_jsonl", lambda path: pytest.fail(f"{path} refused"))
+            return read_poi_columns(path)
+
+    def test_columns_and_table_equal_the_line_reader(self, tmp_path, monkeypatch):
+        path = tmp_path / "poi.jsonl"
+        path.write_bytes("".join(ODD_LINES).encode("utf-8"))
+        records = read_poi_jsonl(path)
+        assert len(records) == 14
+        columns, want = self.columns(path, monkeypatch), columns_of(records)
+        for field in dataclasses.fields(columns):
+            got, expected = getattr(columns, field.name), getattr(want, field.name)
+            if isinstance(expected, np.ndarray):
+                assert got.dtype == expected.dtype and np.array_equal(got, expected, equal_nan=True), field.name
+            else:
+                assert got == expected, field.name
+        assert columns.neighborhood_ids[-3:] == [None, None, "5"]
+        assert "\0" in columns.reviews[-5] and "\ud800" in columns.reviews[-5]
+
+        # Blank ids go to a row of their own, as --assign-missing would put them in one.
+        columns.neighborhood_ids[-3:-1] = ["n5", "n5"]
+        for p in records[-3:-1]:
+            p.neighborhood_id = "n5"
+        row_ids = ["5", "n1", "n2", "n3", "n4", "n5", "n6"]
+        table = build_bag_table(columns, row_ids)
+        bags = {nid: build_neighborhood_bag([p for p in records if p.neighborhood_id == nid]) for nid in row_ids}
+        assert bags["n4"] == Counter(["ab", "cd", "ef", "gh", "ij", "stanbul", "ab", "kelvin", "hm", "xk"])
+        expected = table_of(bags)
+        assert table.row_ids == row_ids and table.tokens == expected.tokens
+        for got, want in ((table.indptr, expected.indptr), (table.token_ids, expected.token_ids),
+                          (table.counts, expected.counts)):
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+
+    def test_review_words_match_reference_on_random_text(self, tmp_path, monkeypatch):
+        # Letters, digits, separators, NUL and characters whose lower case is
+        # or holds ASCII, in random reviews: one POI per neighborhood.
+        alphabet = list("aZ09 _-.,\t\n\0") + ["\u212a", "\u0130", "\u00e9", "\u03a3", "\u00df"]
+        rng = np.random.default_rng(4)
+        pois = [poi(pid=f"p{i:03d}", nbhd=f"n{i:03d}",
+                    reviews=["".join(rng.choice(alphabet, size=int(rng.integers(0, 30))))
+                             for _ in range(int(rng.integers(0, 4)))])
+                for i in range(300)]
+        path = tmp_path / "poi.jsonl"
+        write_poi_jsonl(path, pois)
+        row_ids = [p.neighborhood_id for p in pois]
+        table = build_bag_table(self.columns(path, monkeypatch), row_ids)
+        expected = table_of({p.neighborhood_id: build_neighborhood_bag([p]) for p in pois})
+        assert table.tokens == expected.tokens
+        for got, want in ((table.indptr, expected.indptr), (table.token_ids, expected.token_ids),
+                          (table.counts, expected.counts)):
+            assert np.array_equal(got, want)
+
+    def test_duplicate_ids_refused(self, tmp_path):
+        path = tmp_path / "poi.jsonl"
+        path.write_text('{"id": "a", "lat": 0, "lon": 0}\n{"id": "b", "lat": 0, "lon": 0}\n'
+                        '{"id": "a", "lat": 1, "lon": 1}\n')
+        with pytest.raises(ValidationError, match="^duplicate POI ids$"):
+            read_poi_columns(path)
+
+    def test_empty_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "poi.jsonl"
+        path.write_text("\n \n")
+        columns = self.columns(path, monkeypatch)
+        assert len(columns) == 0 and columns.lat.dtype == np.float64 and columns.prices.dtype == np.int64
+        table = build_bag_table(columns, ["n1"])
+        assert table.tokens == [] and table.indptr.tolist() == [0, 0]
 
 
 class TestNegativeSampling:
