@@ -75,7 +75,7 @@ def load_manifest(workspace: Path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except ValueError as exc:  # JSON syntax or text encoding
+    except (ValueError, RecursionError) as exc:  # JSON syntax, text encoding or nesting depth
         raise IntegrityError(f"{path} is not a readable manifest: {exc}") from None
     if not isinstance(manifest, dict):
         raise IntegrityError(f"{path} is not a manifest: a JSON object is expected")
@@ -320,8 +320,9 @@ def cmd_ingest(args) -> int:
     metadata = [metadata[i] for i in order]
     features = features[order]
 
-    # The bag table first: it is the one write that can still refuse its data.
-    (workspace / "ingested").mkdir(parents=True, exist_ok=True)
+    # The bag table first: it is the one write that can still refuse its data
+    # (a token that is not valid Unicode, an id holding a newline), and it
+    # makes the workspace only once it has not.
     fileio.write_bags(workspace / INGESTED["bags"], table)
     fileio.write_sv_metadata(workspace / INGESTED["street_views"], metadata)
     fileio.write_feature_bin(workspace / INGESTED["features"], [r.id for r in metadata], features)
@@ -363,14 +364,15 @@ def _write_report(workspace: Path, name: str, text: str) -> Path:
     rename over (or a truncation of) an existing file forces the new data out
     to disk first, a cost paid by every repeated read-side command. ``name``
     must be one plain file name: it may carry a query id or a city tag, and
-    those come from the input files."""
-    if name in (".", "..") or {"/", "\0", os.sep, os.altsep} & set(name):
+    those come from the input files. The text is written as it is (a CSV
+    report's \\r\\n line ends too)."""
+    if name in (".", "..") or fileio.splits_a_path(name):
         raise ValidationError(f"report name {name!r} is not a plain file name")
     path = workspace / "reports" / name
     path.parent.mkdir(exist_ok=True)
     tmp = path.with_name(f".{name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
         path.unlink(missing_ok=True)
         os.rename(tmp, path)
@@ -381,7 +383,6 @@ def _write_report(workspace: Path, name: str, text: str) -> Path:
 
 
 def _write_checkpoint(workspace: Path, manifest: dict, name: str, ids, matrix) -> None:
-    (workspace / "checkpoints").mkdir(exist_ok=True)
     relpath = CHECKPOINTS[name]
     fileio.write_embeddings(workspace / relpath, ids, matrix)
     _record_file(workspace, manifest, relpath)
@@ -509,8 +510,7 @@ def cmd_eval(args) -> int:
     report = analytics.evaluate_regression(np.asarray(matrix(), dtype=np.float64), targets,
                                            target_names, protocol)
 
-    rows = [",".join(str(v) for v in row) + "\n" for row in report.to_csv_rows()]
-    csv_path = _write_report(workspace, f"eval_{args.embedding}.csv", "".join(rows))
+    csv_path = _write_report(workspace, f"eval_{args.embedding}.csv", fileio.csv_text(report.to_csv_rows()))
     text = f"embedding: {args.embedding}\n{report.format_text()}\n"
     _write_report(workspace, f"eval_{args.embedding}.txt", text)
     print(text, end="")
@@ -524,8 +524,8 @@ def cmd_cluster(args) -> int:
     config = resolve_training_config(manifest, None, {"seed": args.seed})
     ids, matrix = _load_representation(workspace, manifest, args.embedding, config)
     labels, _ = analytics.kmeans(np.asarray(matrix(), dtype=np.float64), args.k, seed=config.seed)
-    rows = [f"{nid},{lab}\n" for nid, lab in zip(ids, labels)]
-    out = _write_report(workspace, f"clusters_{args.embedding}.csv", "id,cluster\n" + "".join(rows))
+    rows = [("id", "cluster"), *zip(ids, labels.tolist())]
+    out = _write_report(workspace, f"clusters_{args.embedding}.csv", fileio.csv_text(rows))
     print(f"k-means (k={args.k}) cluster assignments written to {out}")
     return 0
 
@@ -553,8 +553,8 @@ def cmd_similar(args) -> int:
     ranked = analytics.cosine_rank(Zf[ids.index(args.query)], keep, candidates,
                                    top_n=args.top, ascending=args.least)
     suffix = f"_{args.from_city}" if args.from_city else ""
-    rows = [f"{rank},{nid},{sim!r}\n" for rank, (nid, sim) in enumerate(ranked, start=1)]
-    out = _write_report(workspace, f"similar_{args.query}{suffix}.csv", "rank,id,cosine\n" + "".join(rows))
+    rows = [("rank", "id", "cosine")] + [(rank, nid, sim) for rank, (nid, sim) in enumerate(ranked, start=1)]
+    out = _write_report(workspace, f"similar_{args.query}{suffix}.csv", fileio.csv_text(rows))
     direction = "least" if args.least else "most"
     print(f"{direction} similar to {args.query}:")
     for rank, (nid, sim) in enumerate(ranked, start=1):

@@ -334,7 +334,7 @@ def read_poi_jsonl(path) -> list[PoiRecord]:
                     continue
                 try:
                     obj = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
                     raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from None
                 rec_id = obj.get("id", "<missing id>") if isinstance(obj, dict) else "<not an object>"
                 try:
@@ -368,10 +368,10 @@ def read_poi_columns(path) -> PoiColumns:
     ``read_poi_jsonl``, which raises its line-numbered error."""
     try:
         columns = _scan_poi_columns(path)
-    except (StopIteration, ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (StopIteration, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         # What a bad file raises in the scan: no JSON value (StopIteration);
         # bad JSON, text, number or range (ValueError); a missing field; a
-        # wrong type; a number too large for its type.
+        # wrong type; a number too large for its type; a value nested too deep.
         refused = exc
     else:
         if len(set(columns.ids)) != len(columns):

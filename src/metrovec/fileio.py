@@ -22,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
+import io
 import operator
 import os
 import struct
@@ -91,6 +92,9 @@ def atomic_open(path, mode: str = "wb", **kwargs):
 
 
 def _write_binary(path, magic: bytes, header: struct.Struct, fields: tuple, *parts: bytes) -> None:
+    """Write the parts atomically, making ``path``'s directory if need be:
+    the callers have refused their data by now, so a refusal makes none."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with atomic_open(path) as fh:
         fh.writelines([magic, header.pack(*fields), *parts])
 
@@ -227,7 +231,13 @@ def read_bags(path) -> BagTable:
 
 
 def write_embeddings_tsv(path, ids: list, matrix: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """One ``id<TAB>v1<TAB>...`` line per row, written atomically; refuses,
+    before writing anything, an id holding a tab or a line break, which
+    that layout cannot hold."""
+    bad = next((rid for rid in ids if {"\t", "\r", "\n"} & set(rid)), None)
+    if bad is not None:
+        raise ValidationError(f"{path}: id {bad!r} holds a tab or a line break, which a TSV line cannot hold")
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         for rid, row in zip(ids, matrix):
             fh.write(rid + "\t" + "\t".join(repr(float(v)) for v in row) + "\n")
 
@@ -269,7 +279,7 @@ def read_centroids_csv(path) -> list[tuple[str, GeoPoint, str | None]]:
         city = row[3] if has_city and len(row) > 3 and row[3] else None
         # Both go into report file names (``similar``'s query and --from-city).
         for kind, name in (("id", row[0]), ("city tag", city or "")):
-            if {"/", "\0", os.sep, os.altsep} & set(name):
+            if splits_a_path(name):
                 raise ValidationError(f"{path}:{lineno}: centroid {kind} {name!r} holds a path separator or NUL")
         out.append((row[0], _geo(path, lineno, row, "centroid"), city))
     return out
@@ -293,6 +303,21 @@ def read_targets_csv(path) -> tuple[list[str], list[str], np.ndarray]:
     return ids, [h.strip() for h in header[1:]], np.array(values, dtype=np.float64)
 
 
+def splits_a_path(name: str) -> bool:
+    """Whether ``name``, made part of a file name, would split or end it: it
+    holds "/", NUL, ``os.sep`` or ``os.altsep``."""
+    return bool({"/", "\0", os.sep, os.altsep} & set(name))
+
+
+def csv_text(rows) -> str:
+    """The rows of an iterable as CSV text, in ``csv.writer``'s default
+    dialect: \\r\\n line ends, a cell quoted when it holds ``,``, ``"``,
+    \\r or \\n. The text is for a file opened with ``newline=""``."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
 def _write_csv(path, header: list[str], rows) -> None:
     """A header and the rows of an iterable, through ``csv.writer`` (so with
     \\r\\n line ends), written atomically."""
@@ -304,9 +329,13 @@ def _write_csv(path, header: list[str], rows) -> None:
 
 def _read_csv(path, header_ok, expected: str, what: str):
     """Yield the header, then (line number, cells) of each non-blank row, one
-    row at a time so that a large table is never held as text. A header that
-    ``header_ok`` refuses, or a table without rows, is a FormatError
-    ("expected <expected>", "no <what> rows"), and so is text that is not UTF-8."""
+    row at a time so that a large table is never held as text. A row's line
+    number is the line it starts on: a quoted cell may hold line breaks. A
+    header that ``header_ok`` refuses, or a table without rows, is a
+    FormatError ("expected <expected>", "no <what> rows"), and so is text that
+    is not UTF-8 or a row that ``csv.reader`` refuses (an unclosed quote runs
+    into its field size limit)."""
+    lineno = 1
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -315,12 +344,16 @@ def _read_csv(path, header_ok, expected: str, what: str):
                 raise FormatError(f"{path}: expected {expected}")
             yield header
             empty = True
-            for lineno, row in enumerate(reader, start=2):
+            lineno = reader.line_num + 1
+            for row in reader:
                 if row:
                     empty = False
                     yield lineno, row
+                lineno = reader.line_num + 1
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise FormatError(f"{path}:{lineno}: unreadable CSV row: {exc}") from None
     if empty:
         raise FormatError(f"{path}: no {what} rows")
 

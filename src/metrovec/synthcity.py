@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import PoiRecord, _inverse_cdf, write_poi_jsonl
 from .errors import ValidationError
-from .fileio import (StreetViewRecord, write_centroids_csv, write_feature_bin,
+from .fileio import (StreetViewRecord, _write_csv, splits_a_path, write_centroids_csv, write_feature_bin,
                      write_features_csv, write_sv_metadata, write_targets_csv)
 from .geo import GeoPoint
 
@@ -64,6 +64,10 @@ class SynthConfig:
             raise ValidationError("identity mixing needs feature_dim >= latent_dim")
         if self.vocab_size < 8:
             raise ValidationError("vocab_size must be >= 8 to split category/review pools")
+        # The tag starts every id, and ids go into report file names and into
+        # the newline-ended names blocks of the bag table and checkpoints.
+        if splits_a_path(self.city_tag) or "\n" in self.city_tag:
+            raise ValidationError(f"city_tag {self.city_tag!r} holds a path separator, NUL or newline")
         return self
 
 
@@ -267,8 +271,5 @@ def export_city(city: SynthCity, directory, features_format: str = "bin") -> dic
     write_targets_csv(paths["attributes"], city.neighborhood_ids, city.latent_names, city.latents)
     if city.cluster_labels is not None:
         paths["clusters"] = directory / "clusters.csv"
-        with open(paths["clusters"], "w", encoding="utf-8") as fh:
-            fh.write("id,cluster\n")
-            for nid, lab in zip(city.neighborhood_ids, city.cluster_labels):
-                fh.write(f"{nid},{lab}\n")
+        _write_csv(paths["clusters"], ["id", "cluster"], zip(city.neighborhood_ids, city.cluster_labels.tolist()))
     return paths

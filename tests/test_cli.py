@@ -19,7 +19,7 @@ from metrovec.cli import build_parser, main, save_manifest
 from metrovec.corpus import build_neighborhood_bag, read_poi_columns, read_poi_jsonl
 from metrovec.errors import PipelineError, ValidationError
 from metrovec.fileio import (read_bags, read_centroids_csv, read_embeddings, read_feature_bin,
-                             read_sv_metadata, read_targets_csv, write_feature_bin,
+                             read_sv_metadata, read_targets_csv, write_embeddings, write_feature_bin,
                              write_features_csv, write_targets_csv)
 from metrovec.geo import assign_neighborhood
 from metrovec.synthcity import SynthConfig
@@ -957,3 +957,149 @@ def test_old_format_checkpoint_asks_for_the_stage_again(tmp_path, trained_ws, ci
     assert "checkpoint of the old GVEMB001 format" in err and "re-run the stage that wrote it" in err, err
     assert "Traceback" not in err
     assert (ws / "manifest.json").read_bytes() == before
+
+
+def _csv_rows(path: Path) -> list[list[str]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+@pytest.fixture(scope="module")
+def comma_ws(tmp_path_factory):
+    """A city whose ids hold a comma (city tag ``x,y``), trained, with a
+    targets file whose first column is named ``a,b``."""
+    base = tmp_path_factory.mktemp("comma")
+    (base / "synth.cfg").write_text(SYNTH_CFG + "n_clusters = 2\ncity_tag = x,y\n")
+    city = base / "city"
+    assert main(["synth", "--config", str(base / "synth.cfg"), "--out", str(city)]) == 0
+    ids, names, values = read_targets_csv(city / "attributes.csv")
+    write_targets_csv(base / "targets.csv", ids, ["a,b"] + names[1:], values)
+    ws = base / "ws"
+    assert main(ingest_args(city, ws)) == 0
+    assert main(["train-sv", "--workspace", str(ws)] + TRAIN_FLAGS) == 0
+    assert main(["aggregate", "--workspace", str(ws)]) == 0
+    assert main(["train-poi", "--workspace", str(ws)]) == 0
+    return base
+
+
+class TestCsvCellsHoldingACommaOrQuote:
+    def test_reports_keep_ids_and_names_whole(self, comma_ws):
+        ws = comma_ws / "ws"
+        ids = read_embeddings(ws / "checkpoints" / "u2v.emb")[0]
+        assert ids[0] == "x,yn0000"
+        assert main(["cluster", "--workspace", str(ws), "--k", "2"]) == 0
+        assert main(["similar", "--workspace", str(ws), "--query", ids[0], "--top", "3"]) == 0
+        assert main(["eval", "--workspace", str(ws), "--targets", str(comma_ws / "targets.csv"),
+                     "--repeats", "2"]) == 0
+        clusters = _csv_rows(ws / "reports" / "clusters_u2v.csv")
+        assert clusters[0] == ["id", "cluster"] and {len(r) for r in clusters} == {2}
+        assert [r[0] for r in clusters[1:]] == ids
+        similar = _csv_rows(ws / "reports" / f"similar_{ids[0]}.csv")
+        assert similar[0] == ["rank", "id", "cosine"] and {len(r) for r in similar} == {3}
+        assert similar[1][1] == ids[0] and {r[1] for r in similar[1:]} <= set(ids)
+        evaluated = _csv_rows(ws / "reports" / "eval_u2v.csv")
+        assert {len(r) for r in evaluated} == {4}
+        assert [r[0] for r in evaluated] == ["target", "a,b", "u2", "__overall__"]
+
+    def test_reports_end_lines_with_crlf(self, comma_ws):
+        ws = comma_ws / "ws"
+        assert main(["cluster", "--workspace", str(ws), "--k", "2"]) == 0
+        data = (ws / "reports" / "clusters_u2v.csv").read_bytes()
+        assert data.startswith(b'id,cluster\r\n"x,yn0000",') and data.count(b"\n") == data.count(b"\r\n") == 17
+
+    def test_synth_clusters_keep_ids_whole(self, comma_ws):
+        rows = _csv_rows(comma_ws / "city" / "clusters.csv")
+        assert rows[0] == ["id", "cluster"] and {len(r) for r in rows} == {2}
+        assert [r[0] for r in rows[1:]] == [f"x,yn{i:04d}" for i in range(16)]
+
+    def test_export_refuses_an_id_holding_a_tab(self, comma_ws, tmp_path, capsys):
+        ws = tmp_path / "ws"
+        shutil.copytree(comma_ws / "ws", ws)
+        ids, matrix = read_embeddings(ws / "checkpoints" / "u2v.emb")
+        write_embeddings(ws / "checkpoints" / "u2v.emb", ["a\tb"] + ids[1:], matrix)
+        manifest = json.loads((ws / "manifest.json").read_text())
+        manifest["files"]["checkpoints/u2v.emb"] = sha(ws / "checkpoints" / "u2v.emb")
+        save_manifest(ws, manifest)
+        out = tmp_path / "out" / "u2v.tsv"
+        out.parent.mkdir()
+        assert main(["export-emb", "--workspace", str(ws), "--embedding", "u2v", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "id 'a\\tb' holds a tab or a line break" in err and "Traceback" not in err, err
+        assert list(out.parent.iterdir()) == []
+
+
+def test_synth_refuses_a_city_tag_holding_a_slash(tmp_path, capsys):
+    # Ingest would refuse every id of such a city.
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("n_neighborhoods = 4\ncity_tag = a/b\n")
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "city_tag 'a/b' holds a path separator, NUL or newline" in err and "Traceback" not in err, err
+    assert not (tmp_path / "out").exists()
+
+
+DEEP = "[" * 100000 + "]" * 100000
+
+
+def test_over_deep_poi_line_is_data_error(tmp_path, city_dir, capsys):
+    poi = tmp_path / "poi.jsonl"
+    text = (city_dir / "poi.jsonl").read_text()
+    poi.write_text(text + '{"id": "deep", "lat": 37.0, "lon": -122.0, "reviews": ' + DEEP + "}\n")
+    args = ingest_args(city_dir, tmp_path / "ws")
+    args[args.index("--poi") + 1] = str(poi)
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    line = text.count("\n") + 1
+    assert f"poi.jsonl:{line}: invalid JSON: maximum recursion depth exceeded" in err, err
+    assert "Traceback" not in err and not (tmp_path / "ws").exists()
+
+
+def test_over_deep_manifest_is_integrity_error(tmp_path, trained_ws, capsys):
+    ws = tmp_path / "ws"
+    shutil.copytree(trained_ws, ws)
+    (ws / "manifest.json").write_text("[" * 100000)
+    assert main(["train-sv", "--workspace", str(ws)] + TRAIN_FLAGS) == 4
+    err = capsys.readouterr().err
+    assert "manifest.json is not a readable manifest: maximum recursion depth exceeded" in err, err
+    assert "Traceback" not in err
+    assert (ws / "manifest.json").read_text() == "[" * 100000
+
+
+def test_unclosed_quote_in_a_large_table_is_data_error(tmp_path, city_dir, capsys):
+    # The quote runs to the end of the file, past csv's field size limit.
+    lines = _lines(city_dir / "street_views.csv")
+    path = _write_lines(tmp_path / "sv.csv", lines[:2] + ['"' + lines[2]] + lines[3:] * 100)
+    assert path.stat().st_size > 131072
+    args = ingest_args(city_dir, tmp_path / "ws")
+    args[args.index("--ids") + 1] = str(path)
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert "sv.csv:3: unreadable CSV row: field larger than field limit (131072)" in err, err
+    assert "Traceback" not in err and not (tmp_path / "ws").exists()
+
+
+@pytest.mark.parametrize("edit,named", [
+    ("centroid-newline", "one of the ids and tokens holds a newline"),
+    ("category-surrogate", "is not valid Unicode text"),
+])
+def test_ingest_refusing_its_bag_table_creates_no_workspace(tmp_path, city_dir, capsys, edit, named):
+    args = ingest_args(city_dir, tmp_path / "ws" / "inner")
+    if edit == "centroid-newline":
+        # The id is renamed in every table, so only the bag table refuses it.
+        for flag, name in (("--centroids", "centroids.csv"), ("--ids", "street_views.csv")):
+            rows = [[cell.replace("n0000", "n\n0000") for cell in row] for row in _csv_rows(city_dir / name)]
+            with open(tmp_path / name, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows(rows)
+            args[args.index(flag) + 1] = str(tmp_path / name)
+        pois = [json.loads(line) for line in _lines(city_dir / "poi.jsonl")]
+        for poi in pois:
+            poi["neighborhood_id"] = poi["neighborhood_id"].replace("n0000", "n\n0000")
+    else:
+        pois = [json.loads(line) for line in _lines(city_dir / "poi.jsonl")]
+        pois[0]["categories"] = ["\ud800"]
+    _write_lines(tmp_path / "poi.jsonl", [json.dumps(poi) for poi in pois])
+    args[args.index("--poi") + 1] = str(tmp_path / "poi.jsonl")
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err, err
+    assert not (tmp_path / "ws").exists()

@@ -174,6 +174,12 @@ class TestEmbeddings:
         write_embeddings_tsv(path, ["n1"], np.array([[0.5, -1.25]]))
         assert path.read_text() == "n1\t0.5\t-1.25\n"
 
+    @pytest.mark.parametrize("bad", ["a\tb", "a\rb", "a\nb"])
+    def test_tsv_export_refuses_an_id_it_cannot_hold(self, tmp_path, bad):
+        with pytest.raises(ValidationError, match="holds a tab or a line break"):
+            write_embeddings_tsv(tmp_path / "z.tsv", ["n1", bad], np.zeros((2, 2)))
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCentroidsCsv:
     def test_round_trip_with_city(self, tmp_path):
@@ -365,6 +371,19 @@ class TestCsvReaders:
         path.write_bytes(f"{header}\n{good}\n".encode().replace(b"1.5", b"1.\xff"))
         _format_error(reader, path, ": not UTF-8 text (invalid start byte)")
 
+    def test_line_numbers_count_the_line_breaks_of_a_quoted_cell(self, tmp_path, name):
+        # The quoted id spans lines 3 and 4, so the bad row is line 5.
+        _, header, good, bad = CSV_READERS[name][:4]
+        quoted = '"x\ny"' + good[good.index(","):]
+        reader, path, _ = _csv_case(tmp_path, name, header, good, quoted, bad)
+        _format_error(reader, path, ":5: could not convert string to float: 'x'")
+
+    def test_unclosed_quote_names_its_line(self, tmp_path, name):
+        # The quote opened on line 3 runs past csv's field size limit.
+        _, header, good = CSV_READERS[name][:3]
+        reader, path, _ = _csv_case(tmp_path, name, header, good, '"' + good, *[good] * 20000)
+        _format_error(reader, path, ":3: unreadable CSV row: field larger than field limit (131072)")
+
     def test_blank_line_skipped(self, tmp_path, name):
         _, header, good = CSV_READERS[name][:3]
         reader, spaced, _ = _csv_case(tmp_path, name, header, "", good, "", "", good.replace("1.5", "3.0"))
@@ -398,6 +417,9 @@ TABLE_WRITERS = {
     "targets_csv": (write_targets_csv,
                     (["n1"], ["t"], np.array([[1.0]])),
                     (["n1", "n2"], ["t"], np.array([[2.0], [Unwritable()]], dtype=object))),
+    "embeddings_tsv": (write_embeddings_tsv,
+                       (["n1"], np.array([[1.0]])),
+                       (["n1", "n2"], np.array([[2.0], [Unwritable()]], dtype=object))),
     "poi_jsonl": (write_poi_jsonl,
                   ([PoiRecord("p1", GeoPoint(1.0, 2.0), "n1", ["cafe"])],),
                   ([PoiRecord("p1", GeoPoint(3.0, 4.0), "n1", ["bar"]),

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_fileio import Unwritable
 
 from metrovec.analytics import linreg_fit, linreg_predict, r_squared
 from metrovec.corpus import PoiRecord, _inverse_cdf, read_poi_jsonl
@@ -179,6 +180,22 @@ class TestExport:
         lines = paths["clusters"].read_text().strip().splitlines()
         assert lines[0] == "id,cluster"
         assert len(lines) == 9
+
+    def test_failed_cluster_write_keeps_previous_file(self, tmp_path):
+        city = generate_city(SynthConfig(n_neighborhoods=4, views_per_neighborhood=1,
+                                         pois_per_neighborhood=1, n_clusters=2, seed=10))
+        path = export_city(city, tmp_path)["clusters"]
+        before = path.read_bytes()
+        city.cluster_labels = np.array([0, 1, Unwritable(), 1], dtype=object)
+        with pytest.raises(ValueError, match="unwritable"):
+            export_city(city, tmp_path)
+        assert path.read_bytes() == before
+        assert not [p.name for p in tmp_path.iterdir() if p.name.startswith(".")]
+
+    @pytest.mark.parametrize("tag", ["a/b", "a\0b", "a\nb"])
+    def test_city_tag_that_an_id_cannot_hold_refused(self, tag):
+        with pytest.raises(ValidationError, match="holds a path separator, NUL or newline"):
+            SynthConfig(city_tag=tag).validate()
 
 
 def reference_city(config: SynthConfig) -> SynthCity:
