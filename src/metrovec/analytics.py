@@ -82,11 +82,6 @@ def linreg_fit(features: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, f
     return weights, intercept
 
 
-def linreg_predict(weights: np.ndarray, intercept: float, features: np.ndarray) -> np.ndarray:
-    """Predictions of a ``linreg_fit`` model; a reference, like it."""
-    return np.asarray(features, dtype=np.float64) @ weights + intercept
-
-
 def r_squared(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     y_true = np.asarray(y_true, dtype=np.float64)
     y_pred = np.asarray(y_pred, dtype=np.float64)

@@ -389,9 +389,15 @@ def _write_checkpoint(workspace: Path, manifest: dict, name: str, ids, matrix) -
 
 
 def _read_checkpoint(workspace: Path, manifest: dict, name: str):
+    """The checkpoint's ids and matrix, refused unless it has the ``d``
+    columns of the manifest's config: every checkpoint is d wide."""
     relpath = CHECKPOINTS[name]
     _verify_file(workspace, manifest, relpath)
-    return fileio.read_embeddings(workspace / relpath)
+    ids, matrix = fileio.read_embeddings(workspace / relpath)
+    d = resolve_training_config(manifest, None, {}).d
+    if matrix.shape[1] != d:
+        raise IntegrityError(f"{relpath} has {matrix.shape[1]} columns, but the manifest's config has d = {d}")
+    return ids, matrix
 
 
 def cmd_train_sv(args) -> int:
@@ -661,6 +667,9 @@ def main(argv=None) -> int:
         return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
 
 

@@ -5,18 +5,18 @@ rating bucket, a price tier, and review words deduplicated within the POI.
 Neighborhood bags are multiset unions over their POIs; duplicates across POIs
 are kept on purpose because token frequency carries signal.
 
-``ingest`` reads the POI JSONL once, as columns (``read_poi_columns``), and
-tokenizes it once: ``build_bag_table`` turns the columns into one CSR
-``fileio.BagTable`` of token ids and counts per neighborhood, which is
+``ingest`` reads the POI JSONL once, as columns (``read_poi_columns``, the
+one POI parser, which also words the line-numbered error of the first bad
+line), and tokenizes it once: ``build_bag_table`` turns the columns into one
+CSR ``fileio.BagTable`` of token ids and counts per neighborhood, which is
 ``ingested/bags.bin``. The training and evaluation commands read that table
 and take its rows as ``Bag``s (``bags_of``) and its vocabulary from it
 (``build_vocabulary``).
 
-The per-POI path stays as the reference: ``read_poi_jsonl`` reads one
-``PoiRecord`` per line and words the line-numbered error for any file the
-column reader refuses, and ``build_neighborhood_bag`` gives one
-neighborhood's bag as a ``Counter`` of token strings, the bag a table row is
-checked against. ``synth`` writes its POIs as records (``write_poi_jsonl``).
+``read_poi_jsonl`` gives the columns as one ``PoiRecord`` per POI, and
+``build_neighborhood_bag`` one neighborhood's bag as a ``Counter`` of token
+strings, the bag a table row is checked against; no command calls either.
+``synth`` writes its POIs as records (``write_poi_jsonl``).
 """
 
 from __future__ import annotations
@@ -63,8 +63,7 @@ class PoiRecord:
 @dataclass(frozen=True, eq=False)
 class PoiColumns:
     """A POI corpus as flat columns, one entry per POI unless noted: what
-    ``read_poi_jsonl``'s records hold, without a record, point or list per
-    POI."""
+    ``PoiRecord``s hold, without a record, point or list per POI."""
 
     ids: list[str]
     lat: np.ndarray  # float64
@@ -316,106 +315,90 @@ def load_pretrained_vectors(path, vocab: Vocabulary, dim: int) -> dict[int, np.n
     return out
 
 
-def _string_list(obj: dict, key: str) -> list[str]:
-    value = obj.get(key, [])
-    if not isinstance(value, list):
-        raise TypeError(f"field {key!r} must be a list, got {type(value).__name__}")
-    return [str(v) for v in value]
-
-
 def read_poi_jsonl(path) -> list[PoiRecord]:
-    """One PoiRecord per JSON line; fields id, lat, lon, neighborhood_id,
-    categories, rating, price, reviews. Errors carry line numbers."""
-    records: list[PoiRecord] = []
+    """The POIs of ``read_poi_columns`` as one ``PoiRecord`` each, a POI's
+    reviews as one text joined by spaces (the same review tokens)."""
+    pois = read_poi_columns(path)
+    bounds = [0, *np.cumsum(pois.phrase_counts).tolist()]
+    return [PoiRecord(pid, GeoPoint(lat, lon), nid, pois.phrases[a:b],
+                      None if math.isnan(rating) else rating, price or None, [text])
+            for pid, lat, lon, nid, a, b, rating, price, text in zip(
+                pois.ids, pois.lat.tolist(), pois.lon.tolist(), pois.neighborhood_ids, bounds, bounds[1:],
+                pois.ratings.tolist(), pois.prices.tolist(), pois.reviews)]
+
+
+def read_poi_columns(path) -> PoiColumns:
+    """The POI JSONL file as ``PoiColumns``, in one pass; each line's dict is
+    dropped once its fields are read, so the collector has no heap of records
+    to walk. A line is one JSON object with fields id, lat, lon,
+    neighborhood_id, categories, rating, price and reviews; blank lines are
+    skipped. The first bad line raises a ``FormatError`` or
+    ``ValidationError`` naming its line and POI; a range is checked by
+    building the ``GeoPoint`` or ``PoiRecord`` whose check it fails."""
+    scan = json.JSONDecoder().scan_once
+    ids, lat, lon, nids, phrases, counts, ratings, prices, reviews = ([] for _ in range(9))
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
+                # json.loads: JSON whitespace, one value, JSON whitespace. A
+                # value never ends in whitespace, so stripping it first is the same.
+                text = line.strip(" \t\n\r")
                 try:
-                    obj = json.loads(line)
-                except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
-                    raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from None
-                rec_id = obj.get("id", "<missing id>") if isinstance(obj, dict) else "<not an object>"
+                    obj, end = scan(text, 0)
+                    if end != len(text):
+                        raise ValueError("extra data")
+                # No JSON value (StopIteration), bad JSON (ValueError), nested too deep.
+                except (StopIteration, ValueError, RecursionError):
+                    try:
+                        json.loads(line)
+                    except (ValueError, RecursionError) as exc:
+                        raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+                    raise  # json.loads took what the scanner refused
                 try:
-                    records.append(PoiRecord(
-                        id=str(obj["id"]),
-                        geo=GeoPoint(float(obj["lat"]), float(obj["lon"])),
-                        neighborhood_id=(None if obj.get("neighborhood_id") in (None, "")
-                                         else str(obj["neighborhood_id"])),
-                        categories=_string_list(obj, "categories"),
-                        rating=None if obj.get("rating") is None else float(obj["rating"]),
-                        price=None if obj.get("price") is None else int(obj["price"]),
-                        reviews=_string_list(obj, "reviews"),
-                    ))
-                except KeyError as exc:
-                    raise FormatError(f"{path}:{lineno} (POI {rec_id!r}): missing field {exc}") from None
+                    ids.append(str(obj["id"]))
+                    y, x = float(obj["lat"]), float(obj["lon"])
+                    if not (-90.0 <= y <= 90.0 and -180.0 <= x <= 180.0):
+                        GeoPoint(y, x)
+                    lat.append(y)
+                    lon.append(x)
+                    nid = obj.get("neighborhood_id")
+                    nids.append(None if nid in (None, "") else str(nid))
+                    categories = obj.get("categories", [])
+                    if not isinstance(categories, list):
+                        raise TypeError(f"field 'categories' must be a list, got {type(categories).__name__}")
+                    phrases += map(str, categories)
+                    counts.append(len(categories))
+                    rating, price = obj.get("rating"), obj.get("price")
+                    if rating is not None:
+                        rating = float(rating)
+                    if price is not None:
+                        price = int(price)
+                    texts = obj.get("reviews", [])
+                    if not isinstance(texts, list):
+                        raise TypeError(f"field 'reviews' must be a list, got {type(texts).__name__}")
+                    reviews.append(" ".join(map(str, texts)))
+                    if (rating is not None and not 1.0 <= rating <= 5.0
+                            or price is not None and not 1 <= price <= 4):
+                        PoiRecord(ids[-1], None, None, rating=rating, price=price)
+                    ratings.append(rating)
+                    prices.append(price or 0)
                 # OverflowError: int() of an infinite price, float() of a huge integer.
-                except (TypeError, ValueError, OverflowError) as exc:
-                    raise FormatError(f"{path}:{lineno} (POI {rec_id!r}): {exc}") from None
-                except ValidationError as exc:
-                    raise ValidationError(f"{path}:{lineno} (POI {rec_id!r}): {exc}") from None
+                except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
+                    rec_id = obj.get("id", "<missing id>") if isinstance(obj, dict) else "<not an object>"
+                    where = f"{path}:{lineno} (POI {rec_id!r})"
+                    if isinstance(exc, KeyError):
+                        raise FormatError(f"{where}: missing field {exc}") from None
+                    raise (ValidationError if isinstance(exc, ValidationError) else FormatError)(
+                        f"{where}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    return records
-
-
-def read_poi_columns(path) -> PoiColumns:
-    """The POI JSONL file as ``PoiColumns``: the fields ``read_poi_jsonl``
-    reads, through the same builtins, from the same lines. Each line's dict is
-    dropped once its fields are read, so the collector has no heap of records
-    to walk. The first problem of any kind hands the file to
-    ``read_poi_jsonl``, which raises its line-numbered error."""
-    try:
-        columns = _scan_poi_columns(path)
-    except (StopIteration, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
-        # What a bad file raises in the scan: no JSON value (StopIteration);
-        # bad JSON, text, number or range (ValueError); a missing field; a
-        # wrong type; a number too large for its type; a value nested too deep.
-        refused = exc
-    else:
-        if len(set(columns.ids)) != len(columns):
-            raise ValidationError("duplicate POI ids")
-        return columns
-    read_poi_jsonl(path)
-    raise refused  # read_poi_jsonl accepted what this reader refused
-
-
-def _scan_poi_columns(path) -> PoiColumns:
-    scan = json.JSONDecoder().scan_once
-    ids, lat, lon, nids, phrases, counts, ratings, prices, reviews = ([] for _ in range(9))
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            # json.loads: JSON whitespace, one value, JSON whitespace. A
-            # value never ends in whitespace, so stripping it first is the same.
-            text = line.strip(" \t\n\r")
-            obj, end = scan(text, 0)
-            if end != len(text):
-                raise ValueError("extra data")
-            ids.append(str(obj["id"]))
-            lat.append(float(obj["lat"]))
-            lon.append(float(obj["lon"]))
-            nids.append(None if obj.get("neighborhood_id") in (None, "") else str(obj["neighborhood_id"]))
-            categories, texts = obj.get("categories", []), obj.get("reviews", [])
-            if not (isinstance(categories, list) and isinstance(texts, list)):
-                raise TypeError("categories and reviews must be lists")
-            phrases += map(str, categories)
-            counts.append(len(categories))
-            ratings.append(None if obj.get("rating") is None else float(obj["rating"]))
-            prices.append(None if obj.get("price") is None else int(obj["price"]))
-            reviews.append(" ".join(map(str, texts)))
-    lat, lon = np.array(lat, dtype=np.float64), np.array(lon, dtype=np.float64)
-    # None becomes NaN; the count of in-range values plus the count of None
-    # is the length only if no present value is NaN or out of range.
-    rating, price = np.array(ratings, dtype=np.float64), np.array(prices, dtype=np.float64)
-    if not ((-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0)).all() \
-            or np.count_nonzero((1.0 <= rating) & (rating <= 5.0)) + ratings.count(None) != len(ids) \
-            or np.count_nonzero((1.0 <= price) & (price <= 4.0)) + prices.count(None) != len(ids):
-        raise ValueError("a value out of range")
-    return PoiColumns(ids, lat, lon, nids, phrases, np.array(counts, dtype=np.int64), rating,
-                      np.nan_to_num(price, nan=0.0).astype(np.int64), reviews)
+    if len(set(ids)) != len(ids):
+        raise ValidationError("duplicate POI ids")
+    return PoiColumns(ids, np.array(lat, dtype=np.float64), np.array(lon, dtype=np.float64), nids, phrases,
+                      np.array(counts, dtype=np.int64), np.array(ratings, dtype=np.float64),
+                      np.array(prices, dtype=np.int64), reviews)
 
 
 def write_poi_jsonl(path, pois: list[PoiRecord]) -> None:

@@ -8,7 +8,6 @@ at once, one band of queries at a time: the band's queries share a window of
 bands, widened until the R * delta-lat lower bound, taken from the sorted
 latitudes just outside the window, proves no unscanned point can enter any
 result, so each row is identical to a brute-force scan, including tie order.
-``haversine_distance`` is the scalar reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -46,22 +45,11 @@ class GeoPoint:
             raise ValidationError(f"longitude {self.lon} outside [-180, 180]")
 
 
-def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
-    """Great-circle distance in meters between two points."""
-    phi1 = math.radians(a.lat)
-    phi2 = math.radians(b.lat)
-    dphi = math.radians(b.lat - a.lat)
-    dlam = math.radians(b.lon - a.lon)
-    s = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
-    s = min(1.0, max(0.0, s))
-    return 2.0 * EARTH_RADIUS_M * math.asin(math.sqrt(s))
-
-
 def _haversine_block(qlat, qlon, qcos, lat, lon, cos) -> np.ndarray:
     """(queries x points) haversine distances in meters from latitude and
-    longitude vectors in degrees and the cosines of the latitudes. Mirrors
-    haversine_distance exactly (degrees subtracted before the radian
-    conversion) so tie order matches a scalar brute-force scan."""
+    longitude vectors in degrees and the cosines of the latitudes. Degrees
+    are subtracted before the radian conversion, as the scalar haversine
+    the tests compare against does, so tie order matches a brute-force scan."""
     dphi = np.radians(lat - qlat[:, None])
     dlam = np.radians(lon - qlon[:, None])
     s = np.sin(dphi / 2.0) ** 2 + qcos[:, None] * cos * np.sin(dlam / 2.0) ** 2

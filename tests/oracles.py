@@ -1,17 +1,67 @@
-"""Test-side references: POI records as the columns ``ingest`` reads, toy
-corpora as bag tables, and the adjusted Rand index that scores a clustering
-against known labels.
+"""Test-side references: the per-record POI line reader whose records and
+errors ``read_poi_columns`` must reproduce, POI records as the columns
+``ingest`` reads, toy corpora as bag tables, the scalar haversine distance,
+the predictions of ``analytics.linreg_fit``, and the adjusted Rand index
+that scores a clustering against known labels.
 
 Not a test module (its name does not start with ``test_``), so pytest
 collects nothing here; the test modules import it by name.
 """
 
+import json
+import math
 from collections import Counter
 
 import numpy as np
 
 from metrovec.corpus import PoiColumns, PoiRecord
+from metrovec.errors import FormatError, ValidationError
 from metrovec.fileio import BagTable
+from metrovec.geo import EARTH_RADIUS_M, GeoPoint
+
+
+def _string_list(obj: dict, key: str) -> list[str]:
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise TypeError(f"field {key!r} must be a list, got {type(value).__name__}")
+    return [str(v) for v in value]
+
+
+def read_poi_jsonl(path) -> list[PoiRecord]:
+    """One PoiRecord per JSON line; fields id, lat, lon, neighborhood_id,
+    categories, rating, price, reviews. Errors carry line numbers."""
+    records: list[PoiRecord] = []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+                    raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+                rec_id = obj.get("id", "<missing id>") if isinstance(obj, dict) else "<not an object>"
+                try:
+                    records.append(PoiRecord(
+                        id=str(obj["id"]),
+                        geo=GeoPoint(float(obj["lat"]), float(obj["lon"])),
+                        neighborhood_id=(None if obj.get("neighborhood_id") in (None, "")
+                                         else str(obj["neighborhood_id"])),
+                        categories=_string_list(obj, "categories"),
+                        rating=None if obj.get("rating") is None else float(obj["rating"]),
+                        price=None if obj.get("price") is None else int(obj["price"]),
+                        reviews=_string_list(obj, "reviews"),
+                    ))
+                except KeyError as exc:
+                    raise FormatError(f"{path}:{lineno} (POI {rec_id!r}): missing field {exc}") from None
+                # OverflowError: int() of an infinite price, float() of a huge integer.
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise FormatError(f"{path}:{lineno} (POI {rec_id!r}): {exc}") from None
+                except ValidationError as exc:
+                    raise ValidationError(f"{path}:{lineno} (POI {rec_id!r}): {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return records
 
 
 def columns_of(pois: list[PoiRecord]) -> PoiColumns:
@@ -45,6 +95,22 @@ def table_of(counters: dict[str, Counter]) -> BagTable:
         indptr.append(len(ids))
     return BagTable(row_ids, tokens, np.array(indptr, dtype=np.int64),
                     np.array(ids, dtype=np.int64), np.array(counts, dtype=np.int64))
+
+
+def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
+    """Great-circle distance in meters between two points."""
+    phi1 = math.radians(a.lat)
+    phi2 = math.radians(b.lat)
+    dphi = math.radians(b.lat - a.lat)
+    dlam = math.radians(b.lon - a.lon)
+    s = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
+    s = min(1.0, max(0.0, s))
+    return 2.0 * EARTH_RADIUS_M * math.asin(math.sqrt(s))
+
+
+def linreg_predict(weights: np.ndarray, intercept: float, features: np.ndarray) -> np.ndarray:
+    """Predictions of an ``analytics.linreg_fit`` model."""
+    return np.asarray(features, dtype=np.float64) @ weights + intercept
 
 
 def adjusted_rand_index(labels_a, labels_b) -> float:

@@ -7,12 +7,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from oracles import adjusted_rand_index, table_of
+from oracles import adjusted_rand_index, linreg_predict, table_of
 
 from metrovec import analytics
 from metrovec.analytics import (SplitProtocol, cosine_rank, default_pca_candidates,
-                                evaluate_regression, kmeans, linreg_fit, linreg_predict,
-                                pca_fit, poistats_tfidf, r_squared)
+                                evaluate_regression, kmeans, linreg_fit, pca_fit, poistats_tfidf,
+                                r_squared)
 from metrovec.errors import ValidationError
 
 

