@@ -129,10 +129,15 @@ def _require_stage(manifest: dict, stage: str) -> None:
         raise StageOrderError(f"stage '{stage.replace('_', '-')}' has not completed in this workspace")
 
 
-def _complete_stage(manifest: dict, stage: str) -> None:
+def _complete_stage(workspace: Path, manifest: dict, stage: str, config: TrainingConfig | None = None) -> None:
+    """Record the ``config`` that ``stage`` ran with, mark it done and every
+    later stage not done, and save the manifest."""
+    if config is not None:
+        manifest["config"] = dataclasses.asdict(config)
     manifest["stages"][stage] = True
     for later in STAGES[STAGES.index(stage) + 1:]:
         manifest["stages"][later] = False
+    save_manifest(workspace, manifest)
 
 
 def _parse_kv_file(path) -> dict[str, str]:
@@ -180,30 +185,29 @@ def _coerce_into(instance, values: dict[str, str], source: str):
     return instance
 
 
-def resolve_training_config(manifest: dict | None, config_path, flag_values: dict) -> TrainingConfig:
-    """Precedence: defaults < manifest snapshot < config file < flags."""
-    cfg = TrainingConfig()
-    if manifest and manifest.get("config"):
-        cfg = TrainingConfig(**manifest["config"])
-    if config_path:
-        _coerce_into(cfg, _parse_kv_file(config_path), str(config_path))
-    for key, value in flag_values.items():
-        if value is not None:
-            setattr(cfg, key, value)
-    return cfg.validate()
-
-
-def _later_stage_config(manifest: dict, args, stage: str) -> TrainingConfig:
-    """The config ``stage`` runs with, refusing a change to a field that an
-    earlier stage fixed (_FIXED_BY_STAGE)."""
-    config = resolve_training_config(manifest, args.config, _flag_config_values(args))
-    recorded = resolve_training_config(manifest, None, {})
-    for earlier in STAGES[:STAGES.index(stage)]:
-        for name in _FIXED_BY_STAGE.get(earlier, ()):
-            want, got = getattr(recorded, name), getattr(config, name)
-            if got != want:
-                raise ValidationError(f"{name}={got!r} differs from {name}={want!r}, which "
-                                      f"'{earlier.replace('_', '-')}' ran with; re-run it to change {name}")
+def _resolve_config(manifest: dict, args, stage: str | None = None) -> TrainingConfig:
+    """The checked config a command runs with. Precedence: defaults < the
+    manifest's record < the --config file < flags, where every parsed
+    argument named after a field is its flag (so ``eval``'s and
+    ``cluster``'s --seed replaces the seed). For a later training ``stage``,
+    the record must pass the same check, and a field that a stage before it
+    fixed (_FIXED_BY_STAGE) may not change."""
+    recorded = TrainingConfig(**(manifest.get("config") or {}))
+    config = dataclasses.replace(recorded)
+    if getattr(args, "config", None):
+        _coerce_into(config, _parse_kv_file(args.config), str(args.config))
+    for name in _field_types(TrainingConfig):
+        if getattr(args, name, None) is not None:
+            setattr(config, name, getattr(args, name))
+    config.validate()
+    if stage:
+        recorded.validate()
+        for earlier in STAGES[:STAGES.index(stage)]:
+            for name in _FIXED_BY_STAGE.get(earlier, ()):
+                want, got = getattr(recorded, name), getattr(config, name)
+                if got != want:
+                    raise ValidationError(f"{name}={got!r} differs from {name}={want!r}, which "
+                                          f"'{earlier.replace('_', '-')}' ran with; re-run it to change {name}")
     return config
 
 
@@ -216,10 +220,6 @@ def _config_flags(parser: argparse.ArgumentParser) -> None:
             parser.add_argument(flag, choices=EMPTY_POLICIES, default=None)
         else:
             parser.add_argument(flag, type=kind, default=None)
-
-
-def _flag_config_values(args) -> dict:
-    return {f.name: getattr(args, f.name) for f in dataclasses.fields(TrainingConfig)}
 
 
 # ---------------------------------------------------------------- commands
@@ -333,8 +333,7 @@ def cmd_ingest(args) -> int:
                           "ids": str(args.ids), "centroids": str(args.centroids)}
     for relpath in INGESTED.values():
         _record_file(workspace, manifest, relpath)
-    _complete_stage(manifest, "ingest")
-    save_manifest(workspace, manifest)
+    _complete_stage(workspace, manifest, "ingest")
     print(f"ingested {len(metadata)} street views, {len(pois)} POIs, "
           f"{len(centroid_ids)} neighborhoods into {workspace}")
     return 0
@@ -388,13 +387,12 @@ def _write_checkpoint(workspace: Path, manifest: dict, name: str, ids, matrix) -
     _record_file(workspace, manifest, relpath)
 
 
-def _read_checkpoint(workspace: Path, manifest: dict, name: str):
+def _read_checkpoint(workspace: Path, manifest: dict, name: str, d: int):
     """The checkpoint's ids and matrix, refused unless it has the ``d``
     columns of the manifest's config: every checkpoint is d wide."""
     relpath = CHECKPOINTS[name]
     _verify_file(workspace, manifest, relpath)
     ids, matrix = fileio.read_embeddings(workspace / relpath)
-    d = resolve_training_config(manifest, None, {}).d
     if matrix.shape[1] != d:
         raise IntegrityError(f"{relpath} has {matrix.shape[1]} columns, but the manifest's config has d = {d}")
     return ids, matrix
@@ -404,18 +402,15 @@ def cmd_train_sv(args) -> int:
     workspace = args.workspace
     manifest = load_manifest(workspace)
     _require_stage(manifest, "ingest")
-    config = resolve_training_config(manifest, args.config, _flag_config_values(args))
+    config = _resolve_config(manifest, args)
     metadata, features = _read_ingested(workspace, manifest, "street_views", "features")
 
     index = build_index([(r.id, r.geo) for r in metadata])
     params = init_encoder(features.shape[1], config.hidden, config.d, config.seed)
-    params, X = training.train_street_view(params, [r.id for r in metadata],
-                                           features.astype(np.float64), index, config)
+    params, X = training.train_street_view(params, [r.id for r in metadata], features, index, config)
     _write_checkpoint(workspace, manifest, "sv", [r.id for r in metadata], X)
-    manifest["config"] = dataclasses.asdict(config)
     manifest["root_seed"] = config.seed
-    _complete_stage(manifest, "train_sv")
-    save_manifest(workspace, manifest)
+    _complete_stage(workspace, manifest, "train_sv", config)
     print(f"trained street-view embeddings: {X.shape[0]} x {X.shape[1]} "
           f"({config.epochs_sv} epochs, seed {config.seed})")
     return 0
@@ -425,8 +420,8 @@ def cmd_aggregate(args) -> int:
     workspace = args.workspace
     manifest = load_manifest(workspace)
     _require_stage(manifest, "train_sv")
-    config = _later_stage_config(manifest, args, "aggregate")
-    sv_ids, X = _read_checkpoint(workspace, manifest, "sv")
+    config = _resolve_config(manifest, args, "aggregate")
+    sv_ids, X = _read_checkpoint(workspace, manifest, "sv", config.d)
     metadata, centroids = _read_ingested(workspace, manifest, "street_views", "centroids")
     nbhd_of = {r.id: r.neighborhood_id for r in metadata}
     try:
@@ -434,12 +429,9 @@ def cmd_aggregate(args) -> int:
     except KeyError as exc:
         raise ValidationError(f"checkpoint id {exc} missing from ingested street views") from None
     neighborhood_ids = sorted(cid for cid, _, _ in centroids)
-    Z = training.aggregate_neighborhoods(X.astype(np.float64), assignments,
-                                         neighborhood_ids, policy=config.empty_policy)
+    Z = training.aggregate_neighborhoods(X, assignments, neighborhood_ids, policy=config.empty_policy)
     _write_checkpoint(workspace, manifest, "sve", neighborhood_ids, Z)
-    manifest["config"] = dataclasses.asdict(config)
-    _complete_stage(manifest, "aggregate")
-    save_manifest(workspace, manifest)
+    _complete_stage(workspace, manifest, "aggregate", config)
     print(f"aggregated {X.shape[0]} street views into {Z.shape[0]} neighborhood embeddings")
     return 0
 
@@ -448,21 +440,18 @@ def cmd_train_poi(args) -> int:
     workspace = args.workspace
     manifest = load_manifest(workspace)
     _require_stage(manifest, "aggregate")
-    config = _later_stage_config(manifest, args, "train_poi")
-    neighborhood_ids, z_init = _read_checkpoint(workspace, manifest, "sve")
+    config = _resolve_config(manifest, args, "train_poi")
+    neighborhood_ids, z_init = _read_checkpoint(workspace, manifest, "sve", config.d)
     (table,) = _read_ingested(workspace, manifest, "bags")
     vocab = corpus.build_vocabulary(table)
     pretrained = None
     if args.pretrained:
         pretrained = corpus.load_pretrained_vectors(args.pretrained, vocab, config.d)
         log.info("loaded %d pretrained word vectors", len(pretrained))
-    Z, Y = training.train_poi_stage(z_init.astype(np.float64), neighborhood_ids,
-                                    vocab, corpus.bags_of(table), config, pretrained)
+    Z, Y = training.train_poi_stage(z_init, neighborhood_ids, vocab, corpus.bags_of(table), config, pretrained)
     _write_checkpoint(workspace, manifest, "u2v", neighborhood_ids, Z)
     _write_checkpoint(workspace, manifest, "words", list(vocab.tokens), Y)
-    manifest["config"] = dataclasses.asdict(config)
-    _complete_stage(manifest, "train_poi")
-    save_manifest(workspace, manifest)
+    _complete_stage(workspace, manifest, "train_poi", config)
     print(f"trained joint embeddings: {Z.shape[0]} neighborhoods, {Y.shape[0]} words "
           f"({config.epochs_poi} epochs)")
     return 0
@@ -476,29 +465,26 @@ def _load_representation(workspace: Path, manifest: dict, name: str, config: Tra
     trains a model."""
     if name in ("u2v", "sve"):
         _require_stage(manifest, "train_poi" if name == "u2v" else "aggregate")
-        ids, Z = _read_checkpoint(workspace, manifest, name)
+        ids, Z = _read_checkpoint(workspace, manifest, name, config.d)
         return ids, lambda: Z
     _require_stage(manifest, "ingest")
     (table,) = _read_ingested(workspace, manifest, "bags")
     if name == "poistats":
         return table.row_ids, lambda: analytics.poistats_tfidf(table)[2]
-    if name == "poi":
-        def train_poi_only():
-            rng = np.random.default_rng(config.seed + POI_ONLY_Z_SEED_OFFSET)
-            z_init = rng.uniform(-0.5 / config.d, 0.5 / config.d, size=(len(table.row_ids), config.d))
-            Z, _ = training.train_poi_stage(z_init, table.row_ids, corpus.build_vocabulary(table),
-                                            corpus.bags_of(table), config)
-            return Z
-        return table.row_ids, train_poi_only
-    raise UsageError(f"unknown embedding {name!r}; expected u2v, sve, poi, or poistats")
+
+    def train_poi_only():
+        rng = np.random.default_rng(config.seed + POI_ONLY_Z_SEED_OFFSET)
+        z_init = rng.uniform(-0.5 / config.d, 0.5 / config.d, size=(len(table.row_ids), config.d))
+        Z, _ = training.train_poi_stage(z_init, table.row_ids, corpus.build_vocabulary(table),
+                                        corpus.bags_of(table), config)
+        return Z
+    return table.row_ids, train_poi_only
 
 
 def cmd_eval(args) -> int:
-    if args.regressor != "pca-lr":
-        raise UsageError(f"unknown regressor {args.regressor!r}; only pca-lr is supported")
     workspace = args.workspace
     manifest = load_manifest(workspace)
-    config = resolve_training_config(manifest, None, {"seed": args.seed})
+    config = _resolve_config(manifest, args)
     # Every argument and the targets, their ids included, are checked before
     # the representation is computed, which for ``poi`` means training a model.
     candidates = []
@@ -513,8 +499,7 @@ def cmd_eval(args) -> int:
 
     ids, matrix = _load_representation(workspace, manifest, args.embedding, config)
     targets = values[_rows_for(target_ids, ids, "targets CSV")]
-    report = analytics.evaluate_regression(np.asarray(matrix(), dtype=np.float64), targets,
-                                           target_names, protocol)
+    report = analytics.evaluate_regression(matrix(), targets, target_names, protocol)
 
     csv_path = _write_report(workspace, f"eval_{args.embedding}.csv", fileio.csv_text(report.to_csv_rows()))
     text = f"embedding: {args.embedding}\n{report.format_text()}\n"
@@ -527,9 +512,9 @@ def cmd_eval(args) -> int:
 def cmd_cluster(args) -> int:
     workspace = args.workspace
     manifest = load_manifest(workspace)
-    config = resolve_training_config(manifest, None, {"seed": args.seed})
+    config = _resolve_config(manifest, args)
     ids, matrix = _load_representation(workspace, manifest, args.embedding, config)
-    labels, _ = analytics.kmeans(np.asarray(matrix(), dtype=np.float64), args.k, seed=config.seed)
+    labels, _ = analytics.kmeans(matrix(), args.k, seed=config.seed)
     rows = [("id", "cluster"), *zip(ids, labels.tolist())]
     out = _write_report(workspace, f"clusters_{args.embedding}.csv", fileio.csv_text(rows))
     print(f"k-means (k={args.k}) cluster assignments written to {out}")
@@ -539,8 +524,7 @@ def cmd_cluster(args) -> int:
 def cmd_similar(args) -> int:
     workspace = args.workspace
     manifest = load_manifest(workspace)
-    config = resolve_training_config(manifest, None, {})
-    ids, matrix = _load_representation(workspace, manifest, args.embedding, config)
+    ids, matrix = _load_representation(workspace, manifest, args.embedding, _resolve_config(manifest, args))
     if args.query not in ids:
         raise NotFoundError(f"unknown query neighborhood {args.query!r}")
 
@@ -554,9 +538,9 @@ def cmd_similar(args) -> int:
         if not city_rows:
             raise ValidationError(f"no neighborhoods tagged with city {args.from_city!r}")
 
-    Zf = np.asarray(matrix(), dtype=np.float64)
-    keep, candidates = (ids, Zf) if city_rows is None else ([ids[i] for i in city_rows], Zf[city_rows])
-    ranked = analytics.cosine_rank(Zf[ids.index(args.query)], keep, candidates,
+    Z = matrix()
+    keep, candidates = (ids, Z) if city_rows is None else ([ids[i] for i in city_rows], Z[city_rows])
+    ranked = analytics.cosine_rank(Z[ids.index(args.query)], keep, candidates,
                                    top_n=args.top, ascending=args.least)
     suffix = f"_{args.from_city}" if args.from_city else ""
     rows = [("rank", "id", "cosine")] + [(rank, nid, sim) for rank, (nid, sim) in enumerate(ranked, start=1)]
@@ -572,9 +556,7 @@ def cmd_similar(args) -> int:
 def cmd_export_emb(args) -> int:
     workspace = args.workspace
     manifest = load_manifest(workspace)
-    if args.embedding not in CHECKPOINTS:
-        raise UsageError(f"unknown embedding {args.embedding!r}; expected one of {sorted(CHECKPOINTS)}")
-    ids, matrix = _read_checkpoint(workspace, manifest, args.embedding)
+    ids, matrix = _read_checkpoint(workspace, manifest, args.embedding, _resolve_config(manifest, args).d)
     fileio.write_embeddings_tsv(args.out, ids, matrix)
     print(f"wrote {len(ids)} rows to {args.out}")
     return 0
@@ -618,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workspace", required=True, type=Path)
     p.add_argument("--targets", required=True)
     p.add_argument("--repeats", type=int, default=20)
-    p.add_argument("--regressor", default="pca-lr")
+    p.add_argument("--regressor", default="pca-lr", choices=["pca-lr"])
     p.add_argument("--embedding", default="u2v", choices=["u2v", "sve", "poi", "poistats"])
     p.add_argument("--pca-components", default=None)
     p.add_argument("--seed", type=int, default=None)
@@ -639,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-emb", help="export a checkpoint as TSV")
     p.add_argument("--workspace", required=True, type=Path)
-    p.add_argument("--embedding", required=True)
+    p.add_argument("--embedding", required=True, choices=sorted(CHECKPOINTS))
     p.add_argument("--out", required=True)
 
     return parser

@@ -348,14 +348,18 @@ def read_poi_columns(path) -> PoiColumns:
                 try:
                     obj, end = scan(text, 0)
                     if end != len(text):
-                        raise ValueError("extra data")
-                # No JSON value (StopIteration), bad JSON (ValueError), nested too deep.
-                except (StopIteration, ValueError, RecursionError):
-                    try:
-                        json.loads(line)
-                    except (ValueError, RecursionError) as exc:
-                        raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from None
-                    raise  # json.loads took what the scanner refused
+                        raise json.JSONDecodeError("Extra data", text, len(text) - len(text[end:].lstrip(" \t\n\r")))
+                # StopIteration: no JSON value starts at its position. The
+                # column counts in the file's line, leading blanks included.
+                except (StopIteration, json.JSONDecodeError) as exc:
+                    pos, msg = (exc.value, "Expecting value") if isinstance(exc, StopIteration) else (exc.pos, exc.msg)
+                    if line.startswith("\ufeff"):  # worded as json.loads words it
+                        msg = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
+                    column = len(line) - len(line.lstrip(" \t\n\r")) + pos + 1
+                    raise FormatError(f"{path}:{lineno}: invalid JSON at column {column}: {msg}") from None
+                # An integer too long to convert (ValueError), nested too deep.
+                except (ValueError, RecursionError) as exc:
+                    raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from None
                 try:
                     ids.append(str(obj["id"]))
                     y, x = float(obj["lat"]), float(obj["lon"])

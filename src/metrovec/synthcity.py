@@ -9,14 +9,13 @@ the latent attributes the pipeline is asked to recover.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import PoiRecord, _inverse_cdf, write_poi_jsonl
-from .errors import ValidationError
+from .errors import ValidationError, check_bounds
 from .fileio import (StreetViewRecord, _write_csv, splits_a_path, write_centroids_csv, write_feature_bin,
                      write_features_csv, write_sv_metadata, write_targets_csv)
 from .geo import GeoPoint
@@ -46,29 +45,22 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self) -> "SynthConfig":
-        for name in ("n_neighborhoods", "views_per_neighborhood", "pois_per_neighborhood",
-                     "latent_dim", "feature_dim", "vocab_size"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("categories_per_poi", "review_words_per_poi"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in ("spatial_noise", "feature_noise", "cluster_separation", "topic_sharpness"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.spatial_noise < 0 or self.feature_noise < 0:
-            raise ValidationError("noise levels must be >= 0")
-        if self.n_clusters < 0:
-            raise ValidationError(f"n_clusters must be >= 0, got {self.n_clusters}")
+        check_bounds(self, _LEAST)
         if self.identity_mixing and self.feature_dim < self.latent_dim:
             raise ValidationError("identity mixing needs feature_dim >= latent_dim")
-        if self.vocab_size < 8:
-            raise ValidationError("vocab_size must be >= 8 to split category/review pools")
         # The tag starts every id, and ids go into report file names and into
         # the newline-ended names blocks of the bag table and checkpoints.
         if splits_a_path(self.city_tag) or "\n" in self.city_tag:
             raise ValidationError(f"city_tag {self.city_tag!r} holds a path separator, NUL or newline")
         return self
+
+
+# The least value of each numeric SynthConfig field; cluster_separation and
+# topic_sharpness take any finite value. The vocabulary splits into category
+# and review pools, hence its 8.
+_LEAST = {"n_neighborhoods": 1, "views_per_neighborhood": 1, "pois_per_neighborhood": 1, "latent_dim": 1,
+          "feature_dim": 1, "vocab_size": 8, "spatial_noise": 0, "feature_noise": 0, "n_clusters": 0,
+          "categories_per_poi": 0, "review_words_per_poi": 0, "seed": 0}
 
 
 @dataclass

@@ -20,14 +20,13 @@ stage and the epoch if it is not.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import NegativeWordSampler, Vocabulary
 from .encoder import EncoderParams, _backward_batch, _forward_batch
-from .errors import ValidationError
+from .errors import ValidationError, check_bounds
 from .geo import SpatialIndex
 
 log = logging.getLogger(__name__)
@@ -58,33 +57,16 @@ class TrainingConfig:
     seed: int = 0
 
     def validate(self) -> "TrainingConfig":
-        for name, value in vars(self).items():
-            # NaN passes every range check below, and inf trains to the end.
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value}")
-        if self.d < 1:
-            raise ValidationError(f"d must be >= 1, got {self.d}")
-        if self.k_context < 1:
-            raise ValidationError(f"k_context must be >= 1, got {self.k_context}")
-        if self.margin_sv < 0 or self.margin_poi < 0:
-            raise ValidationError("margins must be >= 0")
-        if self.lr_sv <= 0 or self.lr_poi <= 0:
-            raise ValidationError("learning rates must be > 0")
-        if self.epochs_sv < 0 or self.epochs_poi < 0:
-            raise ValidationError("epoch counts must be >= 0")
-        if self.triplets_per_anchor < 1:
-            raise ValidationError("triplets_per_anchor must be >= 1")
-        if self.batch_size < 1:
-            raise ValidationError("batch_size must be >= 1")
-        if self.hidden < 0:
-            raise ValidationError("hidden must be >= 0")
-        if self.neg_exponent < 0:
-            raise ValidationError("neg_exponent must be >= 0")
-        if self.anchor_weight < 0:
-            raise ValidationError("anchor_weight must be >= 0")
+        check_bounds(self, _LEAST, above=("lr_sv", "lr_poi"))
         if self.empty_policy not in EMPTY_POLICIES:
             raise ValidationError(f"empty_policy must be one of {EMPTY_POLICIES}, got {self.empty_policy!r}")
         return self
+
+
+# The least value of each numeric TrainingConfig field; a learning rate must be above it.
+_LEAST = {"d": 1, "k_context": 1, "margin_sv": 0, "margin_poi": 0, "neg_exponent": 0, "lr_sv": 0, "lr_poi": 0,
+          "epochs_sv": 0, "epochs_poi": 0, "triplets_per_anchor": 1, "batch_size": 1, "hidden": 0,
+          "anchor_weight": 0, "seed": 0}
 
 
 def triplet_grads(A: np.ndarray, C: np.ndarray, N: np.ndarray, margin: float):

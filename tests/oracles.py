@@ -36,9 +36,13 @@ def read_poi_jsonl(path) -> list[PoiRecord]:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
+                # Without its line break and trailing blanks, so that a position
+                # is a column of the file's line, at most one past its text.
                 try:
-                    obj = json.loads(line)
-                except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+                    obj = json.loads(line.rstrip(" \t\n\r"))
+                except json.JSONDecodeError as exc:
+                    raise FormatError(f"{path}:{lineno}: invalid JSON at column {exc.pos + 1}: {exc.msg}") from None
+                except RecursionError as exc:  # nested too deep
                     raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from None
                 rec_id = obj.get("id", "<missing id>") if isinstance(obj, dict) else "<not an object>"
                 try:

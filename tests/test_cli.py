@@ -894,6 +894,45 @@ def test_later_stage_accepts_the_recorded_values(tmp_path, trained_ws):
     assert (config["d"], config["empty_policy"], config["seed"]) == (8, "zero", 5)
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth", "--config", "{tmp}/s.cfg", "--out", "{tmp}/out"],
+    ["train-sv", "--workspace", "{ws}", "--seed", "-1"],
+    ["train-poi", "--workspace", "{ws}", "--seed", "-4"],
+    ["eval", "--workspace", "{ws}", "--targets", "{city}/attributes.csv", "--embedding", "u2v", "--seed", "-5"],
+    ["eval", "--workspace", "{ws}", "--targets", "{city}/attributes.csv", "--embedding", "poi", "--seed", "-5"],
+    ["cluster", "--workspace", "{ws}", "--seed", "-3"],
+], ids=["synth", "train-sv", "train-poi", "eval-u2v", "eval-poi", "cluster"])
+def test_negative_seed_is_data_error(tmp_path, trained_ws, city_dir, capsys, argv):
+    # numpy's generators take no seed below 0; each config refuses it first.
+    ws = tmp_path / "ws"
+    shutil.copytree(trained_ws, ws)
+    (tmp_path / "s.cfg").write_text("n_neighborhoods = 4\nseed = -2\n")
+    before = (ws / "manifest.json").read_bytes()
+    assert main([a.format(tmp=tmp_path, ws=ws, city=city_dir) for a in argv]) == 3
+    err = capsys.readouterr().err
+    assert "seed must be >= 0, got -" in err and "Traceback" not in err, err
+    assert (ws / "manifest.json").read_bytes() == before
+    assert not (tmp_path / "out").exists()
+
+
+def test_each_command_resolves_its_config_once(tmp_path, trained_ws, city_dir, monkeypatch):
+    ws = tmp_path / "ws"
+    shutil.copytree(trained_ws, ws)
+    calls = []
+    resolve = cli._resolve_config
+    monkeypatch.setattr(cli, "_resolve_config",
+                        lambda manifest, args, *stage: calls.append(args.command) or resolve(manifest, args, *stage))
+    targets = str(city_dir / "attributes.csv")
+    for argv in [["train-sv", *TRAIN_FLAGS], ["aggregate"], ["train-poi"],
+                 ["eval", "--targets", targets, "--repeats", "2"],
+                 ["eval", "--targets", targets, "--repeats", "2", "--embedding", "poi"],
+                 ["cluster", "--k", "2"], ["similar", "--query", "n0000"],
+                 ["export-emb", "--embedding", "u2v", "--out", str(tmp_path / "u2v.tsv")]]:
+        calls.clear()
+        assert main([argv[0], "--workspace", str(ws), *argv[1:]]) == 0
+        assert calls == [argv[0]], argv
+
+
 def test_ingest_writes_the_bag_table_and_no_poi_copy(trained_ws):
     assert sorted(p.name for p in (trained_ws / "ingested").iterdir()) == [
         "bags.bin", "centroids.csv", "features.bin", "street_views.csv"]

@@ -473,6 +473,22 @@ class TestPoiJsonl:
                                   sort_keys=True) + "\n" for p in pois)
         assert path.read_bytes() == want.encode("utf-8")
 
+    @pytest.mark.parametrize("line,column,message", [
+        ('{"id": "bad", "lat": 10,', 25, "Expecting property name enclosed in double quotes"),
+        (' \t{"id": "bad", "lat": 10,  ', 27, "Expecting property name enclosed in double quotes"),
+        ('{"id": "a", "lat": 0, "lon": 0}  x', 34, "Extra data"),
+        ('\ufeff{"id": "a", "lat": 0, "lon": 0}', 1, "Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    ], ids=["truncated", "indented-truncated", "extra-data", "bom"])
+    def test_json_error_names_a_column_of_its_line(self, tmp_path, line, column, message):
+        # Counted in the file's line without its line break: no "line 2" of a
+        # text that ends in the line break.
+        path = tmp_path / "poi.jsonl"
+        path.write_text('{"id": "ok", "lat": 0, "lon": 0}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(FormatError) as exc:
+            read_poi_columns(path)
+        assert str(exc.value) == f"{path}:2: invalid JSON at column {column}: {message}"
+        assert "line 2" not in str(exc.value)
+
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "poi.jsonl"
         path.write_text('{"id": "a", "lat": 0, "lon": 0}\nnot json\n')

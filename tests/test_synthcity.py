@@ -110,6 +110,24 @@ class TestGenerate:
         with pytest.raises(ValidationError):
             SynthConfig(identity_mixing=True, feature_dim=2, latent_dim=3).validate()
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("n_neighborhoods", 0, "n_neighborhoods must be >= 1, got 0"),
+        ("views_per_neighborhood", 0, "views_per_neighborhood must be >= 1, got 0"),
+        ("pois_per_neighborhood", 0, "pois_per_neighborhood must be >= 1, got 0"),
+        ("latent_dim", 0, "latent_dim must be >= 1, got 0"), ("feature_dim", 0, "feature_dim must be >= 1, got 0"),
+        ("vocab_size", 7, "vocab_size must be >= 8, got 7"),
+        ("spatial_noise", -0.1, "spatial_noise must be >= 0, got -0.1"),
+        ("feature_noise", -1.0, "feature_noise must be >= 0, got -1.0"),
+        ("n_clusters", -1, "n_clusters must be >= 0, got -1"),
+        ("categories_per_poi", -1, "categories_per_poi must be >= 0, got -1"),
+        ("review_words_per_poi", -1, "review_words_per_poi must be >= 0, got -1"),
+        ("seed", -2, "seed must be >= 0, got -2"),
+    ])
+    def test_bound_names_field_bound_and_value(self, field, value, message):
+        with pytest.raises(ValidationError) as exc:
+            SynthConfig(**{field: value}).validate()
+        assert str(exc.value) == message
+
     def test_city_tag_prefixes_ids(self):
         cfg = SynthConfig(n_neighborhoods=4, views_per_neighborhood=2,
                           pois_per_neighborhood=2, city_tag="ny_", seed=6)

@@ -87,6 +87,22 @@ class TestTripletLoss:
         with pytest.raises(ValidationError):
             TrainingConfig(margin_sv=-0.1).validate()
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("d", 0, "d must be >= 1, got 0"), ("k_context", 0, "k_context must be >= 1, got 0"),
+        ("margin_sv", -0.1, "margin_sv must be >= 0, got -0.1"),
+        ("margin_poi", -0.1, "margin_poi must be >= 0, got -0.1"),
+        ("neg_exponent", -0.5, "neg_exponent must be >= 0, got -0.5"),
+        ("lr_sv", 0.0, "lr_sv must be > 0, got 0.0"), ("lr_poi", -0.01, "lr_poi must be > 0, got -0.01"),
+        ("epochs_sv", -1, "epochs_sv must be >= 0, got -1"), ("epochs_poi", -1, "epochs_poi must be >= 0, got -1"),
+        ("triplets_per_anchor", 0, "triplets_per_anchor must be >= 1, got 0"),
+        ("batch_size", 0, "batch_size must be >= 1, got 0"), ("hidden", -1, "hidden must be >= 0, got -1"),
+        ("anchor_weight", -1.0, "anchor_weight must be >= 0, got -1.0"), ("seed", -1, "seed must be >= 0, got -1"),
+    ])
+    def test_bound_names_field_bound_and_value(self, field, value, message):
+        with pytest.raises(ValidationError) as exc:
+            TrainingConfig(**{field: value}).validate()
+        assert str(exc.value) == message
+
 
 class TestTripletGrads:
     def test_inactive_all_zero(self):
