@@ -21,6 +21,9 @@ from .fileio import BagTable
 log = logging.getLogger(__name__)
 
 RIDGE_LAMBDA = 1e-8  # Tikhonov term keeping the normal equations conditioned
+# The least share of the largest Gram eigenvalue that PCA's last kept
+# eigenvalue must exceed for the Gram route; below it, the thin SVD.
+PCA_RESOLVED = 1e-8
 # Shares of the rows in each repeated split; the test split takes the rest.
 TRAIN_FRACTION = 0.70
 VAL_FRACTION = 0.15
@@ -39,7 +42,15 @@ class PcaModel:
 def pca_fit(matrix: np.ndarray, n_components: int) -> PcaModel:
     """Principal components of the mean-centered matrix, ordered by descending
     explained variance; the largest-magnitude entry of each component is made
-    positive so fits are reproducible."""
+    positive so fits are reproducible.
+
+    The components are eigenvectors of the smaller Gram matrix: of the (d, d)
+    ``Xc^T Xc`` when d <= N, else of the (N, N) ``Xc Xc^T``, mapped to
+    components by ``Xc^T u / s``. Where the last kept eigenvalue is not
+    resolved (at most ``PCA_RESOLVED * lambda_1``), the thin SVD gives them
+    instead: a wide matrix would divide by an ``s`` near zero, and a kept null
+    direction is whichever basis of the null space a factorization picks,
+    which rows outside the fitted span then project onto."""
     X = np.asarray(matrix, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValidationError(f"PCA needs an (N>=2, d) matrix, got {X.shape}")
@@ -50,10 +61,17 @@ def pca_fit(matrix: np.ndarray, n_components: int) -> PcaModel:
     centered = X - mean
     if not centered.any():
         raise ValidationError("degenerate input: all rows identical")
-    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-    var = svals ** 2
+    var, vecs = np.linalg.eigh(centered.T @ centered if d <= n else centered @ centered.T)
+    # eigh's order is ascending; [::-1] makes it descending.
+    var, vecs = var[::-1], vecs[:, ::-1][:, :n_components]
+    if var[n_components - 1] <= PCA_RESOLVED * var[0]:
+        _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+        var, comps = svals ** 2, vt[:n_components].copy()
+    elif d <= n:
+        comps = vecs.T.copy()
+    else:
+        comps = (vecs.T @ centered) / np.sqrt(var[:n_components])[:, None]
     ratios = var / var.sum()
-    comps = vt[:n_components].copy()
     for row in comps:
         if row[np.argmax(np.abs(row))] < 0:
             row *= -1.0
@@ -206,7 +224,7 @@ def evaluate_regression(Z: np.ndarray, targets: np.ndarray, target_names: list[s
         for t, k in enumerate(best.tolist()):
             per_repeat[rep, t] = r_squared(targets[test_idx, t], y_mean[t] + fit_test[k, :, t])
             chosen[rep, t] = candidates[k]
-        del pca, p_train, p_val, p_test  # not alive during the next split's SVD
+        del pca, p_train, p_val, p_test  # not alive during the next split's fit
     return RegressionReport(
         target_names=list(target_names),
         mean_r2=per_repeat.mean(axis=0),

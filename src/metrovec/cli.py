@@ -3,8 +3,8 @@
 A workspace directory holds a JSON manifest plus normalized inputs,
 checkpoints, and reports. Every artifact is content-hashed into the manifest
 when written and verified before the next stage reads it, so stages can only
-run in order on untampered files. All randomness derives from the root seed
-recorded in the manifest.
+run in order on untampered files. All randomness derives from the seed each
+command runs with; the manifest records each stage's seed under "seeds".
 
 Exit codes: 0 success, 2 usage error, 3 data validation error,
 4 stage-order or integrity error.
@@ -58,13 +58,13 @@ _FIXED_BY_STAGE = {
     "aggregate": ("empty_policy",),
 }
 
-# Seed offsets off the root seed; stage-3 word init and SGD offsets live in
+# Seed offsets off the stage's seed; stage-3 word init and SGD offsets live in
 # training.train_poi_stage (seed, seed + 1).
 POI_ONLY_Z_SEED_OFFSET = 2
 
 
 def _new_manifest() -> dict:
-    return {"version": 1, "inputs": {}, "root_seed": None, "config": None,
+    return {"version": 1, "inputs": {}, "config": None, "seeds": {},
             "files": {}, "stages": {s: False for s in STAGES}}
 
 
@@ -82,6 +82,8 @@ def load_manifest(workspace: Path) -> dict:
     for key in ("stages", "files"):
         if not isinstance(manifest.get(key), dict):
             raise IntegrityError(f"{path} is not a manifest: no {key!r} object")
+    if not isinstance(manifest.get("seeds", {}), dict):  # absent before stages recorded seeds
+        raise IntegrityError(f"{path} is not a manifest: 'seeds' is not an object")
     for relpath, recorded in manifest["files"].items():
         if not isinstance(recorded, str):
             raise IntegrityError(f"{path} is not a manifest: the hash of {relpath!r} is {recorded!r}, "
@@ -130,13 +132,17 @@ def _require_stage(manifest: dict, stage: str) -> None:
 
 
 def _complete_stage(workspace: Path, manifest: dict, stage: str, config: TrainingConfig | None = None) -> None:
-    """Record the ``config`` that ``stage`` ran with, mark it done and every
-    later stage not done, and save the manifest."""
+    """Record the ``config`` that ``stage`` ran with and its seed, mark it done
+    and every later stage not done (dropping their seeds), and save the
+    manifest."""
+    seeds = manifest.setdefault("seeds", {})
     if config is not None:
         manifest["config"] = dataclasses.asdict(config)
+        seeds[stage] = config.seed
     manifest["stages"][stage] = True
     for later in STAGES[STAGES.index(stage) + 1:]:
         manifest["stages"][later] = False
+        seeds.pop(later, None)
     save_manifest(workspace, manifest)
 
 
@@ -409,7 +415,6 @@ def cmd_train_sv(args) -> int:
     params = init_encoder(features.shape[1], config.hidden, config.d, config.seed)
     params, X = training.train_street_view(params, [r.id for r in metadata], features, index, config)
     _write_checkpoint(workspace, manifest, "sv", [r.id for r in metadata], X)
-    manifest["root_seed"] = config.seed
     _complete_stage(workspace, manifest, "train_sv", config)
     print(f"trained street-view embeddings: {X.shape[0]} x {X.shape[1]} "
           f"({config.epochs_sv} epochs, seed {config.seed})")

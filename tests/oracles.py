@@ -1,8 +1,8 @@
 """Test-side references: the per-record POI line reader whose records and
 errors ``read_poi_columns`` must reproduce, POI records as the columns
 ``ingest`` reads, toy corpora as bag tables, the scalar haversine distance,
-the predictions of ``analytics.linreg_fit``, and the adjusted Rand index
-that scores a clustering against known labels.
+PCA by a thin SVD, the predictions of ``analytics.linreg_fit``, and the
+adjusted Rand index that scores a clustering against known labels.
 
 Not a test module (its name does not start with ``test_``), so pytest
 collects nothing here; the test modules import it by name.
@@ -14,6 +14,7 @@ from collections import Counter
 
 import numpy as np
 
+from metrovec.analytics import PcaModel
 from metrovec.corpus import PoiColumns, PoiRecord
 from metrovec.errors import FormatError, ValidationError
 from metrovec.fileio import BagTable
@@ -110,6 +111,22 @@ def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
     s = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
     s = min(1.0, max(0.0, s))
     return 2.0 * EARTH_RADIUS_M * math.asin(math.sqrt(s))
+
+
+def svd_pca_fit(matrix: np.ndarray, n_components: int) -> PcaModel:
+    """The ``analytics.pca_fit`` model by a thin SVD of the mean-centered
+    matrix: the right singular vectors, each with its largest-magnitude entry
+    made positive, and the squared singular values as explained variance."""
+    X = np.asarray(matrix, dtype=np.float64)
+    mean = X.mean(axis=0)
+    _, svals, vt = np.linalg.svd(X - mean, full_matrices=False)
+    var = svals ** 2
+    comps = vt[:n_components].copy()
+    for row in comps:
+        if row[np.argmax(np.abs(row))] < 0:
+            row *= -1.0
+    return PcaModel(mean=mean, components=comps,
+                    explained_variance_ratio=(var / var.sum())[:n_components])
 
 
 def linreg_predict(weights: np.ndarray, intercept: float, features: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from oracles import adjusted_rand_index, linreg_predict, table_of
+from oracles import adjusted_rand_index, linreg_predict, svd_pca_fit, table_of
 
 from metrovec import analytics
 from metrovec.analytics import (SplitProtocol, cosine_rank, default_pca_candidates,
@@ -48,6 +48,49 @@ class TestPca:
         ratios = model.explained_variance_ratio
         assert all(ratios[i] >= ratios[i + 1] for i in range(len(ratios) - 1))
         assert ratios.sum() <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("shape,n_components,calls", [
+        ("tall", 6, [("eigh", (8, 8))]),
+        ("wide", 30, [("eigh", (40, 40))]),
+        ("tall-rank-deficient", 8, [("eigh", (8, 8)), ("svd", (50, 8))]),
+        ("wide-rank-deficient", 20, [("eigh", (40, 40)), ("svd", (40, 120))]),
+    ])
+    def test_each_route_matches_svd(self, monkeypatch, shape, n_components, calls):
+        rng = np.random.default_rng(34)
+        if shape == "tall":
+            X = rng.normal(size=(50, 8)) * np.array([5, 4, 3, 2, 1, 0.5, 0.2, 0.1])
+        elif shape == "wide":
+            X = rng.normal(size=(40, 120)) * np.geomspace(4.0, 0.01, 120)
+        elif shape == "tall-rank-deficient":  # rank 5: the 8th eigenvalue is not resolved
+            base = rng.normal(size=(50, 5))
+            X = np.hstack([base, base[:, :3]])
+        else:  # rank 10: the 20th eigenvalue is not resolved
+            X = np.tile(rng.normal(size=(40, 10)), (1, 12))
+        reference = svd_pca_fit(X, n_components)
+        seen = []
+
+        def spy(name, real):
+            def call(a, *args, **kwargs):
+                seen.append((name, a.shape))
+                return real(a, *args, **kwargs)
+            return call
+
+        for name in ("eigh", "svd"):
+            monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+        model = pca_fit(X, n_components)
+        monkeypatch.undo()
+        assert seen == calls
+        assert np.abs(model.components @ model.components.T - np.eye(n_components)).max() < 1e-12
+        assert np.abs(model.explained_variance_ratio - reference.explained_variance_ratio).max() <= 1e-12
+        # A component whose variance is resolved and stands apart from its
+        # neighbours' is determined up to sign, which the convention fixes.
+        var = np.linalg.svd(X - X.mean(axis=0), compute_uv=False) ** 2
+        var /= var[0]
+        gap = np.minimum(-np.diff(var, prepend=np.inf), -np.diff(var, append=0.0))[:n_components]
+        separated = (var[:n_components] > analytics.PCA_RESOLVED) & (gap > 1e-3)
+        assert separated.sum() >= n_components // 2
+        projected, expected = model.transform(X), reference.transform(X)
+        assert np.abs(projected[:, separated] - expected[:, separated]).max() <= 1e-9
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValidationError):
@@ -111,10 +154,10 @@ class TestRSquared:
 
 def reference_split_eval(Z, y, train_idx, val_idx, test_idx, candidates):
     """(test R^2, component count) of one split and one target, one general
-    ``linreg_fit`` solve per candidate: PCA on the training rows, the count
-    with the best validation R^2 (the smaller on a tie; a constant validation
-    target scores -inf), scored on the test rows."""
-    pca = pca_fit(Z[train_idx], max(candidates))
+    ``linreg_fit`` solve per candidate: PCA by a thin SVD of the training
+    rows, the count with the best validation R^2 (the smaller on a tie; a
+    constant validation target scores -inf), scored on the test rows."""
+    pca = svd_pca_fit(Z[train_idx], max(candidates))
     p_train, p_val, p_test = (pca.transform(Z[rows]) for rows in (train_idx, val_idx, test_idx))
     best = None
     for c in sorted(candidates):
@@ -201,7 +244,8 @@ class TestEvaluateRegression:
         assert_matches_reference(Z, targets, SplitProtocol(repeats=4, seed=3, pca_candidates=candidates),
                                  tol=1e-12)
 
-    @pytest.mark.parametrize("shape", ["duplicated-columns", "near-zero-singular-value", "wide"])
+    @pytest.mark.parametrize("shape", ["duplicated-columns", "near-zero-singular-value", "wide",
+                                       "wide-rank-deficient", "very-wide"])
     def test_rank_deficient_matches_reference(self, shape):
         rng = np.random.default_rng(29)
         if shape == "duplicated-columns":
@@ -210,11 +254,32 @@ class TestEvaluateRegression:
         elif shape == "near-zero-singular-value":
             Z = rng.normal(size=(80, 8))
             Z[:, 4:] *= 1e-9
-        else:
+        elif shape == "wide":
             Z = rng.normal(size=(60, 90))
+        elif shape == "wide-rank-deficient":  # rank 20 of 41 components: the SVD route
+            Z = np.tile(rng.normal(size=(60, 20)), (1, 5))[:, :90]
+        else:  # 5% nonzeros, every kept component resolved: the row Gram route
+            Z = rng.normal(size=(60, 1200)) * (rng.random(size=(60, 1200)) < 0.05)
         targets = np.column_stack([Z[:, :4] @ rng.normal(size=4) + 0.1 * rng.normal(size=len(Z)),
                                    rng.normal(size=len(Z))])
         assert_matches_reference(Z, targets, SplitProtocol(repeats=5, seed=6), tol=1e-9)
+
+    def test_null_direction_the_other_rows_leave_matches_svd(self, monkeypatch):
+        # The training rows' null direction gets a weight of rounding noise
+        # over RIDGE_LAMBDA, and the validation and test rows project onto it:
+        # only the SVD's own basis gives the SVD's R^2 (the XᵀX eigenbasis
+        # moved it by 1.3e-6).
+        rng = np.random.default_rng(35)
+        Z = rng.normal(size=(80, 8))
+        train, _, _ = next(splits(80, 1, 2))
+        Z[train, 7] = Z[train, 6]
+        targets = np.column_stack([Z @ rng.normal(size=8), rng.normal(size=80)])
+        protocol = SplitProtocol(repeats=1, seed=2)
+        report = evaluate_regression(Z, targets, ["t0", "t1"], protocol)
+        monkeypatch.setattr(analytics, "pca_fit", svd_pca_fit)
+        reference = evaluate_regression(Z, targets, ["t0", "t1"], protocol)
+        assert np.abs(report.per_repeat_r2 - reference.per_repeat_r2).max() <= 1e-12
+        assert np.array_equal(report.chosen_components, reference.chosen_components)
 
     def test_constant_training_target_picks_smallest_count(self):
         rng = np.random.default_rng(30)

@@ -266,6 +266,15 @@ class TestStageOrder:
         err = capsys.readouterr().err
         assert "manifest.json is not a manifest" in err and named in err
 
+    def test_seeds_not_an_object_is_integrity_error(self, tmp_path, trained_ws, capsys):
+        ws = tmp_path / "ws"
+        shutil.copytree(trained_ws, ws)
+        manifest = json.loads((ws / "manifest.json").read_text())
+        manifest["seeds"] = [11]
+        (ws / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["aggregate", "--workspace", str(ws)]) == 4
+        assert "'seeds' is not an object" in capsys.readouterr().err
+
     def test_diverged_stage_writes_no_checkpoint(self, tmp_path, city_dir, capsys):
         ws = tmp_path / "ws"
         assert main(ingest_args(city_dir, ws)) == 0
@@ -305,7 +314,27 @@ class TestConfig:
         assert main(["train-sv", "--workspace", str(ws), "--config", str(cfg_file), "--d", "4"]) == 0
         manifest = json.loads((ws / "manifest.json").read_text())
         assert manifest["config"]["d"] == 4
-        assert manifest["root_seed"] == manifest["config"]["seed"]
+
+    def test_each_stage_records_its_seed(self, tmp_path, city_dir):
+        ws = tmp_path / "ws"
+        assert main(ingest_args(city_dir, ws)) == 0
+        assert main(["train-sv", "--workspace", str(ws), "--d", "4", "--epochs-sv", "1", "--seed", "1"]) == 0
+        assert main(["aggregate", "--workspace", str(ws), "--seed", "9"]) == 0
+        assert main(["train-poi", "--workspace", str(ws), "--epochs-poi", "1", "--seed", "4"]) == 0
+        manifest = json.loads((ws / "manifest.json").read_text())
+        assert manifest["seeds"] == {"train_sv": 1, "aggregate": 9, "train_poi": 4}
+        assert manifest["config"]["seed"] == 4
+        assert "root_seed" not in manifest
+        # A re-run stage drops the seeds of the stages it invalidates.
+        assert main(["aggregate", "--workspace", str(ws), "--seed", "2"]) == 0
+        manifest = json.loads((ws / "manifest.json").read_text())
+        assert manifest["seeds"] == {"train_sv": 1, "aggregate": 2}
+        # A manifest written before stages recorded seeds still loads.
+        del manifest["seeds"]
+        manifest["root_seed"] = 1
+        (ws / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["train-poi", "--workspace", str(ws), "--epochs-poi", "1", "--seed", "6"]) == 0
+        assert json.loads((ws / "manifest.json").read_text())["seeds"] == {"train_poi": 6}
 
     @pytest.mark.parametrize("command", ["train-sv", "aggregate", "train-poi"])
     def test_every_config_field_has_a_typed_flag(self, command):
