@@ -260,18 +260,21 @@ def kmeans(Z: np.ndarray, k: int, seed: int, max_iter: int = 300,
 
     labels = np.full(n, -1, dtype=np.int64)
     for _ in range(max_iter):
-        dist2 = ((Z[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        # One centroid at a time: (n, k) distances without an (n, k, d)
+        # temporary, each summed as the broadcast form sums it.
+        dist2 = np.stack([((Z - c) ** 2).sum(axis=1) for c in centroids], axis=1)
         new_labels = dist2.argmin(axis=1)
         point_cost = dist2[np.arange(n), new_labels]
-        for j in range(k):
-            if not (new_labels == j).any():
-                # Re-seed with the farthest point whose cluster keeps >= 1 member.
-                sizes = np.bincount(new_labels, minlength=k)
-                eligible = np.flatnonzero(sizes[new_labels] > 1)
-                far = int(eligible[point_cost[eligible].argmax()])
-                new_labels[far] = j
-                centroids[j] = Z[far]
-                point_cost[far] = 0.0
+        sizes = np.bincount(new_labels, minlength=k)
+        for j in np.flatnonzero(sizes == 0):
+            # Re-seed with the farthest point whose cluster keeps >= 1 member.
+            eligible = np.flatnonzero(sizes[new_labels] > 1)
+            far = int(eligible[point_cost[eligible].argmax()])
+            sizes[new_labels[far]] -= 1
+            sizes[j] = 1
+            new_labels[far] = j
+            centroids[j] = Z[far]
+            point_cost[far] = 0.0
         if inertia_out is not None:
             inertia_out.append(float(point_cost.sum()))
         if (new_labels == labels).all():

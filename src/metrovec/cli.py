@@ -1,10 +1,12 @@
 """Pipeline orchestration: synth, ingest, staged training, and evaluation.
 
 A workspace directory holds a JSON manifest plus normalized inputs,
-checkpoints, and reports. Every artifact is content-hashed into the manifest
-when written and verified before the next stage reads it, so stages can only
-run in order on untampered files. All randomness derives from the seed each
-command runs with; the manifest records each stage's seed under "seeds".
+checkpoints, and reports. The manifest keeps one record per completed stage,
+with the content hash of every file that stage wrote, and a file is read only
+through the record of its stage, so stages can only run in order on
+untampered files. All randomness derives from the seed each command runs
+with; the records of the three stages after ingest hold the seeds they ran
+with.
 
 Exit codes: 0 success, 2 usage error, 3 data validation error,
 4 stage-order or integrity error.
@@ -36,6 +38,7 @@ log = logging.getLogger(__name__)
 
 STAGES = ["ingest", "train_sv", "aggregate", "train_poi"]
 MANIFEST_NAME = "manifest.json"
+MANIFEST_VERSION = 2
 
 INGESTED = {
     "street_views": "ingested/street_views.csv",
@@ -50,6 +53,12 @@ CHECKPOINTS = {
     "words": "checkpoints/words.emb",
 }
 
+# The stage that writes each workspace file. Its record holds the file's hash,
+# and a file is read only while that record is in the manifest.
+WRITTEN_BY = {**{relpath: "ingest" for relpath in INGESTED.values()},
+              CHECKPOINTS["sv"]: "train_sv", CHECKPOINTS["sve"]: "aggregate",
+              CHECKPOINTS["u2v"]: "train_poi", CHECKPOINTS["words"]: "train_poi"}
+
 # Config fields each stage's checkpoints were made with. A later stage may not
 # change them: the manifest record would no longer describe those checkpoints,
 # and later commands read it.
@@ -63,11 +72,6 @@ _FIXED_BY_STAGE = {
 POI_ONLY_Z_SEED_OFFSET = 2
 
 
-def _new_manifest() -> dict:
-    return {"version": 1, "inputs": {}, "config": None, "seeds": {},
-            "files": {}, "stages": {s: False for s in STAGES}}
-
-
 def load_manifest(workspace: Path) -> dict:
     path = workspace / MANIFEST_NAME
     if not path.exists():
@@ -79,15 +83,18 @@ def load_manifest(workspace: Path) -> dict:
         raise IntegrityError(f"{path} is not a readable manifest: {exc}") from None
     if not isinstance(manifest, dict):
         raise IntegrityError(f"{path} is not a manifest: a JSON object is expected")
-    for key in ("stages", "files"):
-        if not isinstance(manifest.get(key), dict):
-            raise IntegrityError(f"{path} is not a manifest: no {key!r} object")
-    if not isinstance(manifest.get("seeds", {}), dict):  # absent before stages recorded seeds
-        raise IntegrityError(f"{path} is not a manifest: 'seeds' is not an object")
-    for relpath, recorded in manifest["files"].items():
-        if not isinstance(recorded, str):
-            raise IntegrityError(f"{path} is not a manifest: the hash of {relpath!r} is {recorded!r}, "
-                                 "not a string")
+    if manifest.get("version") != MANIFEST_VERSION:
+        raise IntegrityError(f"{path} is a manifest of version {manifest.get('version')!r}, not "
+                             f"{MANIFEST_VERSION}; re-run 'ingest' to rebuild the workspace")
+    if not isinstance(manifest.get("stages"), dict):
+        raise IntegrityError(f"{path} is not a manifest: no 'stages' object")
+    for stage, record in manifest["stages"].items():
+        if not isinstance(record, dict) or not isinstance(record.get("files"), dict):
+            raise IntegrityError(f"{path} is not a manifest: the record of stage {stage!r} has no 'files' object")
+        for relpath, recorded in record["files"].items():
+            if not isinstance(recorded, str):
+                raise IntegrityError(f"{path} is not a manifest: the hash of {relpath!r} is {recorded!r}, "
+                                     "not a string")
     config = manifest.get("config")
     if config is not None:
         if not isinstance(config, dict):
@@ -110,12 +117,18 @@ def save_manifest(workspace: Path, manifest: dict) -> None:
         fh.write("\n")
 
 
-def _record_file(workspace: Path, manifest: dict, relpath: str) -> None:
-    manifest["files"][relpath] = fileio.sha256_file(workspace / relpath)
+def _require_stage(manifest: dict, stage: str) -> dict:
+    """The record of ``stage``, which must have completed."""
+    record = manifest["stages"].get(stage)
+    if record is None:
+        raise StageOrderError(f"stage '{stage.replace('_', '-')}' has not completed in this workspace")
+    return record
 
 
 def _verify_file(workspace: Path, manifest: dict, relpath: str) -> None:
-    recorded = manifest["files"].get(relpath)
+    """Refuse ``relpath`` unless the record of the stage that wrote it holds
+    the file's hash."""
+    recorded = _require_stage(manifest, WRITTEN_BY[relpath])["files"].get(relpath)
     if recorded is None:
         raise IntegrityError(f"{relpath} is not recorded in the manifest")
     path = workspace / relpath
@@ -126,23 +139,20 @@ def _verify_file(workspace: Path, manifest: dict, relpath: str) -> None:
         raise IntegrityError(f"{relpath} hash mismatch: manifest {recorded[:12]}..., file {actual[:12]}...")
 
 
-def _require_stage(manifest: dict, stage: str) -> None:
-    if not manifest["stages"].get(stage):
-        raise StageOrderError(f"stage '{stage.replace('_', '-')}' has not completed in this workspace")
-
-
-def _complete_stage(workspace: Path, manifest: dict, stage: str, config: TrainingConfig | None = None) -> None:
-    """Record the ``config`` that ``stage`` ran with and its seed, mark it done
-    and every later stage not done (dropping their seeds), and save the
-    manifest."""
-    seeds = manifest.setdefault("seeds", {})
+def _complete_stage(workspace: Path, manifest: dict, stage: str, config: TrainingConfig | None = None,
+                    **fields) -> None:
+    """Drop the records of ``stage`` and every later stage, whose files can
+    then no longer be read, and record ``stage``: the hash of each file it
+    wrote, the seed of the ``config`` it ran with, and ``fields``. The
+    ``config`` becomes the manifest's, which is saved."""
+    for later in STAGES[STAGES.index(stage):]:
+        manifest["stages"].pop(later, None)
+    record = {"files": {relpath: fileio.sha256_file(workspace / relpath)
+                        for relpath, writer in WRITTEN_BY.items() if writer == stage}, **fields}
     if config is not None:
         manifest["config"] = dataclasses.asdict(config)
-        seeds[stage] = config.seed
-    manifest["stages"][stage] = True
-    for later in STAGES[STAGES.index(stage) + 1:]:
-        manifest["stages"][later] = False
-        seeds.pop(later, None)
+        record["seed"] = config.seed
+    manifest["stages"][stage] = record
     save_manifest(workspace, manifest)
 
 
@@ -195,9 +205,10 @@ def _resolve_config(manifest: dict, args, stage: str | None = None) -> TrainingC
     """The checked config a command runs with. Precedence: defaults < the
     manifest's record < the --config file < flags, where every parsed
     argument named after a field is its flag (so ``eval``'s and
-    ``cluster``'s --seed replaces the seed). For a later training ``stage``,
-    the record must pass the same check, and a field that a stage before it
-    fixed (_FIXED_BY_STAGE) may not change."""
+    ``cluster``'s --seed replaces the seed). For a training ``stage``, the
+    stage before it must have completed, the record must pass the same check,
+    and a field that a stage before it fixed (_FIXED_BY_STAGE) may not
+    change."""
     recorded = TrainingConfig(**(manifest.get("config") or {}))
     config = dataclasses.replace(recorded)
     if getattr(args, "config", None):
@@ -207,6 +218,7 @@ def _resolve_config(manifest: dict, args, stage: str | None = None) -> TrainingC
             setattr(config, name, getattr(args, name))
     config.validate()
     if stage:
+        _require_stage(manifest, STAGES[STAGES.index(stage) - 1])
         recorded.validate()
         for earlier in STAGES[:STAGES.index(stage)]:
             for name in _FIXED_BY_STAGE.get(earlier, ()):
@@ -334,12 +346,10 @@ def cmd_ingest(args) -> int:
     fileio.write_feature_bin(workspace / INGESTED["features"], [r.id for r in metadata], features)
     fileio.write_centroids_csv(workspace / INGESTED["centroids"], centroids)
 
-    manifest = _new_manifest()
-    manifest["inputs"] = {"poi": str(args.poi), "features": str(args.features),
-                          "ids": str(args.ids), "centroids": str(args.centroids)}
-    for relpath in INGESTED.values():
-        _record_file(workspace, manifest, relpath)
-    _complete_stage(workspace, manifest, "ingest")
+    manifest = {"version": MANIFEST_VERSION, "config": None, "stages": {}}
+    inputs = {"poi": str(args.poi), "features": str(args.features),
+              "ids": str(args.ids), "centroids": str(args.centroids)}
+    _complete_stage(workspace, manifest, "ingest", inputs=inputs)
     print(f"ingested {len(metadata)} street views, {len(pois)} POIs, "
           f"{len(centroid_ids)} neighborhoods into {workspace}")
     return 0
@@ -347,10 +357,6 @@ def cmd_ingest(args) -> int:
 
 def _read_ingested(workspace: Path, manifest: dict, *names: str):
     for name in names:
-        if INGESTED[name] not in manifest["files"]:
-            # A workspace ingested before this file existed.
-            raise IntegrityError(f"{INGESTED[name]} is not recorded in the manifest; "
-                                 "re-run 'ingest' to rebuild the workspace")
         _verify_file(workspace, manifest, INGESTED[name])
     # Built per call, so a reader replaced on its module (as a tracer does)
     # is the one that runs.
@@ -387,12 +393,6 @@ def _write_report(workspace: Path, name: str, text: str) -> Path:
     return path
 
 
-def _write_checkpoint(workspace: Path, manifest: dict, name: str, ids, matrix) -> None:
-    relpath = CHECKPOINTS[name]
-    fileio.write_embeddings(workspace / relpath, ids, matrix)
-    _record_file(workspace, manifest, relpath)
-
-
 def _read_checkpoint(workspace: Path, manifest: dict, name: str, d: int):
     """The checkpoint's ids and matrix, refused unless it has the ``d``
     columns of the manifest's config: every checkpoint is d wide."""
@@ -407,14 +407,13 @@ def _read_checkpoint(workspace: Path, manifest: dict, name: str, d: int):
 def cmd_train_sv(args) -> int:
     workspace = args.workspace
     manifest = load_manifest(workspace)
-    _require_stage(manifest, "ingest")
-    config = _resolve_config(manifest, args)
+    config = _resolve_config(manifest, args, "train_sv")
     metadata, features = _read_ingested(workspace, manifest, "street_views", "features")
 
     index = build_index([(r.id, r.geo) for r in metadata])
     params = init_encoder(features.shape[1], config.hidden, config.d, config.seed)
     params, X = training.train_street_view(params, [r.id for r in metadata], features, index, config)
-    _write_checkpoint(workspace, manifest, "sv", [r.id for r in metadata], X)
+    fileio.write_embeddings(workspace / CHECKPOINTS["sv"], [r.id for r in metadata], X)
     _complete_stage(workspace, manifest, "train_sv", config)
     print(f"trained street-view embeddings: {X.shape[0]} x {X.shape[1]} "
           f"({config.epochs_sv} epochs, seed {config.seed})")
@@ -424,7 +423,6 @@ def cmd_train_sv(args) -> int:
 def cmd_aggregate(args) -> int:
     workspace = args.workspace
     manifest = load_manifest(workspace)
-    _require_stage(manifest, "train_sv")
     config = _resolve_config(manifest, args, "aggregate")
     sv_ids, X = _read_checkpoint(workspace, manifest, "sv", config.d)
     metadata, centroids = _read_ingested(workspace, manifest, "street_views", "centroids")
@@ -435,7 +433,7 @@ def cmd_aggregate(args) -> int:
         raise ValidationError(f"checkpoint id {exc} missing from ingested street views") from None
     neighborhood_ids = sorted(cid for cid, _, _ in centroids)
     Z = training.aggregate_neighborhoods(X, assignments, neighborhood_ids, policy=config.empty_policy)
-    _write_checkpoint(workspace, manifest, "sve", neighborhood_ids, Z)
+    fileio.write_embeddings(workspace / CHECKPOINTS["sve"], neighborhood_ids, Z)
     _complete_stage(workspace, manifest, "aggregate", config)
     print(f"aggregated {X.shape[0]} street views into {Z.shape[0]} neighborhood embeddings")
     return 0
@@ -444,7 +442,6 @@ def cmd_aggregate(args) -> int:
 def cmd_train_poi(args) -> int:
     workspace = args.workspace
     manifest = load_manifest(workspace)
-    _require_stage(manifest, "aggregate")
     config = _resolve_config(manifest, args, "train_poi")
     neighborhood_ids, z_init = _read_checkpoint(workspace, manifest, "sve", config.d)
     (table,) = _read_ingested(workspace, manifest, "bags")
@@ -454,8 +451,8 @@ def cmd_train_poi(args) -> int:
         pretrained = corpus.load_pretrained_vectors(args.pretrained, vocab, config.d)
         log.info("loaded %d pretrained word vectors", len(pretrained))
     Z, Y = training.train_poi_stage(z_init, neighborhood_ids, vocab, corpus.bags_of(table), config, pretrained)
-    _write_checkpoint(workspace, manifest, "u2v", neighborhood_ids, Z)
-    _write_checkpoint(workspace, manifest, "words", list(vocab.tokens), Y)
+    fileio.write_embeddings(workspace / CHECKPOINTS["u2v"], neighborhood_ids, Z)
+    fileio.write_embeddings(workspace / CHECKPOINTS["words"], list(vocab.tokens), Y)
     _complete_stage(workspace, manifest, "train_poi", config)
     print(f"trained joint embeddings: {Z.shape[0]} neighborhoods, {Y.shape[0]} words "
           f"({config.epochs_poi} epochs)")
@@ -469,10 +466,8 @@ def _load_representation(workspace: Path, manifest: dict, name: str, config: Tra
     The ids come first so that a caller can check them before ``poi``
     trains a model."""
     if name in ("u2v", "sve"):
-        _require_stage(manifest, "train_poi" if name == "u2v" else "aggregate")
         ids, Z = _read_checkpoint(workspace, manifest, name, config.d)
         return ids, lambda: Z
-    _require_stage(manifest, "ingest")
     (table,) = _read_ingested(workspace, manifest, "bags")
     if name == "poistats":
         return table.row_ids, lambda: analytics.poistats_tfidf(table)[2]

@@ -1,8 +1,9 @@
 """Test-side references: the per-record POI line reader whose records and
 errors ``read_poi_columns`` must reproduce, POI records as the columns
 ``ingest`` reads, toy corpora as bag tables, the scalar haversine distance,
-PCA by a thin SVD, the predictions of ``analytics.linreg_fit``, and the
-adjusted Rand index that scores a clustering against known labels.
+PCA by a thin SVD, k-means by one broadcast distance array, the predictions
+of ``analytics.linreg_fit``, and the adjusted Rand index that scores a
+clustering against known labels.
 
 Not a test module (its name does not start with ``test_``), so pytest
 collects nothing here; the test modules import it by name.
@@ -127,6 +128,40 @@ def svd_pca_fit(matrix: np.ndarray, n_components: int) -> PcaModel:
             row *= -1.0
     return PcaModel(mean=mean, components=comps,
                     explained_variance_ratio=(var / var.sum())[:n_components])
+
+
+def broadcast_kmeans(Z: np.ndarray, k: int, seed: int, max_iter: int = 300) -> tuple[np.ndarray, np.ndarray]:
+    """``analytics.kmeans`` with every point-to-centroid distance from one
+    (n, k, d) broadcast, and each empty cluster found by its own mask scan."""
+    Z = np.asarray(Z, dtype=np.float64)
+    n = Z.shape[0]
+    rng = np.random.default_rng(seed)
+    centroids = np.empty((k, Z.shape[1]))
+    centroids[0] = Z[rng.integers(n)]
+    d2 = ((Z - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        centroids[j] = Z[rng.choice(n, p=d2 / total) if total > 0.0 else rng.integers(n)]
+        d2 = np.minimum(d2, ((Z - centroids[j]) ** 2).sum(axis=1))
+    labels = np.full(n, -1, dtype=np.int64)
+    for _ in range(max_iter):
+        dist2 = ((Z[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        new_labels = dist2.argmin(axis=1)
+        point_cost = dist2[np.arange(n), new_labels]
+        for j in range(k):
+            if not (new_labels == j).any():
+                sizes = np.bincount(new_labels, minlength=k)
+                eligible = np.flatnonzero(sizes[new_labels] > 1)
+                far = int(eligible[point_cost[eligible].argmax()])
+                new_labels[far] = j
+                centroids[j] = Z[far]
+                point_cost[far] = 0.0
+        if (new_labels == labels).all():
+            break
+        labels = new_labels
+        for j in range(k):
+            centroids[j] = Z[labels == j].mean(axis=0)
+    return labels, centroids
 
 
 def linreg_predict(weights: np.ndarray, intercept: float, features: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from oracles import adjusted_rand_index, linreg_predict, svd_pca_fit, table_of
+from oracles import adjusted_rand_index, broadcast_kmeans, linreg_predict, svd_pca_fit, table_of
 
 from metrovec import analytics
 from metrovec.analytics import (SplitProtocol, cosine_rank, default_pca_candidates,
@@ -379,6 +379,21 @@ class TestKmeans:
         Z = np.ones((5, 2))
         labels, _ = kmeans(Z, 3, seed=0)
         assert len(set(labels.tolist())) == 3
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("copies,distinct", [(10, 40), (10, 10), (2, 10)])
+    def test_duplicated_rows_match_broadcast_reference(self, seed, copies, distinct):
+        # With fewer distinct rows than clusters, k-means++ picks one row
+        # twice, and every iteration leaves clusters empty for the re-seeding
+        # to fill; with two copies of each row, one cluster can give a point
+        # to one empty cluster but not to two.
+        rng = np.random.default_rng(seed)
+        Z = np.repeat(np.round(rng.normal(size=(distinct, 5)), 1), copies, axis=0)
+        k = 12
+        labels, centroids = kmeans(Z, k, seed=seed)
+        want_labels, want_centroids = broadcast_kmeans(Z, k, seed=seed)
+        assert np.array_equal(labels, want_labels)
+        assert np.array_equal(centroids, want_centroids)
 
 
 class TestCosineRank:

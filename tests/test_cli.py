@@ -46,6 +46,11 @@ def sha(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def hashes_of(manifest: dict, relpath: str) -> dict:
+    """The file hashes in the record of the stage that writes ``relpath``."""
+    return manifest["stages"][cli.WRITTEN_BY[relpath]]["files"]
+
+
 @pytest.fixture(scope="module")
 def city_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("city")
@@ -114,9 +119,12 @@ class TestSynth:
 class TestIngest:
     def test_clean_ingest(self, trained_ws):
         manifest = json.loads((trained_ws / "manifest.json").read_text())
-        assert manifest["stages"]["ingest"] is True
-        for rel in manifest["files"]:
-            assert (trained_ws / rel).exists()
+        assert manifest["version"] == 2 and sorted(manifest["stages"]) == sorted(cli.STAGES)
+        for stage, record in manifest["stages"].items():
+            assert sorted(record["files"]) == sorted(rel for rel, s in cli.WRITTEN_BY.items() if s == stage)
+            for rel, digest in record["files"].items():
+                assert sha(trained_ws / rel) == digest
+        assert sorted(manifest["stages"]["ingest"]["inputs"]) == ["centroids", "features", "ids", "poi"]
 
     def test_lat_out_of_range_names_record(self, tmp_path, city_dir, capsys):
         bad = tmp_path / "sv.csv"
@@ -193,6 +201,9 @@ class TestStageOrder:
         ws = tmp_path / "ws"
         assert main(ingest_args(city_dir, ws)) == 0
         assert main(["train-poi", "--workspace", str(ws)]) == 4
+        # The missing stage is named before a flag is checked against it.
+        assert main(["train-poi", "--workspace", str(ws), "--d", "64"]) == 4
+        assert main(["aggregate", "--workspace", str(ws), "--empty-policy", "zero", "--hidden", "4"]) == 4
 
     def test_commands_need_manifest(self, tmp_path):
         assert main(["train-sv", "--workspace", str(tmp_path / "nope")]) == 4
@@ -233,7 +244,7 @@ class TestStageOrder:
                                                                  text, missing):
         ws = tmp_path / "ws"
         assert main(ingest_args(city_dir, ws)) == 0
-        (ws / "manifest.json").write_text(text + "\n")
+        (ws / "manifest.json").write_text(json.dumps({"version": 2, **json.loads(text)}) + "\n")
         assert main(["cluster", "--workspace", str(ws)]) == 4
         assert f"no '{missing}' object" in capsys.readouterr().err
 
@@ -266,14 +277,20 @@ class TestStageOrder:
         err = capsys.readouterr().err
         assert "manifest.json is not a manifest" in err and named in err
 
-    def test_seeds_not_an_object_is_integrity_error(self, tmp_path, trained_ws, capsys):
+    @pytest.mark.parametrize("edit", [
+        lambda record: [11],
+        lambda record: {**record, "files": ["checkpoints/sv.emb"]},
+        lambda record: {"seed": 11},
+    ], ids=["record-list", "files-list", "files-absent"])
+    def test_stage_record_without_a_files_object_is_integrity_error(self, tmp_path, trained_ws, capsys, edit):
         ws = tmp_path / "ws"
         shutil.copytree(trained_ws, ws)
         manifest = json.loads((ws / "manifest.json").read_text())
-        manifest["seeds"] = [11]
+        manifest["stages"]["train_sv"] = edit(manifest["stages"]["train_sv"])
         (ws / "manifest.json").write_text(json.dumps(manifest))
         assert main(["aggregate", "--workspace", str(ws)]) == 4
-        assert "'seeds' is not an object" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "not a manifest: the record of stage 'train_sv' has no 'files' object" in err, err
 
     def test_diverged_stage_writes_no_checkpoint(self, tmp_path, city_dir, capsys):
         ws = tmp_path / "ws"
@@ -283,7 +300,7 @@ class TestStageOrder:
         assert main(["train-poi", "--workspace", str(ws), "--lr-poi", "1e40"]) == 3
         assert "float32" in capsys.readouterr().err
         manifest = json.loads((ws / "manifest.json").read_text())
-        assert manifest["stages"]["train_poi"] is False
+        assert "train_poi" not in manifest["stages"]
         assert not (ws / "checkpoints" / "u2v.emb").exists()
 
     def test_rerun_invalidates_downstream(self, tmp_path, city_dir):
@@ -293,7 +310,7 @@ class TestStageOrder:
         assert main(["aggregate", "--workspace", str(ws)]) == 0
         assert main(["train-sv", "--workspace", str(ws)] + TRAIN_FLAGS) == 0
         manifest = json.loads((ws / "manifest.json").read_text())
-        assert manifest["stages"]["aggregate"] is False
+        assert sorted(manifest["stages"]) == ["ingest", "train_sv"]
 
 
 class TestConfig:
@@ -321,20 +338,18 @@ class TestConfig:
         assert main(["train-sv", "--workspace", str(ws), "--d", "4", "--epochs-sv", "1", "--seed", "1"]) == 0
         assert main(["aggregate", "--workspace", str(ws), "--seed", "9"]) == 0
         assert main(["train-poi", "--workspace", str(ws), "--epochs-poi", "1", "--seed", "4"]) == 0
-        manifest = json.loads((ws / "manifest.json").read_text())
-        assert manifest["seeds"] == {"train_sv": 1, "aggregate": 9, "train_poi": 4}
-        assert manifest["config"]["seed"] == 4
-        assert "root_seed" not in manifest
-        # A re-run stage drops the seeds of the stages it invalidates.
+
+        def seeds():
+            manifest = json.loads((ws / "manifest.json").read_text())
+            assert "root_seed" not in manifest and "seeds" not in manifest
+            return manifest["config"]["seed"], {s: r.get("seed") for s, r in manifest["stages"].items()}
+
+        assert seeds() == (4, {"ingest": None, "train_sv": 1, "aggregate": 9, "train_poi": 4})
+        # A re-run stage drops the records of the stages it invalidates.
         assert main(["aggregate", "--workspace", str(ws), "--seed", "2"]) == 0
-        manifest = json.loads((ws / "manifest.json").read_text())
-        assert manifest["seeds"] == {"train_sv": 1, "aggregate": 2}
-        # A manifest written before stages recorded seeds still loads.
-        del manifest["seeds"]
-        manifest["root_seed"] = 1
-        (ws / "manifest.json").write_text(json.dumps(manifest))
+        assert seeds() == (2, {"ingest": None, "train_sv": 1, "aggregate": 2})
         assert main(["train-poi", "--workspace", str(ws), "--epochs-poi", "1", "--seed", "6"]) == 0
-        assert json.loads((ws / "manifest.json").read_text())["seeds"] == {"train_poi": 6}
+        assert seeds() == (6, {"ingest": None, "train_sv": 1, "aggregate": 2, "train_poi": 6})
 
     @pytest.mark.parametrize("command", ["train-sv", "aggregate", "train-poi"])
     def test_every_config_field_has_a_typed_flag(self, command):
@@ -507,6 +522,26 @@ class TestExport:
     def test_unknown_embedding(self, trained_ws, tmp_path):
         assert main(["export-emb", "--workspace", str(trained_ws),
                      "--embedding", "nope", "--out", str(tmp_path / "x.tsv")]) == 2
+
+    @pytest.mark.parametrize("rerun,refused", [
+        (["train-sv"] + TRAIN_FLAGS[:-1] + ["2"], {"sve": "aggregate", "u2v": "train-poi", "words": "train-poi"}),
+        (["aggregate", "--seed", "2"], {"u2v": "train-poi", "words": "train-poi"}),
+    ], ids=["train-sv", "aggregate"])
+    def test_checkpoints_of_the_stages_a_rerun_drops_are_not_exported(self, trained_ws, tmp_path, capsys,
+                                                                      rerun, refused):
+        ws = tmp_path / "ws"
+        shutil.copytree(trained_ws, ws)
+        assert main([rerun[0], "--workspace", str(ws)] + rerun[1:]) == 0
+        for name in sorted(cli.CHECKPOINTS):
+            out = tmp_path / f"{name}.tsv"
+            code = main(["export-emb", "--workspace", str(ws), "--embedding", name, "--out", str(out)])
+            err = capsys.readouterr().err
+            if name in refused:
+                assert code == 4, (name, code)
+                assert f"stage '{refused[name]}' has not completed in this workspace" in err, err
+                assert not out.exists()
+            else:
+                assert code == 0 and out.exists(), (name, code, err)
 
 
 @pytest.fixture(scope="module")
@@ -805,7 +840,7 @@ def test_non_string_manifest_hash_is_integrity_error(tmp_path, trained_ws, capsy
     shutil.copytree(trained_ws, ws)
     manifest = json.loads((ws / "manifest.json").read_text())
     relpath = "ingested/street_views.csv" if argv[0] == "train-sv" else "checkpoints/u2v.emb"
-    manifest["files"][relpath] = value
+    hashes_of(manifest, relpath)[relpath] = value
     (ws / "manifest.json").write_text(json.dumps(manifest))
     assert main([argv[0], "--workspace", str(ws)] + argv[1:]) == 4
     err = capsys.readouterr().err
@@ -965,21 +1000,26 @@ def test_each_command_resolves_its_config_once(tmp_path, trained_ws, city_dir, m
 def test_ingest_writes_the_bag_table_and_no_poi_copy(trained_ws):
     assert sorted(p.name for p in (trained_ws / "ingested").iterdir()) == [
         "bags.bin", "centroids.csv", "features.bin", "street_views.csv"]
-    files = json.loads((trained_ws / "manifest.json").read_text())["files"]
+    files = json.loads((trained_ws / "manifest.json").read_text())["stages"]["ingest"]["files"]
     assert files["ingested/bags.bin"] == sha(trained_ws / "ingested" / "bags.bin")
     assert "ingested/poi.jsonl" not in files
 
 
 def _ingested_before_bag_tables(src: Path, dst: Path, city_dir: Path) -> Path:
     """A copy of the workspace ``src`` as an ingest that kept the POIs as
-    ingested/poi.jsonl, and wrote no bag table, would have left it."""
+    ingested/poi.jsonl, and wrote no bag table, would have left it: with a
+    version-1 manifest, which kept one flat map of file hashes, a flag per
+    stage, and the inputs beside them."""
     shutil.copytree(src, dst)
     (dst / "ingested" / "bags.bin").unlink()
     shutil.copy(city_dir / "poi.jsonl", dst / "ingested" / "poi.jsonl")
     manifest = json.loads((dst / "manifest.json").read_text())
-    del manifest["files"]["ingested/bags.bin"]
-    manifest["files"]["ingested/poi.jsonl"] = sha(dst / "ingested" / "poi.jsonl")
-    save_manifest(dst, manifest)
+    files = {rel: digest for record in manifest["stages"].values() for rel, digest in record["files"].items()}
+    del files["ingested/bags.bin"]
+    files["ingested/poi.jsonl"] = sha(dst / "ingested" / "poi.jsonl")
+    save_manifest(dst, {"version": 1, "inputs": manifest["stages"]["ingest"]["inputs"],
+                        "config": manifest["config"], "files": files,
+                        "stages": {stage: True for stage in cli.STAGES}})
     return dst
 
 
@@ -987,14 +1027,24 @@ def _ingested_before_bag_tables(src: Path, dst: Path, city_dir: Path) -> Path:
     ["train-poi"],
     ["eval", "--embedding", "poi", "--repeats", "2"],
     ["eval", "--embedding", "poistats", "--repeats", "2"],
-], ids=["train-poi", "eval-poi", "eval-poistats"])
+    ["train-sv"],
+    ["aggregate"],
+    ["eval", "--embedding", "u2v", "--repeats", "2"],
+    ["cluster", "--k", "2"],
+    ["similar", "--query", "n0000"],
+    ["export-emb", "--embedding", "u2v", "--out", "u2v.tsv"],
+], ids=["train-poi", "eval-poi", "eval-poistats", "train-sv", "aggregate", "eval-u2v", "cluster", "similar",
+        "export-emb"])
 def test_workspace_without_bag_table_asks_for_reingest(tmp_path, trained_ws, city_dir, capsys, argv):
     ws = _ingested_before_bag_tables(trained_ws, tmp_path / "ws", city_dir)
     before = (ws / "manifest.json").read_bytes()
     targets = ["--targets", str(city_dir / "attributes.csv")] if argv[0] == "eval" else []
+    if argv[0] == "export-emb":
+        argv = argv[:-1] + [str(tmp_path / argv[-1])]
     assert main([argv[0], "--workspace", str(ws)] + argv[1:] + targets) == 4
     err = capsys.readouterr().err
-    assert "ingested/bags.bin is not recorded in the manifest; re-run 'ingest'" in err, err
+    assert "is a manifest of version 1, not 2; re-run 'ingest' to rebuild the workspace" in err, err
+    assert not (tmp_path / "u2v.tsv").exists()
     assert "Traceback" not in err
     assert (ws / "manifest.json").read_bytes() == before
 
@@ -1056,7 +1106,8 @@ def test_blank_street_view_id_runs_through_the_stages(tmp_path, city_dir):
     assert main(["aggregate", "--workspace", str(ws)]) == 0
     assert main(["train-poi", "--workspace", str(ws)]) == 0
     assert read_embeddings(ws / "checkpoints" / "sv.emb")[0][0] == " "
-    files = json.loads((ws / "manifest.json").read_text())["files"]
+    stages = json.loads((ws / "manifest.json").read_text())["stages"]
+    files = [rel for record in stages.values() for rel in record["files"]]
     assert sorted(rel for rel in files if rel.startswith("checkpoints/")) == [
         "checkpoints/sv.emb", "checkpoints/sve.emb", "checkpoints/u2v.emb", "checkpoints/words.emb"]
     assert sorted(p.name for p in (ws / "checkpoints").iterdir()) == ["sv.emb", "sve.emb", "u2v.emb", "words.emb"]
@@ -1072,7 +1123,7 @@ def _with_old_checkpoints(src: Path, dst: Path) -> Path:
         (dst / rel).write_bytes(b"GVEMB001" + struct.pack("<II", *matrix.shape) + matrix.astype("<f4").tobytes())
         (dst / (rel + ".ids")).write_text("".join(i + "\n" for i in ids), encoding="utf-8")
         for path in (rel, rel + ".ids"):
-            manifest["files"][path] = sha(dst / path)
+            hashes_of(manifest, rel)[path] = sha(dst / path)
     save_manifest(dst, manifest)
     return dst
 
@@ -1157,7 +1208,7 @@ class TestCsvCellsHoldingACommaOrQuote:
         ids, matrix = read_embeddings(ws / "checkpoints" / "u2v.emb")
         write_embeddings(ws / "checkpoints" / "u2v.emb", ["a\tb"] + ids[1:], matrix)
         manifest = json.loads((ws / "manifest.json").read_text())
-        manifest["files"]["checkpoints/u2v.emb"] = sha(ws / "checkpoints" / "u2v.emb")
+        hashes_of(manifest, "checkpoints/u2v.emb")["checkpoints/u2v.emb"] = sha(ws / "checkpoints" / "u2v.emb")
         save_manifest(ws, manifest)
         out = tmp_path / "out" / "u2v.tsv"
         out.parent.mkdir()

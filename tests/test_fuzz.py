@@ -102,6 +102,8 @@ def city(tmp_path_factory):
     (base / "train.cfg").write_text(TRAIN_CFG)
     assert main(["synth", "--config", str(base / "synth.cfg"), "--out", str(base / "city"),
                  "--features-format", "csv"]) == 0
+    # The same city with binary features, whose rows follow the same ids.
+    assert main(["synth", "--config", str(base / "synth.cfg"), "--out", str(base / "city-bin")]) == 0
     (base / "words.txt").write_text("".join(f"term{t:03d} 0.5 -0.25 0.125 1.0\n" for t in range(12)))
     ws = base / "ws"
     assert main(_ingest_args(base / "city", ws)) == 0
@@ -125,50 +127,53 @@ def _ingest_args(city_dir: Path, ws: Path, **replaced: Path) -> list[str]:
         arg for flag, path in files.items() for arg in (f"--{flag}", str(path))]
 
 
-# input -> (its file under the fixture's directory, its kind, the command
-# that reads it: "ingest" with the damaged file in place of the named input,
-# or a command run on a copy of the trained workspace).
+# input -> (its file under the fixture's directory, its kind, the commands
+# that read it: "ingest" with the damaged file in place of the named input,
+# or commands run each on its own copy of the trained workspace).
 CLI_INPUTS = {
-    "poi.jsonl": ("city/poi.jsonl", "jsonl", "ingest:poi"),
-    "features.csv": ("city/features.csv", "bytes", "ingest:features"),
-    "street_views.csv": ("city/street_views.csv", "bytes", "ingest:ids"),
-    "centroids.csv": ("city/centroids.csv", "bytes", "ingest:centroids"),
-    "targets.csv": ("city/attributes.csv", "bytes", "eval --repeats 2 --targets {bad}"),
-    "pretrained": ("words.txt", "bytes", "train-poi --pretrained {bad}"),
-    "train-config": ("train.cfg", "bytes", "train-sv --config {bad}"),
-    "manifest.json": ("ws/manifest.json", "json", "aggregate"),
+    "poi.jsonl": ("city/poi.jsonl", "jsonl", ["ingest:poi"]),
+    "features.csv": ("city/features.csv", "bytes", ["ingest:features"]),
+    "features.bin": ("city-bin/features.bin", "bytes", ["ingest:features"]),
+    "street_views.csv": ("city/street_views.csv", "bytes", ["ingest:ids"]),
+    "centroids.csv": ("city/centroids.csv", "bytes", ["ingest:centroids"]),
+    "targets.csv": ("city/attributes.csv", "bytes", ["eval --repeats 2 --targets {bad}"]),
+    "pretrained": ("words.txt", "bytes", ["train-poi --pretrained {bad}"]),
+    "train-config": ("train.cfg", "bytes", ["train-sv --config {bad}"]),
+    "manifest.json": ("ws/manifest.json", "json", ["aggregate", "export-emb --embedding u2v --out {case}/u2v.tsv"]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CLI_INPUTS))
 def test_damaged_input_ends_in_a_documented_exit_code(city, tmp_path, name):
-    relpath, kind, command = CLI_INPUTS[name]
+    relpath, kind, commands = CLI_INPUTS[name]
     data = (city / relpath).read_bytes()
     rng = random.Random(f"{SEED}:{name}")
     for n in range(MUTATIONS):
         what, bad_bytes = mutate(data, rng, kind)
-        case = tmp_path / str(n)
-        case.mkdir()
-        bad = case / Path(relpath).name
-        ws = case / "ws"
-        if command.startswith("ingest:"):
-            bad.write_bytes(bad_bytes)
-            code = _run(_ingest_args(city / "city", ws, **{command[7:]: bad}), f"{name}, {what}")
-            if code != 0:
-                assert not ws.exists(), f"{name}, {what}: a refused ingest created its workspace"
-        else:
-            shutil.copytree(city / "ws", ws)
-            if name == "manifest.json":
-                bad = ws / "manifest.json"
-            bad.write_bytes(bad_bytes)
-            before = (ws / "manifest.json").read_bytes()
-            argv = command.format(bad=bad).split()
-            code = _run([argv[0], "--workspace", str(ws)] + argv[1:], f"{name}, {what}")
-            if code != 0:
-                assert (ws / "manifest.json").read_bytes() == before, \
-                    f"{name}, {what}: a refused {argv[0]} changed the manifest"
-        assert code in (0, 3, 4), f"{name}, {what}: exit {code}"
-        shutil.rmtree(case)
+        for command in commands:
+            case = tmp_path / str(n)
+            case.mkdir()
+            bad = case / Path(relpath).name
+            ws = case / "ws"
+            if command.startswith("ingest:"):
+                bad.write_bytes(bad_bytes)
+                code = _run(_ingest_args(city / "city", ws, **{command[7:]: bad}), f"{name}, {what}")
+                if code != 0:
+                    assert not ws.exists(), f"{name}, {what}: a refused ingest created its workspace"
+            else:
+                shutil.copytree(city / "ws", ws)
+                if name == "manifest.json":
+                    bad = ws / "manifest.json"
+                bad.write_bytes(bad_bytes)
+                before = (ws / "manifest.json").read_bytes()
+                argv = command.format(bad=bad, case=case).split()
+                code = _run([argv[0], "--workspace", str(ws)] + argv[1:], f"{name}, {what}")
+                if code != 0:
+                    assert (ws / "manifest.json").read_bytes() == before, \
+                        f"{name}, {what}: a refused {argv[0]} changed the manifest"
+                    assert not (case / "u2v.tsv").exists(), f"{name}, {what}: a refused export-emb wrote its TSV"
+            assert code in (0, 3, 4), f"{name}, {what}: {command.split()[0]} exited {code}"
+            shutil.rmtree(case)
 
 
 WORKSPACE_READERS = {
