@@ -125,9 +125,9 @@ def _require_stage(manifest: dict, stage: str) -> dict:
     return record
 
 
-def _verify_file(workspace: Path, manifest: dict, relpath: str) -> None:
-    """Refuse ``relpath`` unless the record of the stage that wrote it holds
-    the file's hash."""
+def _verify_file(workspace: Path, manifest: dict, relpath: str) -> Path:
+    """The path of ``relpath`` in the workspace, refused unless the record of
+    the stage that wrote it holds the file's hash."""
     recorded = _require_stage(manifest, WRITTEN_BY[relpath])["files"].get(relpath)
     if recorded is None:
         raise IntegrityError(f"{relpath} is not recorded in the manifest")
@@ -137,6 +137,7 @@ def _verify_file(workspace: Path, manifest: dict, relpath: str) -> None:
     actual = fileio.sha256_file(path)
     if actual != recorded:
         raise IntegrityError(f"{relpath} hash mismatch: manifest {recorded[:12]}..., file {actual[:12]}...")
+    return path
 
 
 def _complete_stage(workspace: Path, manifest: dict, stage: str, config: TrainingConfig | None = None,
@@ -355,16 +356,6 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _read_ingested(workspace: Path, manifest: dict, *names: str):
-    for name in names:
-        _verify_file(workspace, manifest, INGESTED[name])
-    # Built per call, so a reader replaced on its module (as a tracer does)
-    # is the one that runs.
-    readers = {"street_views": fileio.read_sv_metadata, "features": fileio.read_feature_bin,
-               "bags": fileio.read_bags, "centroids": fileio.read_centroids_csv}
-    return [readers[name](workspace / INGESTED[name]) for name in names]
-
-
 def _write_report(workspace: Path, name: str, text: str) -> Path:
     """Write ``text`` to ``reports/<name>`` through a temporary file beside
     it: the old report is unlinked, then the temporary file is renamed into
@@ -397,8 +388,7 @@ def _read_checkpoint(workspace: Path, manifest: dict, name: str, d: int):
     """The checkpoint's ids and matrix, refused unless it has the ``d``
     columns of the manifest's config: every checkpoint is d wide."""
     relpath = CHECKPOINTS[name]
-    _verify_file(workspace, manifest, relpath)
-    ids, matrix = fileio.read_embeddings(workspace / relpath)
+    ids, matrix = fileio.read_embeddings(_verify_file(workspace, manifest, relpath))
     if matrix.shape[1] != d:
         raise IntegrityError(f"{relpath} has {matrix.shape[1]} columns, but the manifest's config has d = {d}")
     return ids, matrix
@@ -408,7 +398,9 @@ def cmd_train_sv(args) -> int:
     workspace = args.workspace
     manifest = load_manifest(workspace)
     config = _resolve_config(manifest, args, "train_sv")
-    metadata, features = _read_ingested(workspace, manifest, "street_views", "features")
+    sv_path = _verify_file(workspace, manifest, INGESTED["street_views"])
+    features_path = _verify_file(workspace, manifest, INGESTED["features"])
+    metadata, features = fileio.read_sv_metadata(sv_path), fileio.read_feature_bin(features_path)
 
     index = build_index([(r.id, r.geo) for r in metadata])
     params = init_encoder(features.shape[1], config.hidden, config.d, config.seed)
@@ -425,7 +417,9 @@ def cmd_aggregate(args) -> int:
     manifest = load_manifest(workspace)
     config = _resolve_config(manifest, args, "aggregate")
     sv_ids, X = _read_checkpoint(workspace, manifest, "sv", config.d)
-    metadata, centroids = _read_ingested(workspace, manifest, "street_views", "centroids")
+    sv_path = _verify_file(workspace, manifest, INGESTED["street_views"])
+    centroids_path = _verify_file(workspace, manifest, INGESTED["centroids"])
+    metadata, centroids = fileio.read_sv_metadata(sv_path), fileio.read_centroids_csv(centroids_path)
     nbhd_of = {r.id: r.neighborhood_id for r in metadata}
     try:
         assignments = [nbhd_of[sid] for sid in sv_ids]
@@ -444,7 +438,7 @@ def cmd_train_poi(args) -> int:
     manifest = load_manifest(workspace)
     config = _resolve_config(manifest, args, "train_poi")
     neighborhood_ids, z_init = _read_checkpoint(workspace, manifest, "sve", config.d)
-    (table,) = _read_ingested(workspace, manifest, "bags")
+    table = fileio.read_bags(_verify_file(workspace, manifest, INGESTED["bags"]))
     vocab = corpus.build_vocabulary(table)
     pretrained = None
     if args.pretrained:
@@ -457,28 +451,6 @@ def cmd_train_poi(args) -> int:
     print(f"trained joint embeddings: {Z.shape[0]} neighborhoods, {Y.shape[0]} words "
           f"({config.epochs_poi} epochs)")
     return 0
-
-
-def _load_representation(workspace: Path, manifest: dict, name: str, config: TrainingConfig):
-    """(row ids, a function returning the matrix) of a neighborhood
-    representation: the full pipeline (u2v), street-view-only (sve),
-    POI-only trained from a random start, or the category tf-idf baseline.
-    The ids come first so that a caller can check them before ``poi``
-    trains a model."""
-    if name in ("u2v", "sve"):
-        ids, Z = _read_checkpoint(workspace, manifest, name, config.d)
-        return ids, lambda: Z
-    (table,) = _read_ingested(workspace, manifest, "bags")
-    if name == "poistats":
-        return table.row_ids, lambda: analytics.poistats_tfidf(table)[2]
-
-    def train_poi_only():
-        rng = np.random.default_rng(config.seed + POI_ONLY_Z_SEED_OFFSET)
-        z_init = rng.uniform(-0.5 / config.d, 0.5 / config.d, size=(len(table.row_ids), config.d))
-        Z, _ = training.train_poi_stage(z_init, table.row_ids, corpus.build_vocabulary(table),
-                                        corpus.bags_of(table), config)
-        return Z
-    return table.row_ids, train_poi_only
 
 
 def cmd_eval(args) -> int:
@@ -497,9 +469,20 @@ def cmd_eval(args) -> int:
                                        seed=config.seed)
     target_ids, target_names, values = fileio.read_targets_csv(args.targets)
 
-    ids, matrix = _load_representation(workspace, manifest, args.embedding, config)
+    if args.embedding in ("u2v", "sve"):
+        ids, Z = _read_checkpoint(workspace, manifest, args.embedding, config.d)
+    else:
+        table = fileio.read_bags(_verify_file(workspace, manifest, INGESTED["bags"]))
+        ids = table.row_ids
     targets = values[_rows_for(target_ids, ids, "targets CSV")]
-    report = analytics.evaluate_regression(matrix(), targets, target_names, protocol)
+    if args.embedding == "poistats":
+        Z = analytics.poistats_tfidf(table)[2]
+    elif args.embedding == "poi":
+        rng = np.random.default_rng(config.seed + POI_ONLY_Z_SEED_OFFSET)
+        z_init = rng.uniform(-0.5 / config.d, 0.5 / config.d, size=(len(ids), config.d))
+        Z, _ = training.train_poi_stage(z_init, ids, corpus.build_vocabulary(table), corpus.bags_of(table),
+                                        config)
+    report = analytics.evaluate_regression(Z, targets, target_names, protocol)
 
     csv_path = _write_report(workspace, f"eval_{args.embedding}.csv", fileio.csv_text(report.to_csv_rows()))
     text = f"embedding: {args.embedding}\n{report.format_text()}\n"
@@ -513,8 +496,8 @@ def cmd_cluster(args) -> int:
     workspace = args.workspace
     manifest = load_manifest(workspace)
     config = _resolve_config(manifest, args)
-    ids, matrix = _load_representation(workspace, manifest, args.embedding, config)
-    labels, _ = analytics.kmeans(matrix(), args.k, seed=config.seed)
+    ids, Z = _read_checkpoint(workspace, manifest, args.embedding, config.d)
+    labels, _ = analytics.kmeans(Z, args.k, seed=config.seed)
     rows = [("id", "cluster"), *zip(ids, labels.tolist())]
     out = _write_report(workspace, f"clusters_{args.embedding}.csv", fileio.csv_text(rows))
     print(f"k-means (k={args.k}) cluster assignments written to {out}")
@@ -524,13 +507,13 @@ def cmd_cluster(args) -> int:
 def cmd_similar(args) -> int:
     workspace = args.workspace
     manifest = load_manifest(workspace)
-    ids, matrix = _load_representation(workspace, manifest, args.embedding, _resolve_config(manifest, args))
+    ids, Z = _read_checkpoint(workspace, manifest, args.embedding, _resolve_config(manifest, args).d)
     if args.query not in ids:
         raise NotFoundError(f"unknown query neighborhood {args.query!r}")
 
     city_rows = None  # every neighborhood is a candidate
     if args.from_city:
-        (centroids,) = _read_ingested(workspace, manifest, "centroids")
+        centroids = fileio.read_centroids_csv(_verify_file(workspace, manifest, INGESTED["centroids"]))
         city_of = {cid: city for cid, _, city in centroids}
         if not any(city_of.values()):
             raise ValidationError("centroids carry no city tags; --from-city is unavailable")
@@ -538,7 +521,6 @@ def cmd_similar(args) -> int:
         if not city_rows:
             raise ValidationError(f"no neighborhoods tagged with city {args.from_city!r}")
 
-    Z = matrix()
     keep, candidates = (ids, Z) if city_rows is None else ([ids[i] for i in city_rows], Z[city_rows])
     ranked = analytics.cosine_rank(Z[ids.index(args.query)], keep, candidates,
                                    top_n=args.top, ascending=args.least)

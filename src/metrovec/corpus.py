@@ -83,10 +83,13 @@ def _category_token(phrase: str) -> str:
     return "cat_" + "_".join(phrase.lower().split())
 
 
+def _half_star(value: float) -> float:
+    """The nearest half star in [1, 5]; halves round up."""
+    return min(5.0, max(1.0, math.floor(value * 2.0 + 0.5) / 2.0))
+
+
 def _rating_token(rating: float) -> str:
-    bucket = math.floor(rating * 2.0 + 0.5) / 2.0  # nearest half star, halves round up
-    bucket = min(5.0, max(1.0, bucket))
-    return f"rate_{bucket:.1f}".replace(".", "_")
+    return f"rate_{_half_star(rating):.1f}".replace(".", "_")
 
 
 def _review_tokens(reviews: list[str]) -> set[str]:

@@ -1,7 +1,8 @@
 """On-disk formats: feature tables, embedding checkpoints, and the CSV schemas.
 
-Feature binary (magic GVFEAT01): u32 row count, u32 dim, then row-major
-little-endian float32, rows in ascending-id order matching the metadata CSV.
+Feature binary (magic GVFEAT01): u32 row count, u32 dim (at least 1), then
+row-major little-endian float32, rows in ascending-id order matching the
+metadata CSV.
 Embedding checkpoint (magic GVEMB002): u32 rows R, u32 dim, u64 text length
 T; then T bytes of UTF-8 holding the R row ids, each ended by a newline; then
 the row-major little-endian float32 matrix. A GVEMB001 checkpoint (its ids in
@@ -150,6 +151,8 @@ def write_feature_bin(path, ids: list[str], features: np.ndarray) -> None:
 def read_feature_bin(path) -> np.ndarray:
     data = Path(path).read_bytes()
     (rows, dim), at = _check_binary(path, data, FEATURE_MAGIC, _FEATURE_HEADER, lambda r, d: 4 * r * d)
+    if dim == 0:
+        raise FormatError(f"{path}: dim 0, no feature column")
     return np.frombuffer(data, "<f4", rows * dim, at).reshape(rows, dim).astype(np.float32)
 
 
@@ -161,6 +164,8 @@ def write_features_csv(path, ids: list[str], features: np.ndarray) -> None:
 def read_features_csv(path) -> tuple[list[str], np.ndarray]:
     rows = _read_csv(path, lambda h: h[0] == "id", "header starting with 'id'", "feature")
     width = len(next(rows)) - 1
+    if width == 0:
+        raise FormatError(f"{path}: no feature column after 'id'")
     ids, values = [], []
     for lineno, row in rows:
         if len(row) - 1 != width:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import PoiRecord, _inverse_cdf, write_poi_jsonl
+from .corpus import PoiRecord, _half_star, _inverse_cdf, write_poi_jsonl
 from .errors import ValidationError, check_bounds
 from .fileio import (StreetViewRecord, _write_csv, splits_a_path, write_centroids_csv, write_feature_bin,
                      write_features_csv, write_sv_metadata, write_targets_csv)
@@ -111,10 +111,6 @@ def _smooth_latents(u: np.ndarray, rows: int, cols: int) -> np.ndarray:
 def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     e = np.exp(x - x.max(axis=axis, keepdims=True))
     return e / e.sum(axis=axis, keepdims=True)
-
-
-def _half_star(value: float) -> float:
-    return float(min(5.0, max(1.0, np.floor(value * 2.0 + 0.5) / 2.0)))
 
 
 def _jittered(c: GeoPoint, dlat: float, dlon: float) -> GeoPoint:

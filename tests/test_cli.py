@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from oracles import read_poi_jsonl, table_of
 
-from metrovec import cli, corpus
+from metrovec import cli, corpus, fileio
 from metrovec.cli import build_parser, main, save_manifest
 from metrovec.corpus import build_neighborhood_bag, read_poi_columns
 from metrovec.errors import PipelineError, ValidationError
@@ -565,7 +565,7 @@ def joint_ws(tmp_path_factory):
         lines += (parts[1] / name).read_text().splitlines()[1:]
         (merged / name).write_text("\n".join(lines) + "\n")
 
-    for name in ("features.csv", "street_views.csv", "centroids.csv"):
+    for name in ("features.csv", "street_views.csv", "centroids.csv", "attributes.csv"):
         merge(name)
     (merged / "poi.jsonl").write_text((parts[0] / "poi.jsonl").read_text()
                                       + (parts[1] / "poi.jsonl").read_text())
@@ -591,6 +591,33 @@ class TestJointCities:
     def test_unknown_city_tag(self, joint_ws):
         assert main(["similar", "--workspace", str(joint_ws), "--query", "aa_n0000",
                      "--from-city", "zz_"]) == 3
+
+
+def test_each_command_calls_its_readers_at_call_time(tmp_path, joint_ws, monkeypatch):
+    """A reader replaced on ``fileio`` is the one every command runs, once per
+    file it reads: a tracer that wraps the readers on their module sees them
+    all."""
+    ws = tmp_path / "ws"
+    shutil.copytree(joint_ws, ws)
+    calls = []
+
+    def counting(name, reader):
+        return lambda *args, **kwargs: calls.append(name) or reader(*args, **kwargs)
+
+    for name in ("read_sv_metadata", "read_feature_bin", "read_centroids_csv", "read_bags", "read_embeddings"):
+        monkeypatch.setattr(fileio, name, counting(name, getattr(fileio, name)))
+    targets = str(joint_ws.parent / "merged" / "attributes.csv")
+    for argv, read in [
+        (["train-sv"], ["read_feature_bin", "read_sv_metadata"]),
+        (["aggregate"], ["read_centroids_csv", "read_embeddings", "read_sv_metadata"]),
+        (["train-poi"], ["read_bags", "read_embeddings"]),
+        (["eval", "--targets", targets, "--repeats", "2", "--embedding", "poistats"], ["read_bags"]),
+        (["cluster", "--k", "2"], ["read_embeddings"]),
+        (["similar", "--query", "aa_n0000", "--from-city", "bb_"], ["read_centroids_csv", "read_embeddings"]),
+    ]:
+        calls.clear()
+        assert main([argv[0], "--workspace", str(ws), *argv[1:]]) == 0, argv
+        assert sorted(calls) == read, argv
 
 
 def test_ingest_refuses_an_id_or_city_tag_holding_a_slash(tmp_path, city_dir, capsys):
@@ -657,6 +684,12 @@ def _nan_row_three(city_dir, path: Path) -> Path:
     return path
 
 
+def _no_columns_bin(city_dir, path: Path) -> Path:
+    ids = sorted(r.id for r in read_sv_metadata(city_dir / "street_views.csv"))
+    write_feature_bin(path, ids, np.zeros((len(ids), 0), np.float32))
+    return path
+
+
 def _swap_rows(lines: list[str]) -> list[str]:
     return [lines[0], lines[2], lines[1]] + lines[3:]
 
@@ -667,6 +700,10 @@ def _rename_first(ids, feats):
 
 def _repeat_first(ids, feats):
     return ids + ids[:1], np.vstack([feats, feats[:1]])
+
+
+def _no_columns(ids, feats):
+    return ids, feats[:, :0]
 
 
 class TestIngestChecks:
@@ -690,8 +727,13 @@ class TestIngestChecks:
          "duplicate ids in feature CSV"),
         ("--features", lambda c, t: _features_csv(c, t / "f.csv", _rename_first),
          "'ghost'"),
+        ("--features", lambda c, t: _features_csv(c, t / "f.csv", _no_columns),
+         "f.csv: no feature column after 'id'"),
+        ("--features", lambda c, t: _no_columns_bin(c, t / "f.bin"),
+         "f.bin: dim 0, no feature column"),
     ], ids=["centroid-ids", "street-view-ids", "poi-ids", "non-finite", "unsorted-binary",
-            "row-count", "feature-csv-ids", "feature-csv-mismatch"])
+            "row-count", "feature-csv-ids", "feature-csv-mismatch", "feature-csv-no-columns",
+            "feature-bin-no-columns"])
     def test_bad_input_is_data_error(self, tmp_path, city_dir, capsys, flag, make, named):
         args = ingest_args(city_dir, tmp_path / "ws")
         args[args.index(flag) + 1] = str(make(city_dir, tmp_path))

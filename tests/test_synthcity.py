@@ -9,13 +9,13 @@ from oracles import linreg_predict
 from test_fileio import Unwritable
 
 from metrovec.analytics import linreg_fit, r_squared
-from metrovec.corpus import PoiRecord, _inverse_cdf, read_poi_jsonl
+from metrovec.corpus import PoiRecord, _half_star, _inverse_cdf, read_poi_jsonl
 from metrovec.errors import ValidationError
 from metrovec.fileio import (StreetViewRecord, read_centroids_csv, read_feature_bin, read_sv_metadata,
                              read_targets_csv)
 from metrovec.geo import GeoPoint
 from metrovec.synthcity import (BASE_LAT, BASE_LON, GRID_SPACING_DEG, SynthCity, SynthConfig,
-                                _choice_distinct, _grid_shape, _half_star, _smooth_latents, _softmax,
+                                _choice_distinct, _grid_shape, _smooth_latents, _softmax,
                                 export_city, generate_city)
 
 
