@@ -1,18 +1,19 @@
 """Geographic points, great-circle distance, the exact all-points k-nearest-
 neighbor query, and nearest-centroid assignment.
 
-Distances are haversine on a sphere of radius 6,371,000 m. The index stores
-its points sorted by latitude and splits that order into about sqrt(n)
-equal-height latitude bands. ``SpatialIndex.k_nearest`` answers every point
-at once, one band of queries at a time: the band's queries share a window of
-bands, widened until the R * delta-lat lower bound, taken from the sorted
-latitudes just outside the window, proves no unscanned point can enter any
-result, so each row is identical to a brute-force scan, including tie order.
+Distances are haversine on a sphere of radius 6,371,000 m. The index grids
+its points into square latitude x longitude cells of about 16 points, with
+longitudes measured from the widest empty arc of the sorted longitudes, so a
+city across +-180 degrees is as compact as any. ``SpatialIndex.k_nearest``
+scores each cell's queries against its 3 x 3 block of cells, widened by one
+ring until every k-th distance is below the lesser of an R * delta-lat and a
+longitude bound on the unscanned points: each row equals a brute-force scan.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,13 +23,15 @@ from .errors import ValidationError
 EARTH_RADIUS_M = 6_371_000.0
 
 # Safety slack (meters) when comparing the k-th best distance against the
-# latitude lower bound of unscanned bands; absorbs float rounding so the
-# band pruning can never drop a point that brute force would keep.
+# lower bound on unscanned points; absorbs float rounding so the pruning
+# can never drop a point that brute force would keep.
 _PRUNE_SLACK_M = 1e-6
 
-# Most floats in one (queries x window) distance block; a band whose block
-# would be larger (e.g. every point on one latitude) is split into chunks.
+# Most floats in one (queries x window) distance block; a cell whose block
+# would be larger (e.g. every point at one spot) is split into chunks.
 _BLOCK_FLOATS = 1 << 20
+
+_CELL_POINTS = 16  # points per grid cell, on average over the bounding box
 
 
 @dataclass(frozen=True)
@@ -70,35 +73,40 @@ class SpatialIndex:
             raise ValidationError("cannot build a spatial index from an empty point list")
         ids = [pid for pid, _ in points]
         if len(set(ids)) != len(ids):
-            seen, dupes = set(), set()
-            for pid in ids:
-                (dupes if pid in seen else seen).add(pid)
-            raise ValidationError(f"duplicate point ids: {sorted(dupes)!r}")
+            raise ValidationError(f"duplicate point ids: {sorted(p for p, m in Counter(ids).items() if m > 1)!r}")
 
-        self._ids = ids
-        lat = np.array([p.lat for _, p in points], dtype=np.float64)
-        # Rows are stored in ascending latitude order: self._order[pos] is the
-        # input row at sorted position pos, and every array below is indexed
-        # by sorted position.
-        self._order = np.argsort(lat, kind="stable")
-        self._lat = lat[self._order]
-        self._lon = np.array([p.lon for _, p in points], dtype=np.float64)[self._order]
+        self._ids, n = ids, len(ids)
+        lat, lon = np.array([(p.lat, p.lon) for _, p in points], dtype=np.float64).T
+        # x: degrees east of the first longitude past the widest empty arc.
+        srt = np.sort(lon)
+        x = (lon - srt[(np.diff(srt, append=srt[0] + 360.0).argmax() + 1) % n]) % 360.0
+
+        # About n / _CELL_POINTS cells, square once x is scaled by cos(middle
+        # lat). Rows (columns) are floors of (lat - min) / height (x / width).
+        span_lat, span_x, cells = float(lat.max() - lat.min()), float(x.max()), max(1, n // _CELL_POINTS)
+        wide = span_x * math.cos(math.radians((lat.max() + lat.min()) / 2.0))
+        rows = round(math.sqrt(cells * span_lat / wide)) if wide > 0 else cells * (span_lat > 0)
+        self._rows = nr = min(max(rows, 1), cells)
+        self._cols = nc = cells // nr if wide > 0 else 1
+        row = np.minimum((lat - lat.min()) / (span_lat / nr or 1.0), nr - 1).astype(np.int64)
+        col = np.minimum(x / (span_x / nc or 1.0), nc - 1).astype(np.int64)
+
+        # Points are stored cell by cell, row-major: _order[pos] is the input row
+        # at position pos, and cell j holds positions _cell_start[j]:_cell_start[j + 1].
+        self._order = np.argsort(row * nc + col, kind="stable")
+        row, col = row[self._order], col[self._order]
+        self._cell_start = np.searchsorted(row * nc + col, np.arange(nr * nc + 1))
+        self._lat, self._lon, self._x = lat[self._order], lon[self._order], x[self._order]
         self._cos_lat = np.cos(np.radians(self._lat))
-
+        # For the bounds, each coordinate sorted and padded with -inf and inf:
+        # the first j rows (columns) hold its first _cell_start[j * nc] (_col_start[j]).
+        self._lat_sorted = np.pad(np.sort(lat), 1, constant_values=(-np.inf, np.inf))
+        self._x_sorted = np.pad(np.sort(x), 1, constant_values=(-np.inf, np.inf))
+        self._col_start = np.searchsorted(np.sort(col), np.arange(nc + 1))
+        self._arc = min(360.0 - span_x, 180.0)  # least angle the other way round
+        self._near = self._bound(np.arange(n), row, col, 1)  # each point's bound at w = 1
         # Tie rank: position of each row's id in ascending id order.
-        rank = np.empty(len(ids), dtype=np.int64)
-        rank[sorted(range(len(ids)), key=lambda i: ids[i])] = np.arange(len(ids))
-        self._id_rank = rank[self._order]
-
-        # About sqrt(n) latitude bands of equal height: band b is the sorted
-        # positions _band_start[b]:_band_start[b + 1], the points whose
-        # (lat - min) / height truncates to b. With zero span all share band 0.
-        n = len(ids)
-        self._n_bands = max(1, int(math.isqrt(n)))
-        height = float(self._lat[-1] - self._lat[0]) / self._n_bands or 1.0
-        self._band_start = np.searchsorted((self._lat - self._lat[0]) / height,
-                                           np.arange(self._n_bands + 1))
-        self._band_start[-1] = n
+        self._id_rank = np.argsort(sorted(range(n), key=ids.__getitem__))[self._order]
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -107,72 +115,64 @@ class SpatialIndex:
     def ids(self) -> list:
         return list(self._ids)
 
-    def _distance_block(self, qpos: np.ndarray, pos: np.ndarray) -> np.ndarray:
-        # (queries x points), both given as sorted positions
-        return _haversine_block(self._lat[qpos], self._lon[qpos], self._cos_lat[qpos],
-                                self._lat[pos], self._lon[pos], self._cos_lat[pos])
+    def _bound(self, qpos: np.ndarray, r, c, w: int) -> np.ndarray:
+        """Lower bound (m) on each query's distance to the points outside the
+        (2w + 1)-square of cells around cell (r, c), given as ints or as arrays
+        aligned with qpos: R * delta-lat to other rows, and to other columns
+        2R asin(sqrt(cos lat_q * least cos lat * sin^2(g / 2))), g their angle."""
+        lo, hi = self._cell_start[np.clip([r - w, r + w + 1], 0, self._rows) * self._cols]
+        a, b = self._col_start[np.clip([c - w, c + w + 1], 0, self._cols)]
+        qlat, xq, lats, xs = self._lat[qpos], self._x[qpos], self._lat_sorted, self._x_sorted
+        by_lat = EARTH_RADIUS_M * np.radians(np.minimum(qlat - lats[lo], lats[hi + 1] - qlat))
+        # cos is concave, so its least over the window rows is at an end.
+        least_cos = np.cos(np.radians(np.maximum(np.abs(lats[lo + 1]), np.abs(lats[hi]))))
+        g = np.radians(np.minimum(np.minimum(xq - xs[a], xs[b + 1] - xq), self._arc))
+        s = self._cos_lat[qpos] * least_cos * np.sin(g / 2.0) ** 2
+        return np.minimum(by_lat, 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(s)))
 
-    def _nearest(self, qpos: np.ndarray, lo: int, hi: int, k: int) -> np.ndarray:
+    def _nearest(self, qpos: np.ndarray, r: int, c: int, k: int, w: int = 1) -> np.ndarray:
         """(len(qpos), k) input rows of each query's k nearest other points,
-        ascending by (distance, id); 1 <= k < len(self).
-
-        All queries share one window of bands, starting at lo..hi (which must
-        hold every query) and widened by one band on each side until, for
-        every query, the k-th distance is below the latitude bound of the
-        unscanned points. A window wider than one query needs only adds points
-        farther than its k-th neighbor, so each row equals a brute-force scan.
-        """
-        n, last = len(self._ids), self._n_bands - 1
-        dist = np.empty((qpos.size, 0))
-        done_lo = done_hi = self._band_start[lo]  # positions already in ``dist``
+        ascending by (distance, id); 1 <= k < len(self). The queries of cell
+        (r, c) share the (2w + 1)-square window around it, widened by one ring
+        until each k-th distance is below the bound on the unscanned points."""
+        nr, nc, cs = self._rows, self._cols, self._cell_start
         while True:
-            start, stop = int(self._band_start[lo]), int(self._band_start[hi + 1])
-            width = stop - start
-            if qpos.size > 1 and qpos.size * width > _BLOCK_FLOATS:
-                parts = np.array_split(qpos, -(-qpos.size * width // _BLOCK_FLOATS))
-                return np.concatenate([self._nearest(part, lo, hi, k) for part in parts])
-            dist = np.concatenate([self._distance_block(qpos, np.arange(start, done_lo)), dist,
-                                   self._distance_block(qpos, np.arange(done_hi, stop))], axis=1)
-            done_lo, done_hi = start, stop
-            dist[np.arange(qpos.size), qpos - start] = np.inf
-            if lo == 0 and hi == last:
-                break
-            if width > k:
-                # The nearest unscanned latitudes are the sorted ones just
-                # outside the window.
-                qlat = self._lat[qpos]
-                gap_lo = qlat - self._lat[start - 1] if start > 0 else np.inf
-                gap_hi = self._lat[stop] - qlat if stop < n else np.inf
-                bound_m = EARTH_RADIUS_M * np.radians(np.minimum(gap_lo, gap_hi))
-                kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
-                if (kth < bound_m - _PRUNE_SLACK_M).all():
+            c0, c1 = max(c - w, 0), min(c + w, nc - 1)
+            pos = np.concatenate([np.arange(cs[i + c0], cs[i + c1 + 1])
+                                  for i in range(max(r - w, 0) * nc, min(r + w, nr - 1) * nc + 1, nc)])
+            if qpos.size > 1 and qpos.size * pos.size > _BLOCK_FLOATS:
+                parts = np.array_split(qpos, -(-qpos.size * pos.size // _BLOCK_FLOATS))
+                return np.concatenate([self._nearest(part, r, c, k, w) for part in parts])
+            dist = _haversine_block(self._lat[qpos], self._lon[qpos], self._cos_lat[qpos],
+                                    self._lat[pos], self._lon[pos], self._cos_lat[pos])
+            dist[np.arange(qpos.size), np.searchsorted(pos, qpos)] = np.inf
+            if pos.size > k:
+                kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
+                bound = self._near[qpos] if w == 1 else self._bound(qpos, r, c, w)
+                if pos.size == len(self._ids) or (kth[:, 0] < bound - _PRUNE_SLACK_M).all():
                     break
-            lo, hi = max(lo - 1, 0), min(hi + 1, last)
+            w += 1
 
-        # Sort only the c smallest entries of each row, with c the most
-        # entries any row has at or below its k-th distance: they hold every
-        # row's result, ties at the k-th distance included.
-        kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
-        c = int((dist <= kth).sum(axis=1).max())
-        cand = np.argpartition(dist, c - 1, axis=1)[:, :c]
-        cand_pos = cand + start
-        order = np.lexsort((self._id_rank[cand_pos], np.take_along_axis(dist, cand, axis=1)), axis=1)
-        return self._order[np.take_along_axis(cand_pos, order[:, :k], axis=1)]
+        # Sort the entries at or below each row's k-th distance, ties included,
+        # by (row, distance, id): the first k of each row are its result.
+        rows, cols = np.nonzero(dist <= kth)
+        order = np.lexsort((self._id_rank[pos[cols]], dist[rows, cols], rows))
+        counts = np.bincount(rows, minlength=qpos.size)
+        return self._order[pos[cols[order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]]]]
 
     def k_nearest(self, k: int) -> np.ndarray:
         """(n, min(k, n - 1)) int64 matrix: row i holds the index rows of
         point i's nearest other points, ascending by (distance, id). Queries
-        run one latitude band at a time."""
+        run one cell at a time."""
         if k < 1:
             raise ValidationError(f"k must be >= 1, got {k}")
         n = len(self._ids)
         k = min(k, n - 1)
         out = np.empty((n, k), dtype=np.int64)
         if k:
-            for b in range(self._n_bands):
-                qpos = np.arange(self._band_start[b], self._band_start[b + 1])
-                if qpos.size:
-                    out[self._order[qpos]] = self._nearest(qpos, b, b, k)
+            for cell in np.flatnonzero(np.diff(self._cell_start)):
+                qpos = np.arange(self._cell_start[cell], self._cell_start[cell + 1])
+                out[self._order[qpos]] = self._nearest(qpos, *divmod(int(cell), self._cols), k)
         return out
 
 

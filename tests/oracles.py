@@ -1,8 +1,9 @@
 """Test-side references: the per-record POI line reader whose records and
 errors ``read_poi_columns`` must reproduce, POI records as the columns
 ``ingest`` reads, toy corpora as bag tables, the scalar haversine distance,
-PCA by a thin SVD, k-means by one broadcast distance array, the predictions
-of ``analytics.linreg_fit``, and the adjusted Rand index that scores a
+the all-points k-nearest-neighbor query by latitude bands, PCA by a thin
+SVD, k-means by one broadcast distance array, the predictions of
+``analytics.linreg_fit``, and the adjusted Rand index that scores a
 clustering against known labels.
 
 Not a test module (its name does not start with ``test_``), so pytest
@@ -19,7 +20,7 @@ from metrovec.analytics import PcaModel
 from metrovec.corpus import PoiColumns, PoiRecord
 from metrovec.errors import FormatError, ValidationError
 from metrovec.fileio import BagTable
-from metrovec.geo import EARTH_RADIUS_M, GeoPoint
+from metrovec.geo import _BLOCK_FLOATS, _PRUNE_SLACK_M, EARTH_RADIUS_M, GeoPoint, _haversine_block
 
 
 def _string_list(obj: dict, key: str) -> list[str]:
@@ -112,6 +113,70 @@ def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
     s = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
     s = min(1.0, max(0.0, s))
     return 2.0 * EARTH_RADIUS_M * math.asin(math.sqrt(s))
+
+
+def band_k_nearest(points: list[tuple[object, GeoPoint]], k: int) -> np.ndarray:
+    """``SpatialIndex(points).k_nearest(k)`` by about sqrt(n) equal-height
+    latitude bands, the fast reference for large cities. Each band's queries
+    share a window of bands, widened until the R * delta-lat bound from the
+    sorted latitudes just outside it proves every row. Its work grows as
+    n^1.5: every window spans the whole longitude range."""
+    ids = [pid for pid, _ in points]
+    n, k = len(ids), min(k, len(ids) - 1)
+    lat = np.array([p.lat for _, p in points], dtype=np.float64)
+    order = np.argsort(lat, kind="stable")
+    lat, lon = lat[order], np.array([p.lon for _, p in points], dtype=np.float64)[order]
+    cos = np.cos(np.radians(lat))
+    rank = np.empty(n, dtype=np.int64)
+    rank[sorted(range(n), key=lambda i: ids[i])] = np.arange(n)
+    rank = rank[order]
+    n_bands = max(1, int(math.isqrt(n)))
+    height = float(lat[-1] - lat[0]) / n_bands or 1.0
+    band_start = np.searchsorted((lat - lat[0]) / height, np.arange(n_bands + 1))
+    band_start[-1] = n
+
+    def block(qpos, pos):
+        return _haversine_block(lat[qpos], lon[qpos], cos[qpos], lat[pos], lon[pos], cos[pos])
+
+    def nearest(qpos, lo, hi):
+        last = n_bands - 1
+        dist = np.empty((qpos.size, 0))
+        done_lo = done_hi = band_start[lo]
+        while True:
+            start, stop = int(band_start[lo]), int(band_start[hi + 1])
+            width = stop - start
+            if qpos.size > 1 and qpos.size * width > _BLOCK_FLOATS:
+                parts = np.array_split(qpos, -(-qpos.size * width // _BLOCK_FLOATS))
+                return np.concatenate([nearest(part, lo, hi) for part in parts])
+            dist = np.concatenate([block(qpos, np.arange(start, done_lo)), dist,
+                                   block(qpos, np.arange(done_hi, stop))], axis=1)
+            done_lo, done_hi = start, stop
+            dist[np.arange(qpos.size), qpos - start] = np.inf
+            if lo == 0 and hi == last:
+                break
+            if width > k:
+                qlat = lat[qpos]
+                gap_lo = qlat - lat[start - 1] if start > 0 else np.inf
+                gap_hi = lat[stop] - qlat if stop < n else np.inf
+                bound_m = EARTH_RADIUS_M * np.radians(np.minimum(gap_lo, gap_hi))
+                kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
+                if (kth < bound_m - _PRUNE_SLACK_M).all():
+                    break
+            lo, hi = max(lo - 1, 0), min(hi + 1, last)
+        kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
+        c = int((dist <= kth).sum(axis=1).max())
+        cand = np.argpartition(dist, c - 1, axis=1)[:, :c]
+        cand_pos = cand + start
+        by = np.lexsort((rank[cand_pos], np.take_along_axis(dist, cand, axis=1)), axis=1)
+        return order[np.take_along_axis(cand_pos, by[:, :k], axis=1)]
+
+    out = np.empty((n, k), dtype=np.int64)
+    if k:
+        for b in range(n_bands):
+            qpos = np.arange(band_start[b], band_start[b + 1])
+            if qpos.size:
+                out[order[qpos]] = nearest(qpos, b, b)
+    return out
 
 
 def svd_pca_fit(matrix: np.ndarray, n_components: int) -> PcaModel:

@@ -872,6 +872,30 @@ def test_out_of_memory_is_data_error(tmp_path, trained_ws, command):
     assert (ws / "manifest.json").read_bytes() == manifest
 
 
+def test_checkpoints_do_not_depend_on_the_blas_thread_count(tmp_path, city_dir):
+    """train-sv, aggregate and train-poi write byte-identical checkpoints
+    with one BLAS thread and with two, each chain in a process of its own
+    (one process cannot change its BLAS thread count once numpy is loaded)."""
+    ingested = tmp_path / "ingested"
+    assert main(ingest_args(city_dir, ingested)) == 0
+    chain = ("import json, sys\n"
+             "from metrovec.cli import main\n"
+             "ws, flags = sys.argv[1], json.loads(sys.argv[2])\n"
+             "sys.exit(main(['train-sv', '--workspace', ws] + flags) or main(['aggregate', '--workspace', ws])\n"
+             "         or main(['train-poi', '--workspace', ws]))\n")
+    for threads in ("1", "2"):
+        shutil.copytree(ingested, tmp_path / threads)
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+               **dict.fromkeys(["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"], threads)}
+        run = subprocess.run([sys.executable, "-c", chain, str(tmp_path / threads), json.dumps(TRAIN_FLAGS)],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+    one, two = ({p.name: p.read_bytes() for p in (tmp_path / threads / "checkpoints").iterdir()}
+                for threads in ("1", "2"))
+    assert {"sv.emb", "sve.emb", "u2v.emb"} <= set(one)
+    assert one == two
+
+
 @pytest.mark.parametrize("argv", [
     ["train-sv"] + TRAIN_FLAGS,
     ["similar", "--query", "n0000"],

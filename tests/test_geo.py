@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from oracles import haversine_distance
+from oracles import band_k_nearest, haversine_distance
 
 from metrovec import geo
 from metrovec.errors import ValidationError
 from metrovec.geo import GeoPoint, assign_neighborhood, build_index
+from metrovec.synthcity import SynthConfig, generate_city
 
 # Frozen before implementation from a 50-digit haversine evaluation
 # (R = 6,371,000 m) of the (37.7749,-122.4194)-(37.7849,-122.4094) pair.
@@ -214,31 +215,32 @@ class TestAllPointsKNN:
         for (qid, _), row in zip(points, rows_as_ids(index, k)):
             assert row == brute_k_nearest(points, qid, k)
 
-    def test_chunked_band_matches_per_query_and_oracle(self, monkeypatch):
-        # 1100 points on one latitude form one band whose full block would
-        # hold 1100**2 > 2**20 distances, so its queries run in chunks.
+    def test_chunked_cell_matches_per_query_and_oracle(self, monkeypatch):
+        # 1100 points at one spot share one cell, whose block against its
+        # 3 x 3 window would hold more than 1100**2 > 2**20 distances, so its
+        # queries run in chunks. 200 points around it fill the other cells.
         rng = np.random.default_rng(25)
-        points = [(f"c{i:04d}", GeoPoint(40.0, float(rng.uniform(-74.3, -73.7)))) for i in range(1100)]
+        points = ([(f"c{i:04d}", GeoPoint(40.0, -74.0)) for i in range(1100)]
+                  + [(f"r{i:04d}", GeoPoint(float(rng.uniform(39.5, 40.5)), float(rng.uniform(-74.5, -73.5))))
+                     for i in range(200)])
+        rng.shuffle(points)
         index = build_index(points)
         blocks = []
-        block = geo.SpatialIndex._distance_block
-
-        def spy(self, qrows, rows):
-            blocks.append((qrows.size, rows.size))
-            return block(self, qrows, rows)
-
-        monkeypatch.setattr(geo.SpatialIndex, "_distance_block", spy)
+        block = geo._haversine_block
+        monkeypatch.setattr(geo, "_haversine_block", lambda *a: blocks.append((a[0].size, a[3].size)) or block(*a))
         got = rows_as_ids(index, 6)
-        assert max(q for q, _ in blocks) < len(points)
-        assert max(q * r for q, r in blocks) <= geo._BLOCK_FLOATS + len(points)
         monkeypatch.undo()
+        assert max(q for q, _ in blocks) < 1100
+        assert max(q * r for q, r in blocks) <= geo._BLOCK_FLOATS + len(points)
 
+        lat = np.radians(np.array([p.lat for _, p in points]))
         lon = np.radians(np.array([p.lon for _, p in points]))
         ids = [pid for pid, _ in points]
         rank = np.argsort(np.argsort(ids))
         for q, (qid, _) in enumerate(points):
-            h = np.cos(np.radians(40.0)) ** 2 * np.sin((lon - lon[q]) / 2) ** 2
-            d = 6_371_000.0 * 2 * np.arctan2(np.sqrt(h), np.sqrt(1 - h))
+            h = (np.sin((lat - lat[q]) / 2) ** 2
+                 + np.cos(lat[q]) * np.cos(lat) * np.sin((lon - lon[q]) / 2) ** 2)
+            d = 6_371_000.0 * 2 * np.arctan2(np.sqrt(h), np.sqrt(np.clip(1 - h, 0, None)))
             oracle = [ids[i] for i in np.lexsort((rank, d)) if i != q][:6]
             assert got[q] == oracle
 
@@ -250,6 +252,86 @@ class TestAllPointsKNN:
         assert build_index([("only", GeoPoint(1.0, 2.0))]).k_nearest(3).shape == (1, 0)
         with pytest.raises(ValidationError):
             index.k_nearest(0)
+
+
+def near_poles_and_antimeridian(rng, n):
+    return [(i, GeoPoint(float(rng.choice([-1, 1]) * rng.uniform(88.0, 90.0)),
+                         float(rng.choice([-1, 1]) * rng.uniform(170.0, 180.0)))) for i in range(n)]
+
+
+def straddling(rng, n):
+    # Longitudes within 0.3 degrees of +-180, wrapped into [-180, 180].
+    return [(f"s{i:04d}", GeoPoint(float(rng.uniform(10.0, 10.5)),
+                                   float((rng.uniform(179.7, 180.3) + 180.0) % 360.0 - 180.0)))
+            for i in range(n)]
+
+
+CELL_CASES = {
+    "random_city": lambda: random_points(np.random.default_rng(31), 300),
+    "global": lambda: random_points(np.random.default_rng(32), 300, (-90.0, 90.0), (-180.0, 180.0)),
+    # One row of cells around the whole equator: neighbors across the seam
+    # of the longitude order are nearer the other way round.
+    "equatorial_ring": lambda: random_points(np.random.default_rng(38), 600, (-1.0, 1.0), (-180.0, 180.0)),
+    "tie_grid": lambda: tie_grid(16),
+    "tie_grid_shuffled_ids": lambda: [(f"u{(37 * i) % 256:03d}", p) for i, (_, p) in enumerate(tie_grid(16))],
+    "zero_span": lambda: [(f"z{(13 * i) % 60:02d}", GeoPoint(-33.9, 151.2)) for i in range(60)],
+    "duplicate_sites": lambda: duplicate_points(np.random.default_rng(33), 200, 9),
+    "one_latitude": lambda: random_points(np.random.default_rng(34), 200, (12.5, 12.5), (-50.0, -49.0)),
+    "one_longitude": lambda: random_points(np.random.default_rng(35), 200, (12.0, 13.0), (-50.0, -50.0)),
+    "poles_and_antimeridian": lambda: near_poles_and_antimeridian(np.random.default_rng(36), 200),
+    "straddling_antimeridian": lambda: straddling(np.random.default_rng(37), 300),
+}
+
+
+class TestCellsMatchOracles:
+    """``k_nearest`` on the cells equals the latitude-band reference and a
+    brute-force scan, ties by ascending id included, for k in {1, 5, 8}."""
+
+    @pytest.mark.parametrize("name", sorted(CELL_CASES))
+    def test_matches_band_oracle_and_brute_force(self, name):
+        points = CELL_CASES[name]()
+        index = build_index(points)
+        brute = [brute_k_nearest(points, qid, 8) for qid, _ in points]
+        for k in (1, 5, 8):
+            assert np.array_equal(index.k_nearest(k), band_k_nearest(points, k))
+            assert rows_as_ids(index, k) == [row[:k] for row in brute]
+
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_sv_city_matches_band_oracle(self, seed):
+        points = sv_city_points(200, seed)
+        assert np.array_equal(build_index(points).k_nearest(5), band_k_nearest(points, 5))
+
+
+def sv_city_points(n_neighborhoods, seed=1, shift=0.0):
+    """Street views of an sv_city-shaped synthetic city (20 per
+    neighborhood), their longitudes moved east by ``shift`` degrees and
+    wrapped into [-180, 180]."""
+    city = generate_city(SynthConfig(n_neighborhoods=n_neighborhoods, views_per_neighborhood=20,
+                                     pois_per_neighborhood=1, seed=seed))
+    return [(sv.id, GeoPoint(sv.geo.lat, (sv.geo.lon + shift + 180.0) % 360.0 - 180.0))
+            for sv in city.street_views]
+
+
+@pytest.mark.parametrize("n_neighborhoods,shift", [(50, 0.0), (200, 0.0), (800, 0.0), (200, 301.93)],
+                         ids=["1k", "4k", "16k", "4k_across_180"])
+def test_k_nearest_work_is_linear(monkeypatch, n_neighborhoods, shift):
+    """One k_nearest(5) computes at most 250 distances per point at every
+    size, and across +-180 degrees too: latitude bands alone need ~√n."""
+    points = sv_city_points(n_neighborhoods, shift=shift)
+    lons = [p.lon for _, p in points]
+    assert (min(lons) < -179.9 and max(lons) > 179.9) == bool(shift)
+    index = build_index(points)
+    sizes = []
+    block = geo._haversine_block
+
+    def spy(*args):
+        out = block(*args)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(geo, "_haversine_block", spy)
+    index.k_nearest(5)
+    assert sum(sizes) <= 250 * len(points)
 
 
 class TestAssignNeighborhood:
