@@ -3,7 +3,9 @@
 Maps a raw feature vector to a d-dimensional embedding through an optional
 ReLU hidden layer (hidden=0 gives a pure linear map). The backward pass
 returns the exact gradient of dot(output, grad_output) with respect to every
-parameter; the ReLU subgradient at zero is defined as zero.
+parameter; the ReLU subgradient at zero is defined as zero. Training keeps
+every parameter in one flat buffer (``EncoderParams.copy(flat)``) and has the
+backward pass write its gradients into the views of a second one.
 """
 
 from __future__ import annotations
@@ -28,8 +30,31 @@ class EncoderParams:
     def d_out(self) -> int:
         return self.weights[-1].shape[1]
 
-    def copy(self) -> "EncoderParams":
-        return EncoderParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+    @property
+    def size(self) -> int:
+        """The number of parameters."""
+        return sum(a.size for a in (*self.weights, *self.biases))
+
+    def copy(self, flat: np.ndarray | None = None) -> "EncoderParams":
+        """A copy whose weights and then biases are consecutive views into
+        ``flat``, a float64 buffer of ``size`` values (a fresh one if None)."""
+        out = _views(self, np.empty(self.size) if flat is None else flat)
+        for dst, src in zip((*out.weights, *out.biases), (*self.weights, *self.biases)):
+            dst[...] = src
+        return out
+
+
+def _views(params: EncoderParams, flat: np.ndarray) -> EncoderParams:
+    """EncoderParams shaped like ``params`` whose weights and then biases are
+    consecutive views into the 1-D buffer ``flat``."""
+    if flat.shape != (params.size,):
+        raise ValidationError(f"a buffer of shape {flat.shape} for {params.size} encoder parameters")
+    arrays, at = [], 0
+    for a in (*params.weights, *params.biases):
+        arrays.append(flat[at:at + a.size].reshape(a.shape))
+        at += a.size
+    layers = len(params.weights)
+    return EncoderParams(arrays[:layers], arrays[layers:])
 
 
 def init_encoder(d_in: int, hidden: int, d: int, seed: int) -> EncoderParams:
@@ -55,23 +80,31 @@ def _forward_batch(params: EncoderParams, feats: np.ndarray):
     out = feats
     for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
         if layer:
-            out = np.maximum(out, 0.0)  # ReLU between layers
+            np.maximum(out, 0.0, out=out)  # ReLU between layers, on the pre-activation
         cache.append(out)
-        out = out @ w + b
+        out = out @ w
+        out += b
     return out, cache
 
 
-def _backward_batch(params: EncoderParams, cache, grad_out: np.ndarray):
-    """Parameter gradients summed over the batch."""
+def _backward_batch(params: EncoderParams, cache, grad_out: np.ndarray, out: EncoderParams | None = None):
+    """Parameter gradients summed over the batch, as (grads_w, grads_b):
+    written into the arrays of ``out`` if given, else fresh arrays. Neither
+    ``cache`` nor ``grad_out`` is written."""
     if grad_out.ndim != 2 or grad_out.shape[1] != params.d_out:
         raise ValidationError(f"grad_output batch shape {grad_out.shape} incompatible with d={params.d_out}")
-    grads_w, grads_b = [], []
+    layers = len(params.weights)
+    if out is None:
+        grads_w, grads_b = [None] * layers, [None] * layers  # np.matmul and sum allocate
+    else:
+        grads_w, grads_b = list(out.weights), list(out.biases)
     grad = grad_out
-    for layer in reversed(range(len(params.weights))):
+    for layer in reversed(range(layers)):
         x = cache[layer]
-        grads_w.insert(0, x.T @ grad)
-        grads_b.insert(0, grad.sum(axis=0))
+        grads_w[layer] = np.matmul(x.T, grad, out=grads_w[layer])
+        grads_b[layer] = grad.sum(axis=0, out=grads_b[layer])
         if layer:
             # x is a ReLU output: x > 0 exactly where its pre-activation is.
-            grad = (grad @ params.weights[layer].T) * (x > 0.0)
+            grad = grad @ params.weights[layer].T
+            grad *= x > 0.0
     return grads_w, grads_b

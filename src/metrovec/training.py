@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import NegativeWordSampler, Vocabulary
-from .encoder import EncoderParams, _backward_batch, _forward_batch
+from .encoder import EncoderParams, _backward_batch, _forward_batch, _views
 from .errors import ValidationError, check_bounds
 from .geo import SpatialIndex
 
@@ -69,28 +69,31 @@ _LEAST = {"d": 1, "k_context": 1, "margin_sv": 0, "margin_poi": 0, "neg_exponent
           "anchor_weight": 0, "seed": 0}
 
 
-def triplet_grads(A: np.ndarray, C: np.ndarray, N: np.ndarray, margin: float):
+def triplet_grads(A: np.ndarray, C: np.ndarray, N: np.ndarray, margin: float,
+                  out: np.ndarray | None = None):
     """Exact gradients (ga, gc, gn) and per-row losses of the hinge triplet
     loss max(0, margin + ||a-c|| - ||a-n||) for row-aligned (anchor, context,
-    negative) matrices; a one-row A broadcasts against C and N.
+    negative) (n, d) matrices; a one-row A broadcasts against C and N.
 
-    Inactive rows (loss 0) get zero gradients; distances are floored at
-    DISTANCE_FLOOR in denominators to remove the singularity at coincident
-    embeddings.
+    ga, gc and gn are the three consecutive row blocks of one C-contiguous
+    (3n, d) array: ``out`` if given, else a fresh one. Inactive rows (loss 0)
+    get zero gradients; distances are floored at DISTANCE_FLOOR in
+    denominators to remove the singularity at coincident embeddings.
     """
-    diff_ac = A - C
-    diff_an = A - N
-    # np.linalg.norm(x, axis=1) computes exactly this, behind more dispatch.
-    d_ac = np.sqrt((diff_ac * diff_ac).sum(axis=1))
-    d_an = np.sqrt((diff_an * diff_an).sum(axis=1))
-    losses = np.maximum(0.0, margin + d_ac - d_an)
-    active = (losses > 0.0)[:, None]  # multiplies as 1.0 / 0.0
-    u_ac = diff_ac / np.maximum(d_ac, DISTANCE_FLOOR)[:, None]
-    u_an = diff_an / np.maximum(d_an, DISTANCE_FLOOR)[:, None]
-    ga = (u_ac - u_an) * active
-    gc = -u_ac * active
-    gn = u_an * active
-    return ga, gc, gn, losses
+    n, d = C.shape
+    diff = np.empty((2, n, d))  # A - C, then A - N
+    np.subtract(A, C, out=diff[0])
+    np.subtract(A, N, out=diff[1])
+    # np.linalg.norm(x, axis=-1) computes exactly this, behind more dispatch.
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    losses = np.maximum(0.0, margin + dist[0] - dist[1])
+    g = np.empty((3 * n, d)) if out is None else out
+    blocks = g.reshape(3, n, d)
+    np.divide(diff, np.maximum(dist, DISTANCE_FLOOR)[:, :, None], out=blocks[1:])  # the unit vectors
+    np.subtract(blocks[1], blocks[2], out=blocks[0])
+    blocks *= (losses > 0.0)[:, None]  # multiplies as 1.0 / 0.0
+    np.negative(blocks[1], out=blocks[1])
+    return g[:n], g[n:2 * n], g[2 * n:], losses
 
 
 def _sample_triplet_rows(context_rows: np.ndarray, per_anchor: int,
@@ -149,27 +152,32 @@ def train_street_view(params: EncoderParams, sv_ids: list, features: np.ndarray,
         raise ValidationError("the spatial index does not hold the street-view ids in their given order")
     if params.d_out != config.d:
         raise ValidationError(f"encoder output dim {params.d_out} != config d {config.d}")
-    params = params.copy()
+    # Every parameter lives in theta and every gradient in grads, so one
+    # step updates them all in two calls; the caller's params stay untouched.
+    theta = np.empty(params.size)
+    params = params.copy(theta)
+    grads = np.empty_like(theta)
+    grad_views = _views(params, grads)
     rng = np.random.default_rng(config.seed)
     ctx = context_rows_from_index(index, config.k_context)
+    size, margin, lr = config.batch_size, config.margin_sv, config.lr_sv
 
     with np.errstate(over="ignore", invalid="ignore"):  # _check_not_diverged reports them
         for epoch in range(1, config.epochs_sv + 1):
             rows = _sample_triplet_rows(ctx, config.triplets_per_anchor, rng)
             rows = rows[rng.permutation(rows.shape[0])]
-            for start in range(0, rows.shape[0], config.batch_size):
-                batch = rows[start:start + config.batch_size]
+            for start in range(0, rows.shape[0], size):
+                batch = rows[start:start + size]
                 b = batch.shape[0]
-                # One pass over the stacked (anchor, context, negative) rows.
+                # One pass over the stacked (anchor, context, negative) rows,
+                # whose gradients triplet_grads stacks the same way.
                 out, cache = _forward_batch(params, features[batch.T.ravel()])
-                ga, gc, gn, _ = triplet_grads(out[:b], out[b:2 * b], out[2 * b:], config.margin_sv)
-                grads_w, grads_b = _backward_batch(params, cache, np.concatenate([ga, gc, gn]))
-                scale = config.lr_sv / b
-                for w, g in zip(params.weights, grads_w):
-                    w -= scale * g
-                for bias, g in zip(params.biases, grads_b):
-                    bias -= scale * g
-            _check_not_diverged("stage 1", "encoder parameters", [*params.weights, *params.biases],
+                stacked = np.empty_like(out)
+                triplet_grads(out[:b], out[b:2 * b], out[2 * b:], margin, out=stacked)
+                _backward_batch(params, cache, stacked, out=grad_views)
+                grads *= lr / b
+                theta -= grads
+            _check_not_diverged("stage 1", "encoder parameters", [theta],
                                 epoch, config.epochs_sv, f"lr_sv (now {config.lr_sv})")
 
     X, _ = _forward_batch(params, features)
@@ -326,13 +334,13 @@ def train_poi_stage(z_init: np.ndarray, neighborhood_ids: list, vocab: Vocabular
                     triplets = slice(start * per, start * per + n)
                     words = np.concatenate([ctx[triplets], neg[triplets]])
                     W = Y[words]
-                    ga, gc, gn, _ = triplet_grads(np.repeat(Z[z_rows], per, axis=0), W[:n], W[n:],
-                                                  config.margin_poi)
-                    step = ga.reshape(z_rows.size, per, d).sum(axis=1)
+                    g = np.empty((3 * n, d))  # ga, then gc and gn in the order of words
+                    triplet_grads(np.repeat(Z[z_rows], per, axis=0), W[:n], W[n:], config.margin_poi, out=g)
+                    step = g[:n].reshape(z_rows.size, per, d).sum(axis=1)
                     if Z0 is not None:
                         step += per * config.anchor_weight * (Z[z_rows] - Z0[z_rows])
                     Z[z_rows] -= lr * step
-                    np.add.at(Y, words, -lr * np.concatenate([gc, gn]))
+                    np.add.at(Y, words, -lr * g[n:])
             _check_not_diverged("stage 3", "neighborhood or word embeddings", [Z, Y],
                                 epoch, config.epochs_poi, f"lr_poi (now {config.lr_poi})")
     return Z, Y

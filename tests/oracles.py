@@ -3,8 +3,10 @@ errors ``read_poi_columns`` must reproduce, POI records as the columns
 ``ingest`` reads, toy corpora as bag tables, the scalar haversine distance,
 the all-points k-nearest-neighbor query by latitude bands, PCA by a thin
 SVD, k-means by one broadcast distance array, the predictions of
-``analytics.linreg_fit``, and the adjusted Rand index that scores a
-clustering against known labels.
+``analytics.linreg_fit``, the adjusted Rand index that scores a
+clustering against known labels, and stages 1 and 3 as they were before
+their steps shared buffers: a copying encoder pass, three separate triplet
+gradients, and the concatenating updates built on them.
 
 Not a test module (its name does not start with ``test_``), so pytest
 collects nothing here; the test modules import it by name.
@@ -18,9 +20,11 @@ import numpy as np
 
 from metrovec.analytics import PcaModel
 from metrovec.corpus import PoiColumns, PoiRecord
+from metrovec.encoder import EncoderParams
 from metrovec.errors import FormatError, ValidationError
 from metrovec.fileio import BagTable
 from metrovec.geo import _BLOCK_FLOATS, _PRUNE_SLACK_M, EARTH_RADIUS_M, GeoPoint, _haversine_block
+from metrovec.training import DISTANCE_FLOOR, _sample_triplet_rows, context_rows_from_index
 
 
 def _string_list(obj: dict, key: str) -> list[str]:
@@ -257,3 +261,93 @@ def adjusted_rand_index(labels_a, labels_b) -> float:
     if max_index == expected:
         return 1.0
     return float((sum_cells - expected) / (max_index - expected))
+
+
+def separate_triplet_grads(A, C, N, margin):
+    """``training.triplet_grads`` as three separately allocated (n, d)
+    arrays, from separate A - C and A - N differences."""
+    diff_ac = A - C
+    diff_an = A - N
+    d_ac = np.sqrt((diff_ac * diff_ac).sum(axis=1))
+    d_an = np.sqrt((diff_an * diff_an).sum(axis=1))
+    losses = np.maximum(0.0, margin + d_ac - d_an)
+    active = (losses > 0.0)[:, None]
+    u_ac = diff_ac / np.maximum(d_ac, DISTANCE_FLOOR)[:, None]
+    u_an = diff_an / np.maximum(d_an, DISTANCE_FLOOR)[:, None]
+    ga = (u_ac - u_an) * active
+    gc = -u_ac * active
+    gn = u_an * active
+    return ga, gc, gn, losses
+
+
+def copying_forward(params: EncoderParams, feats):
+    """``encoder._forward_batch``, every result a new array."""
+    cache = []
+    out = feats
+    for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
+        if layer:
+            out = np.maximum(out, 0.0)
+        cache.append(out)
+        out = out @ w + b
+    return out, cache
+
+
+def copying_backward(params: EncoderParams, cache, grad_out):
+    """``encoder._backward_batch``, every result a new array."""
+    grads_w, grads_b = [], []
+    grad = grad_out
+    for layer in reversed(range(len(params.weights))):
+        x = cache[layer]
+        grads_w.insert(0, x.T @ grad)
+        grads_b.insert(0, grad.sum(axis=0))
+        if layer:
+            grad = (grad @ params.weights[layer].T) * (x > 0.0)
+    return grads_w, grads_b
+
+
+def copying_train_street_view(params: EncoderParams, features, index, config):
+    """``training.train_street_view``'s (params, X) from its RNG stream and
+    batch order, with a copy of each parameter array updated by its own
+    ``w -= scale * g`` from the concatenated triplet gradients."""
+    params = EncoderParams([w.copy() for w in params.weights], [b.copy() for b in params.biases])
+    rng = np.random.default_rng(config.seed)
+    ctx = context_rows_from_index(index, config.k_context)
+    for _ in range(config.epochs_sv):
+        rows = _sample_triplet_rows(ctx, config.triplets_per_anchor, rng)
+        rows = rows[rng.permutation(rows.shape[0])]
+        for start in range(0, rows.shape[0], config.batch_size):
+            batch = rows[start:start + config.batch_size]
+            b = batch.shape[0]
+            out, cache = copying_forward(params, features[batch.T.ravel()])
+            ga, gc, gn, _ = separate_triplet_grads(out[:b], out[b:2 * b], out[2 * b:], config.margin_sv)
+            grads_w, grads_b = copying_backward(params, cache, np.concatenate([ga, gc, gn]))
+            scale = config.lr_sv / b
+            for w, g in zip(params.weights, grads_w):
+                w -= scale * g
+            for bias, g in zip(params.biases, grads_b):
+                bias -= scale * g
+    return params, copying_forward(params, features)[0]
+
+
+def concatenating_poi_updates(z_init, Y, draws, config, block: int):
+    """Stage 3's (Z, Y) from ``Y`` at its start and the epochs' recorded
+    ``_EpochDraws.epoch`` draws: blocks of ``block`` neighborhoods, each
+    scattering ``np.concatenate([gc, gn])`` of separate triplet gradients
+    into the word rows."""
+    Z, Y = z_init.copy(), Y.copy()
+    per, lr, d = config.triplets_per_anchor, config.lr_poi, Z.shape[1]
+    for order, ctx, neg in draws:
+        for start in range(0, order.size, block):
+            z_rows = order[start:start + block]
+            n = z_rows.size * per
+            triplets = slice(start * per, start * per + n)
+            words = np.concatenate([ctx[triplets], neg[triplets]])
+            W = Y[words]
+            ga, gc, gn, _ = separate_triplet_grads(np.repeat(Z[z_rows], per, axis=0), W[:n], W[n:],
+                                                   config.margin_poi)
+            step = ga.reshape(z_rows.size, per, d).sum(axis=1)
+            if config.anchor_weight > 0.0:
+                step += per * config.anchor_weight * (Z[z_rows] - z_init[z_rows])
+            Z[z_rows] -= lr * step
+            np.add.at(Y, words, -lr * np.concatenate([gc, gn]))
+    return Z, Y

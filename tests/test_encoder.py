@@ -4,7 +4,9 @@ on one-row batches."""
 import numpy as np
 import pytest
 
-from metrovec.encoder import _backward_batch, _forward_batch, init_encoder
+from oracles import copying_backward, copying_forward
+
+from metrovec.encoder import _backward_batch, _forward_batch, _views, init_encoder
 from metrovec.errors import ValidationError
 
 
@@ -169,3 +171,41 @@ def test_copy_is_independent():
     q = p.copy()
     q.weights[0][0, 0] += 1.0
     assert p.weights[0][0, 0] != q.weights[0][0, 0]
+
+
+def test_copy_into_one_buffer():
+    p = init_encoder(4, 3, 2, seed=6)
+    flat = np.full(4 * 3 + 3 * 2 + 3 + 2, np.nan)
+    assert p.size == flat.size
+    q = p.copy(flat)
+    for got, want in zip(q.weights + q.biases, p.weights + p.biases):
+        assert np.array_equal(got, want) and got.base is flat
+    assert np.array_equal(flat, np.concatenate([a.ravel() for a in p.weights + p.biases]))
+    with pytest.raises(ValidationError):
+        p.copy(np.empty(flat.size + 1))
+
+
+@pytest.mark.parametrize("hidden", [0, 4])
+def test_passes_match_copying_reference_and_write_no_input(hidden):
+    # The forward pass updates its own new arrays in place and the backward
+    # pass writes into the views of a gradient buffer; neither writes the
+    # features, the output gradient or the cache.
+    rng = np.random.default_rng(31)
+    p = init_encoder(6, hidden, 3, seed=31)
+    X, G = rng.normal(size=(11, 6)), rng.normal(size=(11, 3))
+    out, cache = _forward_batch(p, X)
+    ref_out, ref_cache = copying_forward(p, X.copy())
+    assert np.array_equal(out, ref_out)
+    kept = [a.copy() for a in (X, G, *cache)]
+    fresh = _backward_batch(p, cache, G)
+    grads = np.full(p.size, np.nan)
+    into = _views(p, grads)
+    filled = _backward_batch(p, cache, G, out=into)
+    want = copying_backward(p, ref_cache, G)
+    for got in (fresh, filled):
+        for g, w in zip(got[0] + got[1], want[0] + want[1]):
+            assert np.array_equal(g, w)
+    assert all(g is v for g, v in zip(filled[0] + filled[1], into.weights + into.biases))
+    assert not np.isnan(grads).any()
+    for a, b in zip((X, G, *cache), kept):
+        assert np.array_equal(a, b)

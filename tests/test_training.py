@@ -8,7 +8,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from oracles import columns_of, table_of
+from oracles import (columns_of, concatenating_poi_updates, copying_train_street_view, separate_triplet_grads,
+                     table_of)
 
 from metrovec import training
 from metrovec.corpus import Bag, Vocabulary, bags_of, build_bag_table, build_vocabulary
@@ -151,6 +152,36 @@ class TestTripletGrads:
         repeated = triplet_grads(np.repeat(A[:1], 12, axis=0), C, N, margin=0.5)
         for s, r in zip(shared, repeated):
             assert np.array_equal(s, r)
+
+    @pytest.mark.parametrize("given", [False, True], ids=["fresh", "out"])
+    def test_blocks_are_consecutive_rows_of_one_array(self, given):
+        rng = np.random.default_rng(23)
+        A, C, N = rng.normal(size=(3, 6, 4))
+        out = np.empty((18, 4)) if given else None
+        ga, gc, gn, _ = triplet_grads(A, C, N, margin=0.5, out=out)
+        whole = out if given else ga.base
+        assert whole.shape == (18, 4) and whole.flags.c_contiguous
+        for block, at in ((ga, 0), (gc, 6), (gn, 12)):
+            assert block.base is whole and block.shape == (6, 4)
+            assert block.ctypes.data == whole.ctypes.data + at * whole.strides[0]
+
+    def test_bits_match_separate_reference(self):
+        # Inactive, coincident and active rows: every value, down to the
+        # sign of each zero, is the separately computed one.
+        rng = np.random.default_rng(29)
+        A, C, N = rng.normal(size=(3, 40, 5))
+        C[:10] = A[:10]
+        N[:10] = A[:10] + 9.0  # inactive
+        A[10:14] = C[10:14] = N[10:14]  # coincident: the distance floor
+        for args in ((A, C, N), (A[:1], C, N)):
+            got, want = triplet_grads(*args, margin=0.3), separate_triplet_grads(*args, 0.3)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
+        assert (got[3] == 0.0).any() and np.signbit(got[0][got[3] == 0.0]).any()
+        for r in (0, 12, 39):
+            single = triplet_grads(A[r:r + 1], C[r:r + 1], N[r:r + 1], margin=0.3)
+            for g, s1 in zip(triplet_grads(A, C, N, margin=0.3), single):
+                assert np.array_equal(g[r], s1[0]) and np.array_equal(np.signbit(g[r]), np.signbit(s1[0]))
 
     def test_negative_gradient_step_decreases_loss(self):
         rng = np.random.default_rng(17)
@@ -325,6 +356,37 @@ class TestTrainStreetView:
             train_street_view(params, ids, feats, other, cfg)
         with pytest.raises(ValidationError, match="spatial index"):
             train_street_view(params, ids[::-1], feats, index, cfg)
+
+    @pytest.mark.parametrize("batch_size", [64, 7, 1])
+    @pytest.mark.parametrize("hidden", [0, 5])
+    def test_matches_copying_reference_bitwise(self, hidden, batch_size):
+        # 96 views x 2 triplets: batches of 7 leave a last batch of 3.
+        city = small_city()
+        ids, feats, index = city_training_inputs(city)
+        cfg = TrainingConfig(d=4, k_context=3, epochs_sv=2, triplets_per_anchor=2,
+                             batch_size=batch_size, hidden=hidden, lr_sv=0.05, seed=43)
+        params = init_encoder(feats.shape[1], hidden, 4, seed=43)
+        trained, X = train_street_view(params, ids, feats, index, cfg)
+        ref, ref_X = copying_train_street_view(params, feats, index, cfg)
+        for got, want in zip(trained.weights + trained.biases + [X], ref.weights + ref.biases + [ref_X]):
+            assert got.shape == want.shape and np.array_equal(got, want)
+        assert not np.array_equal(trained.weights[0], params.weights[0])
+
+    def test_leaves_the_callers_params_alone(self):
+        city = small_city()
+        ids, feats, index = city_training_inputs(city)
+        cfg = TrainingConfig(d=4, k_context=3, epochs_sv=2, hidden=3, seed=47)
+        params = init_encoder(feats.shape[1], 3, 4, seed=47)
+        mine = params.weights + params.biases
+        before = [a.copy() for a in mine]
+        first, X1 = train_street_view(params, ids, feats, index, cfg)
+        second, X2 = train_street_view(params, ids, feats, index, cfg)
+        for a, b in zip(mine, before):
+            assert np.array_equal(a, b)
+        for got in first.weights + first.biases + [X1]:
+            assert not any(np.shares_memory(got, a) for a in mine)
+        for a, b in zip(first.weights + first.biases + [X1], second.weights + second.biases + [X2]):
+            assert np.array_equal(a, b) and not np.shares_memory(a, b)
 
     @pytest.mark.parametrize("hidden", [0, 5])
     def test_one_pass_step_matches_three_pass_reference(self, hidden):
@@ -563,6 +625,23 @@ class TestTrainPoiStage:
                     Yr[n] -= cfg.lr_poi * gn
         assert np.allclose(Z, Zr, rtol=0, atol=1e-12)
         assert np.allclose(Y, Yr, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("anchor_weight", [0.0, 0.3])
+    def test_matches_concatenating_reference_bitwise(self, monkeypatch, anchor_weight):
+        draws = []
+        epoch = training._EpochDraws.epoch
+        monkeypatch.setattr(training._EpochDraws, "epoch",
+                            lambda self, rng, per: draws.append(epoch(self, rng, per)) or draws[-1])
+        bags, vocab = random_corpus(n=40, vocab_size=30, seed=5)
+        nbhd_ids = sorted(bags)
+        z0 = np.random.default_rng(9).normal(size=(len(nbhd_ids), 6)) * 0.1
+        cfg = TrainingConfig(d=6, epochs_poi=3, triplets_per_anchor=7, lr_poi=0.05,
+                             anchor_weight=anchor_weight, seed=6)
+        Z, Y = train_poi_stage(z0, nbhd_ids, vocab, bags, cfg)
+        Zr, Yr = concatenating_poi_updates(z0, init_word_vectors(vocab, 6, cfg.seed), draws, cfg,
+                                           training._POI_BLOCK)
+        assert np.array_equal(Z, Zr) and np.array_equal(Y, Yr)
+        assert not np.array_equal(Z, z0)
 
     def test_anchor_weight_keeps_z_near_init(self):
         bags, vocab, _ = toy_corpus()
