@@ -4,9 +4,9 @@ errors ``read_poi_columns`` must reproduce, POI records as the columns
 the all-points k-nearest-neighbor query by latitude bands, PCA by a thin
 SVD, k-means by one broadcast distance array, the predictions of
 ``analytics.linreg_fit``, the adjusted Rand index that scores a
-clustering against known labels, and stages 1 and 3 as they were before
-their steps shared buffers: a copying encoder pass, three separate triplet
-gradients, and the concatenating updates built on them.
+clustering against known labels, and the copying forms of stages 1 and 3:
+an encoder pass whose every result is a new array, three separately
+allocated triplet gradients, and the concatenating updates built on them.
 
 Not a test module (its name does not start with ``test_``), so pytest
 collects nothing here; the test modules import it by name.

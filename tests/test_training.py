@@ -146,7 +146,7 @@ class TestTripletGrads:
         for r in range(12):
             single = triplet_grads(A[r:r + 1], C[r:r + 1], N[r:r + 1], margin=0.5)
             for b, s in zip(batch, single):
-                assert np.array_equal(b[r], s[0])
+                assert np.array_equal(b[r], s[0]) and np.array_equal(np.signbit(b[r]), np.signbit(s[0]))
         # Stage 3 passes one anchor row against a block of contexts and negatives.
         shared = triplet_grads(A[:1], C, N, margin=0.5)
         repeated = triplet_grads(np.repeat(A[:1], 12, axis=0), C, N, margin=0.5)
@@ -177,11 +177,8 @@ class TestTripletGrads:
             got, want = triplet_grads(*args, margin=0.3), separate_triplet_grads(*args, 0.3)
             for g, w in zip(got, want):
                 assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
-        assert (got[3] == 0.0).any() and np.signbit(got[0][got[3] == 0.0]).any()
-        for r in (0, 12, 39):
-            single = triplet_grads(A[r:r + 1], C[r:r + 1], N[r:r + 1], margin=0.3)
-            for g, s1 in zip(triplet_grads(A, C, N, margin=0.3), single):
-                assert np.array_equal(g[r], s1[0]) and np.array_equal(np.signbit(g[r]), np.signbit(s1[0]))
+        ga, _, _, losses = triplet_grads(A, C, N, margin=0.3)
+        assert np.signbit(ga[losses == 0.0]).any()  # some zeros are -0.0
 
     def test_negative_gradient_step_decreases_loss(self):
         rng = np.random.default_rng(17)
