@@ -27,6 +27,7 @@ PCA_RESOLVED = 1e-8
 # Shares of the rows in each repeated split; the test split takes the rest.
 TRAIN_FRACTION = 0.70
 VAL_FRACTION = 0.15
+KMEANS_MAX_ITER = 300  # Lloyd iterations before k-means stops without converging
 
 
 @dataclass
@@ -235,11 +236,10 @@ def evaluate_regression(Z: np.ndarray, targets: np.ndarray, target_names: list[s
     )
 
 
-def kmeans(Z: np.ndarray, k: int, seed: int, max_iter: int = 300,
-           inertia_out: list | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Lloyd's algorithm with k-means++ seeding. Deterministic per seed; an
-    empty cluster is re-seeded with the point farthest from its centroid.
-    Pass ``inertia_out`` to collect the per-iteration inertia trace."""
+def kmeans(Z: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd's algorithm with k-means++ seeding, at most KMEANS_MAX_ITER
+    iterations. Deterministic per seed; an empty cluster is re-seeded with
+    the point farthest from its centroid."""
     Z = np.asarray(Z, dtype=np.float64)
     n = Z.shape[0]
     if not 1 <= k <= n:
@@ -259,7 +259,7 @@ def kmeans(Z: np.ndarray, k: int, seed: int, max_iter: int = 300,
         d2 = np.minimum(d2, ((Z - centroids[j]) ** 2).sum(axis=1))
 
     labels = np.full(n, -1, dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         # One centroid at a time: (n, k) distances without an (n, k, d)
         # temporary, each summed as the broadcast form sums it.
         dist2 = np.stack([((Z - c) ** 2).sum(axis=1) for c in centroids], axis=1)
@@ -275,8 +275,6 @@ def kmeans(Z: np.ndarray, k: int, seed: int, max_iter: int = 300,
             new_labels[far] = j
             centroids[j] = Z[far]
             point_cost[far] = 0.0
-        if inertia_out is not None:
-            inertia_out.append(float(point_cost.sum()))
         if (new_labels == labels).all():
             break
         labels = new_labels

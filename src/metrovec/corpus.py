@@ -214,7 +214,8 @@ class Bag:
 
 @dataclass(frozen=True, eq=False)
 class Vocabulary:
-    """Token string <-> id bijection plus corpus frequency per token.
+    """The tokens, a token's id being its position in ``tokens``, plus
+    corpus frequency per token.
 
     Token ids follow lexicographic token order, so identical corpora always
     produce identical vocabularies.
@@ -223,21 +224,9 @@ class Vocabulary:
     tokens: tuple[str, ...]
     frequencies: np.ndarray  # int64, total occurrences across all bags
 
-    def __post_init__(self):
-        object.__setattr__(self, "_id_of", {t: i for i, t in enumerate(self.tokens)})
-
     @property
     def size(self) -> int:
         return len(self.tokens)
-
-    def id_of(self, token: str) -> int:
-        idx = self._id_of.get(token)
-        if idx is None:
-            raise ValidationError(f"token {token!r} not in vocabulary")
-        return idx
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._id_of
 
 
 def build_vocabulary(table: BagTable) -> Vocabulary:
@@ -294,6 +283,7 @@ def load_pretrained_vectors(path, vocab: Vocabulary, dim: int) -> dict[int, np.n
     """Map token id -> vector for vocabulary tokens found in a whitespace
     "token v1 ... vd" file. cat_/rate_/price_ tokens are never initialized
     from the file; the first occurrence of a token wins."""
+    id_of = {token: i for i, token in enumerate(vocab.tokens)}
     out: dict[int, np.ndarray] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -302,7 +292,7 @@ def load_pretrained_vectors(path, vocab: Vocabulary, dim: int) -> dict[int, np.n
                 if not parts:
                     continue
                 token = parts[0]
-                if token.startswith(_PRETRAINED_SKIP_PREFIXES) or token not in vocab:
+                if token.startswith(_PRETRAINED_SKIP_PREFIXES) or token not in id_of:
                     continue
                 if len(parts) - 1 != dim:
                     raise FormatError(f"{path}:{lineno}: expected {dim} values for {token!r}, got {len(parts) - 1}")
@@ -312,7 +302,7 @@ def load_pretrained_vectors(path, vocab: Vocabulary, dim: int) -> dict[int, np.n
                     raise FormatError(f"{path}:{lineno}: {exc}") from None
                 if not np.isfinite(vec).all():
                     raise FormatError(f"{path}:{lineno}: non-finite value in the vector for {token!r}")
-                out.setdefault(vocab.id_of(token), vec)
+                out.setdefault(id_of[token], vec)
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return out

@@ -2,9 +2,9 @@
 
 Maps a raw feature vector to a d-dimensional embedding through an optional
 ReLU hidden layer (hidden=0 gives a pure linear map). The backward pass
-returns the exact gradient of dot(output, grad_output) with respect to every
+computes the exact gradient of dot(output, grad_output) with respect to every
 parameter; the ReLU subgradient at zero is defined as zero. Training keeps
-every parameter in one flat buffer (``EncoderParams.copy(flat)``) and has the
+every parameter in one flat buffer, read through ``_views``, and has the
 backward pass write its gradients into the views of a second one.
 """
 
@@ -34,14 +34,6 @@ class EncoderParams:
     def size(self) -> int:
         """The number of parameters."""
         return sum(a.size for a in (*self.weights, *self.biases))
-
-    def copy(self, flat: np.ndarray | None = None) -> "EncoderParams":
-        """A copy whose weights and then biases are consecutive views into
-        ``flat``, a float64 buffer of ``size`` values (a fresh one if None)."""
-        out = _views(self, np.empty(self.size) if flat is None else flat)
-        for dst, src in zip((*out.weights, *out.biases), (*self.weights, *self.biases)):
-            dst[...] = src
-        return out
 
 
 def _views(params: EncoderParams, flat: np.ndarray) -> EncoderParams:
@@ -87,24 +79,17 @@ def _forward_batch(params: EncoderParams, feats: np.ndarray):
     return out, cache
 
 
-def _backward_batch(params: EncoderParams, cache, grad_out: np.ndarray, out: EncoderParams | None = None):
-    """Parameter gradients summed over the batch, as (grads_w, grads_b):
-    written into the arrays of ``out`` if given, else fresh arrays. Neither
-    ``cache`` nor ``grad_out`` is written."""
+def _backward_batch(params: EncoderParams, cache, grad_out: np.ndarray, out: EncoderParams) -> None:
+    """Parameter gradients summed over the batch, written into the arrays
+    of ``out``. Neither ``cache`` nor ``grad_out`` is written."""
     if grad_out.ndim != 2 or grad_out.shape[1] != params.d_out:
         raise ValidationError(f"grad_output batch shape {grad_out.shape} incompatible with d={params.d_out}")
-    layers = len(params.weights)
-    if out is None:
-        grads_w, grads_b = [None] * layers, [None] * layers  # np.matmul and sum allocate
-    else:
-        grads_w, grads_b = list(out.weights), list(out.biases)
     grad = grad_out
-    for layer in reversed(range(layers)):
+    for layer in reversed(range(len(params.weights))):
         x = cache[layer]
-        grads_w[layer] = np.matmul(x.T, grad, out=grads_w[layer])
-        grads_b[layer] = grad.sum(axis=0, out=grads_b[layer])
+        np.matmul(x.T, grad, out=out.weights[layer])
+        grad.sum(axis=0, out=out.biases[layer])
         if layer:
             # x is a ReLU output: x > 0 exactly where its pre-activation is.
             grad = grad @ params.weights[layer].T
             grad *= x > 0.0
-    return grads_w, grads_b

@@ -69,15 +69,14 @@ _LEAST = {"d": 1, "k_context": 1, "margin_sv": 0, "margin_poi": 0, "neg_exponent
           "anchor_weight": 0, "seed": 0}
 
 
-def triplet_grads(A: np.ndarray, C: np.ndarray, N: np.ndarray, margin: float,
-                  out: np.ndarray | None = None):
-    """Exact gradients (ga, gc, gn) and per-row losses of the hinge triplet
-    loss max(0, margin + ||a-c|| - ||a-n||) for row-aligned (anchor, context,
+def triplet_grads(A: np.ndarray, C: np.ndarray, N: np.ndarray, margin: float):
+    """Exact gradients and per-row losses of the hinge triplet loss
+    max(0, margin + ||a-c|| - ||a-n||) for row-aligned (anchor, context,
     negative) (n, d) matrices; a one-row A broadcasts against C and N.
 
-    ga, gc and gn are the three consecutive row blocks of one C-contiguous
-    (3n, d) array: ``out`` if given, else a fresh one. Inactive rows (loss 0)
-    get zero gradients; distances are floored at DISTANCE_FLOOR in
+    Returns (g, losses): g is one C-contiguous (3n, d) array whose three
+    consecutive row blocks are the gradients ga, gc and gn. Inactive rows
+    (loss 0) get zero gradients; distances are floored at DISTANCE_FLOOR in
     denominators to remove the singularity at coincident embeddings.
     """
     n, d = C.shape
@@ -87,13 +86,13 @@ def triplet_grads(A: np.ndarray, C: np.ndarray, N: np.ndarray, margin: float,
     # np.linalg.norm(x, axis=-1) computes exactly this, behind more dispatch.
     dist = np.sqrt((diff * diff).sum(axis=2))
     losses = np.maximum(0.0, margin + dist[0] - dist[1])
-    g = np.empty((3 * n, d)) if out is None else out
+    g = np.empty((3 * n, d))
     blocks = g.reshape(3, n, d)
     np.divide(diff, np.maximum(dist, DISTANCE_FLOOR)[:, :, None], out=blocks[1:])  # the unit vectors
     np.subtract(blocks[1], blocks[2], out=blocks[0])
     blocks *= (losses > 0.0)[:, None]  # multiplies as 1.0 / 0.0
     np.negative(blocks[1], out=blocks[1])
-    return g[:n], g[n:2 * n], g[2 * n:], losses
+    return g, losses
 
 
 def _sample_triplet_rows(context_rows: np.ndarray, per_anchor: int,
@@ -154,8 +153,8 @@ def train_street_view(params: EncoderParams, sv_ids: list, features: np.ndarray,
         raise ValidationError(f"encoder output dim {params.d_out} != config d {config.d}")
     # Every parameter lives in theta and every gradient in grads, so one
     # step updates them all in two calls; the caller's params stay untouched.
-    theta = np.empty(params.size)
-    params = params.copy(theta)
+    theta = np.concatenate([a.ravel() for a in (*params.weights, *params.biases)], dtype=np.float64)
+    params = _views(params, theta)
     grads = np.empty_like(theta)
     grad_views = _views(params, grads)
     rng = np.random.default_rng(config.seed)
@@ -172,9 +171,8 @@ def train_street_view(params: EncoderParams, sv_ids: list, features: np.ndarray,
                 # One pass over the stacked (anchor, context, negative) rows,
                 # whose gradients triplet_grads stacks the same way.
                 out, cache = _forward_batch(params, features[batch.T.ravel()])
-                stacked = np.empty_like(out)
-                triplet_grads(out[:b], out[b:2 * b], out[2 * b:], margin, out=stacked)
-                _backward_batch(params, cache, stacked, out=grad_views)
+                stacked, _ = triplet_grads(out[:b], out[b:2 * b], out[2 * b:], margin)
+                _backward_batch(params, cache, stacked, grad_views)
                 grads *= lr / b
                 theta -= grads
             _check_not_diverged("stage 1", "encoder parameters", [theta],
@@ -334,8 +332,8 @@ def train_poi_stage(z_init: np.ndarray, neighborhood_ids: list, vocab: Vocabular
                     triplets = slice(start * per, start * per + n)
                     words = np.concatenate([ctx[triplets], neg[triplets]])
                     W = Y[words]
-                    g = np.empty((3 * n, d))  # ga, then gc and gn in the order of words
-                    triplet_grads(np.repeat(Z[z_rows], per, axis=0), W[:n], W[n:], config.margin_poi, out=g)
+                    # g holds ga, then gc and gn in the order of words.
+                    g, _ = triplet_grads(np.repeat(Z[z_rows], per, axis=0), W[:n], W[n:], config.margin_poi)
                     step = g[:n].reshape(z_rows.size, per, d).sum(axis=1)
                     if Z0 is not None:
                         step += per * config.anchor_weight * (Z[z_rows] - Z0[z_rows])

@@ -18,7 +18,7 @@ from collections import Counter
 
 import numpy as np
 
-from metrovec.analytics import PcaModel
+from metrovec.analytics import KMEANS_MAX_ITER, PcaModel
 from metrovec.corpus import PoiColumns, PoiRecord
 from metrovec.encoder import EncoderParams
 from metrovec.errors import FormatError, ValidationError
@@ -199,9 +199,10 @@ def svd_pca_fit(matrix: np.ndarray, n_components: int) -> PcaModel:
                     explained_variance_ratio=(var / var.sum())[:n_components])
 
 
-def broadcast_kmeans(Z: np.ndarray, k: int, seed: int, max_iter: int = 300) -> tuple[np.ndarray, np.ndarray]:
-    """``analytics.kmeans`` with every point-to-centroid distance from one
-    (n, k, d) broadcast, and each empty cluster found by its own mask scan."""
+def broadcast_kmeans(Z: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """``analytics.kmeans``'s (labels, centroids) with every point-to-centroid
+    distance from one (n, k, d) broadcast, and each empty cluster found by its
+    own mask scan; then the inertia of each iteration's labels."""
     Z = np.asarray(Z, dtype=np.float64)
     n = Z.shape[0]
     rng = np.random.default_rng(seed)
@@ -213,7 +214,8 @@ def broadcast_kmeans(Z: np.ndarray, k: int, seed: int, max_iter: int = 300) -> t
         centroids[j] = Z[rng.choice(n, p=d2 / total) if total > 0.0 else rng.integers(n)]
         d2 = np.minimum(d2, ((Z - centroids[j]) ** 2).sum(axis=1))
     labels = np.full(n, -1, dtype=np.int64)
-    for _ in range(max_iter):
+    inertias = []
+    for _ in range(KMEANS_MAX_ITER):
         dist2 = ((Z[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_labels = dist2.argmin(axis=1)
         point_cost = dist2[np.arange(n), new_labels]
@@ -225,12 +227,13 @@ def broadcast_kmeans(Z: np.ndarray, k: int, seed: int, max_iter: int = 300) -> t
                 new_labels[far] = j
                 centroids[j] = Z[far]
                 point_cost[far] = 0.0
+        inertias.append(float(point_cost.sum()))
         if (new_labels == labels).all():
             break
         labels = new_labels
         for j in range(k):
             centroids[j] = Z[labels == j].mean(axis=0)
-    return labels, centroids
+    return labels, centroids, inertias
 
 
 def linreg_predict(weights: np.ndarray, intercept: float, features: np.ndarray) -> np.ndarray:

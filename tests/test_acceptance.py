@@ -5,6 +5,7 @@ factors are known, standing in for the demographic-prediction, clustering,
 and similarity analyses that full-scale data would support.
 """
 
+import copy
 import csv
 import hashlib
 import time
@@ -17,7 +18,7 @@ from oracles import adjusted_rand_index, columns_of, table_of
 from metrovec.analytics import SplitProtocol, cosine_rank, evaluate_regression, kmeans
 from metrovec.cli import main
 from metrovec.corpus import NegativeWordSampler, bags_of, build_bag_table, build_vocabulary
-from metrovec.encoder import _backward_batch, _forward_batch, init_encoder
+from metrovec.encoder import _backward_batch, _forward_batch, _views, init_encoder
 from metrovec.geo import GeoPoint, build_index
 from metrovec.synthcity import SynthConfig, generate_city
 from metrovec.training import (TrainingConfig, _sample_triplet_rows, aggregate_neighborhoods,
@@ -36,7 +37,7 @@ def report(num: int, desc: str, ok: bool, detail: str = ""):
 
 def mean_hinge(A, C, N, margin):
     """Mean of the per-row hinge losses that the batched triplet_grads returns."""
-    return float(triplet_grads(A, C, N, margin)[3].mean())
+    return float(triplet_grads(A, C, N, margin)[1].mean())
 
 
 def rel_err(a, b):
@@ -135,7 +136,7 @@ def test_criterion_1_gradient_correctness():
         xa, xc, xn = rng.normal(size=(3, 6))
         if loss(xa, xc, xn) <= 1e-3:
             continue
-        analytic = [g[0] for g in triplet_grads(xa[None, :], xc[None, :], xn[None, :], 0.5)[:3]]
+        analytic = triplet_grads(xa[None, :], xc[None, :], xn[None, :], 0.5)[0]  # rows ga, gc, gn
         step = 1e-4
         vecs = [xa.copy(), xc.copy(), xn.copy()]
         for vi in range(3):
@@ -161,12 +162,14 @@ def test_criterion_1_gradient_correctness():
         x = rng.normal(size=d_in)
         gout = rng.normal(size=d)
         _, cache = _forward_batch(params, x[None, :])
-        grads_w, grads_b = _backward_batch(params, cache, gout[None, :])
+        grads = _views(params, np.empty(params.size))
+        _backward_batch(params, cache, gout[None, :], grads)
+        grads_w, grads_b = grads.weights, grads.biases
         step = 1e-4
         for li in range(len(params.weights)):
             numeric = np.zeros_like(params.weights[li])
             for idx in np.ndindex(*numeric.shape):
-                p = params.copy()
+                p = copy.deepcopy(params)
                 p.weights[li][idx] += step
                 hi = objective(p, x, gout)
                 p.weights[li][idx] -= 2 * step
@@ -175,7 +178,7 @@ def test_criterion_1_gradient_correctness():
             worst = max(worst, rel_err(grads_w[li], numeric))
             numeric_b = np.zeros_like(params.biases[li])
             for idx in np.ndindex(*numeric_b.shape):
-                p = params.copy()
+                p = copy.deepcopy(params)
                 p.biases[li][idx] += step
                 hi = objective(p, x, gout)
                 p.biases[li][idx] -= 2 * step
@@ -219,7 +222,7 @@ def test_criterion_3_negative_sampling_law():
     total = sum(weights.values())
     worst = 0.0
     for token, w in weights.items():
-        emp = float(np.mean(draws == vocab.id_of(token)))
+        emp = float(np.mean(draws == vocab.tokens.index(token)))
         worst = max(worst, abs(emp - w / total))
     elapsed = time.monotonic() - t0
     report(3, "negative sampling follows sqrt-frequency law within 0.01",

@@ -108,8 +108,8 @@ class TestVocabulary:
     def test_counts(self):
         vocab = vocabulary(Counter({"a": 1, "b": 2}))
         assert vocab.size == 2
-        assert vocab.frequencies[vocab.id_of("a")] == 1
-        assert vocab.frequencies[vocab.id_of("b")] == 2
+        assert vocab.frequencies[vocab.tokens.index("a")] == 1
+        assert vocab.frequencies[vocab.tokens.index("b")] == 2
 
     def test_lexicographic_ids(self):
         vocab = vocabulary(Counter({"zeta": 1, "alpha": 1, "mid": 1}))
@@ -130,7 +130,7 @@ class TestVocabulary:
         for bag in bags:
             recount.update(bag)
         for token, count in recount.items():
-            assert vocab.frequencies[vocab.id_of(token)] == count
+            assert vocab.frequencies[vocab.tokens.index(token)] == count
         assert vocab.frequencies.sum() == sum(recount.values())
 
     def test_all_empty_rejected(self):
@@ -348,31 +348,31 @@ class TestNegativeSampling:
     def test_forced_single_candidate(self):
         vocab = vocabulary(Counter({"a": 1, "b": 5}))
         rng = np.random.default_rng(0)
-        ctx = {vocab.id_of("a")}
-        assert NegativeWordSampler(vocab, ctx).draw(rng, size=1).tolist() == [vocab.id_of("b")]
+        ctx = {vocab.tokens.index("a")}
+        assert NegativeWordSampler(vocab, ctx).draw(rng, size=1).tolist() == [vocab.tokens.index("b")]
 
     def test_sqrt_weighting_two_tokens(self):
         # frequencies 1 and 4 -> probabilities 1/3 and 2/3
         vocab = vocabulary(Counter({"ctx": 2, "u": 1, "v": 4}))
-        sampler = NegativeWordSampler(vocab, {vocab.id_of("ctx")})
+        sampler = NegativeWordSampler(vocab, {vocab.tokens.index("ctx")})
         rng = np.random.default_rng(2)
         draws = sampler.draw(rng, size=100_000)
-        p_u = float(np.mean(draws == vocab.id_of("u")))
+        p_u = float(np.mean(draws == vocab.tokens.index("u")))
         assert abs(p_u - 1.0 / 3.0) < 0.01
 
     def test_empirical_matches_analytic_five_tokens(self):
         freqs = {"a": 1, "b": 4, "c": 9, "d": 16, "e": 25}
         vocab = vocabulary(Counter(freqs))
-        ctx = {vocab.id_of("a")}
+        ctx = {vocab.tokens.index("a")}
         sampler = NegativeWordSampler(vocab, ctx)
         weights = {t: f ** 0.5 for t, f in freqs.items() if t != "a"}
         total = sum(weights.values())
         rng = np.random.default_rng(3)
         draws = sampler.draw(rng, size=100_000)
         for token, w in weights.items():
-            emp = float(np.mean(draws == vocab.id_of(token)))
+            emp = float(np.mean(draws == vocab.tokens.index(token)))
             assert abs(emp - w / total) < 0.01
-        assert not np.any(draws == vocab.id_of("a"))
+        assert not np.any(draws == vocab.tokens.index("a"))
 
     def test_full_context_rejected(self):
         vocab = vocabulary(Counter({"a": 1, "b": 1}))
@@ -383,7 +383,7 @@ class TestNegativeSampling:
     def test_draws_equal_generator_choice(self, size):
         freqs = {f"t{i:02d}": int(f) for i, f in enumerate([1, 3, 7, 2, 50, 1, 9, 4, 4, 12, 5, 1])}
         vocab = vocabulary(Counter(freqs))
-        ctx = {vocab.id_of("t04"), vocab.id_of("t09")}
+        ctx = {vocab.tokens.index("t04"), vocab.tokens.index("t09")}
         weights = vocab.frequencies.astype(np.float64) ** 0.5
         weights[sorted(ctx)] = 0.0
         p = weights / weights.sum()
@@ -420,8 +420,8 @@ class TestPretrainedVectors:
         path.write_text("coffee 0.1 0.2\n")
         vocab = vocabulary(Counter({"coffee": 1, "tea": 1}))
         out = load_pretrained_vectors(path, vocab, 2)
-        assert set(out) == {vocab.id_of("coffee")}
-        assert np.allclose(out[vocab.id_of("coffee")], [0.1, 0.2])
+        assert set(out) == {vocab.tokens.index("coffee")}
+        assert np.allclose(out[vocab.tokens.index("coffee")], [0.1, 0.2])
 
     def test_wrong_length_rejected(self, tmp_path):
         path = tmp_path / "vecs.txt"
@@ -443,14 +443,14 @@ class TestPretrainedVectors:
         path.write_text("cat_coffee 0.1 0.2\nrate_4_5 0.3 0.4\nprice_2 0.5 0.6\ncoffee 0.7 0.8\n")
         vocab = vocabulary(Counter({"cat_coffee": 1, "rate_4_5": 1, "price_2": 1, "coffee": 1}))
         out = load_pretrained_vectors(path, vocab, 2)
-        assert set(out) == {vocab.id_of("coffee")}
+        assert set(out) == {vocab.tokens.index("coffee")}
 
     def test_first_occurrence_wins(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("coffee 1.0 1.0\ncoffee 2.0 2.0\n")
         vocab = vocabulary(Counter({"coffee": 1}))
         out = load_pretrained_vectors(path, vocab, 2)
-        assert np.allclose(out[vocab.id_of("coffee")], [1.0, 1.0])
+        assert np.allclose(out[vocab.tokens.index("coffee")], [1.0, 1.0])
 
 
 class TestPoiJsonl:

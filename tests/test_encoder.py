@@ -1,6 +1,8 @@
 """Batched encoder forward/backward tests, including central finite differences
 on one-row batches."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -16,11 +18,19 @@ def encode(params, feature):
     return out[0]
 
 
+def backward(params, cache, grad_out):
+    """(weight grads, bias grads) that the batched backward pass writes into
+    the views of a new gradient buffer."""
+    grads = _views(params, np.empty(params.size))
+    _backward_batch(params, cache, grad_out, grads)
+    return grads.weights, grads.biases
+
+
 def encode_one_backward(params, feature, grad_output):
     """(weight grads, bias grads) of dot(output, grad_output) for one feature
     vector, through the batched backward pass on a one-row batch."""
     _, cache = _forward_batch(params, np.asarray(feature, dtype=float)[None, :])
-    return _backward_batch(params, cache, np.asarray(grad_output, dtype=float)[None, :])
+    return backward(params, cache, np.asarray(grad_output, dtype=float)[None, :])
 
 
 def fd_param_grads(params, feature, grad_output, step=1e-4):
@@ -34,7 +44,7 @@ def fd_param_grads(params, feature, grad_output, step=1e-4):
     for li in range(len(params.weights)):
         gw = np.zeros_like(params.weights[li])
         for idx in np.ndindex(*gw.shape):
-            p = params.copy()
+            p = copy.deepcopy(params)
             p.weights[li][idx] += step
             hi = objective(p)
             p.weights[li][idx] -= 2 * step
@@ -43,7 +53,7 @@ def fd_param_grads(params, feature, grad_output, step=1e-4):
         grads_w.append(gw)
         gb = np.zeros_like(params.biases[li])
         for idx in np.ndindex(*gb.shape):
-            p = params.copy()
+            p = copy.deepcopy(params)
             p.biases[li][idx] += step
             hi = objective(p)
             p.biases[li][idx] -= 2 * step
@@ -150,7 +160,7 @@ class TestBackward:
         p = init_encoder(6, 4, 3, seed=12)
         X, G = rng.normal(size=(9, 6)), rng.normal(size=(9, 3))
         out, cache = _forward_batch(p, X)
-        gws, gbs = _backward_batch(p, cache, G)
+        gws, gbs = backward(p, cache, G)
         rows = [encode_one_backward(p, X[r], G[r]) for r in range(9)]
         for r in range(9):
             assert np.allclose(out[r], encode(p, X[r]))
@@ -166,23 +176,19 @@ class TestBackward:
             encode_one_backward(p, np.ones(6), np.zeros(3))
 
 
-def test_copy_is_independent():
-    p = init_encoder(4, 3, 2, seed=5)
-    q = p.copy()
-    q.weights[0][0, 0] += 1.0
-    assert p.weights[0][0, 0] != q.weights[0][0, 0]
-
-
-def test_copy_into_one_buffer():
+def test_views_are_the_weights_then_the_biases_of_one_buffer():
     p = init_encoder(4, 3, 2, seed=6)
-    flat = np.full(4 * 3 + 3 * 2 + 3 + 2, np.nan)
+    flat = np.arange(4 * 3 + 3 * 2 + 3 + 2, dtype=np.float64)
     assert p.size == flat.size
-    q = p.copy(flat)
+    q = _views(p, flat)
+    at = 0
     for got, want in zip(q.weights + q.biases, p.weights + p.biases):
-        assert np.array_equal(got, want) and got.base is flat
-    assert np.array_equal(flat, np.concatenate([a.ravel() for a in p.weights + p.biases]))
-    with pytest.raises(ValidationError):
-        p.copy(np.empty(flat.size + 1))
+        assert got.shape == want.shape and got.base is flat
+        assert np.array_equal(got.ravel(), flat[at:at + want.size])
+        at += want.size
+    for size in (flat.size - 1, flat.size + 1):
+        with pytest.raises(ValidationError):
+            _views(p, np.empty(size))
 
 
 @pytest.mark.parametrize("hidden", [0, 4])
@@ -197,15 +203,12 @@ def test_passes_match_copying_reference_and_write_no_input(hidden):
     ref_out, ref_cache = copying_forward(p, X.copy())
     assert np.array_equal(out, ref_out)
     kept = [a.copy() for a in (X, G, *cache)]
-    fresh = _backward_batch(p, cache, G)
     grads = np.full(p.size, np.nan)
     into = _views(p, grads)
-    filled = _backward_batch(p, cache, G, out=into)
-    want = copying_backward(p, ref_cache, G)
-    for got in (fresh, filled):
-        for g, w in zip(got[0] + got[1], want[0] + want[1]):
-            assert np.array_equal(g, w)
-    assert all(g is v for g, v in zip(filled[0] + filled[1], into.weights + into.biases))
+    assert _backward_batch(p, cache, G, into) is None
+    want_w, want_b = copying_backward(p, ref_cache, G)
+    for g, w in zip(into.weights + into.biases, want_w + want_b):
+        assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
     assert not np.isnan(grads).any()
     for a, b in zip((X, G, *cache), kept):
         assert np.array_equal(a, b)

@@ -1,5 +1,6 @@
 """Batched triplet loss/gradient, sampling, and staged-training tests."""
 
+import copy
 import dataclasses
 import time
 import tracemalloc
@@ -13,7 +14,7 @@ from oracles import (columns_of, concatenating_poi_updates, copying_train_street
 
 from metrovec import training
 from metrovec.corpus import Bag, Vocabulary, bags_of, build_bag_table, build_vocabulary
-from metrovec.encoder import _backward_batch, _forward_batch, init_encoder
+from metrovec.encoder import _backward_batch, _forward_batch, _views, init_encoder
 from metrovec.errors import ValidationError
 from metrovec.fileio import write_embeddings
 from metrovec.geo import GeoPoint, build_index
@@ -25,7 +26,14 @@ from metrovec.training import (TrainingConfig, _sample_triplet_rows, aggregate_n
 
 def mean_hinge(A, C, N, margin):
     """Mean of the per-row hinge losses that the batched triplet_grads returns."""
-    return float(triplet_grads(A, C, N, margin)[3].mean())
+    return float(triplet_grads(A, C, N, margin)[1].mean())
+
+
+def split_grads(A, C, N, margin):
+    """(ga, gc, gn, losses) of triplet_grads, its stacked gradient split
+    into the three row blocks."""
+    g, losses = triplet_grads(A, C, N, margin)
+    return (*g.reshape(3, -1, g.shape[1]), losses)
 
 
 def one_row(*vectors):
@@ -39,8 +47,8 @@ def loss_of(xa, xc, xn, margin):
 
 def grads_of(xa, xc, xn, margin):
     """(ga, gc, gn) of one triplet from the batched triplet_grads on a one-row batch."""
-    ga, gc, gn, _ = triplet_grads(*one_row(xa, xc, xn), margin)
-    return ga[0], gc[0], gn[0]
+    g, _ = triplet_grads(*one_row(xa, xc, xn), margin)
+    return tuple(g)
 
 
 def fd_triplet_grads(xa, xc, xn, margin, step=1e-5):
@@ -142,9 +150,9 @@ class TestTripletGrads:
     def test_rows_match_one_row_batches_and_anchor_broadcasts(self):
         rng = np.random.default_rng(19)
         A, C, N = rng.normal(size=(3, 12, 5))
-        batch = triplet_grads(A, C, N, margin=0.5)
+        batch = split_grads(A, C, N, margin=0.5)
         for r in range(12):
-            single = triplet_grads(A[r:r + 1], C[r:r + 1], N[r:r + 1], margin=0.5)
+            single = split_grads(A[r:r + 1], C[r:r + 1], N[r:r + 1], margin=0.5)
             for b, s in zip(batch, single):
                 assert np.array_equal(b[r], s[0]) and np.array_equal(np.signbit(b[r]), np.signbit(s[0]))
         # Stage 3 passes one anchor row against a block of contexts and negatives.
@@ -153,17 +161,16 @@ class TestTripletGrads:
         for s, r in zip(shared, repeated):
             assert np.array_equal(s, r)
 
-    @pytest.mark.parametrize("given", [False, True], ids=["fresh", "out"])
-    def test_blocks_are_consecutive_rows_of_one_array(self, given):
+    def test_blocks_are_consecutive_rows_of_one_array(self):
+        # Stage 1 hands the whole array to the backward pass and stage 3
+        # scatters its last 2n rows: ga, gc and gn are row blocks of one
+        # (3n, d) array, also when one anchor row broadcasts.
         rng = np.random.default_rng(23)
         A, C, N = rng.normal(size=(3, 6, 4))
-        out = np.empty((18, 4)) if given else None
-        ga, gc, gn, _ = triplet_grads(A, C, N, margin=0.5, out=out)
-        whole = out if given else ga.base
-        assert whole.shape == (18, 4) and whole.flags.c_contiguous
-        for block, at in ((ga, 0), (gc, 6), (gn, 12)):
-            assert block.base is whole and block.shape == (6, 4)
-            assert block.ctypes.data == whole.ctypes.data + at * whole.strides[0]
+        for anchors in (A, A[:1]):
+            g, losses = triplet_grads(anchors, C, N, margin=0.5)
+            assert g.shape == (18, 4) and g.flags.c_contiguous and g.flags.owndata
+            assert losses.shape == (6,)
 
     def test_bits_match_separate_reference(self):
         # Inactive, coincident and active rows: every value, down to the
@@ -174,10 +181,10 @@ class TestTripletGrads:
         N[:10] = A[:10] + 9.0  # inactive
         A[10:14] = C[10:14] = N[10:14]  # coincident: the distance floor
         for args in ((A, C, N), (A[:1], C, N)):
-            got, want = triplet_grads(*args, margin=0.3), separate_triplet_grads(*args, 0.3)
+            got, want = split_grads(*args, margin=0.3), separate_triplet_grads(*args, 0.3)
             for g, w in zip(got, want):
                 assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
-        ga, _, _, losses = triplet_grads(A, C, N, margin=0.3)
+        ga, _, _, losses = split_grads(A, C, N, margin=0.3)
         assert np.signbit(ga[losses == 0.0]).any()  # some zeros are -0.0
 
     def test_negative_gradient_step_decreases_loss(self):
@@ -396,7 +403,7 @@ class TestTrainStreetView:
         params = init_encoder(feats.shape[1], hidden, 4, seed=41)
         trained, X = train_street_view(params, ids, feats, index, cfg)
 
-        ref = params.copy()
+        ref = copy.deepcopy(params)
         rng = np.random.default_rng(cfg.seed)
         ctx = context_rows_from_index(index, cfg.k_context)
         for _ in range(cfg.epochs_sv):
@@ -405,12 +412,13 @@ class TestTrainStreetView:
             for start in range(0, rows.shape[0], cfg.batch_size):
                 batch = rows[start:start + cfg.batch_size]
                 passes = [_forward_batch(ref, feats[batch[:, col]]) for col in range(3)]
-                grads = triplet_grads(*(out for out, _ in passes), cfg.margin_sv)[:3]
+                grads = split_grads(*(out for out, _ in passes), cfg.margin_sv)[:3]
                 sums_w = [np.zeros_like(w) for w in ref.weights]
                 sums_b = [np.zeros_like(b) for b in ref.biases]
+                one = _views(ref, np.empty(ref.size))
                 for (_, cache), grad in zip(passes, grads):
-                    gws, gbs = _backward_batch(ref, cache, grad)
-                    for acc, g in zip(sums_w + sums_b, gws + gbs):
+                    _backward_batch(ref, cache, grad, one)
+                    for acc, g in zip(sums_w + sums_b, one.weights + one.biases):
                         acc += g
                 for param, g in zip(ref.weights + ref.biases, sums_w + sums_b):
                     param -= cfg.lr_sv / batch.shape[0] * g
@@ -564,7 +572,7 @@ class TestTrainPoiStage:
         cfg = TrainingConfig(d=6, epochs_poi=60, triplets_per_anchor=8, lr_poi=0.05, seed=11)
         Z, Y = train_poi_stage(z0, nbhd_ids, vocab, bags, cfg)
         for i, nid in enumerate(nbhd_ids):
-            sig_id = vocab.id_of(signature[nid])
+            sig_id = vocab.tokens.index(signature[nid])
             cos = Y @ Z[i] / (np.linalg.norm(Y, axis=1) * np.linalg.norm(Z[i]) + 1e-12)
             assert cos[sig_id] > np.median(cos)
 
@@ -582,10 +590,10 @@ class TestTrainPoiStage:
         bags, vocab, _ = toy_corpus()
         nbhd_ids = sorted(bags)
         vec = np.full(6, 0.25)
-        pre = {vocab.id_of("shared"): vec}
+        pre = {vocab.tokens.index("shared"): vec}
         cfg = TrainingConfig(d=6, epochs_poi=0, seed=13)
         _, Y = train_poi_stage(np.zeros((4, 6)), nbhd_ids, vocab, bags, cfg, pretrained=pre)
-        assert np.array_equal(Y[vocab.id_of("shared")], vec)
+        assert np.array_equal(Y[vocab.tokens.index("shared")], vec)
 
     @pytest.mark.parametrize("block", [1, training._POI_BLOCK], ids=["block-of-one", "default-block"])
     def test_blocks_match_replay_of_the_same_draws(self, monkeypatch, block):
@@ -657,7 +665,7 @@ LAW_VOCAB = Vocabulary(tokens=tuple(LAW_FREQS), frequencies=np.array(list(LAW_FR
 
 def law_bag(counts: dict) -> Bag:
     """The ``Bag`` over LAW_VOCAB of token -> count."""
-    ids = sorted(map(LAW_VOCAB.id_of, counts))
+    ids = sorted(map(LAW_VOCAB.tokens.index, counts))
     return Bag(np.array(ids), np.array([counts[LAW_VOCAB.tokens[i]] for i in ids]))
 
 
