@@ -16,7 +16,8 @@ and take its rows as ``Bag``s (``bags_of``) and its vocabulary from it
 ``read_poi_jsonl`` gives the columns as one ``PoiRecord`` per POI, and
 ``build_neighborhood_bag`` one neighborhood's bag as a ``Counter`` of token
 strings, the bag a table row is checked against; no command calls either.
-``synth`` writes its POIs as records (``write_poi_jsonl``).
+``synth`` writes its POIs from columns too: ``write_poi_jsonl`` formats
+each line itself, in the bytes ``json.dumps`` gives for the POI's object.
 """
 
 from __future__ import annotations
@@ -83,9 +84,10 @@ def _category_token(phrase: str) -> str:
     return "cat_" + "_".join(phrase.lower().split())
 
 
-def _half_star(value: float) -> float:
-    """The nearest half star in [1, 5]; halves round up."""
-    return min(5.0, max(1.0, math.floor(value * 2.0 + 0.5) / 2.0))
+def _half_star(value):
+    """The nearest half star in [1, 5]; halves round up. Elementwise on an
+    array."""
+    return np.clip(np.floor(value * 2.0 + 0.5) / 2.0, 1.0, 5.0)
 
 
 def _rating_token(rating: float) -> str:
@@ -398,18 +400,21 @@ def read_poi_columns(path) -> PoiColumns:
                       np.array(prices, dtype=np.int64), reviews)
 
 
-def write_poi_jsonl(path, pois: list[PoiRecord]) -> None:
+def write_poi_jsonl(path, pois: PoiColumns) -> None:
+    """One line per POI, in the bytes of ``json.dumps`` of its sorted-key
+    object: strings through ``json``'s own ASCII string encoder, numbers as
+    ``repr``, ``null`` for an absent neighborhood id, rating or price, and
+    the review text as a one-item list. Coordinates are finite."""
+    quote = json.encoder.encode_basestring_ascii
+    phrase = {p: quote(p) for p in dict.fromkeys(pois.phrases)}
+    hood = {nid: "null" if nid is None else quote(nid) for nid in dict.fromkeys(pois.neighborhood_ids)}
+    phrases = [phrase[p] for p in pois.phrases]
+    bounds = [0, *np.cumsum(pois.phrase_counts).tolist()]
+    lines = [f'{{"categories": [{", ".join(phrases[a:b])}], "id": {quote(pid)}, "lat": {y!r}, "lon": {x!r}, '
+             f'"neighborhood_id": {hood[nid]}, "price": {price or "null"}, '
+             f'"rating": {"null" if math.isnan(rating) else repr(rating)}, "reviews": [{quote(text)}]}}\n'
+             for pid, y, x, nid, a, b, rating, price, text in zip(
+                 pois.ids, pois.lat.tolist(), pois.lon.tolist(), pois.neighborhood_ids, bounds, bounds[1:],
+                 pois.ratings.tolist(), pois.prices.tolist(), pois.reviews)]
     with atomic_open(path, "w", encoding="utf-8") as fh:
-        for poi in pois:
-            # Keys in sorted order, so the default (cached C) encoder writes
-            # what sort_keys=True would without building an encoder per line.
-            fh.write(json.dumps({
-                "categories": poi.categories,
-                "id": poi.id,
-                "lat": poi.geo.lat,
-                "lon": poi.geo.lon,
-                "neighborhood_id": poi.neighborhood_id,
-                "price": poi.price,
-                "rating": poi.rating,
-                "reviews": poi.reviews,
-            }) + "\n")
+        fh.writelines(lines)

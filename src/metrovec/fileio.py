@@ -158,7 +158,8 @@ def read_feature_bin(path) -> np.ndarray:
 
 def write_features_csv(path, ids: list[str], features: np.ndarray) -> None:
     header = ["id"] + [f"f{i + 1}" for i in range(features.shape[1])]
-    _write_csv(path, header, ([rid] + [repr(float(v)) for v in row] for rid, row in zip(ids, features)))
+    rows = np.asarray(features, dtype=np.float64).tolist()
+    _write_csv(path, header, ([rid, *map(repr, row)] for rid, row in zip(ids, rows)))
 
 
 def read_features_csv(path) -> tuple[list[str], np.ndarray]:
@@ -291,8 +292,8 @@ def read_centroids_csv(path) -> list[tuple[str, GeoPoint, str | None]]:
 
 
 def write_targets_csv(path, ids: list[str], names: list[str], values: np.ndarray) -> None:
-    _write_csv(path, ["neighborhood_id"] + list(names),
-               ([rid] + [repr(float(v)) for v in row] for rid, row in zip(ids, values)))
+    rows = np.asarray(values, dtype=np.float64).tolist()
+    _write_csv(path, ["neighborhood_id"] + list(names), ([rid, *map(repr, row)] for rid, row in zip(ids, rows)))
 
 
 def read_targets_csv(path) -> tuple[list[str], list[str], np.ndarray]:

@@ -9,12 +9,13 @@ the latent attributes the pipeline is asked to recover.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import PoiRecord, _half_star, _inverse_cdf, write_poi_jsonl
+from .corpus import PoiColumns, _half_star, _inverse_cdf, write_poi_jsonl
 from .errors import ValidationError, check_bounds
 from .fileio import (StreetViewRecord, _write_csv, splits_a_path, write_centroids_csv, write_feature_bin,
                      write_features_csv, write_sv_metadata, write_targets_csv)
@@ -72,7 +73,7 @@ class SynthCity:
     cluster_labels: np.ndarray | None
     street_views: list[StreetViewRecord]
     features: np.ndarray  # (street views, feature_dim) float32, in street_views order
-    pois: list[PoiRecord]
+    pois: PoiColumns
 
     @property
     def latent_names(self) -> list[str]:
@@ -113,16 +114,20 @@ def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def _jittered(c: GeoPoint, dlat: float, dlon: float) -> GeoPoint:
-    return GeoPoint(min(90.0, max(-90.0, c.lat + dlat)), min(180.0, max(-180.0, c.lon + dlon)))
+def _jittered_coords(lat: np.ndarray, lon: np.ndarray, per: int, jitter: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each centroid repeated ``per`` times, moved by its rows of ``jitter``
+    (degrees of latitude, longitude) and clamped to [-90, 90] x [-180, 180]."""
+    return (np.clip(np.repeat(lat, per) + jitter[:, 0], -90.0, 90.0),
+            np.clip(np.repeat(lon, per) + jitter[:, 1], -180.0, 180.0))
 
 
-def _choice_distinct(rng: np.random.Generator, cdf: np.ndarray, p: np.ndarray, size: int) -> list[int]:
+def _choice_distinct(draw, cdf: np.ndarray, p: np.ndarray, size: int) -> list[int]:
     """``rng.choice(len(p), size, replace=False, p=p)`` on its prebuilt table
-    ``cdf = _inverse_cdf(p)``: the same picks from the same uniforms. Each
-    round draws the missing count and keeps first occurrences in draw order;
-    rounds after the first redraw from ``p`` with the found entries zeroed."""
-    picks = cdf.searchsorted(rng.random(size), side="right").tolist()
+    ``cdf = _inverse_cdf(p)``, with ``draw(m)`` giving the generator's next
+    m uniforms: the same picks from the same uniforms. Each round draws the
+    missing count and keeps first occurrences in draw order; rounds after the
+    first redraw from ``p`` with the found entries zeroed."""
+    picks = cdf.searchsorted(draw(size), side="right").tolist()
     if len(set(picks)) == size:
         return picks
     if np.count_nonzero(p) < size:
@@ -131,14 +136,32 @@ def _choice_distinct(rng: np.random.Generator, cdf: np.ndarray, p: np.ndarray, s
     found = list(dict.fromkeys(picks))
     p = p.copy()
     while len(found) < size:
-        x = rng.random(size - len(found))
+        x = draw(size - len(found))
         p[found] = 0.0
         found += dict.fromkeys(_inverse_cdf(p).searchsorted(x, side="right").tolist())
     return found
 
 
+def _buffered(rng: np.random.Generator, values: list[float]):
+    """``draw(m)``: the next m of the uniforms ``values``, drawn ahead from
+    ``rng``, and then of ``rng`` itself."""
+    def draw(m: int) -> np.ndarray:
+        got = values[:m]
+        del values[:m]
+        return np.array(got + rng.random(m - len(got)).tolist())
+    return draw
+
+
 def generate_city(config: SynthConfig) -> SynthCity:
-    """Pure function of the config; identical configs give identical cities."""
+    """Pure function of the config; identical configs give identical cities.
+
+    The generator's stream is that of drawing record by record: per street
+    view its jitter normals then its feature normals, and per POI its jitter
+    normals, its category uniforms (with redraw rounds), its review-word
+    uniforms, then its rating and price normals. Calls that meet end to end
+    are merged: all street views take one normal block, and each POI one
+    ``random`` call for its uniforms and one ``normal`` call for its rating
+    and price normals and the next POI's jitter normals."""
     config.validate()
     rng = np.random.default_rng(config.seed)
     n, L = config.n_neighborhoods, config.latent_dim
@@ -148,6 +171,8 @@ def generate_city(config: SynthConfig) -> SynthCity:
     nbhd_ids = [f"{tag}n{i:04d}" for i in range(n)]
     centroids = [GeoPoint(BASE_LAT + (i // cols) * GRID_SPACING_DEG,
                           BASE_LON + (i % cols) * GRID_SPACING_DEG) for i in range(n)]
+    centroid_lat = np.array([c.lat for c in centroids])
+    centroid_lon = np.array([c.lon for c in centroids])
 
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing latents fail the feature check
         if config.n_clusters > 0:
@@ -166,30 +191,27 @@ def generate_city(config: SynthConfig) -> SynthCity:
     else:
         mixing = rng.normal(size=(L, config.feature_dim)) / np.sqrt(L)
 
-    street_views: list[StreetViewRecord] = []
-    feature_blocks: list[np.ndarray] = []
+    # Row i * V + v holds view v of neighborhood i: its jitter normals, then
+    # its feature normals. Each neighborhood's base is its own vector-matrix
+    # product; one (n, L) @ (L, F) product differs from it in the last bits.
     V, F = config.views_per_neighborhood, config.feature_dim
-    for i in range(n):
-        # One block per neighborhood: row v holds view v's jitter normals then
-        # its feature normals, the order of separate normal(2), normal(F) calls.
-        draws = rng.normal(size=(V, 2 + F))
-        with np.errstate(over="ignore", invalid="ignore"):
-            feats = (latents[i] @ mixing + draws[:, 2:] * config.feature_noise).astype(np.float32)
-        if not np.isfinite(feats).all():  # also catches latents that overflowed
-            raise ValidationError(f"neighborhood {nbhd_ids[i]}: street-view features overflow; "
-                                  f"lower feature_noise or cluster_separation")
-        feature_blocks.append(feats)
-        for v, (dlat, dlon) in enumerate((draws[:, :2] * config.spatial_noise).tolist()):
-            street_views.append(StreetViewRecord(
-                id=f"{tag}sv{i:04d}_{v:03d}",
-                geo=_jittered(centroids[i], dlat, dlon),
-                neighborhood_id=nbhd_ids[i],
-            ))
+    draws = rng.normal(size=(n * V, 2 + F))
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = np.array([latents[i] @ mixing for i in range(n)])
+        features = (np.repeat(base, V, axis=0) + draws[:, 2:] * config.feature_noise).astype(np.float32)
+        sv_lat, sv_lon = _jittered_coords(centroid_lat, centroid_lon, V, draws[:, :2] * config.spatial_noise)
+    overflowed = ~np.isfinite(features).all(axis=1)  # also catches latents that overflowed
+    if overflowed.any():
+        raise ValidationError(f"neighborhood {nbhd_ids[int(overflowed.argmax()) // V]}: street-view features "
+                              f"overflow; lower feature_noise or cluster_separation")
+    points = [GeoPoint(y, x) for y, x in zip(sv_lat.tolist(), sv_lon.tolist())]
+    street_views = [StreetViewRecord(id=f"{tag}sv{i:04d}_{v:03d}", geo=points[i * V + v], neighborhood_id=nbhd_ids[i])
+                    for i in range(n) for v in range(V)]
 
     n_cat = max(4, config.vocab_size // 4)
     n_rev = config.vocab_size - n_cat
-    cat_pool = [f"trade {t:03d}" for t in range(n_cat)]
-    rev_pool = [f"term{t:03d}" for t in range(n_rev)]
+    cat_pool = np.array([f"trade {t:03d}" for t in range(n_cat)], dtype=object)
+    rev_pool = np.array([f"term{t:03d}" for t in range(n_rev)], dtype=object)
     with np.errstate(over="ignore", invalid="ignore"):
         cat_topics = _softmax(rng.normal(size=(L, n_cat)) * config.topic_sharpness, axis=1)
         rev_topics = _softmax(rng.normal(size=(L, n_rev)) * config.topic_sharpness, axis=1)
@@ -198,7 +220,16 @@ def generate_city(config: SynthConfig) -> SynthCity:
 
     n_cats = min(config.categories_per_poi, n_cat)
     n_words = config.review_words_per_poi
-    pois: list[PoiRecord] = []
+    P = config.pois_per_neighborhood
+    # Per POI: its uniforms, categories first; its normals, jitter first, then
+    # rating and price noise; its category and review-word picks. ``flat``
+    # holds the normals in draw order.
+    uniforms = np.empty((n * P, n_cats + n_words))
+    normals = np.empty((n * P, 4))
+    cats = np.empty((n * P, n_cats), dtype=np.int64)
+    words = np.empty((n * P, n_words), dtype=np.int64)
+    flat = normals.reshape(-1)
+    flat[:2] = rng.normal(size=2)
     for i in range(n):
         mix = _softmax(latents[i])
         cat_p = mix @ cat_topics
@@ -207,27 +238,43 @@ def generate_city(config: SynthConfig) -> SynthCity:
                                   f"nonzero probability, fewer than categories_per_poi={n_cats}; "
                                   f"lower topic_sharpness")
         cat_cdf = _inverse_cdf(cat_p)
-        rev_cdf = _inverse_cdf(mix @ rev_topics)
-        star_base = 3.0 + 0.7 * float(latents[i, 0])
-        price_base = 2.5 + 0.7 * float(latents[i, 1 % L])
-        for o in range(config.pois_per_neighborhood):
-            dlat, dlon = rng.normal(size=2).tolist()
-            cats = _choice_distinct(rng, cat_cdf, cat_p, n_cats)
-            words = rev_cdf.searchsorted(rng.random(n_words), side="right").tolist()
-            star_noise, price_noise = rng.normal(size=2).tolist()
-            pois.append(PoiRecord(
-                id=f"{tag}p{i:04d}_{o:03d}",
-                geo=_jittered(centroids[i], dlat * config.spatial_noise, dlon * config.spatial_noise),
-                neighborhood_id=nbhd_ids[i],
-                categories=[cat_pool[t] for t in cats],
-                rating=_half_star(star_base + 0.3 * star_noise),
-                price=int(min(4, max(1, round(price_base + 0.3 * price_noise)))),
-                reviews=[" ".join([rev_pool[t] for t in words])],
-            ))
+        bounds = cat_cdf.tolist()
+        redrawn = {}
+        for j in range(i * P, (i + 1) * P):
+            u = uniforms[j]
+            rng.random(out=u)
+            # A first round with a repeated pick redraws before the normals.
+            if n_cats > 1 and len({bisect_right(bounds, x) for x in u[:n_cats].tolist()}) < n_cats:
+                draw = _buffered(rng, u.tolist())
+                redrawn[j] = _choice_distinct(draw, cat_cdf, cat_p, n_cats)
+                u[n_cats:] = draw(n_words)
+            # This POI's rating and price normals and the next POI's jitter
+            # normals (the last POI's slice holds only its own two), the
+            # values normal(size=4) returns.
+            rng.standard_normal(out=flat[4 * j + 2:4 * j + 6])
+        span = slice(i * P, (i + 1) * P)
+        cats[span] = cat_cdf.searchsorted(uniforms[span, :n_cats], side="right")
+        words[span] = _inverse_cdf(mix @ rev_topics).searchsorted(uniforms[span, n_cats:], side="right")
+        for j, picks in redrawn.items():
+            cats[j] = picks
+
+    with np.errstate(over="ignore"):
+        lat, lon = _jittered_coords(centroid_lat, centroid_lon, P, normals[:, :2] * config.spatial_noise)
+    star_base = np.repeat(3.0 + 0.7 * latents[:, 0], P)
+    price_base = np.repeat(2.5 + 0.7 * latents[:, 1 % L], P)
+    pois = PoiColumns(
+        ids=[f"{tag}p{i:04d}_{o:03d}" for i in range(n) for o in range(P)],
+        lat=lat, lon=lon,
+        neighborhood_ids=[nid for nid in nbhd_ids for _ in range(P)],
+        phrases=cat_pool[cats].reshape(-1).tolist(),
+        phrase_counts=np.full(n * P, n_cats, dtype=np.int64),
+        ratings=_half_star(star_base + 0.3 * normals[:, 2]),
+        prices=np.clip(np.rint(price_base + 0.3 * normals[:, 3]), 1, 4).astype(np.int64),
+        reviews=[" ".join(text) for text in rev_pool[words].tolist()])
 
     return SynthCity(config=config, neighborhood_ids=nbhd_ids, centroids=centroids,
                      latents=latents, cluster_labels=labels,
-                     street_views=street_views, features=np.concatenate(feature_blocks), pois=pois)
+                     street_views=street_views, features=features, pois=pois)
 
 
 def export_city(city: SynthCity, directory, features_format: str = "bin") -> dict[str, Path]:

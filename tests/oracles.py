@@ -1,5 +1,6 @@
 """Test-side references: the per-record POI line reader whose records and
-errors ``read_poi_columns`` must reproduce, POI records as the columns
+errors ``read_poi_columns`` must reproduce, the per-record POI line writer
+whose bytes ``write_poi_jsonl`` must reproduce, POI records as the columns
 ``ingest`` reads, toy corpora as bag tables, the scalar haversine distance,
 the all-points k-nearest-neighbor query by latitude bands, PCA by a thin
 SVD, k-means by one broadcast distance array, the predictions of
@@ -75,9 +76,19 @@ def read_poi_jsonl(path) -> list[PoiRecord]:
     return records
 
 
+def write_poi_records(path, pois: list[PoiRecord]) -> None:
+    """One ``json.dumps`` line per record, keys sorted."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for poi in pois:
+            fh.write(json.dumps({"id": poi.id, "lat": poi.geo.lat, "lon": poi.geo.lon,
+                                 "neighborhood_id": poi.neighborhood_id, "categories": poi.categories,
+                                 "rating": poi.rating, "price": poi.price, "reviews": poi.reviews},
+                                sort_keys=True) + "\n")
+
+
 def columns_of(pois: list[PoiRecord]) -> PoiColumns:
     """The columns ``read_poi_columns`` reads from a file of these records
-    (``write_poi_jsonl``)."""
+    (``write_poi_records``)."""
     return PoiColumns(
         ids=[p.id for p in pois],
         lat=np.array([p.geo.lat for p in pois], dtype=np.float64),

@@ -13,7 +13,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from oracles import adjusted_rand_index, columns_of, table_of
+from oracles import adjusted_rand_index, table_of
 
 from metrovec.analytics import SplitProtocol, cosine_rank, evaluate_regression, kmeans
 from metrovec.cli import main
@@ -79,7 +79,7 @@ def main_city():
 
     Z_sve = aggregate_neighborhoods(X, [by_id[i].neighborhood_id for i in ids],
                                     city.neighborhood_ids)
-    table = build_bag_table(columns_of(city.pois), city.neighborhood_ids)
+    table = build_bag_table(city.pois, city.neighborhood_ids)
     vocab, bags = build_vocabulary(table), bags_of(table)
 
     poi_rng = np.random.default_rng(777)
@@ -290,7 +290,7 @@ def test_criterion_7_clustering_sanity():
     params, X = train_street_view(params, ids, feats, index, cfg)
     Z = aggregate_neighborhoods(X, [by_id[i].neighborhood_id for i in ids],
                                 city.neighborhood_ids)
-    table = build_bag_table(columns_of(city.pois), city.neighborhood_ids)
+    table = build_bag_table(city.pois, city.neighborhood_ids)
     Z, _ = train_poi_stage(Z, city.neighborhood_ids, build_vocabulary(table), bags_of(table), cfg)
     labels, _ = kmeans(Z, 4, seed=cfg.seed)
     ari = adjusted_rand_index(labels, city.cluster_labels)

@@ -8,10 +8,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from oracles import columns_of, read_poi_jsonl, table_of
+from oracles import columns_of, read_poi_jsonl, table_of, write_poi_records
 
 from metrovec import corpus
-from metrovec.corpus import (NegativeWordSampler, PoiRecord, bags_of, build_bag_table,
+from metrovec.corpus import (NegativeWordSampler, PoiColumns, PoiRecord, bags_of, build_bag_table,
                              build_neighborhood_bag, build_vocabulary, load_pretrained_vectors,
                              read_poi_columns, write_poi_jsonl)
 from metrovec.errors import FormatError, ValidationError
@@ -24,6 +24,16 @@ def poi(pid="p1", nbhd="n1", categories=(), rating=None, price=None, reviews=())
     return PoiRecord(id=pid, geo=GeoPoint(37.0, -122.0), neighborhood_id=nbhd,
                      categories=list(categories), rating=rating, price=price,
                      reviews=list(reviews))
+
+
+def assert_columns_equal(got: PoiColumns, want: PoiColumns) -> None:
+    """Field by field, arrays with their dtypes and NaN equal to NaN."""
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), field.name
+        else:
+            assert a == b, field.name
 
 
 class TestTextualize:
@@ -204,9 +214,12 @@ class TestBagTable:
         city = generate_city(SynthConfig(n_neighborhoods=12, views_per_neighborhood=2,
                                          pois_per_neighborhood=5, vocab_size=60, seed=seed))
         row_ids = sorted(city.neighborhood_ids + ["n_without_pois"])
-        # The hand-made POIs add blank and repeated categories, absent fields and numbers.
-        pois = city.pois + [dataclasses.replace(p, id=f"x{i}", neighborhood_id=row_ids[i % 3])
-                            for i, p in enumerate(TestNeighborhoodBagMatchesPerPoiSum.POIS)]
+        # The city's POIs as the line reader reads them from synth's file. The
+        # hand-made POIs add blank and repeated categories, absent fields and numbers.
+        write_poi_jsonl(tmp_path / "poi.jsonl", city.pois)
+        pois = read_poi_jsonl(tmp_path / "poi.jsonl") + [
+            dataclasses.replace(p, id=f"x{i}", neighborhood_id=row_ids[i % 3])
+            for i, p in enumerate(TestNeighborhoodBagMatchesPerPoiSum.POIS)]
         path = tmp_path / "bags.bin"
         write_bags(path, build_bag_table(columns_of(pois), row_ids))
         table = read_bags(path)
@@ -284,13 +297,8 @@ class TestPoiColumns:
         # The record view of the columns joins each POI's reviews into one text.
         assert corpus.read_poi_jsonl(path) == [dataclasses.replace(p, reviews=[" ".join(p.reviews)])
                                                for p in records]
-        columns, want = read_poi_columns(path), columns_of(records)
-        for field in dataclasses.fields(columns):
-            got, expected = getattr(columns, field.name), getattr(want, field.name)
-            if isinstance(expected, np.ndarray):
-                assert got.dtype == expected.dtype and np.array_equal(got, expected, equal_nan=True), field.name
-            else:
-                assert got == expected, field.name
+        columns = read_poi_columns(path)
+        assert_columns_equal(columns, columns_of(records))
         assert columns.neighborhood_ids[-3:] == [None, None, "5"]
         assert "\0" in columns.reviews[-5] and "\ud800" in columns.reviews[-5]
 
@@ -318,7 +326,7 @@ class TestPoiColumns:
                              for _ in range(int(rng.integers(0, 4)))])
                 for i in range(300)]
         path = tmp_path / "poi.jsonl"
-        write_poi_jsonl(path, pois)
+        write_poi_records(path, pois)
         row_ids = [p.neighborhood_id for p in pois]
         table = build_bag_table(read_poi_columns(path), row_ids)
         expected = table_of({p.neighborhood_id: build_neighborhood_bag([p]) for p in pois})
@@ -458,20 +466,39 @@ class TestPoiJsonl:
         pois = [poi(pid="a", categories=["Dive Bar"], rating=3.5, price=1, reviews=["cheap drinks"]),
                 poi(pid="b", nbhd=None)]
         path = tmp_path / "poi.jsonl"
-        write_poi_jsonl(path, pois)
-        assert read_poi_jsonl(path) == pois
-        assert corpus.read_poi_jsonl(path) == [dataclasses.replace(p, reviews=[" ".join(p.reviews)]) for p in pois]
+        write_poi_jsonl(path, columns_of(pois))
+        # A POI's reviews are one text in the columns, so one text in the file.
+        joined = [dataclasses.replace(p, reviews=[" ".join(p.reviews)]) for p in pois]
+        assert read_poi_jsonl(path) == joined
+        assert corpus.read_poi_jsonl(path) == joined
+        assert_columns_equal(read_poi_columns(path), columns_of(pois))
+
+    # A NaN rating and a price of 0 (both absent), no categories, an empty
+    # review text, a blank phrase; quotes, backslashes, control characters,
+    # non-ASCII text and a lone surrogate in every kind of string.
+    ODD = PoiColumns(
+        ids=["a", 'q"\\', "c\x00\x1f\u00fc\ud800"],
+        lat=np.array([37.5, -0.0, 89.99999999999999]), lon=np.array([-122.25, 180.0, 1e-300]),
+        neighborhood_ids=["n1", None, 'n"\\\n\u00e9\ud800'],
+        phrases=["Dive Bar", "Café", "", 'q"\\\x07\u212a\ud800'],
+        phrase_counts=np.array([2, 0, 2], dtype=np.int64),
+        ratings=np.array([3.5, np.nan, 5.0]), prices=np.array([1, 0, 4], dtype=np.int64),
+        reviews=['cheap "drinks"', "", "tab\there \\ \u212a \ud800 \x00 \u4e2d"])
 
     def test_lines_are_sorted_key_json(self, tmp_path):
-        pois = [poi(pid="a", categories=["Dive Bar", "Café"], rating=3.5, price=1, reviews=["cheap \"drinks\""]),
-                poi(pid="b", nbhd=None)]
+        pois = self.ODD
         path = tmp_path / "poi.jsonl"
         write_poi_jsonl(path, pois)
-        want = "".join(json.dumps({"id": p.id, "lat": p.geo.lat, "lon": p.geo.lon,
-                                   "neighborhood_id": p.neighborhood_id, "categories": p.categories,
-                                   "rating": p.rating, "price": p.price, "reviews": p.reviews},
-                                  sort_keys=True) + "\n" for p in pois)
-        assert path.read_bytes() == want.encode("utf-8")
+        bounds = [0, *np.cumsum(pois.phrase_counts).tolist()]
+        want = [json.dumps({"id": pois.ids[i], "lat": pois.lat[i].item(), "lon": pois.lon[i].item(),
+                            "neighborhood_id": pois.neighborhood_ids[i],
+                            "categories": pois.phrases[bounds[i]:bounds[i + 1]],
+                            "rating": None if math.isnan(pois.ratings[i]) else pois.ratings[i].item(),
+                            "price": pois.prices[i].item() or None, "reviews": [pois.reviews[i]]},
+                           sort_keys=True) + "\n" for i in range(len(pois))]
+        assert path.read_text(encoding="utf-8").splitlines(keepends=True) == want
+        assert path.read_bytes() == "".join(want).encode("utf-8")
+        assert_columns_equal(read_poi_columns(path), pois)
 
     @pytest.mark.parametrize("line,column,message", [
         ('{"id": "bad", "lat": 10,', 25, "Expecting property name enclosed in double quotes"),

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from oracles import columns_of
 
 from metrovec.corpus import PoiRecord, write_poi_jsonl
 from metrovec import fileio
@@ -421,9 +422,9 @@ TABLE_WRITERS = {
                        (["n1"], np.array([[1.0]])),
                        (["n1", "n2"], np.array([[2.0], [Unwritable()]], dtype=object))),
     "poi_jsonl": (write_poi_jsonl,
-                  ([PoiRecord("p1", GeoPoint(1.0, 2.0), "n1", ["cafe"])],),
-                  ([PoiRecord("p1", GeoPoint(3.0, 4.0), "n1", ["bar"]),
-                    PoiRecord("p2", GeoPoint(3.0, 4.0), "n1", [Unwritable()])],)),
+                  (columns_of([PoiRecord("p1", GeoPoint(1.0, 2.0), "n1", ["cafe"])]),),
+                  (columns_of([PoiRecord("p1", GeoPoint(3.0, 4.0), "n1", ["bar"]),
+                               PoiRecord("p2", GeoPoint(3.0, 4.0), "n1", [Unwritable()])]),)),
 }
 
 

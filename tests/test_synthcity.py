@@ -5,17 +5,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import linreg_predict
+from oracles import columns_of, linreg_predict, write_poi_records
+from test_corpus import assert_columns_equal
 from test_fileio import Unwritable
 
 from metrovec.analytics import linreg_fit, r_squared
-from metrovec.corpus import PoiRecord, _half_star, _inverse_cdf, read_poi_jsonl
+from metrovec.corpus import PoiRecord, _half_star, _inverse_cdf, read_poi_columns, read_poi_jsonl
 from metrovec.errors import ValidationError
-from metrovec.fileio import (StreetViewRecord, read_centroids_csv, read_feature_bin, read_sv_metadata,
-                             read_targets_csv)
+from metrovec.fileio import (StreetViewRecord, _write_csv, read_centroids_csv, read_feature_bin, read_sv_metadata,
+                             read_targets_csv, write_centroids_csv, write_feature_bin, write_sv_metadata)
 from metrovec.geo import GeoPoint
 from metrovec.synthcity import (BASE_LAT, BASE_LON, GRID_SPACING_DEG, SynthCity, SynthConfig,
-                                _choice_distinct, _grid_shape, _smooth_latents, _softmax,
+                                _buffered, _choice_distinct, _grid_shape, _smooth_latents, _softmax,
                                 export_city, generate_city)
 
 
@@ -37,8 +38,7 @@ class TestGenerate:
         for sa, sb in zip(a.street_views, b.street_views):
             assert sa.id == sb.id and sa.geo == sb.geo
         assert np.array_equal(a.features, b.features)
-        for pa, pb in zip(a.pois, b.pois):
-            assert pa == pb
+        assert_columns_equal(a.pois, b.pois)
 
     def test_counts(self):
         cfg = SynthConfig(n_neighborhoods=9, views_per_neighborhood=5,
@@ -134,7 +134,7 @@ class TestGenerate:
         city = generate_city(cfg)
         assert all(nid.startswith("ny_") for nid in city.neighborhood_ids)
         assert all(sv.id.startswith("ny_") for sv in city.street_views)
-        assert all(p.id.startswith("ny_") for p in city.pois)
+        assert all(pid.startswith("ny_") for pid in city.pois.ids)
 
 
 class TestExport:
@@ -174,8 +174,7 @@ class TestExport:
             assert rec.geo == by_id[rec.id].geo
             assert rec.neighborhood_id == by_id[rec.id].neighborhood_id
 
-        pois = read_poi_jsonl(paths_bin["poi"])
-        assert pois == city.pois
+        assert_columns_equal(read_poi_columns(paths_bin["poi"]), city.pois)
 
         cents = read_centroids_csv(paths_bin["centroids"])
         assert [c[0] for c in cents] == city.neighborhood_ids
@@ -247,7 +246,8 @@ def reference_city(config: SynthConfig) -> SynthCity:
     for i in range(n):
         base = latents[i] @ mixing
         for v in range(config.views_per_neighborhood):
-            jitter = rng.normal(size=2) * config.spatial_noise
+            with np.errstate(over="ignore"):
+                jitter = rng.normal(size=2) * config.spatial_noise
             lat = float(np.clip(centroids[i].lat + jitter[0], -90.0, 90.0))
             lon = float(np.clip(centroids[i].lon + jitter[1], -180.0, 180.0))
             feats = base + rng.normal(size=config.feature_dim) * config.feature_noise
@@ -267,7 +267,8 @@ def reference_city(config: SynthConfig) -> SynthCity:
         cat_p = mix @ cat_topics
         rev_p = mix @ rev_topics
         for o in range(config.pois_per_neighborhood):
-            jitter = rng.normal(size=2) * config.spatial_noise
+            with np.errstate(over="ignore"):
+                jitter = rng.normal(size=2) * config.spatial_noise
             lat = float(np.clip(centroids[i].lat + jitter[0], -90.0, 90.0))
             lon = float(np.clip(centroids[i].lon + jitter[1], -180.0, 180.0))
             n_cats = min(config.categories_per_poi, n_cat)
@@ -283,18 +284,50 @@ def reference_city(config: SynthConfig) -> SynthCity:
                      pois=pois)
 
 
+def reference_export(city: SynthCity, directory: Path, features_format: str) -> None:
+    """``export_city``'s files written record by record: the POI records
+    through the per-record line writer, each CSV number as ``repr(float(v))``
+    of one matrix entry."""
+    directory.mkdir()
+    write_poi_records(directory / "poi.jsonl", city.pois)
+    order = sorted(range(len(city.street_views)), key=lambda i: city.street_views[i].id)
+    ids = [city.street_views[i].id for i in order]
+    if features_format == "bin":
+        write_feature_bin(directory / "features.bin", ids, city.features[order])
+    else:
+        _write_csv(directory / "features.csv", ["id"] + [f"f{j + 1}" for j in range(city.features.shape[1])],
+                   ([rid] + [repr(float(v)) for v in city.features[i]] for rid, i in zip(ids, order)))
+    write_sv_metadata(directory / "street_views.csv", [city.street_views[i] for i in order])
+    write_centroids_csv(directory / "centroids.csv", [(nid, pt, city.config.city_tag or None)
+                                                      for nid, pt in zip(city.neighborhood_ids, city.centroids)])
+    _write_csv(directory / "attributes.csv", ["neighborhood_id"] + city.latent_names,
+               ([nid] + [repr(float(v)) for v in row] for nid, row in zip(city.neighborhood_ids, city.latents)))
+    if city.cluster_labels is not None:
+        _write_csv(directory / "clusters.csv", ["id", "cluster"],
+                   ([nid, int(label)] for nid, label in zip(city.neighborhood_ids, city.cluster_labels)))
+
+
+REFERENCE_CONFIGS = {
+    # Four categories, three per POI: most POIs redraw colliding picks.
+    "clustered-tagged-redraws": SynthConfig(n_neighborhoods=30, views_per_neighborhood=3, pois_per_neighborhood=8,
+                                            vocab_size=12, categories_per_poi=3, n_clusters=3, city_tag="bos_",
+                                            seed=11),
+    "noiseless-identity": SynthConfig(n_neighborhoods=10, views_per_neighborhood=4, pois_per_neighborhood=5,
+                                      latent_dim=3, feature_dim=6, feature_noise=0.0, identity_mixing=True, seed=12),
+    "peaked-topics": SynthConfig(n_neighborhoods=20, views_per_neighborhood=2, pois_per_neighborhood=6,
+                                 vocab_size=40, topic_sharpness=6.0, categories_per_poi=4, review_words_per_poi=12,
+                                 seed=13),
+    "no-tokens": SynthConfig(n_neighborhoods=5, views_per_neighborhood=2, pois_per_neighborhood=3,
+                             categories_per_poi=0, review_words_per_poi=0, seed=14),
+    # Jitter past every bound, much of it overflowing to infinity: each
+    # coordinate clamps to +-90 or +-180.
+    "huge-jitter": SynthConfig(n_neighborhoods=6, views_per_neighborhood=3, pois_per_neighborhood=4,
+                               spatial_noise=1e308, seed=15),
+}
+
+
 class TestMatchesPerRecordReference:
-    @pytest.mark.parametrize("cfg", [
-        # Four categories, three per POI: most POIs redraw colliding picks.
-        SynthConfig(n_neighborhoods=30, views_per_neighborhood=3, pois_per_neighborhood=8, vocab_size=12,
-                    categories_per_poi=3, n_clusters=3, city_tag="bos_", seed=11),
-        SynthConfig(n_neighborhoods=10, views_per_neighborhood=4, pois_per_neighborhood=5, latent_dim=3,
-                    feature_dim=6, feature_noise=0.0, identity_mixing=True, seed=12),
-        SynthConfig(n_neighborhoods=20, views_per_neighborhood=2, pois_per_neighborhood=6, vocab_size=40,
-                    topic_sharpness=6.0, categories_per_poi=4, review_words_per_poi=12, seed=13),
-        SynthConfig(n_neighborhoods=5, views_per_neighborhood=2, pois_per_neighborhood=3,
-                    categories_per_poi=0, review_words_per_poi=0, seed=14),
-    ], ids=["clustered-tagged-redraws", "noiseless-identity", "peaked-topics", "no-tokens"])
+    @pytest.mark.parametrize("cfg", list(REFERENCE_CONFIGS.values()), ids=list(REFERENCE_CONFIGS))
     def test_field_for_field(self, cfg):
         got, want = generate_city(cfg), reference_city(cfg)
         assert got.neighborhood_ids == want.neighborhood_ids
@@ -305,38 +338,68 @@ class TestMatchesPerRecordReference:
         for a, b in zip(got.street_views, want.street_views):
             assert (a.id, a.geo, a.neighborhood_id) == (b.id, b.geo, b.neighborhood_id)
         assert got.features.dtype == want.features.dtype and np.array_equal(got.features, want.features)
-        assert got.pois == want.pois
-        for a in got.pois:
-            assert type(a.rating) is float and type(a.price) is int
+        assert_columns_equal(got.pois, columns_of(want.pois))
+
+    def test_huge_jitter_clamps_to_the_bounds(self):
+        pois = generate_city(REFERENCE_CONFIGS["huge-jitter"]).pois
+        assert set(pois.lat.tolist()) == {-90.0, 90.0} and set(pois.lon.tolist()) == {-180.0, 180.0}
+
+    @pytest.mark.parametrize("features_format", ["bin", "csv"])
+    @pytest.mark.parametrize("cfg", [*REFERENCE_CONFIGS.values(), SynthConfig(
+        n_neighborhoods=6, views_per_neighborhood=2, pois_per_neighborhood=3, city_tag='q"\\\u00fc_', seed=16)],
+        ids=[*REFERENCE_CONFIGS, "quote-backslash-umlaut-tag"])
+    def test_files_byte_equal_the_record_by_record_export(self, tmp_path, cfg, features_format):
+        export_city(generate_city(cfg), tmp_path / "got", features_format)
+        reference_export(reference_city(cfg), tmp_path / "want", features_format)
+        got, want = dir_digest(tmp_path / "got"), dir_digest(tmp_path / "want")
+        assert len(got) == 5 + (cfg.n_clusters > 0) and got == want
+
+
+def choice_cases():
+    """3000 (p, distinct picks, further picks, seed) cases: flat, peaked and
+    very peaked probabilities, a quarter of them with zero entries."""
+    rng = np.random.default_rng(2024)
+    for case in range(3000):
+        n = int(rng.integers(1, 40))
+        w = np.exp(rng.normal(size=n) * (0.5, 3.0, 12.0)[case % 3])
+        if case % 4 == 0:
+            w[rng.random(n) < 0.3] = 0.0
+            w[int(rng.integers(n))] = 1.0
+        p = w / w.sum()
+        size = int(rng.integers(0, np.count_nonzero(p) + 1))
+        yield p, size, int(rng.integers(0, 20)), int(rng.integers(2**32))
 
 
 class TestSamplersMatchGeneratorChoice:
     def test_same_picks_and_final_state(self):
-        rng = np.random.default_rng(2024)
         redraws = 0
-        for case in range(3000):
-            n = int(rng.integers(1, 40))
-            w = np.exp(rng.normal(size=n) * (0.5, 3.0, 12.0)[case % 3])
-            if case % 4 == 0:
-                w[rng.random(n) < 0.3] = 0.0
-                w[int(rng.integers(n))] = 1.0
-            p = w / w.sum()
-            size = int(rng.integers(0, np.count_nonzero(p) + 1))
-            k = int(rng.integers(0, 20))
-            seed = int(rng.integers(2**32))
+        for p, size, k, seed in choice_cases():
             cdf = _inverse_cdf(p)
             first = cdf.searchsorted(np.random.default_rng(seed).random(size), side="right")
             redraws += len(set(first.tolist())) < size
 
             want, got = np.random.default_rng(seed), np.random.default_rng(seed)
-            want_cats = want.choice(n, size, replace=False, p=p).tolist()
-            want_words = want.choice(n, k, p=p).tolist()
-            assert _choice_distinct(got, cdf, p, size) == want_cats
+            want_cats = want.choice(len(p), size, replace=False, p=p).tolist()
+            want_words = want.choice(len(p), k, p=p).tolist()
+            assert _choice_distinct(got.random, cdf, p, size) == want_cats
             assert cdf.searchsorted(got.random(k), side="right").tolist() == want_words
             assert got.bit_generator.state == want.bit_generator.state
         assert redraws > 300
 
+    def test_uniforms_drawn_ahead_give_the_same_picks_and_final_state(self):
+        # generate_city's form: one random() call for the first round and the
+        # words; redraw rounds take the words' uniforms first.
+        for p, size, k, seed in choice_cases():
+            cdf = _inverse_cdf(p)
+            want, got = np.random.default_rng(seed), np.random.default_rng(seed)
+            want_cats = want.choice(len(p), size, replace=False, p=p).tolist()
+            want_words = want.choice(len(p), k, p=p).tolist()
+            draw = _buffered(got, got.random(size + k).tolist())
+            assert _choice_distinct(draw, cdf, p, size) == want_cats
+            assert cdf.searchsorted(draw(k), side="right").tolist() == want_words
+            assert got.bit_generator.state == want.bit_generator.state
+
     def test_too_few_nonzero_entries_rejected(self):
         p = np.array([0.5, 0.0, 0.5, 0.0])
         with pytest.raises(ValidationError, match="2 nonzero"):
-            _choice_distinct(np.random.default_rng(0), _inverse_cdf(p), p, 3)
+            _choice_distinct(np.random.default_rng(0).random, _inverse_cdf(p), p, 3)

@@ -9,8 +9,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from oracles import (columns_of, concatenating_poi_updates, copying_train_street_view, separate_triplet_grads,
-                     table_of)
+from oracles import concatenating_poi_updates, copying_train_street_view, separate_triplet_grads, table_of
 
 from metrovec import training
 from metrovec.corpus import Bag, Vocabulary, bags_of, build_bag_table, build_vocabulary
@@ -757,7 +756,7 @@ def test_full_pipeline_seed_determinism():
     city = small_city()
     ids, feats, index = city_training_inputs(city)
     by_id = {sv.id: sv for sv in city.street_views}
-    table = build_bag_table(columns_of(city.pois), city.neighborhood_ids)
+    table = build_bag_table(city.pois, city.neighborhood_ids)
     vocab, bags = build_vocabulary(table), bags_of(table)
     cfg = TrainingConfig(d=4, k_context=3, epochs_sv=2, epochs_poi=2,
                          triplets_per_anchor=2, seed=55)
