@@ -8,13 +8,16 @@ form minimizer of the summed squared distance). Stage 3 jointly trains
 neighborhood and POI-word embeddings on word triplets, with context words
 drawn from the neighborhood bag (respecting multiplicity) and negatives drawn
 frequency**exponent-weighted from outside the bag. Each stage-3 epoch draws
-all of its triplets at once, from the stacked bag counts and one shared
+all of its triplets at once, its contexts gathered from one table of every
+bag's tokens repeated by their counts and its negatives from one shared
 negative table, and then updates in blocks of _POI_BLOCK neighborhoods with
 the gradients taken at the block's start, so memory grows with the
-vocabulary plus the bags, not with their product. Stages 1 and 3 check at
-the end of every epoch that what they train is still finite and within the
-float32 range of a checkpoint, and stop with a ValidationError naming the
-stage and the epoch if it is not.
+vocabulary plus the bags' total count, not with their product. Stage 2's
+sums and stage 3's word updates add rows into a matrix with _scatter_add:
+one flat np.add.at, with the bits of the 2-D call at a fraction of its cost.
+Stages 1 and 3 check at the end of every epoch that what they train is
+still finite and within the float32 range of a checkpoint, and stop with a
+ValidationError naming the stage and the epoch if it is not.
 """
 
 from __future__ import annotations
@@ -93,6 +96,22 @@ def triplet_grads(A: np.ndarray, C: np.ndarray, N: np.ndarray, margin: float):
     blocks *= (losses > 0.0)[:, None]  # multiplies as 1.0 / 0.0
     np.negative(blocks[1], out=blocks[1])
     return g, losses
+
+
+def _scatter_add(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """Add each row of ``values`` into ``target[rows[i]]`` in place, one row
+    after another; rows may repeat. Every element gets its additions in the
+    order of ``np.add.at(target, rows, values)``, so the result is bit for bit
+    that call's. The call made is a 1-D ``np.add.at`` on the flat target with
+    float64 values, numpy's fast path for ``ufunc.at`` (numpy >= 1.25): mixed
+    dtypes or a 2-D target take its slow one. The target must be a
+    C-contiguous float64 matrix, since on any other ``reshape(-1)`` would be a
+    copy and the update would be lost."""
+    if target.dtype != np.float64 or target.ndim != 2 or not target.flags.c_contiguous:
+        raise ValueError("_scatter_add needs a C-contiguous float64 matrix as its target")
+    d = target.shape[1]
+    flat = (np.asarray(rows, dtype=np.int64)[:, None] * d + np.arange(d)).ravel()
+    np.add.at(target.reshape(-1), flat, np.asarray(values, dtype=np.float64).ravel())
 
 
 def _sample_triplet_rows(context_rows: np.ndarray, per_anchor: int,
@@ -196,9 +215,9 @@ def aggregate_neighborhoods(X: np.ndarray, sv_neighborhoods: list,
     if unknown:
         raise ValidationError(f"street views assigned to unknown neighborhoods: {unknown}")
     rows = np.array([row_of[nid] for nid in sv_neighborhoods], dtype=np.int64)
-    # np.add.at adds the rows in order, so each sum is the loop's, bit for bit.
+    # The rows are added in order, so each sum is the loop's, bit for bit.
     Z = np.zeros((len(neighborhood_ids), X.shape[1]))
-    np.add.at(Z, rows, X)
+    _scatter_add(Z, rows, X)
     counts = np.bincount(rows, minlength=len(neighborhood_ids))
     empty = counts == 0
     if empty.any():
@@ -229,8 +248,8 @@ class _EpochDraws:
     """Whole-epoch triplet draws of stage 3 for the active bags: bag j
     anchors row ``rows[j]`` of Z.
 
-    Contexts come from one ``searchsorted`` over the stacked integer
-    cumulative counts of the bags, at ``before[j] + min(floor(u * total[j]),
+    Contexts are gathered from one table of every bag's tokens, each
+    repeated by its count, at ``before[j] + min(floor(u * total[j]),
     total[j] - 1)``, so no draw rounds into the next bag. Negatives come from
     one shared frequency ** exponent table (word2vec's unigram table); the
     draws that hit their own bag, found among the sorted ``j * V + id`` keys,
@@ -243,17 +262,17 @@ class _EpochDraws:
         # Raises before any epoch runs if frequency ** exponent overflows.
         self.shared = NegativeWordSampler(vocab, (), exponent)
         self.rows = np.asarray(rows, dtype=np.int64)
-        self.ids = np.concatenate([bag.ids for bag in bags])
+        ids = np.concatenate([bag.ids for bag in bags])
         counts = np.concatenate([bag.counts for bag in bags])
         sizes = [len(bag) for bag in bags]
         starts = np.cumsum([0] + sizes[:-1])
-        self.cum = np.cumsum(counts)
+        self.tokens = np.repeat(ids, counts)
         self.total = np.add.reduceat(counts, starts)
-        self.before = self.cum[starts] - counts[starts]
-        self.keys = np.sort(np.repeat(np.arange(len(bags)), sizes) * vocab.size + self.ids)
+        self.before = np.cumsum(self.total) - self.total
+        self.keys = np.sort(np.repeat(np.arange(len(bags)), sizes) * vocab.size + ids)
         self.vocab_size = vocab.size
         weights = vocab.frequencies.astype(np.float64) ** exponent
-        share = np.add.reduceat(weights[self.ids], starts) / weights.sum()
+        share = np.add.reduceat(weights[ids], starts) / weights.sum()
         self.heavy = {int(j): NegativeWordSampler(vocab, bags[j].ids, exponent)
                       for j in np.flatnonzero(share > _HEAVY_BAG_SHARE)}
 
@@ -269,7 +288,7 @@ class _EpochDraws:
         j = np.repeat(order, per)
         total = self.total[j]
         picks = np.minimum((rng.random(j.size) * total).astype(np.int64), total - 1)
-        ctx = self.ids[self.cum.searchsorted(self.before[j] + picks, side="right")]
+        ctx = self.tokens[self.before[j] + picks]
         neg = self.shared.draw(rng, size=j.size)
         if self.heavy:
             position = np.argsort(order)
@@ -319,7 +338,7 @@ def train_poi_stage(z_init: np.ndarray, neighborhood_ids: list, vocab: Vocabular
 
     # One update per block of neighborhoods, every gradient taken at the
     # block's start: each anchor takes the summed gradient of its triplets
-    # (the block's Z rows are distinct), and one np.add.at accumulates the
+    # (the block's Z rows are distinct), and one _scatter_add accumulates the
     # repeated word rows of the block's contexts and negatives.
     per, lr, block = config.triplets_per_anchor, config.lr_poi, _POI_BLOCK
     with np.errstate(over="ignore", invalid="ignore"):  # _check_not_diverged reports them
@@ -338,7 +357,7 @@ def train_poi_stage(z_init: np.ndarray, neighborhood_ids: list, vocab: Vocabular
                     if Z0 is not None:
                         step += per * config.anchor_weight * (Z[z_rows] - Z0[z_rows])
                     Z[z_rows] -= lr * step
-                    np.add.at(Y, words, -lr * g[n:])
+                    _scatter_add(Y, words, -lr * g[n:])
             _check_not_diverged("stage 3", "neighborhood or word embeddings", [Z, Y],
                                 epoch, config.epochs_poi, f"lr_poi (now {config.lr_poi})")
     return Z, Y

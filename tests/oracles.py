@@ -5,9 +5,11 @@ whose bytes ``write_poi_jsonl`` must reproduce, POI records as the columns
 the all-points k-nearest-neighbor query by latitude bands, PCA by a thin
 SVD, k-means by one broadcast distance array, the predictions of
 ``analytics.linreg_fit``, the adjusted Rand index that scores a
-clustering against known labels, and the copying forms of stages 1 and 3:
+clustering against known labels, the copying forms of stages 1 and 3:
 an encoder pass whose every result is a new array, three separately
-allocated triplet gradients, and the concatenating updates built on them.
+allocated triplet gradients, and the concatenating updates built on them,
+and stage 3's epoch draws with their contexts found by ``searchsorted``
+over the bags' cumulative counts.
 
 Not a test module (its name does not start with ``test_``), so pytest
 collects nothing here; the test modules import it by name.
@@ -365,3 +367,30 @@ def concatenating_poi_updates(z_init, Y, draws, config, block: int):
             Z[z_rows] -= lr * step
             np.add.at(Y, words, -lr * np.concatenate([gc, gn]))
     return Z, Y
+
+
+def searchsorted_epoch(draws, bags, rng, per: int):
+    """``training._EpochDraws.epoch`` of ``draws``, built over ``bags``, with
+    each context found by one ``searchsorted`` over the stacked cumulative
+    counts of the bags instead of a gather from their token table; the
+    negatives come from ``draws``'s own samplers."""
+    counts = np.concatenate([bag.counts for bag in bags])
+    ids = np.concatenate([bag.ids for bag in bags])
+    starts = np.cumsum([0] + [len(bag) for bag in bags][:-1])
+    cum = np.cumsum(counts)
+    before = cum[starts] - counts[starts]
+    order = rng.permutation(len(bags))
+    j = np.repeat(order, per)
+    total = np.add.reduceat(counts, starts)[j]
+    picks = np.minimum((rng.random(j.size) * total).astype(np.int64), total - 1)
+    ctx = ids[cum.searchsorted(before[j] + picks, side="right")]
+    neg = draws.shared.draw(rng, size=j.size)
+    position = np.argsort(order)
+    for h, sampler in draws.heavy.items():
+        at = position[h] * per
+        neg[at:at + per] = sampler.draw(rng, size=per)
+    redo = np.arange(j.size)
+    while redo.size:
+        redo = redo[draws._in_bag(j[redo], neg[redo])]
+        neg[redo] = draws.shared.draw(rng, size=redo.size)
+    return draws.rows[order], ctx, neg

@@ -9,7 +9,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from oracles import concatenating_poi_updates, copying_train_street_view, separate_triplet_grads, table_of
+from oracles import (concatenating_poi_updates, copying_train_street_view, searchsorted_epoch,
+                     separate_triplet_grads, table_of)
 
 from metrovec import training
 from metrovec.corpus import Bag, Vocabulary, bags_of, build_bag_table, build_vocabulary
@@ -439,6 +440,34 @@ def reference_aggregate(X, sv_neighborhoods, neighborhood_ids):
     return Z / np.maximum(counts, 1)[:, None]
 
 
+class TestScatterAdd:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_2d_add_at_bitwise(self, dtype):
+        # 400 rows into 30 target rows, magnitudes from 1e-8 to 1e8: an
+        # addition out of order would show in the last bits.
+        rng = np.random.default_rng(21)
+        for trial in range(10):
+            target = rng.normal(size=(30, 5)) * 10.0 ** rng.integers(-8, 9, size=(30, 1))
+            rows = rng.integers(0, 30, size=400)
+            values = (rng.normal(size=(400, 5)) * 10.0 ** rng.integers(-8, 9, size=(400, 5))).astype(dtype)
+            want = target.copy()
+            np.add.at(want, rows, values)
+            training._scatter_add(target, rows, values)
+            assert target.tobytes() == want.tobytes(), trial
+
+    def test_no_rows_leaves_the_target(self):
+        target = np.arange(12.0).reshape(4, 3)
+        training._scatter_add(target, np.zeros(0, dtype=np.int64), np.zeros((0, 3), dtype=np.float32))
+        assert target.tobytes() == np.arange(12.0).reshape(4, 3).tobytes()
+
+    @pytest.mark.parametrize("target", [np.zeros((3, 4)).T, np.zeros((4, 6))[:, ::2], np.zeros((4, 3), np.float32)],
+                             ids=["transposed", "strided", "float32"])
+    def test_refuses_a_target_it_would_not_update_in_place(self, target):
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            training._scatter_add(target, np.array([0, 1]), np.ones((2, 3)))
+        assert not target.any()
+
+
 class TestAggregate:
     @pytest.mark.parametrize("policy", ["error", "zero"])
     def test_matches_per_row_reference_bitwise(self, policy):
@@ -453,8 +482,10 @@ class TestAggregate:
             if policy == "error":
                 assigned[:len(used)] = used
                 rng.shuffle(assigned)
-            Z = aggregate_neighborhoods(X, assigned, nids, policy=policy)
-            assert np.array_equal(Z, reference_aggregate(X, assigned, nids)), trial
+            # cmd_aggregate passes float32 rows, as read from sv.emb.
+            for rows in (X, X.astype(np.float32)):
+                Z = aggregate_neighborhoods(rows, assigned, nids, policy=policy)
+                assert np.array_equal(Z, reference_aggregate(rows, assigned, nids)), (trial, rows.dtype)
 
     def test_single_view(self):
         X = np.array([[1.0, 2.0]])
@@ -693,6 +724,29 @@ class TestEpochDraws:
             assert np.isin(ctx[own], bag.ids).all() and not np.isin(neg[own], bag.ids).any()
             emp = np.array([np.mean(ctx[own] == t) for t in bag.ids])
             assert np.abs(emp - bag.counts / bag.counts.sum()).max() <= 0.01
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_the_searchsorted_reference(self, seed):
+        # Bags of counts up to 9, single-token bags, and one bag holding the
+        # two words with most of the negative weight: a heavy bag.
+        rng = np.random.default_rng(seed)
+        size = 40
+        freqs = rng.integers(1, 100, size=size)
+        freqs[:2] = 10**5
+        vocab = Vocabulary(tokens=tuple(f"w{i:02d}" for i in range(size)), frequencies=freqs)
+        bags = [Bag(np.array([0, 1]), np.array([3, 9]))]
+        for b in range(30):
+            ids = np.unique(rng.integers(2, size, size=1 if b % 3 == 0 else 8))
+            bags.append(Bag(ids, rng.integers(1, 10, size=ids.size)))
+        rows = rng.permutation(50)[:len(bags)].tolist()
+        draws = training._EpochDraws(rows, bags, vocab, 0.5)
+        assert list(draws.heavy) == [0]
+        got_rng, want_rng = np.random.default_rng(seed + 10), np.random.default_rng(seed + 10)
+        for _ in range(3):
+            got = draws.epoch(got_rng, per=7)
+            want = searchsorted_epoch(draws, bags, want_rng, per=7)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_heavy_bag_epoch_terminates_quickly(self):
         # The bag holds all but ~5e-7 of the negative weight: rejection from
