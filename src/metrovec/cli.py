@@ -31,7 +31,8 @@ from . import analytics, corpus, fileio, synthcity, training
 from .encoder import init_encoder
 from .errors import (IntegrityError, NotFoundError, PipelineError, StageOrderError,
                      UsageError, ValidationError)
-from .geo import GeoPoint, assign_neighborhood, build_index
+# Unused here: perfbench's test_wrappers_sit_on_the_names_callers_use calls cli.build_index (ROADMAP C3).
+from .geo import SpatialIndex, assign_neighborhood, build_index
 from .training import EMPTY_POLICIES, TrainingConfig
 
 log = logging.getLogger(__name__)
@@ -252,18 +253,17 @@ def cmd_synth(args) -> int:
     city = synthcity.generate_city(cfg)
     paths = synthcity.export_city(city, args.out, features_format=args.features_format)
     print(f"synthetic city: {cfg.n_neighborhoods} neighborhoods, "
-          f"{len(city.street_views)} street views, {len(city.pois)} POIs")
+          f"{len(city.sv_ids)} street views, {len(city.pois)} POIs")
     for name, path in sorted(paths.items()):
         print(f"  {name}: {path}")
     return 0
 
 
-def _load_features(features_path, metadata: list[fileio.StreetViewRecord]):
+def _load_features(features_path, meta_ids: list[str]):
     """Features either as GVFEAT01 binary (rows follow the id-sorted metadata)
     or CSV with inline ids; returns the matrix aligned to the metadata order."""
     with open(features_path, "rb") as fh:
         is_bin = fh.read(8) == fileio.FEATURE_MAGIC
-    meta_ids = [r.id for r in metadata]
     if is_bin:
         if meta_ids != sorted(meta_ids):
             raise ValidationError("binary features require the ids file sorted ascending by id")
@@ -293,28 +293,25 @@ def _rows_for(table_ids: list, wanted: list, what: str) -> list[int]:
 def cmd_ingest(args) -> int:
     workspace = args.workspace
 
-    centroids = fileio.read_centroids_csv(args.centroids)
-    centroid_ids = [cid for cid, _, _ in centroids]
+    centroid_ids, centroid_lat, centroid_lon, cities = fileio.read_centroids_csv(args.centroids)
     if len(set(centroid_ids)) != len(centroid_ids):
         raise ValidationError("duplicate centroid ids")
     known = set(centroid_ids)
-    centroid_points = [(cid, pt) for cid, pt, _ in centroids]
 
-    metadata = fileio.read_sv_metadata(args.ids)
-    sv_ids = [r.id for r in metadata]
+    sv_ids, sv_lat, sv_lon, sv_nids = fileio.read_sv_metadata(args.ids)
     if len(set(sv_ids)) != len(sv_ids):
         raise ValidationError("duplicate street-view ids")
-    features = _load_features(args.features, metadata)
+    features = _load_features(args.features, sv_ids)
     if not np.isfinite(features).all():
-        bad = [metadata[i].id for i in np.unique(np.nonzero(~np.isfinite(features))[0])][:5]
+        bad = [sv_ids[i] for i in np.unique(np.nonzero(~np.isfinite(features))[0])][:5]
         raise ValidationError(f"non-finite feature values for street views {bad}")
 
     pois = corpus.read_poi_columns(args.poi)
 
-    def resolve(ids, nids, point, kind):
-        """Fill in the None entries of ``nids`` with the id of the nearest
-        centroid to ``point(i)``; refuse unknown ids, and missing ones
-        without --assign-missing."""
+    def resolve(ids, nids, lat, lon, kind):
+        """Fill in the None entries of ``nids`` with the id of the centroid
+        nearest the row's ``lat``, ``lon``; refuse unknown ids, and missing
+        ones without --assign-missing."""
         dangling = [(rid, nid) for rid, nid in zip(ids, nids) if nid is not None and nid not in known]
         if dangling:
             raise ValidationError(f"{kind} records reference unknown neighborhoods: {dangling[:10]}")
@@ -323,35 +320,34 @@ def cmd_ingest(args) -> int:
             if not args.assign_missing:
                 names = [ids[i] for i in unassigned[:10]]
                 raise ValidationError(f"{kind} records without neighborhood ids (use --assign-missing): {names}")
-            nearest = assign_neighborhood([point(i) for i in unassigned], centroid_points)
+            nearest = assign_neighborhood(lat[unassigned], lon[unassigned], centroid_ids, centroid_lat, centroid_lon)
             for i, nid in zip(unassigned, nearest):
                 nids[i] = nid
             log.info("assigned %d %s records to nearest centroids", len(unassigned), kind)
 
-    sv_nids = [r.neighborhood_id for r in metadata]
-    resolve(sv_ids, sv_nids, lambda i: metadata[i].geo, "street-view")
-    for r, nid in zip(metadata, sv_nids):
-        r.neighborhood_id = nid
-    resolve(pois.ids, pois.neighborhood_ids, lambda i: GeoPoint(float(pois.lat[i]), float(pois.lon[i])), "POI")
+    resolve(sv_ids, sv_nids, sv_lat, sv_lon, "street-view")
+    resolve(pois.ids, pois.neighborhood_ids, pois.lat, pois.lon, "POI")
     table = corpus.build_bag_table(pois, sorted(centroid_ids))
+    bad = next((sid for sid in sv_ids if "\n" in sid), None)  # refused before any write
+    if bad is not None:
+        raise ValidationError(f"{args.ids}: street-view id {bad!r} holds a newline, which a checkpoint cannot hold")
 
-    order = sorted(range(len(metadata)), key=lambda i: metadata[i].id)
-    metadata = [metadata[i] for i in order]
-    features = features[order]
+    order = sorted(range(len(sv_ids)), key=sv_ids.__getitem__)
+    sv_ids, sv_nids = [sv_ids[i] for i in order], [sv_nids[i] for i in order]
 
     # The bag table first: it is the one write that can still refuse its data
     # (a token that is not valid Unicode, an id holding a newline), and it
     # makes the workspace only once it has not.
     fileio.write_bags(workspace / INGESTED["bags"], table)
-    fileio.write_sv_metadata(workspace / INGESTED["street_views"], metadata)
-    fileio.write_feature_bin(workspace / INGESTED["features"], [r.id for r in metadata], features)
-    fileio.write_centroids_csv(workspace / INGESTED["centroids"], centroids)
+    fileio.write_sv_metadata(workspace / INGESTED["street_views"], sv_ids, sv_lat[order], sv_lon[order], sv_nids)
+    fileio.write_feature_bin(workspace / INGESTED["features"], sv_ids, features[order])
+    fileio.write_centroids_csv(workspace / INGESTED["centroids"], centroid_ids, centroid_lat, centroid_lon, cities)
 
     manifest = {"version": MANIFEST_VERSION, "config": None, "stages": {}}
     inputs = {"poi": str(args.poi), "features": str(args.features),
               "ids": str(args.ids), "centroids": str(args.centroids)}
     _complete_stage(workspace, manifest, "ingest", inputs=inputs)
-    print(f"ingested {len(metadata)} street views, {len(pois)} POIs, "
+    print(f"ingested {len(sv_ids)} street views, {len(pois)} POIs, "
           f"{len(centroid_ids)} neighborhoods into {workspace}")
     return 0
 
@@ -398,14 +394,12 @@ def cmd_train_sv(args) -> int:
     workspace = args.workspace
     manifest = load_manifest(workspace)
     config = _resolve_config(manifest, args, "train_sv")
-    sv_path = _verify_file(workspace, manifest, INGESTED["street_views"])
-    features_path = _verify_file(workspace, manifest, INGESTED["features"])
-    metadata, features = fileio.read_sv_metadata(sv_path), fileio.read_feature_bin(features_path)
+    sv_ids, lat, lon, _ = fileio.read_sv_metadata(_verify_file(workspace, manifest, INGESTED["street_views"]))
+    features = fileio.read_feature_bin(_verify_file(workspace, manifest, INGESTED["features"]))
 
-    index = build_index([(r.id, r.geo) for r in metadata])
     params = init_encoder(features.shape[1], config.hidden, config.d, config.seed)
-    params, X = training.train_street_view(params, [r.id for r in metadata], features, index, config)
-    fileio.write_embeddings(workspace / CHECKPOINTS["sv"], [r.id for r in metadata], X)
+    params, X = training.train_street_view(params, sv_ids, features, SpatialIndex(sv_ids, lat, lon), config)
+    fileio.write_embeddings(workspace / CHECKPOINTS["sv"], sv_ids, X)
     _complete_stage(workspace, manifest, "train_sv", config)
     print(f"trained street-view embeddings: {X.shape[0]} x {X.shape[1]} "
           f"({config.epochs_sv} epochs, seed {config.seed})")
@@ -417,15 +411,13 @@ def cmd_aggregate(args) -> int:
     manifest = load_manifest(workspace)
     config = _resolve_config(manifest, args, "aggregate")
     sv_ids, X = _read_checkpoint(workspace, manifest, "sv", config.d)
-    sv_path = _verify_file(workspace, manifest, INGESTED["street_views"])
-    centroids_path = _verify_file(workspace, manifest, INGESTED["centroids"])
-    metadata, centroids = fileio.read_sv_metadata(sv_path), fileio.read_centroids_csv(centroids_path)
-    nbhd_of = {r.id: r.neighborhood_id for r in metadata}
+    meta_ids, _, _, meta_nids = fileio.read_sv_metadata(_verify_file(workspace, manifest, INGESTED["street_views"]))
+    neighborhood_ids = sorted(fileio.read_centroids_csv(_verify_file(workspace, manifest, INGESTED["centroids"]))[0])
+    nbhd_of = dict(zip(meta_ids, meta_nids))
     try:
         assignments = [nbhd_of[sid] for sid in sv_ids]
     except KeyError as exc:
         raise ValidationError(f"checkpoint id {exc} missing from ingested street views") from None
-    neighborhood_ids = sorted(cid for cid, _, _ in centroids)
     Z = training.aggregate_neighborhoods(X, assignments, neighborhood_ids, policy=config.empty_policy)
     fileio.write_embeddings(workspace / CHECKPOINTS["sve"], neighborhood_ids, Z)
     _complete_stage(workspace, manifest, "aggregate", config)
@@ -513,8 +505,8 @@ def cmd_similar(args) -> int:
 
     city_rows = None  # every neighborhood is a candidate
     if args.from_city:
-        centroids = fileio.read_centroids_csv(_verify_file(workspace, manifest, INGESTED["centroids"]))
-        city_of = {cid: city for cid, _, city in centroids}
+        centroid_ids, _, _, cities = fileio.read_centroids_csv(_verify_file(workspace, manifest, INGESTED["centroids"]))
+        city_of = dict(zip(centroid_ids, cities))
         if not any(city_of.values()):
             raise ValidationError("centroids carry no city tags; --from-city is unavailable")
         city_rows = [i for i, nid in enumerate(ids) if city_of.get(nid) == args.from_city]

@@ -46,13 +46,6 @@ _EMBEDDING_NAMES = ("id", "ids")
 _BAGS_NAMES = ("id and token", "ids and tokens")
 
 
-@dataclass
-class StreetViewRecord:
-    id: str
-    geo: GeoPoint
-    neighborhood_id: str | None
-
-
 @dataclass(frozen=True, eq=False)
 class BagTable:
     """Neighborhood bags as one CSR table, the content of a GVBAGS01 file:
@@ -248,47 +241,42 @@ def write_embeddings_tsv(path, ids: list, matrix: np.ndarray) -> None:
             fh.write(rid + "\t" + "\t".join(repr(float(v)) for v in row) + "\n")
 
 
-def write_sv_metadata(path, records: list[StreetViewRecord]) -> None:
+def write_sv_metadata(path, ids: list[str], lat: np.ndarray, lon: np.ndarray, neighborhood_ids: list) -> None:
     _write_csv(path, ["id", "lat", "lon", "neighborhood_id"],
-               ([r.id, repr(r.geo.lat), repr(r.geo.lon), r.neighborhood_id or ""] for r in records))
+               ([rid, repr(y), repr(x), nid or ""]
+                for rid, y, x, nid in zip(ids, lat.tolist(), lon.tolist(), neighborhood_ids)))
 
 
-def read_sv_metadata(path) -> list[StreetViewRecord]:
+def read_sv_metadata(path) -> tuple[list[str], np.ndarray, np.ndarray, list[str | None]]:
+    """(ids, lat, lon, neighborhood ids or None), in file order."""
     rows = _read_csv(path, lambda h: [c.strip() for c in h[:4]] == ["id", "lat", "lon", "neighborhood_id"],
                      "header id,lat,lon,neighborhood_id", "street-view")
     next(rows)
-    records = []
-    for lineno, row in rows:
-        if len(row) < 4:
-            raise FormatError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
-        records.append(StreetViewRecord(id=row[0], geo=_geo(path, lineno, row, "street view"),
-                                        neighborhood_id=row[3] or None))
-    return records
+    return _point_table(path, rows, "street view", 4, "4", lambda lineno, row: row[3] or None)
 
 
-def write_centroids_csv(path, centroids: list[tuple[str, GeoPoint, str | None]]) -> None:
-    has_city = any(city for _, _, city in centroids)
+def write_centroids_csv(path, ids: list[str], lat: np.ndarray, lon: np.ndarray, cities: list[str | None]) -> None:
+    has_city = any(cities)
     _write_csv(path, ["id", "lat", "lon", "city"] if has_city else ["id", "lat", "lon"],
-               ([cid, repr(point.lat), repr(point.lon)] + ([city or ""] if has_city else [])
-                for cid, point, city in centroids))
+               ([cid, repr(y), repr(x)] + ([city or ""] if has_city else [])
+                for cid, y, x, city in zip(ids, lat.tolist(), lon.tolist(), cities)))
 
 
-def read_centroids_csv(path) -> list[tuple[str, GeoPoint, str | None]]:
+def read_centroids_csv(path) -> tuple[list[str], np.ndarray, np.ndarray, list[str | None]]:
+    """(ids, lat, lon, city tags or None), in file order."""
     rows = _read_csv(path, lambda h: [c.strip() for c in h[:3]] == ["id", "lat", "lon"],
                      "header id,lat,lon[,city]", "centroid")
     header = next(rows)
     has_city = len(header) > 3 and header[3].strip() == "city"
-    out = []
-    for lineno, row in rows:
-        if len(row) < 3:
-            raise FormatError(f"{path}:{lineno}: expected at least 3 columns, got {len(row)}")
-        city = row[3] if has_city and len(row) > 3 and row[3] else None
+
+    def city(lineno, row):
+        tag = row[3] if has_city and len(row) > 3 and row[3] else None
         # Both go into report file names (``similar``'s query and --from-city).
-        for kind, name in (("id", row[0]), ("city tag", city or "")):
+        for kind, name in (("id", row[0]), ("city tag", tag or "")):
             if splits_a_path(name):
                 raise ValidationError(f"{path}:{lineno}: centroid {kind} {name!r} holds a path separator or NUL")
-        out.append((row[0], _geo(path, lineno, row, "centroid"), city))
-    return out
+        return tag
+    return _point_table(path, rows, "centroid", 3, "at least 3", city)
 
 
 def write_targets_csv(path, ids: list[str], names: list[str], values: np.ndarray) -> None:
@@ -371,13 +359,37 @@ def _floats(path, lineno: int, cells: list[str]) -> list[float]:
         raise FormatError(f"{path}:{lineno}: {exc}") from None
 
 
-def _geo(path, lineno: int, row: list[str], what: str) -> GeoPoint:
-    """The point in a row's lat and lon cells; a range error names the row
-    as ``what`` and its id. Parses its two cells itself rather than through
-    ``_floats``: a street-view table has a row per image."""
+def _point_table(path, rows, what: str, least: int, columns: str, last) -> tuple:
+    """(ids, float64 lat, float64 lon, last column) of (line number, cells)
+    rows; ``last(lineno, row)`` checks a row and gives its last column. The
+    first bad row in file order is named. The range check runs on all rows at
+    once, its error worded by ``GeoPoint`` for the row, ``what`` and its id."""
+    linenos, ids, lat, lon, lasts = [], [], [], [], []
+
+    def check_range():
+        # NaN fails every comparison, and an infinity the range.
+        bad = np.flatnonzero(~((np.abs(lat) <= 90.0) & (np.abs(lon) <= 180.0)))
+        if bad.size:
+            i = int(bad[0])
+            try:
+                GeoPoint(float(lat[i]), float(lon[i]))
+            except ValidationError as exc:
+                raise ValidationError(f"{path}:{linenos[i]} ({what} {ids[i]!r}): {exc}") from None
     try:
-        return GeoPoint(float(row[1]), float(row[2]))
-    except ValueError as exc:
-        raise FormatError(f"{path}:{lineno}: {exc}") from None
-    except ValidationError as exc:
-        raise ValidationError(f"{path}:{lineno} ({what} {row[0]!r}): {exc}") from None
+        for lineno, row in rows:
+            if len(row) < least:
+                raise FormatError(f"{path}:{lineno}: expected {columns} columns, got {len(row)}")
+            lasts.append(last(lineno, row))
+            try:
+                y, x = float(row[1]), float(row[2])
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from None
+            linenos.append(lineno)
+            ids.append(row[0])
+            lat.append(y)
+            lon.append(x)
+    except ValidationError:
+        check_range()  # a bad row before this one comes first
+        raise
+    check_range()
+    return ids, np.array(lat, dtype=np.float64), np.array(lon, dtype=np.float64), lasts

@@ -1,5 +1,5 @@
 """Geographic points, great-circle distance, the exact all-points k-nearest-
-neighbor query, and nearest-centroid assignment.
+neighbor query, and nearest-centroid assignment, on coordinate columns.
 
 Distances are haversine on a sphere of radius 6,371,000 m. The index grids
 its points into square latitude x longitude cells of about 16 points, with
@@ -61,22 +61,23 @@ def _haversine_block(qlat, qlon, qcos, lat, lon, cos) -> np.ndarray:
 
 
 class SpatialIndex:
-    """Immutable k-nearest-neighbor index over (id, GeoPoint) pairs.
+    """Immutable k-nearest-neighbor index over ids and their latitude and
+    longitude columns in degrees, in range; index row i is point i.
 
     Ties in distance are broken by ascending id so queries are reproducible.
-    Build once via :func:`build_index`; queries are read-only and safe to run
-    concurrently.
+    Queries are read-only and safe to run concurrently.
     """
 
-    def __init__(self, points: list[tuple[object, GeoPoint]]):
-        if not points:
+    def __init__(self, ids: list, lat, lon):
+        self._ids, n = list(ids), len(ids)
+        if not n:
             raise ValidationError("cannot build a spatial index from an empty point list")
-        ids = [pid for pid, _ in points]
-        if len(set(ids)) != len(ids):
+        if len(set(ids)) != n:
             raise ValidationError(f"duplicate point ids: {sorted(p for p, m in Counter(ids).items() if m > 1)!r}")
+        lat, lon = np.asarray(lat, dtype=np.float64), np.asarray(lon, dtype=np.float64)
+        if lat.shape != (n,) or lon.shape != (n,):
+            raise ValidationError(f"{n} ids but coordinates of shapes {lat.shape} and {lon.shape}")
 
-        self._ids, n = ids, len(ids)
-        lat, lon = np.array([(p.lat, p.lon) for _, p in points], dtype=np.float64).T
         # x: degrees east of the first longitude past the widest empty arc.
         srt = np.sort(lon)
         x = (lon - srt[(np.diff(srt, append=srt[0] + 360.0).argmax() + 1) % n]) % 360.0
@@ -177,27 +178,26 @@ class SpatialIndex:
 
 
 def build_index(points: list[tuple[object, GeoPoint]]) -> SpatialIndex:
-    return SpatialIndex(points)
+    return SpatialIndex([pid for pid, _ in points], [p.lat for _, p in points], [p.lon for _, p in points])
 
 
-def assign_neighborhood(points: list[GeoPoint], centroids: list[tuple[object, GeoPoint]]) -> list:
-    """Id of the haversine-nearest centroid of each point; ties broken by
-    ascending id. Distances come in (points x centroids) blocks of at most
-    _BLOCK_FLOATS floats."""
-    if not centroids:
+def assign_neighborhood(lat, lon, centroid_ids: list, centroid_lat, centroid_lon) -> list:
+    """Id of the haversine-nearest centroid of each point, both as coordinate
+    columns; ties broken by ascending id. Distances come in (points x
+    centroids) blocks of at most _BLOCK_FLOATS floats."""
+    if not len(centroid_ids):
         raise ValidationError("empty centroid list")
     # Columns in ascending id order, so argmin's first minimum is the smallest id.
-    centroids = sorted(centroids, key=lambda c: c[0])
-    clat = np.array([c.lat for _, c in centroids], dtype=np.float64)
-    clon = np.array([c.lon for _, c in centroids], dtype=np.float64)
+    order = sorted(range(len(centroid_ids)), key=centroid_ids.__getitem__)
+    ids = [centroid_ids[j] for j in order]
+    clat, clon = (np.asarray(c, dtype=np.float64)[order] for c in (centroid_lat, centroid_lon))
     ccos = np.cos(np.radians(clat))
-    plat = np.array([p.lat for p in points], dtype=np.float64)
-    plon = np.array([p.lon for p in points], dtype=np.float64)
+    plat, plon = np.asarray(lat, dtype=np.float64), np.asarray(lon, dtype=np.float64)
     pcos = np.cos(np.radians(plat))
-    step = max(1, _BLOCK_FLOATS // len(centroids))
+    step = max(1, _BLOCK_FLOATS // len(ids))
     out = []
-    for lo in range(0, len(points), step):
+    for lo in range(0, len(plat), step):
         hi = lo + step
         best = _haversine_block(plat[lo:hi], plon[lo:hi], pcos[lo:hi], clat, clon, ccos).argmin(axis=1)
-        out += [centroids[j][0] for j in best]
+        out += [ids[j] for j in best.tolist()]
     return out

@@ -17,9 +17,8 @@ import numpy as np
 
 from .corpus import PoiColumns, _half_star, _inverse_cdf, write_poi_jsonl
 from .errors import ValidationError, check_bounds
-from .fileio import (StreetViewRecord, _write_csv, splits_a_path, write_centroids_csv, write_feature_bin,
-                     write_features_csv, write_sv_metadata, write_targets_csv)
-from .geo import GeoPoint
+from .fileio import (_write_csv, splits_a_path, write_centroids_csv, write_feature_bin, write_features_csv,
+                     write_sv_metadata, write_targets_csv)
 
 GRID_SPACING_DEG = 0.01  # roughly 1.1 km between adjacent centroids
 BASE_LAT = 37.0
@@ -66,22 +65,24 @@ _LEAST = {"n_neighborhoods": 1, "views_per_neighborhood": 1, "pois_per_neighborh
 
 @dataclass
 class SynthCity:
+    """A generated city as columns, its street views in ascending id order."""
+
     config: SynthConfig
     neighborhood_ids: list[str]
-    centroids: list[GeoPoint]
+    centroid_lat: np.ndarray  # (N,) float64
+    centroid_lon: np.ndarray
     latents: np.ndarray  # (N, L), post-smoothing: the generating factors
     cluster_labels: np.ndarray | None
-    street_views: list[StreetViewRecord]
-    features: np.ndarray  # (street views, feature_dim) float32, in street_views order
+    sv_ids: list[str]
+    sv_lat: np.ndarray  # (street views,) float64
+    sv_lon: np.ndarray
+    sv_neighborhood_ids: list[str]
+    features: np.ndarray  # (street views, feature_dim) float32
     pois: PoiColumns
 
     @property
     def latent_names(self) -> list[str]:
         return [f"u{i + 1}" for i in range(self.latents.shape[1])]
-
-    def feature_matrix(self) -> tuple[list[str], np.ndarray]:
-        order = sorted(range(len(self.street_views)), key=lambda i: self.street_views[i].id)
-        return [self.street_views[i].id for i in order], self.features[order]
 
 
 def _grid_shape(n: int) -> tuple[int, int]:
@@ -169,10 +170,8 @@ def generate_city(config: SynthConfig) -> SynthCity:
     tag = config.city_tag
 
     nbhd_ids = [f"{tag}n{i:04d}" for i in range(n)]
-    centroids = [GeoPoint(BASE_LAT + (i // cols) * GRID_SPACING_DEG,
-                          BASE_LON + (i % cols) * GRID_SPACING_DEG) for i in range(n)]
-    centroid_lat = np.array([c.lat for c in centroids])
-    centroid_lon = np.array([c.lon for c in centroids])
+    centroid_lat = np.array([BASE_LAT + (i // cols) * GRID_SPACING_DEG for i in range(n)])
+    centroid_lon = np.array([BASE_LON + (i % cols) * GRID_SPACING_DEG for i in range(n)])
 
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing latents fail the feature check
         if config.n_clusters > 0:
@@ -204,9 +203,9 @@ def generate_city(config: SynthConfig) -> SynthCity:
     if overflowed.any():
         raise ValidationError(f"neighborhood {nbhd_ids[int(overflowed.argmax()) // V]}: street-view features "
                               f"overflow; lower feature_noise or cluster_separation")
-    points = [GeoPoint(y, x) for y, x in zip(sv_lat.tolist(), sv_lon.tolist())]
-    street_views = [StreetViewRecord(id=f"{tag}sv{i:04d}_{v:03d}", geo=points[i * V + v], neighborhood_id=nbhd_ids[i])
-                    for i in range(n) for v in range(V)]
+    sv_ids = [f"{tag}sv{i:04d}_{v:03d}" for i in range(n) for v in range(V)]  # sorted as the feature table
+    order = sorted(range(n * V), key=sv_ids.__getitem__)
+    sv_ids, sv_nids = [sv_ids[j] for j in order], [nbhd_ids[j // V] for j in order]
 
     n_cat = max(4, config.vocab_size // 4)
     n_rev = config.vocab_size - n_cat
@@ -272,9 +271,10 @@ def generate_city(config: SynthConfig) -> SynthCity:
         prices=np.clip(np.rint(price_base + 0.3 * normals[:, 3]), 1, 4).astype(np.int64),
         reviews=[" ".join(text) for text in rev_pool[words].tolist()])
 
-    return SynthCity(config=config, neighborhood_ids=nbhd_ids, centroids=centroids,
-                     latents=latents, cluster_labels=labels,
-                     street_views=street_views, features=features, pois=pois)
+    return SynthCity(config=config, neighborhood_ids=nbhd_ids, centroid_lat=centroid_lat,
+                     centroid_lon=centroid_lon, latents=latents, cluster_labels=labels, sv_ids=sv_ids,
+                     sv_lat=sv_lat[order], sv_lon=sv_lon[order], sv_neighborhood_ids=sv_nids,
+                     features=features[order], pois=pois)
 
 
 def export_city(city: SynthCity, directory, features_format: str = "bin") -> dict[str, Path]:
@@ -293,16 +293,11 @@ def export_city(city: SynthCity, directory, features_format: str = "bin") -> dic
         "attributes": directory / "attributes.csv",
     }
     write_poi_jsonl(paths["poi"], city.pois)
-    ids, feats = city.feature_matrix()
-    if features_format == "bin":
-        write_feature_bin(paths["features"], ids, feats)
-    else:
-        write_features_csv(paths["features"], ids, feats)
-    by_id = {sv.id: sv for sv in city.street_views}
-    write_sv_metadata(paths["street_views"], [by_id[i] for i in ids])
-    city_tag = city.config.city_tag or None
-    write_centroids_csv(paths["centroids"],
-                        [(nid, pt, city_tag) for nid, pt in zip(city.neighborhood_ids, city.centroids)])
+    write_features = write_feature_bin if features_format == "bin" else write_features_csv
+    write_features(paths["features"], city.sv_ids, city.features)
+    write_sv_metadata(paths["street_views"], city.sv_ids, city.sv_lat, city.sv_lon, city.sv_neighborhood_ids)
+    write_centroids_csv(paths["centroids"], city.neighborhood_ids, city.centroid_lat, city.centroid_lon,
+                        [city.config.city_tag or None] * len(city.neighborhood_ids))
     write_targets_csv(paths["attributes"], city.neighborhood_ids, city.latent_names, city.latents)
     if city.cluster_labels is not None:
         paths["clusters"] = directory / "clusters.csv"

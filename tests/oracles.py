@@ -1,7 +1,9 @@
 """Test-side references: the per-record POI line reader whose records and
 errors ``read_poi_columns`` must reproduce, the per-record POI line writer
 whose bytes ``write_poi_jsonl`` must reproduce, POI records as the columns
-``ingest`` reads, toy corpora as bag tables, the scalar haversine distance,
+``ingest`` reads, the per-row street-view and centroid table readers whose
+rows (as columns, ``columns_of_records``) and errors ``read_sv_metadata``
+and ``read_centroids_csv`` must reproduce, toy corpora as bag tables, the scalar haversine distance,
 the all-points k-nearest-neighbor query by latitude bands, PCA by a thin
 SVD, k-means by one broadcast distance array, the predictions of
 ``analytics.linreg_fit``, the adjusted Rand index that scores a
@@ -25,7 +27,7 @@ from metrovec.analytics import KMEANS_MAX_ITER, PcaModel
 from metrovec.corpus import PoiColumns, PoiRecord
 from metrovec.encoder import EncoderParams
 from metrovec.errors import FormatError, ValidationError
-from metrovec.fileio import BagTable
+from metrovec.fileio import BagTable, _read_csv, splits_a_path
 from metrovec.geo import _BLOCK_FLOATS, _PRUNE_SLACK_M, EARTH_RADIUS_M, GeoPoint, _haversine_block
 from metrovec.training import DISTANCE_FLOOR, _sample_triplet_rows, context_rows_from_index
 
@@ -103,6 +105,57 @@ def columns_of(pois: list[PoiRecord]) -> PoiColumns:
         reviews=[" ".join(p.reviews) for p in pois])
 
 
+def _row_point(path, lineno: int, row: list[str], what: str) -> GeoPoint:
+    """The point in a row's lat and lon cells; a range error names the row
+    as ``what`` and its id."""
+    try:
+        return GeoPoint(float(row[1]), float(row[2]))
+    except ValueError as exc:
+        raise FormatError(f"{path}:{lineno}: {exc}") from None
+    except ValidationError as exc:
+        raise ValidationError(f"{path}:{lineno} ({what} {row[0]!r}): {exc}") from None
+
+
+def read_sv_records(path) -> list[tuple[str, GeoPoint, str | None]]:
+    """One (id, point, neighborhood id or None) per street-view row, each
+    row checked as it is read."""
+    rows = _read_csv(path, lambda h: [c.strip() for c in h[:4]] == ["id", "lat", "lon", "neighborhood_id"],
+                     "header id,lat,lon,neighborhood_id", "street-view")
+    next(rows)
+    records = []
+    for lineno, row in rows:
+        if len(row) < 4:
+            raise FormatError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
+        records.append((row[0], _row_point(path, lineno, row, "street view"), row[3] or None))
+    return records
+
+
+def read_centroid_records(path) -> list[tuple[str, GeoPoint, str | None]]:
+    """One (id, point, city tag or None) per centroid row, each row checked
+    as it is read."""
+    rows = _read_csv(path, lambda h: [c.strip() for c in h[:3]] == ["id", "lat", "lon"],
+                     "header id,lat,lon[,city]", "centroid")
+    header = next(rows)
+    has_city = len(header) > 3 and header[3].strip() == "city"
+    out = []
+    for lineno, row in rows:
+        if len(row) < 3:
+            raise FormatError(f"{path}:{lineno}: expected at least 3 columns, got {len(row)}")
+        city = row[3] if has_city and len(row) > 3 and row[3] else None
+        for kind, name in (("id", row[0]), ("city tag", city or "")):
+            if splits_a_path(name):
+                raise ValidationError(f"{path}:{lineno}: centroid {kind} {name!r} holds a path separator or NUL")
+        out.append((row[0], _row_point(path, lineno, row, "centroid"), city))
+    return out
+
+
+def columns_of_records(records: list[tuple[str, GeoPoint, str | None]]):
+    """The (ids, lat, lon, third column) that the column readers return
+    for the rows of a record reader."""
+    return ([r[0] for r in records], np.array([r[1].lat for r in records], dtype=np.float64),
+            np.array([r[1].lon for r in records], dtype=np.float64), [r[2] for r in records])
+
+
 def table_of(counters: dict[str, Counter]) -> BagTable:
     """The bag table of toy bags, given as neighborhood id -> ``Counter`` of
     token strings: rows in ascending id order, the distinct tokens sorted,
@@ -133,7 +186,7 @@ def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
 
 
 def band_k_nearest(points: list[tuple[object, GeoPoint]], k: int) -> np.ndarray:
-    """``SpatialIndex(points).k_nearest(k)`` by about sqrt(n) equal-height
+    """``build_index(points).k_nearest(k)`` by about sqrt(n) equal-height
     latitude bands, the fast reference for large cities. Each band's queries
     share a window of bands, widened until the R * delta-lat bound from the
     sorted latitudes just outside it proves every row. Its work grows as

@@ -19,7 +19,7 @@ from metrovec.analytics import SplitProtocol, cosine_rank, evaluate_regression, 
 from metrovec.cli import main
 from metrovec.corpus import NegativeWordSampler, bags_of, build_bag_table, build_vocabulary
 from metrovec.encoder import _backward_batch, _forward_batch, _views, init_encoder
-from metrovec.geo import GeoPoint, build_index
+from metrovec.geo import GeoPoint, SpatialIndex, build_index
 from metrovec.synthcity import SynthConfig, generate_city
 from metrovec.training import (TrainingConfig, _sample_triplet_rows, aggregate_neighborhoods,
                                context_rows_from_index, init_word_vectors,
@@ -61,10 +61,8 @@ def main_city():
     t0 = time.monotonic()
     city = generate_city(MAIN_CITY)
     cfg = MAIN_TRAIN
-    ids, feats = city.feature_matrix()
-    feats = feats.astype(np.float64)
-    by_id = {sv.id: sv for sv in city.street_views}
-    index = build_index([(i, by_id[i].geo) for i in ids])
+    ids, feats = city.sv_ids, city.features.astype(np.float64)
+    index = SpatialIndex(ids, city.sv_lat, city.sv_lon)
     params0 = init_encoder(feats.shape[1], cfg.hidden, cfg.d, cfg.seed)
 
     eval_rng = np.random.default_rng(90210)
@@ -77,8 +75,7 @@ def main_city():
     sv_loss_after = mean_hinge(X[sv_rows[:, 0]], X[sv_rows[:, 1]],
                                X[sv_rows[:, 2]], cfg.margin_sv)
 
-    Z_sve = aggregate_neighborhoods(X, [by_id[i].neighborhood_id for i in ids],
-                                    city.neighborhood_ids)
+    Z_sve = aggregate_neighborhoods(X, city.sv_neighborhood_ids, city.neighborhood_ids)
     table = build_bag_table(city.pois, city.neighborhood_ids)
     vocab, bags = build_vocabulary(table), bags_of(table)
 
@@ -282,14 +279,11 @@ def test_criterion_7_clustering_sanity():
                          triplets_per_anchor=5, lr_sv=0.01, lr_poi=0.02,
                          hidden=16, batch_size=64, seed=7)
     city = generate_city(city_cfg)
-    ids, feats = city.feature_matrix()
-    feats = feats.astype(np.float64)
-    by_id = {sv.id: sv for sv in city.street_views}
-    index = build_index([(i, by_id[i].geo) for i in ids])
+    ids, feats = city.sv_ids, city.features.astype(np.float64)
+    index = SpatialIndex(ids, city.sv_lat, city.sv_lon)
     params = init_encoder(feats.shape[1], cfg.hidden, cfg.d, cfg.seed)
     params, X = train_street_view(params, ids, feats, index, cfg)
-    Z = aggregate_neighborhoods(X, [by_id[i].neighborhood_id for i in ids],
-                                city.neighborhood_ids)
+    Z = aggregate_neighborhoods(X, city.sv_neighborhood_ids, city.neighborhood_ids)
     table = build_bag_table(city.pois, city.neighborhood_ids)
     Z, _ = train_poi_stage(Z, city.neighborhood_ids, build_vocabulary(table), bags_of(table), cfg)
     labels, _ = kmeans(Z, 4, seed=cfg.seed)

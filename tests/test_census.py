@@ -16,6 +16,8 @@ UNREACHED = {
     "analytics.linreg_fit": "the general-solve regression evaluate_regression's closed form is checked against",
     "corpus.build_neighborhood_bag": "the Counter bag of one neighborhood that bag-table rows are checked against",
     "corpus.read_poi_jsonl": "the records perfbench's held-out check reads",
+    "geo.build_index": "the index over (id, GeoPoint) pairs, which perfbench's tracer test calls as "
+                       "cli.build_index; the commands build a SpatialIndex from columns",
 }
 
 CITY = """

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from oracles import read_poi_jsonl, table_of
 
-from metrovec import cli, corpus, fileio
+from metrovec import cli, corpus, fileio, geo
 from metrovec.cli import build_parser, main, save_manifest
 from metrovec.corpus import build_neighborhood_bag, read_poi_columns
 from metrovec.errors import PipelineError, ValidationError
@@ -166,8 +166,8 @@ class TestIngest:
 
         # Each POI's tokens are in the row of its nearest centroid.
         pois = read_poi_jsonl(blank)
-        centroids = [(cid, point) for cid, point, _ in read_centroids_csv(city_dir / "centroids.csv")]
-        nearest = assign_neighborhood([p.geo for p in pois], centroids)
+        nearest = assign_neighborhood([p.geo.lat for p in pois], [p.geo.lon for p in pois],
+                                      *read_centroids_csv(city_dir / "centroids.csv")[:3])
         want = table_of({nid: build_neighborhood_bag([p for p, n in zip(pois, nearest) if n == nid])
                          for nid in assigned.row_ids})
         assert assigned.tokens == want.tokens
@@ -670,7 +670,7 @@ def _write_lines(path: Path, lines: list[str]) -> Path:
 
 def _features_csv(city_dir, path: Path, edit) -> Path:
     """The city's features as CSV, with ``edit`` applied to the id list."""
-    ids = [r.id for r in read_sv_metadata(city_dir / "street_views.csv")]
+    ids = read_sv_metadata(city_dir / "street_views.csv")[0]
     feats = read_feature_bin(city_dir / "features.bin")
     ids, feats = edit(ids, feats)
     write_features_csv(path, ids, feats)
@@ -680,12 +680,12 @@ def _features_csv(city_dir, path: Path, edit) -> Path:
 def _nan_row_three(city_dir, path: Path) -> Path:
     feats = read_feature_bin(city_dir / "features.bin").copy()
     feats[3, 1] = np.nan
-    write_feature_bin(path, sorted(r.id for r in read_sv_metadata(city_dir / "street_views.csv")), feats)
+    write_feature_bin(path, sorted(read_sv_metadata(city_dir / "street_views.csv")[0]), feats)
     return path
 
 
 def _no_columns_bin(city_dir, path: Path) -> Path:
-    ids = sorted(r.id for r in read_sv_metadata(city_dir / "street_views.csv"))
+    ids = sorted(read_sv_metadata(city_dir / "street_views.csv")[0])
     write_feature_bin(path, ids, np.zeros((len(ids), 0), np.float32))
     return path
 
@@ -1359,3 +1359,50 @@ def test_ingest_refusing_its_bag_table_creates_no_workspace(tmp_path, city_dir, 
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err, err
     assert not (tmp_path / "ws").exists()
+
+
+def test_ingest_refuses_a_street_view_id_holding_a_newline(tmp_path, city_dir, capsys):
+    # Quoted in both CSV tables, the id reads back whole; train-sv's
+    # checkpoint could not hold it, so ingest refuses it and makes nothing.
+    sv_rows = _csv_rows(city_dir / "street_views.csv")
+    old = sv_rows[1][0]
+    new = old + "\nx"
+    sv_rows[1][0] = new
+    with open(tmp_path / "sv.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(sv_rows)
+    features = _features_csv(city_dir, tmp_path / "features.csv",
+                             lambda ids, feats: ([new if i == old else i for i in ids], feats))
+    args = ingest_args(city_dir, tmp_path / "ws" / "inner")
+    args[args.index("--ids") + 1] = str(tmp_path / "sv.csv")
+    args[args.index("--features") + 1] = str(features)
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert f"sv.csv: street-view id {new!r} holds a newline" in err and "Traceback" not in err, err
+    assert not (tmp_path / "ws").exists()
+
+
+@pytest.mark.parametrize("features, blank", [("bin", False), ("csv", True)], ids=["bin", "csv-blank-ids"])
+def test_chain_builds_no_geopoint(tmp_path, monkeypatch, features, blank):
+    """Street views and centroids go from the CSV to the index as columns:
+    synth, ingest (with blank neighborhood ids assigned too), train-sv and
+    aggregate build no GeoPoint."""
+    built = []
+    check = geo.GeoPoint.__post_init__
+    monkeypatch.setattr(geo.GeoPoint, "__post_init__", lambda self: built.append(self) or check(self))
+    (tmp_path / "synth.cfg").write_text(SYNTH_CFG)
+    data, ws = tmp_path / "data", tmp_path / "ws"
+    assert main(["synth", "--config", str(tmp_path / "synth.cfg"), "--out", str(data),
+                 "--features-format", features]) == 0
+    args = ingest_args(data, ws)
+    args[args.index("--features") + 1] = str(data / f"features.{features}")
+    if blank:
+        rows = _csv_rows(data / "street_views.csv")
+        for row in rows[1::10]:
+            row[3] = ""
+        with open(data / "street_views.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        args.append("--assign-missing")
+    assert main(args) == 0
+    assert main(["train-sv", "--workspace", str(ws), "--d", "4", "--epochs-sv", "1"]) == 0
+    assert main(["aggregate", "--workspace", str(ws)]) == 0
+    assert built == []

@@ -6,12 +6,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from oracles import columns_of
+from oracles import columns_of, columns_of_records, read_centroid_records, read_sv_records
 
 from metrovec.corpus import PoiRecord, write_poi_jsonl
 from metrovec import fileio
 from metrovec.errors import FormatError, StageOrderError, ValidationError
-from metrovec.fileio import (BAGS_MAGIC, BagTable, StreetViewRecord, read_bags,
+from metrovec.fileio import (BAGS_MAGIC, BagTable, read_bags,
                              read_centroids_csv, read_embeddings, read_feature_bin,
                              read_features_csv, read_sv_metadata, read_targets_csv, write_bags,
                              write_centroids_csv, write_embeddings, write_embeddings_tsv,
@@ -182,18 +182,26 @@ class TestEmbeddings:
         assert list(tmp_path.iterdir()) == []
 
 
+def _same_columns(got, want):
+    """Equal ids and third columns, and coordinates of the same float64 bits."""
+    assert (got[0], got[3]) == (want[0], want[3])
+    for a, b in zip(got[1:3], want[1:3]):
+        assert a.dtype == np.float64 and a.tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+
+
 class TestCentroidsCsv:
     def test_round_trip_with_city(self, tmp_path):
         path = tmp_path / "c.csv"
-        cents = [("n1", GeoPoint(37.1, -122.2), "sf"), ("n2", GeoPoint(41.8, -87.6), "chi")]
-        write_centroids_csv(path, cents)
-        assert read_centroids_csv(path) == cents
+        cents = (["n1", "n2"], np.array([37.1, 41.8]), np.array([-122.2, -87.6]), ["sf", "chi"])
+        write_centroids_csv(path, *cents)
+        _same_columns(read_centroids_csv(path), cents)
 
     def test_round_trip_without_city(self, tmp_path):
         path = tmp_path / "c.csv"
-        cents = [("n1", GeoPoint(37.1, -122.2), None)]
-        write_centroids_csv(path, cents)
-        assert read_centroids_csv(path) == cents
+        cents = (["n1"], np.array([37.1]), np.array([-122.2]), [None])
+        write_centroids_csv(path, *cents)
+        assert path.read_text().splitlines()[0] == "id,lat,lon"
+        _same_columns(read_centroids_csv(path), cents)
 
     def test_short_row_names_line(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -408,13 +416,12 @@ TABLE_WRITERS = {
                      (["a", "b"], np.array([[1.0, 2.0], [3.0, 4.0]])),
                      (["a", "b"], np.array([[5.0, 6.0], [Unwritable(), 7.0]], dtype=object))),
     "sv_metadata": (write_sv_metadata,
-                    ([StreetViewRecord("a", GeoPoint(1.0, 2.0), "n1")],),
-                    ([StreetViewRecord("a", GeoPoint(3.0, 4.0), "n1"),
-                      StreetViewRecord("b", SimpleNamespace(lat=Unwritable(), lon=0.0), "n1")],)),
+                    (["a"], np.array([1.0]), np.array([2.0]), ["n1"]),
+                    (["a", "b"], np.array([3.0, Unwritable()], dtype=object), np.array([4.0, 0.0]), ["n1", "n1"])),
     "centroids_csv": (write_centroids_csv,
-                      ([("n1", GeoPoint(1.0, 2.0), "sf")],),
-                      ([("n1", GeoPoint(3.0, 4.0), "sf"),
-                        ("n2", SimpleNamespace(lat=Unwritable(), lon=0.0), None)],)),
+                      (["n1"], np.array([1.0]), np.array([2.0]), ["sf"]),
+                      (["n1", "n2"], np.array([3.0, Unwritable()], dtype=object), np.array([4.0, 0.0]),
+                       ["sf", None])),
     "targets_csv": (write_targets_csv,
                     (["n1"], ["t"], np.array([[1.0]])),
                     (["n1", "n2"], ["t"], np.array([[2.0], [Unwritable()]], dtype=object))),
@@ -438,3 +445,83 @@ def test_failed_table_write_keeps_previous_file(tmp_path, name):
         write(path, *failing)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["table"]
+
+
+# The column readers, their record-by-record references, and the header of
+# the table they read.
+COLUMN_READERS = {
+    "sv_metadata": (read_sv_metadata, read_sv_records, "id,lat,lon,neighborhood_id"),
+    "centroids": (read_centroids_csv, read_centroid_records, "id,lat,lon,city"),
+}
+
+
+def _clean_rows(rng, n: int) -> list[list[str]]:
+    """Rows of cells holding the extremes floats can be written in: signed
+    zeros and the range's ends, exponents, blanks and underscores, a quoted
+    line break in an id, and empty neighborhood ids and city tags."""
+    special = ["-0.0", "90", "-90.0", "1e-300", " 37.5 ", "3_7.5", "+12.25"]
+    rows = []
+    for i in range(n):
+        lat = special[i] if i < len(special) else repr(float(rng.uniform(-90, 90)))
+        lon = ["180", "-180.0", "1E2"][i] if i < 3 else repr(float(rng.uniform(-180, 180)))
+        rid = f"r{i:03d}" if i != 4 else "r\n004"
+        rows.append([rid, lat, lon, "" if i % 5 == 2 else f"t{i % 3}"])
+    return rows
+
+
+def _write_rows(path, header: str, rows: list[list[str]]) -> None:
+    path.write_text(header + "\n" + fileio.csv_text(rows), encoding="utf-8", newline="")
+
+
+# Faults a row can take: each replaces the row's cells.
+FAULTS = {
+    "short": lambda r: r[:2],
+    "lat-unparsable": lambda r: [r[0], "x", *r[2:]],
+    "lon-unparsable": lambda r: [r[0], r[1], "4..2", *r[3:]],
+    "lat-91": lambda r: [r[0], "91", *r[2:]],
+    "lon-beyond": lambda r: [r[0], r[1], "-180.5", *r[3:]],
+    "lat-nan": lambda r: [r[0], "nan", *r[2:]],
+    "lon-1e999": lambda r: [r[0], r[1], "1e999", *r[3:]],
+    "both-out": lambda r: [r[0], "1e999", "nan", *r[3:]],
+}
+CENTROID_FAULTS = {
+    "id-slash": lambda r: ["a/b", *r[1:]],
+    "city-slash": lambda r: [*r[:3], "x/y"],
+    "id-nul": lambda r: ["a\0b", *r[1:]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLUMN_READERS))
+class TestColumnReadersMatchRecordReaders:
+    """The column readers return the record readers' rows as columns, with
+    the same float64 bits, and refuse a bad table with the same exception
+    and message: the first bad row in file order is the one named."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_clean_table(self, tmp_path, name, seed):
+        read, reference, header = COLUMN_READERS[name]
+        path = tmp_path / "table.csv"
+        _write_rows(path, header, _clean_rows(np.random.default_rng(seed), 40))
+        _same_columns(read(path), columns_of_records(reference(path)))
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_faults_at_random_rows_in_both_orders(self, tmp_path, name, seed):
+        read, reference, header = COLUMN_READERS[name]
+        rng = np.random.default_rng([seed, 7])
+        faults = {**FAULTS, **(CENTROID_FAULTS if name == "centroids" else {})}
+        kinds = sorted(faults)
+        # Each fault alone, then each with a second picked at random.
+        picked = [kinds[seed % len(kinds)]] + [kinds[rng.integers(len(kinds))]] * (seed // len(kinds) % 2)
+        rows = _clean_rows(rng, 30)
+        at = sorted(rng.choice(len(rows), size=len(picked), replace=False).tolist())
+        for order in (picked, picked[::-1]):
+            bad = [list(r) for r in rows]
+            for row, kind in zip(at, order):
+                bad[row] = faults[kind](bad[row])
+            path = tmp_path / "table.csv"
+            _write_rows(path, header, bad)
+            with pytest.raises(ValidationError) as want:
+                reference(path)
+            with pytest.raises(ValidationError) as got:
+                read(path)
+            assert (type(got.value), str(got.value)) == (type(want.value), str(want.value)), order

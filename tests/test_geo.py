@@ -8,7 +8,7 @@ from oracles import band_k_nearest, haversine_distance
 
 from metrovec import geo
 from metrovec.errors import ValidationError
-from metrovec.geo import GeoPoint, assign_neighborhood, build_index
+from metrovec.geo import GeoPoint, SpatialIndex, assign_neighborhood, build_index
 from metrovec.synthcity import SynthConfig, generate_city
 
 # Frozen before implementation from a 50-digit haversine evaluation
@@ -35,6 +35,13 @@ def rows_as_ids(index, k):
     """The all-points query's rows, each as the list of its neighbors' ids."""
     ids = index.ids
     return [[ids[r] for r in row] for row in index.k_nearest(k)]
+
+
+def assign(points: list[GeoPoint], centroids: list[tuple[str, GeoPoint]]) -> list:
+    """``assign_neighborhood`` of points and (id, point) centroids, passed as
+    their columns."""
+    return assign_neighborhood([p.lat for p in points], [p.lon for p in points], [cid for cid, _ in centroids],
+                               [c.lat for _, c in centroids], [c.lon for _, c in centroids])
 
 
 def random_points(rng, n, lat_span=(36.5, 38.0), lon_span=(-122.8, -121.2)):
@@ -291,9 +298,13 @@ class TestCellsMatchOracles:
     def test_matches_band_oracle_and_brute_force(self, name):
         points = CELL_CASES[name]()
         index = build_index(points)
+        # The same index from the columns that the commands pass.
+        columns = SpatialIndex([pid for pid, _ in points], np.array([p.lat for _, p in points]),
+                               np.array([p.lon for _, p in points]))
         brute = [brute_k_nearest(points, qid, 8) for qid, _ in points]
         for k in (1, 5, 8):
             assert np.array_equal(index.k_nearest(k), band_k_nearest(points, k))
+            assert np.array_equal(columns.k_nearest(k), index.k_nearest(k))
             assert rows_as_ids(index, k) == [row[:k] for row in brute]
 
     @pytest.mark.parametrize("seed", [1, 5])
@@ -308,8 +319,8 @@ def sv_city_points(n_neighborhoods, seed=1, shift=0.0):
     wrapped into [-180, 180]."""
     city = generate_city(SynthConfig(n_neighborhoods=n_neighborhoods, views_per_neighborhood=20,
                                      pois_per_neighborhood=1, seed=seed))
-    return [(sv.id, GeoPoint(sv.geo.lat, (sv.geo.lon + shift + 180.0) % 360.0 - 180.0))
-            for sv in city.street_views]
+    return [(sid, GeoPoint(lat, (lon + shift + 180.0) % 360.0 - 180.0))
+            for sid, lat, lon in zip(city.sv_ids, city.sv_lat.tolist(), city.sv_lon.tolist())]
 
 
 @pytest.mark.parametrize("n_neighborhoods,shift", [(50, 0.0), (200, 0.0), (800, 0.0), (200, 301.93)],
@@ -337,15 +348,15 @@ def test_k_nearest_work_is_linear(monkeypatch, n_neighborhoods, shift):
 class TestAssignNeighborhood:
     def test_exact_centroid(self):
         cents = [("c1", GeoPoint(10, 10)), ("c2", GeoPoint(20, 20))]
-        assert assign_neighborhood([GeoPoint(10, 10), GeoPoint(20, 20)], cents) == ["c1", "c2"]
+        assert assign([GeoPoint(10, 10), GeoPoint(20, 20)], cents) == ["c1", "c2"]
 
     def test_equidistant_tie_prefers_smaller_id(self):
         cents = [("c2", GeoPoint(0, 1)), ("c1", GeoPoint(0, -1))]
-        assert assign_neighborhood([GeoPoint(0, 0)], cents) == ["c1"]
+        assert assign([GeoPoint(0, 0)], cents) == ["c1"]
 
     def test_empty_centroids(self):
         with pytest.raises(ValidationError):
-            assign_neighborhood([GeoPoint(0, 0)], [])
+            assign([GeoPoint(0, 0)], [])
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(6)
@@ -353,7 +364,7 @@ class TestAssignNeighborhood:
                  for i in range(10)]
         points = [GeoPoint(float(rng.uniform(30, 40)), float(rng.uniform(-125, -115))) for _ in range(100)]
         expected = [min((brute_haversine(p, c), cid) for cid, c in cents)[1] for p in points]
-        assert assign_neighborhood(points, cents) == expected
+        assert assign(points, cents) == expected
 
 
 def scalar_assign(point, centroids):
@@ -369,7 +380,7 @@ class TestAssignNeighborhoods:
         cents = [(f"c{(7 * i) % 25:02d}", GeoPoint(0.5 * (i // 5) - 1.0, 0.5 * (i % 5) - 1.0))
                  for i in range(25)]
         points = [GeoPoint(0.25 * a - 1.25, 0.25 * b - 1.25) for a in range(11) for b in range(11)]
-        assert assign_neighborhood(points, cents) == [scalar_assign(p, cents) for p in points]
+        assert assign(points, cents) == [scalar_assign(p, cents) for p in points]
         nearest_two = [sorted(haversine_distance(p, c) for _, c in cents)[:2] for p in points]
         assert sum(a == b for a, b in nearest_two) == 64  # points the tie-break decides
 
@@ -381,8 +392,8 @@ class TestAssignNeighborhoods:
         sizes = []
         block = geo._haversine_block
         monkeypatch.setattr(geo, "_haversine_block", lambda *a: sizes.append(a[0].size) or block(*a))
-        assert assign_neighborhood(points, cents) == [scalar_assign(p, cents) for p in points]
+        assert assign(points, cents) == [scalar_assign(p, cents) for p in points]
         assert max(sizes) == 64 and sum(sizes) == 500
 
     def test_no_points(self):
-        assert assign_neighborhood([], [("c1", GeoPoint(0, 0))]) == []
+        assert assign([], [("c1", GeoPoint(0, 0))]) == []

@@ -2,6 +2,7 @@
 
 import hashlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,10 +13,10 @@ from test_fileio import Unwritable
 from metrovec.analytics import linreg_fit, r_squared
 from metrovec.corpus import PoiRecord, _half_star, _inverse_cdf, read_poi_columns, read_poi_jsonl
 from metrovec.errors import ValidationError
-from metrovec.fileio import (StreetViewRecord, _write_csv, read_centroids_csv, read_feature_bin, read_sv_metadata,
-                             read_targets_csv, write_centroids_csv, write_feature_bin, write_sv_metadata)
+from metrovec.fileio import (_write_csv, read_centroids_csv, read_feature_bin, read_sv_metadata, read_targets_csv,
+                             write_feature_bin)
 from metrovec.geo import GeoPoint
-from metrovec.synthcity import (BASE_LAT, BASE_LON, GRID_SPACING_DEG, SynthCity, SynthConfig,
+from metrovec.synthcity import (BASE_LAT, BASE_LON, GRID_SPACING_DEG, SynthConfig,
                                 _buffered, _choice_distinct, _grid_shape, _smooth_latents, _softmax,
                                 export_city, generate_city)
 
@@ -35,8 +36,8 @@ class TestGenerate:
         a, b = generate_city(cfg), generate_city(cfg)
         assert np.array_equal(a.latents, b.latents)
         assert a.neighborhood_ids == b.neighborhood_ids
-        for sa, sb in zip(a.street_views, b.street_views):
-            assert sa.id == sb.id and sa.geo == sb.geo
+        assert a.sv_ids == b.sv_ids
+        assert np.array_equal(a.sv_lat, b.sv_lat) and np.array_equal(a.sv_lon, b.sv_lon)
         assert np.array_equal(a.features, b.features)
         assert_columns_equal(a.pois, b.pois)
 
@@ -44,19 +45,19 @@ class TestGenerate:
         cfg = SynthConfig(n_neighborhoods=9, views_per_neighborhood=5,
                           pois_per_neighborhood=7, seed=1)
         city = generate_city(cfg)
-        assert len(city.street_views) == 45
+        assert len(city.sv_ids) == len(city.sv_lat) == len(city.sv_lon) == len(city.features) == 45
+        assert city.sv_ids == sorted(city.sv_ids)
         assert len(city.pois) == 63
         assert len(city.neighborhood_ids) == 9
-        for sv in city.street_views:
-            assert sv.neighborhood_id in set(city.neighborhood_ids)
+        assert set(city.sv_neighborhood_ids) == set(city.neighborhood_ids)
 
     def test_degenerate_noise_identical_features(self):
         cfg = SynthConfig(n_neighborhoods=4, views_per_neighborhood=5, latent_dim=3,
                           feature_dim=6, feature_noise=0.0, identity_mixing=True, seed=2)
         city = generate_city(cfg)
         by_nbhd = {}
-        for sv, features in zip(city.street_views, city.features):
-            by_nbhd.setdefault(sv.neighborhood_id, []).append(features)
+        for nid, features in zip(city.sv_neighborhood_ids, city.features):
+            by_nbhd.setdefault(nid, []).append(features)
         for feats in by_nbhd.values():
             for f in feats[1:]:
                 assert np.array_equal(f, feats[0])
@@ -67,8 +68,7 @@ class TestGenerate:
         city = generate_city(cfg)
         u = city.latents
         # Adjacent grid cells: centroids one grid step apart along one axis.
-        lat = np.array([c.lat for c in city.centroids])
-        lon = np.array([c.lon for c in city.centroids])
+        lat, lon = city.centroid_lat, city.centroid_lon
         steps = np.abs(lat[:, None] - lat) + np.abs(lon[:, None] - lon)
         pairs = np.argwhere(np.triu(np.isclose(steps, GRID_SPACING_DEG)))
         assert len(pairs) == 2 * 11 * 10
@@ -86,8 +86,8 @@ class TestGenerate:
                           pois_per_neighborhood=1, latent_dim=3, feature_dim=12, seed=4)
         city = generate_city(cfg)
         means = {}
-        for sv, features in zip(city.street_views, city.features):
-            means.setdefault(sv.neighborhood_id, []).append(features.astype(np.float64))
+        for nid, features in zip(city.sv_neighborhood_ids, city.features):
+            means.setdefault(nid, []).append(features.astype(np.float64))
         X = np.stack([np.mean(means[nid], axis=0) for nid in city.neighborhood_ids])
         n_train = 60
         for t in range(3):
@@ -133,7 +133,7 @@ class TestGenerate:
                           pois_per_neighborhood=2, city_tag="ny_", seed=6)
         city = generate_city(cfg)
         assert all(nid.startswith("ny_") for nid in city.neighborhood_ids)
-        assert all(sv.id.startswith("ny_") for sv in city.street_views)
+        assert all(sid.startswith("ny_") for sid in city.sv_ids)
         assert all(pid.startswith("ny_") for pid in city.pois.ids)
 
 
@@ -145,7 +145,7 @@ class TestExport:
         paths = export_city(city, tmp_path / "out")
         for key in ("poi", "features", "street_views", "centroids", "attributes"):
             assert paths[key].exists()
-        assert len(read_sv_metadata(paths["street_views"])) == 18
+        assert len(read_sv_metadata(paths["street_views"])[0]) == 18
         assert len(read_poi_jsonl(paths["poi"])) == 24
         assert read_feature_bin(paths["features"]).shape == (18, cfg.feature_dim)
         ids, names, values = read_targets_csv(paths["attributes"])
@@ -156,7 +156,7 @@ class TestExport:
         cfg = SynthConfig(n_neighborhoods=5, views_per_neighborhood=3,
                           pois_per_neighborhood=3, seed=8)
         city = generate_city(cfg)
-        exp_ids, exp_feats = city.feature_matrix()
+        exp_ids, exp_feats = city.sv_ids, city.features
 
         paths_bin = export_city(city, tmp_path / "bin", features_format="bin")
         feats = read_feature_bin(paths_bin["features"])
@@ -168,17 +168,15 @@ class TestExport:
         assert ids == exp_ids
         assert np.array_equal(feats_csv, exp_feats)
 
-        meta = read_sv_metadata(paths_bin["street_views"])
-        by_id = {sv.id: sv for sv in city.street_views}
-        for rec in meta:
-            assert rec.geo == by_id[rec.id].geo
-            assert rec.neighborhood_id == by_id[rec.id].neighborhood_id
+        ids, lat, lon, nids = read_sv_metadata(paths_bin["street_views"])
+        assert (ids, nids) == (city.sv_ids, city.sv_neighborhood_ids)
+        assert lat.tobytes() == city.sv_lat.tobytes() and lon.tobytes() == city.sv_lon.tobytes()
 
         assert_columns_equal(read_poi_columns(paths_bin["poi"]), city.pois)
 
-        cents = read_centroids_csv(paths_bin["centroids"])
-        assert [c[0] for c in cents] == city.neighborhood_ids
-        assert [c[1] for c in cents] == city.centroids
+        ids, lat, lon, cities = read_centroids_csv(paths_bin["centroids"])
+        assert ids == city.neighborhood_ids and cities == [None] * len(ids)
+        assert lat.tobytes() == city.centroid_lat.tobytes() and lon.tobytes() == city.centroid_lon.tobytes()
 
         _, _, latents = read_targets_csv(paths_bin["attributes"])
         assert np.array_equal(latents, city.latents)
@@ -216,10 +214,12 @@ class TestExport:
             SynthConfig(city_tag=tag).validate()
 
 
-def reference_city(config: SynthConfig) -> SynthCity:
+def reference_city(config: SynthConfig) -> SimpleNamespace:
     """The generator drawn record by record: Generator.choice for every POI's
     categories and review words, separate normal() calls for every jitter,
-    feature vector, rating and price, and np.clip for every coordinate."""
+    feature vector, rating and price, and np.clip for every coordinate. The
+    city's fields are records: a GeoPoint per centroid, an (id, GeoPoint,
+    neighborhood id) per street view in draw order, a PoiRecord per POI."""
     config.validate()
     rng = np.random.default_rng(config.seed)
     n, L = config.n_neighborhoods, config.latent_dim
@@ -251,8 +251,7 @@ def reference_city(config: SynthConfig) -> SynthCity:
             lat = float(np.clip(centroids[i].lat + jitter[0], -90.0, 90.0))
             lon = float(np.clip(centroids[i].lon + jitter[1], -180.0, 180.0))
             feats = base + rng.normal(size=config.feature_dim) * config.feature_noise
-            street_views.append(StreetViewRecord(id=f"{tag}sv{i:04d}_{v:03d}", geo=GeoPoint(lat, lon),
-                                                 neighborhood_id=nbhd_ids[i]))
+            street_views.append((f"{tag}sv{i:04d}_{v:03d}", GeoPoint(lat, lon), nbhd_ids[i]))
             features.append(feats.astype(np.float32))
 
     n_cat = max(4, config.vocab_size // 4)
@@ -279,28 +278,33 @@ def reference_city(config: SynthConfig) -> SynthCity:
             pois.append(PoiRecord(id=f"{tag}p{i:04d}_{o:03d}", geo=GeoPoint(lat, lon),
                                   neighborhood_id=nbhd_ids[i], categories=cats, rating=float(rating),
                                   price=price, reviews=[" ".join(words)]))
-    return SynthCity(config=config, neighborhood_ids=nbhd_ids, centroids=centroids, latents=latents,
-                     cluster_labels=labels, street_views=street_views, features=np.stack(features),
-                     pois=pois)
+    return SimpleNamespace(config=config, neighborhood_ids=nbhd_ids, centroids=centroids, latents=latents,
+                           cluster_labels=labels, street_views=street_views, features=np.stack(features),
+                           pois=pois)
 
 
-def reference_export(city: SynthCity, directory: Path, features_format: str) -> None:
-    """``export_city``'s files written record by record: the POI records
-    through the per-record line writer, each CSV number as ``repr(float(v))``
-    of one matrix entry."""
+def reference_export(city: SimpleNamespace, directory: Path, features_format: str) -> None:
+    """``export_city``'s files written record by record from a
+    ``reference_city``: the POI records through the per-record line writer,
+    each CSV number as ``repr(float(v))`` of one matrix entry or record
+    field."""
     directory.mkdir()
     write_poi_records(directory / "poi.jsonl", city.pois)
-    order = sorted(range(len(city.street_views)), key=lambda i: city.street_views[i].id)
-    ids = [city.street_views[i].id for i in order]
+    order = sorted(range(len(city.street_views)), key=lambda i: city.street_views[i][0])
+    ids = [city.street_views[i][0] for i in order]
     if features_format == "bin":
         write_feature_bin(directory / "features.bin", ids, city.features[order])
     else:
         _write_csv(directory / "features.csv", ["id"] + [f"f{j + 1}" for j in range(city.features.shape[1])],
                    ([rid] + [repr(float(v)) for v in city.features[i]] for rid, i in zip(ids, order)))
-    write_sv_metadata(directory / "street_views.csv", [city.street_views[i] for i in order])
-    write_centroids_csv(directory / "centroids.csv", [(nid, pt, city.config.city_tag or None)
-                                                      for nid, pt in zip(city.neighborhood_ids, city.centroids)])
-    _write_csv(directory / "attributes.csv", ["neighborhood_id"] + city.latent_names,
+    _write_csv(directory / "street_views.csv", ["id", "lat", "lon", "neighborhood_id"],
+               ([sid, repr(float(pt.lat)), repr(float(pt.lon)), nid]
+                for sid, pt, nid in (city.street_views[i] for i in order)))
+    tag = [city.config.city_tag] if city.config.city_tag else []
+    _write_csv(directory / "centroids.csv", ["id", "lat", "lon", *(["city"] if tag else [])],
+               ([nid, repr(float(pt.lat)), repr(float(pt.lon)), *tag]
+                for nid, pt in zip(city.neighborhood_ids, city.centroids)))
+    _write_csv(directory / "attributes.csv", ["neighborhood_id"] + [f"u{t + 1}" for t in range(city.latents.shape[1])],
                ([nid] + [repr(float(v)) for v in row] for nid, row in zip(city.neighborhood_ids, city.latents)))
     if city.cluster_labels is not None:
         _write_csv(directory / "clusters.csv", ["id", "cluster"],
@@ -331,13 +335,18 @@ class TestMatchesPerRecordReference:
     def test_field_for_field(self, cfg):
         got, want = generate_city(cfg), reference_city(cfg)
         assert got.neighborhood_ids == want.neighborhood_ids
-        assert got.centroids == want.centroids
+        assert got.centroid_lat.tobytes() == np.array([c.lat for c in want.centroids]).tobytes()
+        assert got.centroid_lon.tobytes() == np.array([c.lon for c in want.centroids]).tobytes()
         assert np.array_equal(got.latents, want.latents)
         assert np.array_equal(got.cluster_labels, want.cluster_labels)
-        assert len(got.street_views) == len(want.street_views)
-        for a, b in zip(got.street_views, want.street_views):
-            assert (a.id, a.geo, a.neighborhood_id) == (b.id, b.geo, b.neighborhood_id)
-        assert got.features.dtype == want.features.dtype and np.array_equal(got.features, want.features)
+        # Street views in ascending id order.
+        views = sorted(want.street_views, key=lambda sv: sv[0])
+        assert got.sv_ids == [sid for sid, _, _ in views]
+        assert got.sv_neighborhood_ids == [nid for _, _, nid in views]
+        assert got.sv_lat.tobytes() == np.array([p.lat for _, p, _ in views]).tobytes()
+        assert got.sv_lon.tobytes() == np.array([p.lon for _, p, _ in views]).tobytes()
+        order = sorted(range(len(want.street_views)), key=lambda i: want.street_views[i][0])
+        assert got.features.dtype == want.features.dtype and np.array_equal(got.features, want.features[order])
         assert_columns_equal(got.pois, columns_of(want.pois))
 
     def test_huge_jitter_clamps_to_the_bounds(self):

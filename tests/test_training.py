@@ -17,7 +17,7 @@ from metrovec.corpus import Bag, Vocabulary, bags_of, build_bag_table, build_voc
 from metrovec.encoder import _backward_batch, _forward_batch, _views, init_encoder
 from metrovec.errors import ValidationError
 from metrovec.fileio import write_embeddings
-from metrovec.geo import GeoPoint, build_index
+from metrovec.geo import GeoPoint, SpatialIndex, build_index
 from metrovec.synthcity import SynthConfig, generate_city
 from metrovec.training import (TrainingConfig, _sample_triplet_rows, aggregate_neighborhoods,
                                context_rows_from_index, init_word_vectors,
@@ -297,10 +297,7 @@ def small_city(**overrides):
 
 
 def city_training_inputs(city):
-    ids, feats = city.feature_matrix()
-    by_id = {sv.id: sv for sv in city.street_views}
-    index = build_index([(i, by_id[i].geo) for i in ids])
-    return ids, feats.astype(np.float64), index
+    return city.sv_ids, city.features.astype(np.float64), SpatialIndex(city.sv_ids, city.sv_lat, city.sv_lon)
 
 
 class TestTrainStreetView:
@@ -347,13 +344,14 @@ class TestTrainStreetView:
     def test_index_must_hold_the_ids_in_order(self, reorder):
         city = small_city()
         ids, feats, index = city_training_inputs(city)
-        by_id = {sv.id: sv.geo for sv in city.street_views}
+        lat, lon = city.sv_lat, city.sv_lon
         if reorder == "swapped":
-            other = build_index([(i, by_id[i]) for i in [ids[1], ids[0], *ids[2:]]])
+            rows = [1, 0, *range(2, len(ids))]
+            other = SpatialIndex([ids[i] for i in rows], lat[rows], lon[rows])
         elif reorder == "missing":
-            other = build_index([(i, by_id[i]) for i in ids[:-1]])
+            other = SpatialIndex(ids[:-1], lat[:-1], lon[:-1])
         else:
-            other = build_index([(i, by_id[i]) for i in ids] + [("zz", by_id[ids[0]])])
+            other = SpatialIndex(ids + ["zz"], np.append(lat, lat[0]), np.append(lon, lon[0]))
         cfg = TrainingConfig(d=4, k_context=3, epochs_sv=1, seed=9)
         params = init_encoder(feats.shape[1], 0, 4, seed=9)
         with pytest.raises(ValidationError, match="spatial index"):
@@ -809,7 +807,6 @@ def test_guarded_overflow_raises_without_numpy_warnings(run, message):
 def test_full_pipeline_seed_determinism():
     city = small_city()
     ids, feats, index = city_training_inputs(city)
-    by_id = {sv.id: sv for sv in city.street_views}
     table = build_bag_table(city.pois, city.neighborhood_ids)
     vocab, bags = build_vocabulary(table), bags_of(table)
     cfg = TrainingConfig(d=4, k_context=3, epochs_sv=2, epochs_poi=2,
@@ -818,8 +815,7 @@ def test_full_pipeline_seed_determinism():
     def run():
         params = init_encoder(feats.shape[1], cfg.hidden, cfg.d, cfg.seed)
         params, X = train_street_view(params, ids, feats, index, cfg)
-        Z1 = aggregate_neighborhoods(X, [by_id[i].neighborhood_id for i in ids],
-                                     city.neighborhood_ids)
+        Z1 = aggregate_neighborhoods(X, city.sv_neighborhood_ids, city.neighborhood_ids)
         Z2, _ = train_poi_stage(Z1, city.neighborhood_ids, vocab, bags, cfg)
         return Z2
 
